@@ -149,28 +149,15 @@ int RunManifest(const char* path, const char* trace_path) {
   // TPC-H context at the manifest's scale (plans chunk their scans in
   // actual rows, so the generated tables must match the dump).
   const JsonValue* tpch = doc.Find("tpch");
-  if (tpch == nullptr || !tpch->is_object()) {
-    return Fail("missing 'tpch' object");
-  }
-  const JsonValue* sf_actual = FindNumber(*tpch, "sf_actual");
-  const JsonValue* sf_nominal = FindNumber(*tpch, "sf_nominal");
-  if (sf_actual == nullptr || sf_nominal == nullptr ||
-      sf_actual->number() <= 0 || sf_nominal->number() <= 0) {
-    return Fail("'tpch' needs positive 'sf_actual' and 'sf_nominal'");
-  }
+  if (tpch == nullptr) return Fail("missing 'tpch' object");
+  auto spec = ReadTpchSpec(*tpch);
+  if (!spec.ok()) return Fail(spec.status().ToString());
   sim::Topology topo = sim::Topology::PaperServer();
   TpchContext ctx;
   ctx.topo = &topo;
-  ctx.sf_actual = sf_actual->number();
-  ctx.sf_nominal = sf_nominal->number();
-  const JsonValue* seed_v = FindNumber(*tpch, "seed");
-  if (seed_v != nullptr &&
-      (seed_v->number() < 0 || seed_v->number() > 9007199254740992.0)) {
-    return Fail("'tpch.seed' must be a non-negative integer");
-  }
-  const uint64_t seed =
-      seed_v != nullptr ? static_cast<uint64_t>(seed_v->number()) : 42;
-  if (const Status st = PrepareTpch(&ctx, seed); !st.ok()) {
+  ctx.sf_actual = spec.value().sf_actual;
+  ctx.sf_nominal = spec.value().sf_nominal;
+  if (const Status st = PrepareTpch(&ctx, spec.value().seed); !st.ok()) {
     return Fail("generation failed: " + st.ToString());
   }
   std::printf("TPC-H generated at SF %.3g, costed as SF %.0f\n",

@@ -551,23 +551,7 @@ Result<std::string> Engine::DumpPlan(const QueryPlan& plan,
 
 Result<LoadedPlan> Engine::LoadPlan(std::string_view json,
                                     const storage::Catalog& catalog) const {
-  Result<LoadedPlan> res = PlanJson::Load(json, catalog, topo_);
-  if (res.ok()) {
-    // Warn-only lint of the freshly loaded plan (LoadPlan is const and has
-    // no submit context; strict rejection happens at Run/RunAll/serve
-    // admission). Clean plans — every shipped manifest — log nothing.
-    const LoadedPlan& lp = res.value();
-    lint::LintContext ctx;
-    ctx.topo = topo_;
-    ctx.catalog = &catalog;
-    if (lp.has_policy) ctx.policy = &lp.policy;
-    if (lint::LintReport report = lint::LintPlan(lp.plan, ctx);
-        !report.empty()) {
-      HAPE_LOG(Warn) << "LoadPlan: lint of plan '" << lp.plan.name()
-                     << "': " << report.Summary();
-    }
-  }
-  return res;
+  return PlanJson::Load(json, catalog, topo_);
 }
 
 Result<ScheduleStats> Engine::RunAll(const ExecutionPolicy& policy) {

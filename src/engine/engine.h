@@ -153,9 +153,10 @@ class Engine {
                                const ExecutionPolicy& policy) const;
 
   /// Rebuild a dumped plan (plus its policy, when the document carries one)
-  /// against `catalog`, validating tables, columns, probe edges, and device
-  /// ids against this Engine's topology. Malformed manifests return Status
-  /// errors, never crash.
+  /// against `catalog` through PlanJson::Load, validating tables, columns,
+  /// probe edges, and device ids against this Engine's topology. Malformed
+  /// manifests return Status errors, never crash. Not linted here: lint
+  /// runs where the plan is admitted (Run, RunAll, QueryService::Submit).
   Result<LoadedPlan> LoadPlan(std::string_view json,
                               const storage::Catalog& catalog) const;
 

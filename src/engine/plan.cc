@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "lint/diagnostic.h"
 
 namespace hape::engine {
 
@@ -192,9 +193,72 @@ int QueryPlan::BuildNodeOf(const JoinState* state) const {
   return -1;
 }
 
-Status QueryPlan::Validate(const sim::Topology* topo) const {
+namespace {
+
+Status Reject(const char** rule, const char* code, const std::string& what) {
+  if (rule != nullptr) *rule = code;
+  return Status::InvalidArgument(what);
+}
+
+Status CheckWidth(const expr::ExprPtr& e, int width, const std::string& id,
+                  const char* what) {
+  if (e == nullptr || e->MaxColumn() < width) return Status::OK();
+  return Status::InvalidArgument(
+      id + ": " + what + " references column $" +
+      std::to_string(e->MaxColumn()) + " but the packet layout has " +
+      std::to_string(width) + " columns here");
+}
+
+/// The packet-width walk. The executor indexes packet columns unchecked,
+/// so an out-of-layout reference must be rejected before anything runs.
+Status CheckPacketWidths(const PlanNode& node, const std::string& id) {
+  if (node.source_table == nullptr) return Status::OK();
+  int width = static_cast<int>(node.source_columns.size());
+  for (const LogicalOp& op : node.ops) {
+    switch (op.kind) {
+      case LogicalOp::Kind::kFilter:
+        HAPE_RETURN_NOT_OK(CheckWidth(op.expr, width, id, "filter"));
+        break;
+      case LogicalOp::Kind::kProject:
+        for (const expr::ExprPtr& e : op.exprs) {
+          HAPE_RETURN_NOT_OK(CheckWidth(e, width, id, "projection"));
+        }
+        width = static_cast<int>(op.exprs.size());
+        break;
+      case LogicalOp::Kind::kProbe:
+        // The key addresses the packet before the probe appends the build
+        // side's payload.
+        HAPE_RETURN_NOT_OK(CheckWidth(op.expr, width, id, "probe key"));
+        width += op.appended_cols;
+        break;
+    }
+  }
+  if (node.is_build) {
+    HAPE_RETURN_NOT_OK(CheckWidth(node.build_key, width, id, "build key"));
+    for (int c : node.build_payload) {
+      if (c < 0 || c >= width) {
+        return Status::InvalidArgument(
+            id + ": payload column $" + std::to_string(c) +
+            " is outside the packet layout (width " + std::to_string(width) +
+            ")");
+      }
+    }
+  } else if (const auto* agg =
+                 dynamic_cast<const HashAggSink*>(node.pipeline.sink.get())) {
+    HAPE_RETURN_NOT_OK(CheckWidth(agg->key_expr(), width, id, "aggregate key"));
+    for (const AggDef& a : agg->aggs()) {
+      HAPE_RETURN_NOT_OK(CheckWidth(a.arg, width, id, "aggregate arg"));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status QueryPlan::Validate(const sim::Topology* topo, const char** rule) const {
   if (nodes_.empty()) {
-    return Status::InvalidArgument("plan '" + name_ + "' has no pipelines");
+    return Reject(rule, lint::kRuleDanglingEdge,
+                  "plan '" + name_ + "' has no pipelines");
   }
   const int n = static_cast<int>(nodes_.size());
   for (int i = 0; i < n; ++i) {
@@ -202,35 +266,43 @@ Status QueryPlan::Validate(const sim::Topology* topo) const {
     const std::string id = "pipeline '" + node.pipeline.name + "' (#" +
                            std::to_string(i) + ")";
     if (node.pipeline.sink == nullptr) {
-      return Status::InvalidArgument(id + " has no sink");
+      return Reject(rule, lint::kRuleDanglingEdge, id + " has no sink");
     }
     if (node.pipeline.stages.empty()) {
-      return Status::InvalidArgument(id + " has an empty stage chain");
+      return Reject(rule, lint::kRuleDanglingEdge,
+                    id + " has an empty stage chain");
     }
     for (int d : node.deps) {
       if (d < 0 || d >= n) {
-        return Status::InvalidArgument(id + " depends on unknown pipeline #" +
-                                       std::to_string(d));
+        return Reject(rule, lint::kRuleDanglingEdge,
+                      id + " depends on unknown pipeline #" +
+                          std::to_string(d));
       }
     }
     for (const JoinStatePtr& s : node.probed) {
       if (!OwnsState(s.get())) {
-        return Status::InvalidArgument(
-            id + " probes a hash table not built by this plan");
+        return Reject(rule, lint::kRuleDanglingEdge,
+                      id + " probes a hash table not built by this plan");
       }
     }
     if (topo != nullptr) {
       const int ndev = static_cast<int>(topo->devices().size());
       for (int d : node.run_on) {
         if (d < 0 || d >= ndev) {
-          return Status::InvalidArgument(id + " targets unknown device id " +
-                                         std::to_string(d));
+          return Reject(rule, lint::kRuleInfeasiblePlacement,
+                        id + " targets unknown device id " +
+                            std::to_string(d));
         }
       }
     }
+    if (Status st = CheckPacketWidths(node, id); !st.ok()) {
+      return Reject(rule, lint::kRuleColumnOutOfRange, st.message());
+    }
   }
   auto order = TopologicalOrder();
-  if (!order.ok()) return order.status();
+  if (!order.ok()) {
+    return Reject(rule, lint::kRuleCyclicPlan, order.status().message());
+  }
   return Status::OK();
 }
 

@@ -179,11 +179,20 @@ class QueryPlan {
   /// Node index of the build pipeline producing `state`, or -1.
   int BuildNodeOf(const JoinState* state) const;
 
-  /// Structural validation: every pipeline has a sink and a non-empty stage
-  /// chain, dependency edges are in range and acyclic, probed hash tables
-  /// belong to this plan, and (when `topo` is given) device overrides name
-  /// known devices.
-  Status Validate(const sim::Topology* topo = nullptr) const;
+  /// The one structural checker (PlanJson::Load, Engine::Optimize, Run and
+  /// RunAll and the lint structure pass all call it). Every pipeline has a
+  /// sink and a non-empty stage chain, dependency edges are in range and
+  /// acyclic, probed hash tables belong to this plan, every expression and
+  /// build payload column lies inside the packet layout at its position
+  /// (scanned columns, plus each probe's payload, replaced by each
+  /// projection; Source() pipelines have no declared width and are
+  /// skipped), and (when `topo` is given) device overrides name known
+  /// devices. Fail-fast: the first fault is an InvalidArgument, and
+  /// `*rule` (when non-null, set only on failure) names the lint rule it
+  /// breaks: HL001 missing sink/stages or dangling edge, HL002 cycle, HL003
+  /// column outside the layout, HL005 unknown device.
+  Status Validate(const sim::Topology* topo = nullptr,
+                  const char** rule = nullptr) const;
 
   /// Stable topological order (declaration order among ready pipelines);
   /// InvalidArgument on a dependency cycle.

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "engine/sinks.h"
+#include "lint/diagnostic.h"
 
 namespace hape::engine {
 
@@ -18,6 +19,14 @@ namespace {
 
 Status Bad(const std::string& where, const std::string& what) {
   return Status::InvalidArgument("plan JSON: " + where + ": " + what);
+}
+
+/// A failure under a lint rule other than the document-shape default
+/// (HL011) Load reports through `why`.
+Status Bad(const char** why, const char* rule, const std::string& where,
+           const std::string& what) {
+  *why = rule;
+  return Bad(where, what);
 }
 
 Result<const JsonValue*> GetMember(const JsonValue& obj, const char* key,
@@ -213,9 +222,71 @@ void WriteExprOrNull(JsonWriter* w, const expr::ExprPtr& e) {
   }
 }
 
-Result<expr::ExprPtr> ReadExprOrNull(const JsonValue& v) {
+Result<expr::ExprPtr> ReadExpr(const JsonValue& v, const char** why) {
+  HAPE_ASSIGN_OR_RETURN(const std::string op, GetString(v, "op", "expression"));
+  if (op == "col") {
+    HAPE_ASSIGN_OR_RETURN(const int64_t col, GetInt(v, "col", "expression"));
+    if (col < 0) {
+      return Bad(why, lint::kRuleColumnOutOfRange, "expression",
+                 "negative column index");
+    }
+    return expr::Expr::Col(static_cast<int>(col));
+  }
+  if (op == "int") {
+    HAPE_ASSIGN_OR_RETURN(const JsonValue* val,
+                          GetMember(v, "v", "int literal"));
+    if (val->kind() == JsonValue::Kind::kString) {
+      // Magnitudes beyond 2^53 travel as decimal strings (see WriteExpr).
+      errno = 0;
+      char* end = nullptr;
+      const char* begin = val->str().c_str();
+      const long long parsed = std::strtoll(begin, &end, 10);
+      if (errno != 0 || end == begin || *end != '\0') {
+        return Bad("expression", "malformed int literal '" + val->str() + "'");
+      }
+      return expr::Expr::Int(parsed);
+    }
+    const double d =
+        val->kind() == JsonValue::Kind::kNumber ? val->number() : NAN;
+    if (!(d >= -kMaxIntegerNumber && d <= kMaxIntegerNumber) ||
+        d != std::floor(d)) {
+      return Bad("expression",
+                 "int literal 'v' must be an integer (use the string form "
+                 "for magnitudes beyond 2^53)");
+    }
+    return expr::Expr::Int(static_cast<int64_t>(d));
+  }
+  if (op == "double") {
+    HAPE_ASSIGN_OR_RETURN(const double d, GetNumber(v, "v", "double literal"));
+    return expr::Expr::Double(d);
+  }
+  if (op == "!") {
+    HAPE_ASSIGN_OR_RETURN(const JsonValue* args, GetMember(v, "args", "!"));
+    if (!args->is_array() || args->items().size() != 1) {
+      return Bad("expression", "'!' takes exactly one argument");
+    }
+    HAPE_ASSIGN_OR_RETURN(expr::ExprPtr c, ReadExpr(args->items()[0], why));
+    return expr::Expr::Not(std::move(c));
+  }
+  for (size_t k = static_cast<size_t>(expr::ExprKind::kAdd);
+       k < static_cast<size_t>(expr::ExprKind::kNot); ++k) {
+    if (op != kExprOpNames[k]) continue;
+    HAPE_ASSIGN_OR_RETURN(const JsonValue* args,
+                          GetMember(v, "args", "operator " + op));
+    if (!args->is_array() || args->items().size() != 2) {
+      return Bad("expression", "operator '" + op + "' takes two arguments");
+    }
+    HAPE_ASSIGN_OR_RETURN(expr::ExprPtr l, ReadExpr(args->items()[0], why));
+    HAPE_ASSIGN_OR_RETURN(expr::ExprPtr r, ReadExpr(args->items()[1], why));
+    return expr::Expr::Binary(static_cast<expr::ExprKind>(k), std::move(l),
+                              std::move(r));
+  }
+  return Bad("expression", "unknown operator '" + op + "'");
+}
+
+Result<expr::ExprPtr> ReadExprOrNull(const JsonValue& v, const char** why) {
   if (v.kind() == JsonValue::Kind::kNull) return expr::ExprPtr{};
-  return PlanJson::ReadExpr(v);
+  return ReadExpr(v, why);
 }
 
 // ---- sink + op writers -------------------------------------------------------
@@ -381,6 +452,9 @@ Result<std::string> DumpImpl(const QueryPlan& plan,
 }
 
 // ---- load --------------------------------------------------------------------
+// Every reader below reports failures as Status errors; the ones whose
+// cause is not the document's shape also name their lint rule through
+// `why` (Load's out-parameter; HL011 unless a check says otherwise).
 
 /// Parsed-but-not-yet-applied view of one pipeline document.
 struct PipeDoc {
@@ -401,7 +475,8 @@ struct PipeDoc {
 };
 
 Status ParsePipeDoc(const JsonValue& v, size_t index,
-                    const storage::Catalog& catalog, PipeDoc* out) {
+                    const storage::Catalog& catalog, PipeDoc* out,
+                    const char** why) {
   out->v = &v;
   out->where = "pipeline #" + std::to_string(index);
   if (!v.is_object()) return Bad(out->where, "expected an object");
@@ -419,7 +494,8 @@ Status ParsePipeDoc(const JsonValue& v, size_t index,
                         GetString(*source, "table", out->where + " source"));
   auto table = catalog.Get(table_name);
   if (!table.ok()) {
-    return Bad(out->where, "unknown table '" + table_name + "'");
+    return Bad(why, lint::kRuleUnknownTableOrColumn, out->where,
+               "unknown table '" + table_name + "'");
   }
   out->table = table.value();
   HAPE_ASSIGN_OR_RETURN(const JsonValue* cols,
@@ -432,18 +508,24 @@ Status ParsePipeDoc(const JsonValue& v, size_t index,
       return Bad(out->where, "source 'columns' must hold strings");
     }
     if (out->table->schema().IndexOf(c.str()) < 0) {
-      return Bad(out->where, "table '" + table_name + "' has no column '" +
-                                 c.str() + "'");
+      return Bad(why, lint::kRuleUnknownTableOrColumn, out->where,
+                 "table '" + table_name + "' has no column '" + c.str() + "'");
     }
     out->columns.push_back(c.str());
   }
   HAPE_ASSIGN_OR_RETURN(const int64_t chunk,
                         GetInt(*source, "chunk_rows", out->where + " source"));
-  if (chunk <= 0) return Bad(out->where, "'chunk_rows' must be positive");
+  if (chunk <= 0) {
+    return Bad(why, lint::kRuleInvalidParameter, out->where,
+               "'chunk_rows' must be positive");
+  }
   out->chunk_rows = static_cast<size_t>(chunk);
 
   HAPE_RETURN_NOT_OK(ReadOptNumber(v, "scale", &out->scale, out->where));
-  if (out->scale <= 0) return Bad(out->where, "'scale' must be positive");
+  if (out->scale <= 0) {
+    return Bad(why, lint::kRuleInvalidParameter, out->where,
+               "'scale' must be positive");
+  }
   HAPE_ASSIGN_OR_RETURN(out->deps, ReadIntArray(v, "deps", out->where));
   HAPE_ASSIGN_OR_RETURN(out->run_on, ReadIntArray(v, "run_on", out->where));
 
@@ -480,31 +562,12 @@ struct HandleStaging {
   std::map<int, BuildHandle> builds;
 };
 
-/// Rejects expressions referencing columns beyond the packet layout at
-/// their op position — the executor indexes packet columns unchecked, so
-/// this is where a hand-edited manifest's bad index becomes a Status
-/// instead of an out-of-bounds access at run time.
-Status CheckColumns(const expr::ExprPtr& e, int width, const std::string& where,
-                    const char* what) {
-  if (e == nullptr) return Status::OK();
-  const int max = e->MaxColumn();
-  if (max >= width) {
-    return Bad(where, std::string(what) + " references column $" +
-                          std::to_string(max) + " but the packet layout has " +
-                          std::to_string(width) + " columns here");
-  }
-  return Status::OK();
-}
-
 /// Applies one pipeline's op chain, dependency edges, and terminal to its
-/// PipelineBuilder, tracking the packet layout width through the chain
-/// (scanned columns, +payload per probe, rewritten by projects). Build
-/// handles and payload widths of every probed pipeline must already be
-/// populated. `*out_width` is the final layout width (for the build sink).
+/// PipelineBuilder. The build handle of every probed pipeline must already
+/// be populated. Column references are left to QueryPlan::Validate.
 Status ApplyPipeDoc(const PipeDoc& doc, PipelineBuilder* pipe,
                     const std::vector<BuildHandle>& build_handles,
-                    const std::vector<int>& payload_width,
-                    HandleStaging* out, int* out_width) {
+                    HandleStaging* out, const char** why) {
   // Replay the dumped dependency list first: it is the complete set (probe
   // edges included), and After() keeps first-occurrence order, so the
   // reloaded node's deps match the dump byte-for-byte — the Probe() calls
@@ -512,15 +575,13 @@ Status ApplyPipeDoc(const PipeDoc& doc, PipelineBuilder* pipe,
   // for plans that declared After() before a Probe.)
   for (int d : doc.deps) pipe->After(d);
 
-  int width = static_cast<int>(doc.columns.size());
   size_t probe_idx = 0;
   for (const JsonValue& op : doc.ops->items()) {
     const std::string kind = op.Find("kind")->str();
     if (kind == "filter") {
       HAPE_ASSIGN_OR_RETURN(const JsonValue* e,
                             GetMember(op, "expr", doc.where + " filter op"));
-      HAPE_ASSIGN_OR_RETURN(expr::ExprPtr pred, PlanJson::ReadExpr(*e));
-      HAPE_RETURN_NOT_OK(CheckColumns(pred, width, doc.where, "filter"));
+      HAPE_ASSIGN_OR_RETURN(expr::ExprPtr pred, ReadExpr(*e, why));
       pipe->Filter(std::move(pred));
     } else if (kind == "project") {
       HAPE_ASSIGN_OR_RETURN(const JsonValue* es,
@@ -530,30 +591,24 @@ Status ApplyPipeDoc(const PipeDoc& doc, PipelineBuilder* pipe,
       }
       std::vector<expr::ExprPtr> exprs;
       for (const JsonValue& e : es->items()) {
-        HAPE_ASSIGN_OR_RETURN(expr::ExprPtr p, PlanJson::ReadExpr(e));
-        HAPE_RETURN_NOT_OK(CheckColumns(p, width, doc.where, "projection"));
+        HAPE_ASSIGN_OR_RETURN(expr::ExprPtr p, ReadExpr(e, why));
         exprs.push_back(std::move(p));
       }
-      width = static_cast<int>(exprs.size());
       pipe->Project(std::move(exprs));
     } else {  // probe (kinds and build refs were validated during parsing)
       const int build = static_cast<int>(doc.probe_refs[probe_idx++]);
       HAPE_ASSIGN_OR_RETURN(const JsonValue* k,
                             GetMember(op, "key", doc.where + " probe op"));
-      HAPE_ASSIGN_OR_RETURN(expr::ExprPtr key, PlanJson::ReadExpr(*k));
-      HAPE_RETURN_NOT_OK(CheckColumns(key, width, doc.where, "probe key"));
+      HAPE_ASSIGN_OR_RETURN(expr::ExprPtr key, ReadExpr(*k, why));
       pipe->Probe(build_handles[build], std::move(key));
-      width += payload_width[build];
     }
   }
-  *out_width = width;
 
   const JsonValue& sink = *doc.sink;
   if (doc.sink_kind == "hash_agg") {
     HAPE_ASSIGN_OR_RETURN(const JsonValue* kv,
                           GetMember(sink, "key", doc.where + " sink"));
-    HAPE_ASSIGN_OR_RETURN(expr::ExprPtr key, ReadExprOrNull(*kv));
-    HAPE_RETURN_NOT_OK(CheckColumns(key, width, doc.where, "aggregate key"));
+    HAPE_ASSIGN_OR_RETURN(expr::ExprPtr key, ReadExprOrNull(*kv, why));
     HAPE_ASSIGN_OR_RETURN(const JsonValue* av,
                           GetMember(sink, "aggs", doc.where + " sink"));
     if (!av->is_array() || av->items().empty()) {
@@ -567,12 +622,10 @@ Status ApplyPipeDoc(const PipeDoc& doc, PipelineBuilder* pipe,
                             ParseEnum(op_name, kAggOpNames, "aggregate op"));
       HAPE_ASSIGN_OR_RETURN(const JsonValue* arg,
                             GetMember(a, "arg", doc.where + " agg"));
-      HAPE_ASSIGN_OR_RETURN(expr::ExprPtr arg_expr, ReadExprOrNull(*arg));
+      HAPE_ASSIGN_OR_RETURN(expr::ExprPtr arg_expr, ReadExprOrNull(*arg, why));
       if (op != AggOp::kCount && arg_expr == nullptr) {
         return Bad(doc.where, "aggregate '" + op_name + "' needs an 'arg'");
       }
-      HAPE_RETURN_NOT_OK(
-          CheckColumns(arg_expr, width, doc.where, "aggregate arg"));
       aggs.push_back(AggDef{op, std::move(arg_expr)});
     }
     out->aggs[pipe->id()] = pipe->Aggregate(std::move(key), std::move(aggs));
@@ -583,24 +636,15 @@ Status ApplyPipeDoc(const PipeDoc& doc, PipelineBuilder* pipe,
   return Status::OK();
 }
 
-Status ApplyBuildSink(const PipeDoc& doc, PipelineBuilder* pipe, int width,
+Status ApplyBuildSink(const PipeDoc& doc, PipelineBuilder* pipe,
                       std::vector<BuildHandle>* build_handles,
-                      std::vector<int>* payload_width, HandleStaging* out) {
+                      HandleStaging* out, const char** why) {
   const JsonValue& sink = *doc.sink;
   HAPE_ASSIGN_OR_RETURN(const JsonValue* kv,
                         GetMember(sink, "key", doc.where + " sink"));
-  HAPE_ASSIGN_OR_RETURN(expr::ExprPtr key, PlanJson::ReadExpr(*kv));
-  HAPE_RETURN_NOT_OK(CheckColumns(key, width, doc.where, "build key"));
+  HAPE_ASSIGN_OR_RETURN(expr::ExprPtr key, ReadExpr(*kv, why));
   HAPE_ASSIGN_OR_RETURN(std::vector<int> payload,
                         ReadIntArray(sink, "payload_cols", doc.where));
-  for (int c : payload) {
-    if (c < 0 || c >= width) {
-      return Bad(doc.where, "payload column $" + std::to_string(c) +
-                                " is outside the packet layout (width " +
-                                std::to_string(width) + ")");
-    }
-  }
-  (*payload_width)[pipe->id()] = static_cast<int>(payload.size());
   BuildOptions opts;
   HAPE_RETURN_NOT_OK(ReadOptUint(sink, "declared_build_rows",
                                  &opts.expected_rows, doc.where));
@@ -613,7 +657,8 @@ Status ApplyBuildSink(const PipeDoc& doc, PipelineBuilder* pipe, int width,
   uint64_t buckets = 0;
   HAPE_RETURN_NOT_OK(ReadOptUint(sink, "ht_buckets", &buckets, doc.where));
   if (buckets > static_cast<uint64_t>(kMaxSmallKnob)) {
-    return Bad(doc.where, "'ht_buckets' is implausibly large");
+    return Bad(why, lint::kRuleInvalidParameter, doc.where,
+               "'ht_buckets' is implausibly large");
   }
   if (buckets > 0 && buckets != h.state()->ht.num_buckets()) {
     h.state()->ht.Rehash(buckets);
@@ -621,6 +666,149 @@ Status ApplyBuildSink(const PipeDoc& doc, PipelineBuilder* pipe, int width,
   (*build_handles)[pipe->id()] = h;
   out->builds[pipe->id()] = h;
   return Status::OK();
+}
+
+Result<LoadedPlan> LoadDocument(const JsonValue& doc,
+                                const storage::Catalog& catalog,
+                                const sim::Topology* topo, const char** why) {
+  if (!doc.is_object()) return Bad("document", "expected an object");
+  if (const JsonValue* f = doc.Find("format");
+      f != nullptr && (f->kind() != JsonValue::Kind::kString ||
+                       f->str() != PlanJson::kFormat)) {
+    return Bad("document", "unsupported format (expected '" +
+                               std::string(PlanJson::kFormat) + "')");
+  }
+  // Schema versioning: an absent "version" implies the current schema; a
+  // present one must match exactly (unknown versions are rejected so stale
+  // plan-cache fingerprints and hand-edited manifests fail loudly).
+  if (const JsonValue* ver = doc.Find("version"); ver != nullptr) {
+    if (ver->kind() != JsonValue::Kind::kNumber ||
+        ver->number() != static_cast<double>(PlanJson::kVersion)) {
+      return Bad("document", "unsupported schema version (expected " +
+                                 std::to_string(PlanJson::kVersion) + ")");
+    }
+  }
+  HAPE_ASSIGN_OR_RETURN(const JsonValue* pv,
+                        GetMember(doc, "plan", "document"));
+  HAPE_ASSIGN_OR_RETURN(const std::string name,
+                        GetString(*pv, "name", "plan"));
+  HAPE_ASSIGN_OR_RETURN(const JsonValue* pipelines,
+                        GetMember(*pv, "pipelines", "plan"));
+  if (!pipelines->is_array() || pipelines->items().empty()) {
+    return Bad("plan '" + name + "'", "'pipelines' must be a non-empty array");
+  }
+
+  const size_t n = pipelines->items().size();
+  std::vector<PipeDoc> docs(n);
+  for (size_t i = 0; i < n; ++i) {
+    HAPE_RETURN_NOT_OK(
+        ParsePipeDoc(pipelines->items()[i], i, catalog, &docs[i], why));
+  }
+  // Probe edges must point at hash-build pipelines of this plan.
+  for (const PipeDoc& d : docs) {
+    for (int64_t ref : d.probe_refs) {
+      if (ref < 0 || ref >= static_cast<int64_t>(n)) {
+        return Bad(why, lint::kRuleDanglingEdge, d.where,
+                   "probes unknown pipeline #" + std::to_string(ref));
+      }
+      if (docs[ref].sink_kind != "hash_build") {
+        return Bad(why, lint::kRuleDanglingEdge, d.where,
+                   "probes pipeline #" + std::to_string(ref) +
+                       " which is not a hash build");
+      }
+    }
+  }
+
+  PlanBuilder builder(name);
+  std::vector<PipelineBuilder> pipes;
+  pipes.reserve(n);
+  for (const PipeDoc& d : docs) {
+    pipes.push_back(builder.Scan(d.table, d.columns, d.chunk_rows));
+    pipes.back().Named(d.name).Scale(d.scale);
+    if (!d.run_on.empty()) pipes.back().OnDevices(d.run_on);
+  }
+
+  HandleStaging staging;
+  std::vector<BuildHandle> build_handles(n);
+
+  // Apply op chains + terminals in probe-dependency order: a probe needs
+  // its build's handle, so builds terminalize first. No progress while
+  // pipelines remain means the probe edges form a cycle.
+  std::vector<char> applied(n, 0);
+  size_t remaining = n;
+  while (remaining > 0) {
+    bool progress = false;
+    for (size_t i = 0; i < n; ++i) {
+      if (applied[i]) continue;
+      bool ready = true;
+      for (int64_t ref : docs[i].probe_refs) {
+        if (ref == static_cast<int64_t>(i)) {
+          return Bad(why, lint::kRuleCyclicPlan, docs[i].where,
+                     "probes its own build");
+        }
+        if (!applied[ref]) ready = false;
+      }
+      if (!ready) continue;
+      HAPE_RETURN_NOT_OK(
+          ApplyPipeDoc(docs[i], &pipes[i], build_handles, &staging, why));
+      if (docs[i].sink_kind == "hash_build") {
+        HAPE_RETURN_NOT_OK(ApplyBuildSink(docs[i], &pipes[i], &build_handles,
+                                          &staging, why));
+      }
+      applied[i] = 1;
+      --remaining;
+      progress = true;
+    }
+    if (!progress) {
+      return Bad(why, lint::kRuleCyclicPlan, "plan '" + name + "'",
+                 "probe edges form a cycle among the remaining pipelines");
+    }
+  }
+
+  uint64_t intermediate = 0;
+  HAPE_RETURN_NOT_OK(ReadOptUint(*pv, "declared_intermediate_bytes",
+                                 &intermediate, "plan"));
+  if (intermediate > 0) {
+    std::string label;
+    if (const JsonValue* l = pv->Find("declared_intermediate_label");
+        l != nullptr && l->kind() == JsonValue::Kind::kString) {
+      label = l->str();
+    }
+    builder.DeclareMaterializedIntermediate(intermediate, std::move(label));
+  }
+
+  LoadedPlan out(std::move(builder).Build());
+  out.aggs = std::move(staging.aggs);
+  out.collects = std::move(staging.collects);
+  out.builds = std::move(staging.builds);
+
+  // Restore the optimizer's outputs so a dumped optimized plan reloads
+  // with estimates (and the residency accounting derived from them) intact.
+  for (size_t i = 0; i < n; ++i) {
+    const JsonValue* est = docs[i].v->Find("estimated");
+    if (est == nullptr) continue;
+    PlanNode& node = out.plan.mutable_node(static_cast<int>(i));
+    HAPE_RETURN_NOT_OK(
+        ReadOptUint(*est, "out_rows", &node.est_out_rows, docs[i].where));
+    HAPE_RETURN_NOT_OK(ReadOptUint(*est, "nominal_out_rows",
+                                   &node.est_nominal_out_rows, docs[i].where));
+    HAPE_RETURN_NOT_OK(ReadOptNumber(*est, "cost_seconds",
+                                     &node.est_cost_seconds, docs[i].where));
+  }
+
+  HAPE_RETURN_NOT_OK(out.plan.Validate(topo, why));
+
+  if (const JsonValue* pol = doc.Find("policy")) {
+    HAPE_ASSIGN_OR_RETURN(out.policy, PlanJson::ReadPolicy(*pol));
+    out.has_policy = true;
+    if (topo != nullptr) {
+      if (Status st = out.policy.Validate(*topo); !st.ok()) {
+        *why = lint::kRuleInfeasiblePlacement;
+        return st;
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -658,65 +846,6 @@ void PlanJson::WriteExpr(JsonWriter* w, const expr::ExprPtr& e) {
       w->EndArray();
   }
   w->EndObject();
-}
-
-Result<expr::ExprPtr> PlanJson::ReadExpr(const JsonValue& v) {
-  HAPE_ASSIGN_OR_RETURN(const std::string op, GetString(v, "op", "expression"));
-  if (op == "col") {
-    HAPE_ASSIGN_OR_RETURN(const int64_t col, GetInt(v, "col", "expression"));
-    if (col < 0) return Bad("expression", "negative column index");
-    return expr::Expr::Col(static_cast<int>(col));
-  }
-  if (op == "int") {
-    HAPE_ASSIGN_OR_RETURN(const JsonValue* val,
-                          GetMember(v, "v", "int literal"));
-    if (val->kind() == JsonValue::Kind::kString) {
-      // Magnitudes beyond 2^53 travel as decimal strings (see WriteExpr).
-      errno = 0;
-      char* end = nullptr;
-      const char* begin = val->str().c_str();
-      const long long parsed = std::strtoll(begin, &end, 10);
-      if (errno != 0 || end == begin || *end != '\0') {
-        return Bad("expression", "malformed int literal '" + val->str() + "'");
-      }
-      return expr::Expr::Int(parsed);
-    }
-    const double d =
-        val->kind() == JsonValue::Kind::kNumber ? val->number() : NAN;
-    if (!(d >= -kMaxIntegerNumber && d <= kMaxIntegerNumber) ||
-        d != std::floor(d)) {
-      return Bad("expression",
-                 "int literal 'v' must be an integer (use the string form "
-                 "for magnitudes beyond 2^53)");
-    }
-    return expr::Expr::Int(static_cast<int64_t>(d));
-  }
-  if (op == "double") {
-    HAPE_ASSIGN_OR_RETURN(const double d, GetNumber(v, "v", "double literal"));
-    return expr::Expr::Double(d);
-  }
-  if (op == "!") {
-    HAPE_ASSIGN_OR_RETURN(const JsonValue* args, GetMember(v, "args", "!"));
-    if (!args->is_array() || args->items().size() != 1) {
-      return Bad("expression", "'!' takes exactly one argument");
-    }
-    HAPE_ASSIGN_OR_RETURN(expr::ExprPtr c, ReadExpr(args->items()[0]));
-    return expr::Expr::Not(std::move(c));
-  }
-  for (size_t k = static_cast<size_t>(expr::ExprKind::kAdd);
-       k < static_cast<size_t>(expr::ExprKind::kNot); ++k) {
-    if (op != kExprOpNames[k]) continue;
-    HAPE_ASSIGN_OR_RETURN(const JsonValue* args,
-                          GetMember(v, "args", "operator " + op));
-    if (!args->is_array() || args->items().size() != 2) {
-      return Bad("expression", "operator '" + op + "' takes two arguments");
-    }
-    HAPE_ASSIGN_OR_RETURN(expr::ExprPtr l, ReadExpr(args->items()[0]));
-    HAPE_ASSIGN_OR_RETURN(expr::ExprPtr r, ReadExpr(args->items()[1]));
-    return expr::Expr::Binary(static_cast<expr::ExprKind>(k), std::move(l),
-                              std::move(r));
-  }
-  return Bad("expression", "unknown operator '" + op + "'");
 }
 
 void PlanJson::WritePolicy(JsonWriter* w, const ExecutionPolicy& policy) {
@@ -890,148 +1019,23 @@ Result<std::string> PlanJson::Dump(const QueryPlan& plan,
 
 Result<LoadedPlan> PlanJson::Load(std::string_view json,
                                   const storage::Catalog& catalog,
-                                  const sim::Topology* topo) {
-  HAPE_ASSIGN_OR_RETURN(JsonValue doc, JsonParser::Parse(json));
-  return Load(doc, catalog, topo);
+                                  const sim::Topology* topo,
+                                  const char** rule) {
+  Result<JsonValue> doc = JsonParser::Parse(json);
+  if (!doc.ok()) {
+    if (rule != nullptr) *rule = lint::kRuleUnreadable;
+    return doc.status();
+  }
+  return Load(doc.value(), catalog, topo, rule);
 }
 
 Result<LoadedPlan> PlanJson::Load(const JsonValue& doc,
                                   const storage::Catalog& catalog,
-                                  const sim::Topology* topo) {
-  if (!doc.is_object()) return Bad("document", "expected an object");
-  if (const JsonValue* f = doc.Find("format");
-      f != nullptr && (f->kind() != JsonValue::Kind::kString ||
-                       f->str() != kFormat)) {
-    return Bad("document", "unsupported format (expected '" +
-                               std::string(kFormat) + "')");
-  }
-  // Schema versioning: an absent "version" implies the current schema; a
-  // present one must match exactly (unknown versions are rejected so stale
-  // plan-cache fingerprints and hand-edited manifests fail loudly).
-  if (const JsonValue* ver = doc.Find("version"); ver != nullptr) {
-    if (ver->kind() != JsonValue::Kind::kNumber ||
-        ver->number() != static_cast<double>(kVersion)) {
-      return Bad("document", "unsupported schema version (expected " +
-                                 std::to_string(kVersion) + ")");
-    }
-  }
-  HAPE_ASSIGN_OR_RETURN(const JsonValue* pv,
-                        GetMember(doc, "plan", "document"));
-  HAPE_ASSIGN_OR_RETURN(const std::string name,
-                        GetString(*pv, "name", "plan"));
-  HAPE_ASSIGN_OR_RETURN(const JsonValue* pipelines,
-                        GetMember(*pv, "pipelines", "plan"));
-  if (!pipelines->is_array() || pipelines->items().empty()) {
-    return Bad("plan '" + name + "'", "'pipelines' must be a non-empty array");
-  }
-
-  const size_t n = pipelines->items().size();
-  std::vector<PipeDoc> docs(n);
-  for (size_t i = 0; i < n; ++i) {
-    HAPE_RETURN_NOT_OK(
-        ParsePipeDoc(pipelines->items()[i], i, catalog, &docs[i]));
-  }
-  // Probe edges must point at hash-build pipelines of this plan.
-  for (const PipeDoc& d : docs) {
-    for (int64_t ref : d.probe_refs) {
-      if (ref < 0 || ref >= static_cast<int64_t>(n)) {
-        return Bad(d.where, "probes unknown pipeline #" + std::to_string(ref));
-      }
-      if (docs[ref].sink_kind != "hash_build") {
-        return Bad(d.where, "probes pipeline #" + std::to_string(ref) +
-                                " which is not a hash build");
-      }
-    }
-  }
-
-  PlanBuilder builder(name);
-  std::vector<PipelineBuilder> pipes;
-  pipes.reserve(n);
-  for (const PipeDoc& d : docs) {
-    pipes.push_back(builder.Scan(d.table, d.columns, d.chunk_rows));
-    pipes.back().Named(d.name).Scale(d.scale);
-    if (!d.run_on.empty()) pipes.back().OnDevices(d.run_on);
-  }
-
-  HandleStaging staging;
-  std::vector<BuildHandle> build_handles(n);
-  std::vector<int> payload_width(n, 0);
-
-  // Apply op chains + terminals in probe-dependency order: a probe needs
-  // its build's handle, so builds terminalize first. No progress while
-  // pipelines remain means the probe edges form a cycle.
-  std::vector<char> applied(n, 0);
-  size_t remaining = n;
-  while (remaining > 0) {
-    bool progress = false;
-    for (size_t i = 0; i < n; ++i) {
-      if (applied[i]) continue;
-      bool ready = true;
-      for (int64_t ref : docs[i].probe_refs) {
-        if (ref == static_cast<int64_t>(i)) {
-          return Bad(docs[i].where, "probes its own build");
-        }
-        if (!applied[ref]) ready = false;
-      }
-      if (!ready) continue;
-      int width = 0;
-      HAPE_RETURN_NOT_OK(ApplyPipeDoc(docs[i], &pipes[i], build_handles,
-                                      payload_width, &staging, &width));
-      if (docs[i].sink_kind == "hash_build") {
-        HAPE_RETURN_NOT_OK(ApplyBuildSink(docs[i], &pipes[i], width,
-                                          &build_handles, &payload_width,
-                                          &staging));
-      }
-      applied[i] = 1;
-      --remaining;
-      progress = true;
-    }
-    if (!progress) {
-      return Bad("plan '" + name + "'",
-                 "probe edges form a cycle among the remaining pipelines");
-    }
-  }
-
-  uint64_t intermediate = 0;
-  HAPE_RETURN_NOT_OK(ReadOptUint(*pv, "declared_intermediate_bytes",
-                                 &intermediate, "plan"));
-  if (intermediate > 0) {
-    std::string label;
-    if (const JsonValue* l = pv->Find("declared_intermediate_label");
-        l != nullptr && l->kind() == JsonValue::Kind::kString) {
-      label = l->str();
-    }
-    builder.DeclareMaterializedIntermediate(intermediate, std::move(label));
-  }
-
-  LoadedPlan out(std::move(builder).Build());
-  out.aggs = std::move(staging.aggs);
-  out.collects = std::move(staging.collects);
-  out.builds = std::move(staging.builds);
-
-  // Restore the optimizer's outputs so a dumped optimized plan reloads
-  // with estimates (and the residency accounting derived from them) intact.
-  for (size_t i = 0; i < n; ++i) {
-    const JsonValue* est = docs[i].v->Find("estimated");
-    if (est == nullptr) continue;
-    PlanNode& node = out.plan.mutable_node(static_cast<int>(i));
-    HAPE_RETURN_NOT_OK(
-        ReadOptUint(*est, "out_rows", &node.est_out_rows, docs[i].where));
-    HAPE_RETURN_NOT_OK(ReadOptUint(*est, "nominal_out_rows",
-                                   &node.est_nominal_out_rows, docs[i].where));
-    HAPE_RETURN_NOT_OK(ReadOptNumber(*est, "cost_seconds",
-                                     &node.est_cost_seconds, docs[i].where));
-  }
-
-  HAPE_RETURN_NOT_OK(out.plan.Validate(topo));
-
-  if (const JsonValue* pol = doc.Find("policy")) {
-    HAPE_ASSIGN_OR_RETURN(out.policy, ReadPolicy(*pol));
-    out.has_policy = true;
-    if (topo != nullptr) {
-      HAPE_RETURN_NOT_OK(out.policy.Validate(*topo));
-    }
-  }
+                                  const sim::Topology* topo,
+                                  const char** rule) {
+  const char* why = lint::kRuleSchemaDrift;
+  Result<LoadedPlan> out = LoadDocument(doc, catalog, topo, &why);
+  if (!out.ok() && rule != nullptr) *rule = why;
   return out;
 }
 

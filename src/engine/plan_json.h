@@ -56,12 +56,15 @@ struct LoadedPlan {
 /// annotations, and the optimizer's estimates (so a dumped *optimized*
 /// plan reloads with its sizing and heavy marks intact).
 ///
-/// Load rebuilds the plan through PlanBuilder against a Catalog resolving
-/// the scanned tables, re-validating everything a hand-edited manifest can
-/// get wrong (unknown tables/columns/devices, dangling or cyclic probe
-/// edges, malformed expressions) into Status errors — never a crash.
-/// Only table-scan plans are serializable: Source() pipelines over
-/// in-memory packets have no stable external name and Dump rejects them.
+/// Load is the only reader of hape-plan-v1 documents (lint's manifest pass
+/// loads through it too). It rebuilds the plan through PlanBuilder against
+/// a Catalog resolving the scanned tables and ends with
+/// QueryPlan::Validate, so everything a hand-edited manifest can get wrong
+/// (unknown tables/columns/devices, dangling or cyclic probe edges, column
+/// references outside the packet layout, malformed expressions) becomes a
+/// Status error — never a crash. Only table-scan plans are serializable:
+/// Source() pipelines over in-memory packets have no stable external name
+/// and Dump rejects them.
 class PlanJson {
  public:
   /// Document format tag ("format" key) accepted by Load.
@@ -80,14 +83,25 @@ class PlanJson {
 
   /// Parse + rebuild. `topo` (optional) additionally validates device ids
   /// referenced by the plan's OnDevices overrides and the policy.
+  /// Fail-fast: the first fault is returned, and `*rule` (when non-null,
+  /// set only on failure) names the lint rule it breaks — HL000 unparseable
+  /// text; HL011 document shape (format/version, missing or mistyped keys,
+  /// unknown op/sink/expression kinds, arity, an `id` off its array
+  /// position, an unreadable policy block); HL001 probe of an unknown or
+  /// non-build pipeline; HL002 self-probe or probe cycle; HL003 negative
+  /// expression column; HL004 unknown table or column; HL008 non-positive
+  /// scale or chunk_rows, implausible ht_buckets; HL005 unknown policy
+  /// device; and whatever QueryPlan::Validate names.
   static Result<LoadedPlan> Load(std::string_view json,
                                  const storage::Catalog& catalog,
-                                 const sim::Topology* topo = nullptr);
+                                 const sim::Topology* topo = nullptr,
+                                 const char** rule = nullptr);
   /// Same, over an already-parsed document (manifest drivers embed plan
   /// objects inside larger documents).
   static Result<LoadedPlan> Load(const JsonValue& doc,
                                  const storage::Catalog& catalog,
-                                 const sim::Topology* topo = nullptr);
+                                 const sim::Topology* topo = nullptr,
+                                 const char** rule = nullptr);
 
   // ---- reusable pieces (manifest drivers, tests) ----
   static void WritePolicy(JsonWriter* w, const ExecutionPolicy& policy);
@@ -95,7 +109,6 @@ class PlanJson {
   /// Writes nothing but the expression tree object; `e` must be non-null
   /// (use Null() yourself for optional expressions).
   static void WriteExpr(JsonWriter* w, const expr::ExprPtr& e);
-  static Result<expr::ExprPtr> ReadExpr(const JsonValue& v);
 };
 
 }  // namespace hape::engine

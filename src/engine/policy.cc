@@ -1,5 +1,7 @@
 #include "engine/policy.h"
 
+#include <algorithm>
+#include <limits>
 #include <string>
 
 namespace hape::engine {
@@ -103,6 +105,17 @@ bool ExecutionPolicy::UsesGpu(const sim::Topology& topo) const {
     if (topo.device(d).type == sim::DeviceType::kGpu) return true;
   }
   return false;
+}
+
+uint64_t ExecutionPolicy::GpuBudget(const sim::Topology& topo) const {
+  uint64_t budget = std::numeric_limits<uint64_t>::max();
+  for (int d : devices) {
+    const sim::Device& dev = topo.device(d);
+    if (dev.type != sim::DeviceType::kGpu) continue;
+    const uint64_t cap = topo.mem_node(dev.mem_node).capacity();
+    budget = std::min(budget, cap - std::min(cap, device_reserved_bytes));
+  }
+  return budget;
 }
 
 bool ExecutionPolicy::UsesCpu(const sim::Topology& topo) const {

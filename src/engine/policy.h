@@ -188,6 +188,11 @@ struct ExecutionPolicy {
 
   bool UsesGpu(const sim::Topology& topo) const;
   bool UsesCpu(const sim::Topology& topo) const;
+  /// The smallest GPU memory budget the device set can place a broadcast
+  /// build table into (capacity minus device_reserved_bytes); max uint64
+  /// when the policy uses no GPU. Scheduler admission and lint's HL006
+  /// both size against it. Device ids must be valid (see Validate).
+  uint64_t GpuBudget(const sim::Topology& topo) const;
 };
 
 }  // namespace hape::engine

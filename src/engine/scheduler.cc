@@ -171,19 +171,6 @@ uint64_t Scheduler::EstimatedResidentBytes(const QueryPlan& plan,
   return total;
 }
 
-uint64_t Scheduler::GpuBudget() const {
-  const sim::Topology& topo = *engine_->topo_;
-  uint64_t budget = std::numeric_limits<uint64_t>::max();
-  for (int d : policy_.devices) {
-    const sim::Device& dev = topo.device(d);
-    if (dev.type != sim::DeviceType::kGpu) continue;
-    const uint64_t cap = topo.mem_node(dev.mem_node).capacity();
-    const uint64_t reserved = std::min(cap, policy_.device_reserved_bytes);
-    budget = std::min(budget, cap - reserved);
-  }
-  return budget;
-}
-
 QueryRunStats Scheduler::FinishQuery(const SubmittedQuery& q,
                                      sim::SimTime admitted, RunStats run,
                                      int stream) {
@@ -395,7 +382,7 @@ Result<ScheduleStats> Scheduler::RunFairShare(
   // release that leaves room for its footprint — the queueing delay
   // GPU-memory contention causes. Packing is in submission order (no
   // skip-ahead), so admission is fair and deterministic.
-  const uint64_t budget = GpuBudget();
+  const uint64_t budget = policy_.GpuBudget(*topo);
   const bool contended = policy_.UsesGpu(*topo);
   std::vector<std::vector<SubmittedQuery*>> waves;
   std::vector<uint64_t> wave_fp;  // estimated footprint per wave
@@ -683,7 +670,7 @@ Result<ScheduleStats> Scheduler::RunSlaTiered(
   out.policy = SchedulingPolicy::kSlaTiered;
   if (queries.empty()) return out;
 
-  const uint64_t budget = GpuBudget();
+  const uint64_t budget = policy_.GpuBudget(*topo);
   const bool contended = policy_.UsesGpu(*topo);
   const int max_inflight = std::max(1, policy_.serve.max_inflight);
   int channels = topo->copy_engine(0).channels();

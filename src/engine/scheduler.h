@@ -216,10 +216,6 @@ class Scheduler {
   Result<ScheduleStats> RunSlaTiered(
       const std::vector<SubmittedQuery*>& queries);
 
-  /// Smallest GPU memory budget under the policy (max uint64 when the
-  /// policy uses no GPU).
-  uint64_t GpuBudget() const;
-
   QueryRunStats FinishQuery(const SubmittedQuery& q, sim::SimTime admitted,
                             RunStats run, int stream);
 

@@ -4,17 +4,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "engine/plan_json.h"
 #include "engine/scheduler.h"
-#include "engine/sinks.h"
-#include "ops/hash_table.h"
+#include "queries/tpch_queries.h"
 
 namespace hape::lint {
 
@@ -59,94 +56,26 @@ bool IsBooleanKind(expr::ExprKind k) {
   }
 }
 
-/// The smallest GPU memory budget the policy's device set can place a
-/// broadcast build table into; max-uint64 when the policy uses no GPU.
-/// Mirrors the (private) Scheduler::GpuBudget so the static estimate and
-/// the admission decision agree. Every device id must already be
-/// range-checked against `topo`.
-uint64_t GpuBudget(const ExecutionPolicy& policy, const sim::Topology& topo) {
-  uint64_t budget = std::numeric_limits<uint64_t>::max();
-  for (int d : policy.devices) {
-    const sim::Device& dev = topo.device(d);
-    if (dev.type != sim::DeviceType::kGpu) continue;
-    const uint64_t cap = topo.mem_node(dev.mem_node).capacity();
-    const uint64_t reserved = std::min(cap, policy.device_reserved_bytes);
-    budget = std::min(budget, cap - reserved);
-  }
-  return budget;
-}
-
-/// True when every policy device id indexes `topo` (the placement passes
-/// must not dereference Topology::device with a bad id).
-bool PolicyDevicesInRange(const ExecutionPolicy& policy,
-                          const sim::Topology& topo) {
-  const int n = static_cast<int>(topo.devices().size());
-  for (int d : policy.devices) {
-    if (d < 0 || d >= n) return false;
-  }
-  for (int d : policy.build_devices) {
-    if (d < 0 || d >= n) return false;
-  }
-  return true;
-}
-
 // ---- in-memory plan passes --------------------------------------------------
 
 std::string PipePath(const QueryPlan& plan, int i) {
   return "plan '" + plan.name() + "' pipeline " + std::to_string(i);
 }
 
-/// HL003 check of one expression against the pipeline's current column
-/// width (`width` < 0 = unknown, check skipped).
-void CheckExprWidth(LintReport* r, const expr::ExprPtr& e, int width,
-                    const std::string& path, const char* what) {
-  if (e == nullptr || width < 0) return;
-  const int max_col = e->MaxColumn();
-  if (max_col >= width) {
-    r->Add(kRuleColumnOutOfRange, path,
-           std::string(what) + " references column " + std::to_string(max_col) +
-               " but the packet is " + std::to_string(width) +
-               " column(s) wide",
-           "column indices are positions in the packet layout accumulated by "
-           "the pipeline's scan and probes");
-  }
+/// Structure pass: QueryPlan::Validate is the one structural checker
+/// (HL001/HL002/HL003/HL005 device overrides). Returns false when it
+/// rejects the plan; the other plan passes walk the DAG and need a valid
+/// one.
+bool PassStructure(LintReport* r, const QueryPlan& plan,
+                   const sim::Topology* topo) {
+  const char* rule = nullptr;
+  const Status st = plan.Validate(topo, &rule);
+  if (st.ok()) return true;
+  r->Add(rule, "plan '" + plan.name() + "'", st.message());
+  return false;
 }
 
-/// Structure pass: dependency edges, probe edges, cycles (HL001/HL002).
-void PassStructure(LintReport* r, const QueryPlan& plan) {
-  const int n = static_cast<int>(plan.num_pipelines());
-  for (int i = 0; i < n; ++i) {
-    const PlanNode& node = plan.node(i);
-    const std::string path = PipePath(plan, i);
-    if (node.pipeline.sink == nullptr) {
-      r->Add(kRuleDanglingEdge, path, "pipeline has no sink",
-             "terminate every pipeline with HashBuild/Aggregate/Collect");
-    }
-    for (int d : node.deps) {
-      if (d == i) {
-        r->Add(kRuleCyclicPlan, path, "pipeline depends on itself");
-      } else if (d < 0 || d >= n) {
-        r->Add(kRuleDanglingEdge, path,
-               "dependency on unknown pipeline " + std::to_string(d));
-      }
-    }
-    for (const engine::JoinStatePtr& s : node.probed) {
-      if (s == nullptr || !plan.OwnsState(s.get())) {
-        r->Add(kRuleDanglingEdge, path,
-               "probes a hash table not built by this plan",
-               "probe edges must target a HashBuild pipeline of the same "
-               "QueryPlan");
-      }
-    }
-  }
-  if (auto order = plan.TopologicalOrder(); !order.ok()) {
-    r->Add(kRuleCyclicPlan, "plan '" + plan.name() + "'",
-           order.status().message());
-  }
-}
-
-/// Column pass: scan columns vs catalog (HL004), expression and sink
-/// references vs the simulated packet width (HL003), suspicious
+/// Column pass: scanned tables vs the catalog (HL004), suspicious
 /// expressions (HL012), build annotations (HL014).
 void PassColumns(LintReport* r, const QueryPlan& plan,
                  const storage::Catalog* catalog) {
@@ -154,168 +83,97 @@ void PassColumns(LintReport* r, const QueryPlan& plan,
   for (int i = 0; i < n; ++i) {
     const PlanNode& node = plan.node(i);
     const std::string path = PipePath(plan, i);
-
-    int width = -1;  // unknown (Source() pipelines)
-    if (node.source_table != nullptr) {
-      width = static_cast<int>(node.source_columns.size());
-      const storage::Schema& schema = node.source_table->schema();
-      for (const std::string& col : node.source_columns) {
-        if (schema.IndexOf(col) < 0) {
-          r->Add(kRuleUnknownTableOrColumn, path,
-                 "scan column '" + col + "' is not in table '" +
-                     node.source_table->name() + "'");
-        }
-      }
-      if (catalog != nullptr && !catalog->Contains(node.source_table->name())) {
-        r->Add(kRuleUnknownTableOrColumn, path,
-               "table '" + node.source_table->name() +
-                   "' is not in the catalog");
-      }
+    if (catalog != nullptr && node.source_table != nullptr &&
+        !catalog->Contains(node.source_table->name())) {
+      r->Add(kRuleUnknownTableOrColumn, path,
+             "table '" + node.source_table->name() +
+                 "' is not in the catalog");
     }
 
     int op_index = 0;
     for (const LogicalOp& op : node.ops) {
-      const std::string op_path = path + " op " + std::to_string(op_index);
-      switch (op.kind) {
-        case LogicalOp::Kind::kFilter:
-          CheckExprWidth(r, op.expr, width, op_path, "filter predicate");
-          if (op.expr != nullptr && !IsBooleanKind(op.expr->kind())) {
-            r->Add(kRuleSuspiciousExpr, op_path,
-                   "filter predicate is not a boolean expression",
-                   "wrap the value in a comparison; non-boolean predicates "
-                   "select on raw nonzero-ness");
-          }
-          break;
-        case LogicalOp::Kind::kProject:
-          for (const expr::ExprPtr& e : op.exprs) {
-            CheckExprWidth(r, e, width, op_path, "projection expression");
-          }
-          width = static_cast<int>(op.exprs.size());
-          break;
-        case LogicalOp::Kind::kProbe:
-          CheckExprWidth(r, op.expr, width, op_path, "probe key");
-          if (op.expr != nullptr && op.expr->MaxColumn() < 0) {
-            r->Add(kRuleSuspiciousExpr, op_path,
-                   "probe key is a constant (references no column)",
-                   "a constant key sends every row to one hash bucket");
-          }
-          if (width >= 0) width += op.appended_cols;
-          break;
-      }
-      ++op_index;
-    }
-
-    if (node.is_build) {
-      CheckExprWidth(r, node.build_key, width, path, "build key");
-      if (node.build_key != nullptr && node.build_key->MaxColumn() < 0) {
-        r->Add(kRuleSuspiciousExpr, path,
-               "build key is a constant (references no column)",
+      const std::string op_path = path + " op " + std::to_string(op_index++);
+      if (op.expr == nullptr) continue;
+      if (op.kind == LogicalOp::Kind::kFilter &&
+          !IsBooleanKind(op.expr->kind())) {
+        r->Add(kRuleSuspiciousExpr, op_path,
+               "filter predicate is not a boolean expression",
+               "wrap the value in a comparison; non-boolean predicates "
+               "select on raw nonzero-ness");
+      } else if (op.kind == LogicalOp::Kind::kProbe &&
+                 op.expr->MaxColumn() < 0) {
+        r->Add(kRuleSuspiciousExpr, op_path,
+               "probe key is a constant (references no column)",
                "a constant key sends every row to one hash bucket");
       }
-      if (width >= 0) {
-        for (int c : node.build_payload) {
-          if (c < 0 || c >= width) {
-            r->Add(kRuleColumnOutOfRange, path,
-                   "build payload column " + std::to_string(c) +
-                       " is outside the " + std::to_string(width) +
-                       "-column packet");
-          }
-        }
-      }
-      if (node.declared_build_rows > 0 && node.source_rows > 0) {
-        const uint64_t nominal_source = static_cast<uint64_t>(
-            static_cast<double>(node.source_rows) * node.pipeline.scale);
-        if (node.declared_build_rows > nominal_source) {
-          r->Add(kRuleBuildAnnotation, path,
-                 "declared build rows " + Itoa(node.declared_build_rows) +
-                     " exceed the nominal source cardinality " +
-                     Itoa(nominal_source),
-                 "BuildOptions::expected_rows should be the rows *surviving* "
-                 "the pipeline's filters");
-        }
-      }
-    } else if (const auto* agg = dynamic_cast<const engine::HashAggSink*>(
-                   node.pipeline.sink.get())) {
-      CheckExprWidth(r, agg->key_expr(), width, path, "aggregation key");
-      for (const engine::AggDef& a : agg->aggs()) {
-        CheckExprWidth(r, a.arg, width, path, "aggregate argument");
+    }
+
+    if (!node.is_build) continue;
+    if (node.build_key != nullptr && node.build_key->MaxColumn() < 0) {
+      r->Add(kRuleSuspiciousExpr, path,
+             "build key is a constant (references no column)",
+             "a constant key sends every row to one hash bucket");
+    }
+    if (node.declared_build_rows > 0 && node.source_rows > 0) {
+      const uint64_t nominal_source = static_cast<uint64_t>(
+          static_cast<double>(node.source_rows) * node.pipeline.scale);
+      if (node.declared_build_rows > nominal_source) {
+        r->Add(kRuleBuildAnnotation, path,
+               "declared build rows " + Itoa(node.declared_build_rows) +
+                   " exceed the nominal source cardinality " +
+                   Itoa(nominal_source),
+               "BuildOptions::expected_rows should be the rows *surviving* "
+               "the pipeline's filters");
       }
     }
   }
 }
 
-/// Placement pass: device overrides and policy device sets vs the
-/// topology, build pipelines on non-CPU devices, operator-at-a-time
-/// intermediates that cannot fit any device (HL005).
+/// Placement pass: build pipelines on non-CPU devices and operator-at-a-
+/// time intermediates that cannot fit any device (HL005). Device ids are
+/// range-checked elsewhere: overrides by Validate, the policy's devices by
+/// LintPolicy (a policy Validate rejects skips the check here).
 void PassPlacement(LintReport* r, const QueryPlan& plan,
                    const LintContext& ctx) {
   if (ctx.topo == nullptr) return;
   const sim::Topology& topo = *ctx.topo;
-  const int ndev = static_cast<int>(topo.devices().size());
   const int n = static_cast<int>(plan.num_pipelines());
   for (int i = 0; i < n; ++i) {
     const PlanNode& node = plan.node(i);
-    const std::string path = PipePath(plan, i);
-    bool any_cpu = node.run_on.empty();
-    bool in_range = true;
-    for (int d : node.run_on) {
-      if (d < 0 || d >= ndev) {
-        r->Add(kRuleInfeasiblePlacement, path,
-               "device override names unknown device " + std::to_string(d));
-        in_range = false;
-      } else if (topo.device(d).type == sim::DeviceType::kCpu) {
-        any_cpu = true;
-      }
-    }
-    if (node.is_build && in_range && !any_cpu) {
-      r->Add(kRuleInfeasiblePlacement, path,
+    if (!node.is_build || node.run_on.empty()) continue;
+    const bool any_cpu =
+        std::any_of(node.run_on.begin(), node.run_on.end(), [&](int d) {
+          return topo.device(d).type == sim::DeviceType::kCpu;
+        });
+    if (!any_cpu) {
+      r->Add(kRuleInfeasiblePlacement, PipePath(plan, i),
              "build pipeline placed on non-CPU devices only",
              "build sides are host-resident; include a CPU socket in the "
              "override");
     }
   }
 
-  if (ctx.policy != nullptr) {
-    const ExecutionPolicy& policy = *ctx.policy;
-    if (policy.devices.empty()) {
-      r->Add(kRuleInfeasiblePlacement, "policy",
-             "execution policy has no devices");
-    }
-    for (int d : policy.devices) {
-      if (d < 0 || d >= ndev) {
-        r->Add(kRuleInfeasiblePlacement, "policy",
-               "unknown device id " + std::to_string(d));
-      }
-    }
-    for (int d : policy.build_devices) {
-      if (d < 0 || d >= ndev) {
-        r->Add(kRuleInfeasiblePlacement, "policy",
-               "unknown build device id " + std::to_string(d));
-      } else if (topo.device(d).type != sim::DeviceType::kCpu) {
-        r->Add(kRuleInfeasiblePlacement, "policy",
-               "build device " + std::to_string(d) +
-                   " is not a CPU (build sides are host-resident)");
-      }
-    }
-    if (policy.model == engine::ExecutionModel::kOperatorAtATime &&
-        plan.declared_intermediate_bytes() > 0 &&
-        PolicyDevicesInRange(policy, topo) && !policy.devices.empty()) {
-      uint64_t budget = std::numeric_limits<uint64_t>::max();
-      for (int d : policy.devices) {
-        budget = std::min(
-            budget, topo.mem_node(topo.device(d).mem_node).capacity());
-      }
-      if (plan.declared_intermediate_bytes() > budget) {
-        r->Add(kRuleInfeasiblePlacement, "plan '" + plan.name() + "'",
-               "operator-at-a-time intermediate of " +
-                   MiBString(plan.declared_intermediate_bytes()) + " (" +
-                   plan.declared_intermediate_label() +
-                   ") exceeds the smallest device memory (" +
-                   MiBString(budget) + ")",
-               "the operator-at-a-time model materializes every stage "
-               "boundary in device memory");
-      }
-    }
+  const ExecutionPolicy* policy = ctx.policy;
+  if (policy == nullptr ||
+      policy->model != engine::ExecutionModel::kOperatorAtATime ||
+      plan.declared_intermediate_bytes() == 0 ||
+      !policy->Validate(topo).ok()) {
+    return;
+  }
+  uint64_t budget = std::numeric_limits<uint64_t>::max();
+  for (int d : policy->devices) {
+    budget =
+        std::min(budget, topo.mem_node(topo.device(d).mem_node).capacity());
+  }
+  if (plan.declared_intermediate_bytes() > budget) {
+    r->Add(kRuleInfeasiblePlacement, "plan '" + plan.name() + "'",
+           "operator-at-a-time intermediate of " +
+               MiBString(plan.declared_intermediate_bytes()) + " (" +
+               plan.declared_intermediate_label() +
+               ") exceeds the smallest device memory (" + MiBString(budget) +
+               ")",
+           "the operator-at-a-time model materializes every stage "
+           "boundary in device memory");
   }
 }
 
@@ -331,15 +189,15 @@ void PassGpuBudget(LintReport* r, const QueryPlan& plan,
                    const LintContext& ctx) {
   if (ctx.topo == nullptr || ctx.policy == nullptr) return;
   const ExecutionPolicy& policy = *ctx.policy;
-  if (!PolicyDevicesInRange(policy, *ctx.topo)) return;  // HL005 already
-  if (!policy.UsesGpu(*ctx.topo)) return;
+  // A device set Validate rejects is LintPolicy's HL005.
+  if (!policy.Validate(*ctx.topo).ok() || !policy.UsesGpu(*ctx.topo)) return;
   bool annotated = false;
   for (size_t i = 0; i < plan.num_pipelines(); ++i) {
     const PlanNode& n = plan.node(static_cast<int>(i));
     if (n.is_build && n.est_nominal_out_rows > 0) annotated = true;
   }
   if (!annotated) return;
-  const uint64_t budget = GpuBudget(policy, *ctx.topo);
+  const uint64_t budget = policy.GpuBudget(*ctx.topo);
   const uint64_t resident =
       engine::Scheduler::EstimatedResidentBytes(plan, policy, budget);
   const double staged =
@@ -406,7 +264,7 @@ void PassSubmit(LintReport* r, const QueryPlan& plan, const LintContext& ctx) {
   }
 }
 
-// ---- raw manifest / plan-document passes ------------------------------------
+// ---- manifest document readers ----------------------------------------------
 
 const JsonValue* Member(const JsonValue* v, const char* key) {
   return (v != nullptr && v->is_object()) ? v->Find(key) : nullptr;
@@ -423,369 +281,6 @@ std::string GetString(const JsonValue* v, const std::string& fallback) {
   return v->str();
 }
 
-bool IsBooleanOpName(const std::string& op) {
-  return op == "==" || op == "!=" || op == "<" || op == "<=" || op == ">" ||
-         op == ">=" || op == "&&" || op == "||" || op == "!";
-}
-
-/// Walks a raw expression tree: records the highest column index and
-/// whether any column is referenced. Returns false on a structurally
-/// malformed node (missing/unknown "op"); arity and literal-value errors
-/// are left to PlanJson::Load's stricter reader.
-bool WalkExprDoc(const JsonValue& e, int* max_col, bool* has_col) {
-  if (!e.is_object()) return false;
-  const std::string op = GetString(e.Find("op"), "");
-  if (op.empty()) return false;
-  if (op == "col") {
-    double col = -1;
-    if (!GetNumber(e.Find("col"), &col)) return false;
-    *has_col = true;
-    *max_col = std::max(*max_col, static_cast<int>(col));
-    return true;
-  }
-  if (op == "int" || op == "double") return e.Has("v");
-  const JsonValue* args = e.Find("args");
-  if (args == nullptr || !args->is_array()) return false;
-  for (const JsonValue& a : args->items()) {
-    if (!WalkExprDoc(a, max_col, has_col)) return false;
-  }
-  return true;
-}
-
-/// HL003/HL011 check of one raw expression against the current width.
-void CheckExprDoc(LintReport* r, const JsonValue* e, int width,
-                  const std::string& path, const char* what,
-                  bool* has_col_out = nullptr) {
-  if (e == nullptr || e->kind() == JsonValue::Kind::kNull) return;
-  int max_col = -1;
-  bool has_col = false;
-  if (!WalkExprDoc(*e, &max_col, &has_col)) {
-    r->Add(kRuleSchemaDrift, path,
-           std::string("malformed ") + what + " expression node");
-    return;
-  }
-  if (width >= 0 && max_col >= width) {
-    r->Add(kRuleColumnOutOfRange, path,
-           std::string(what) + " references column " + std::to_string(max_col) +
-               " but the packet is " + std::to_string(width) +
-               " column(s) wide",
-           "column indices are positions in the packet layout accumulated by "
-           "the pipeline's scan and probes");
-  }
-  if (has_col_out != nullptr) *has_col_out = has_col;
-}
-
-/// Structural lint of one raw hape-plan-v1 document embedded in a
-/// manifest: everything checkable without a catalog or a rebuilt plan.
-/// Returns the sum of the document's declared cost estimates (for the
-/// caller's HL007 deadline check).
-double LintPlanDocStructure(LintReport* r, const JsonValue& doc,
-                            const std::string& qpath,
-                            const sim::Topology* topo,
-                            const storage::Catalog* catalog) {
-  const std::string fmt = GetString(Member(&doc, "format"), "");
-  if (fmt != engine::PlanJson::kFormat) {
-    r->Add(kRuleSchemaDrift, qpath,
-           "plan document format is '" + fmt + "', expected '" +
-               engine::PlanJson::kFormat + "'");
-    return 0;
-  }
-  double version = engine::PlanJson::kVersion;
-  if (doc.Has("version") && (!GetNumber(doc.Find("version"), &version) ||
-                             version != engine::PlanJson::kVersion)) {
-    r->Add(kRuleSchemaDrift, qpath,
-           "plan document version " + std::to_string(version) +
-               " drifts from the supported version " +
-               std::to_string(engine::PlanJson::kVersion),
-           "regenerate the manifest with this build's --write path");
-    return 0;
-  }
-  const JsonValue* inner = Member(&doc, "plan");
-  const JsonValue* pipes = Member(inner, "pipelines");
-  if (pipes == nullptr || !pipes->is_array()) {
-    r->Add(kRuleSchemaDrift, qpath, "plan document has no pipelines array");
-    return 0;
-  }
-
-  // First pass: declared pipeline ids, sink kinds, payload widths.
-  struct PipeInfo {
-    std::string sink_kind;
-    int payload_cols = 0;
-    std::vector<int> edges;  // deps + probe refs, for the cycle check
-  };
-  std::unordered_map<int, PipeInfo> infos;
-  std::vector<int> ids;
-  int index = 0;
-  for (const JsonValue& p : pipes->items()) {
-    double id = index;
-    GetNumber(Member(&p, "id"), &id);
-    const int pid = static_cast<int>(id);
-    ids.push_back(pid);
-    PipeInfo info;
-    const JsonValue* sink = Member(&p, "sink");
-    info.sink_kind = GetString(Member(sink, "kind"), "");
-    if (const JsonValue* pay = Member(sink, "payload_cols");
-        pay != nullptr && pay->is_array()) {
-      info.payload_cols = static_cast<int>(pay->items().size());
-    }
-    infos.emplace(pid, std::move(info));
-    ++index;
-  }
-
-  double total_cost = 0;
-  index = 0;
-  for (const JsonValue& p : pipes->items()) {
-    const int pid = ids[static_cast<size_t>(index)];
-    PipeInfo& info = infos[pid];
-    const std::string path = qpath + " pipeline " + std::to_string(pid);
-    ++index;
-
-    if (const JsonValue* deps = Member(&p, "deps");
-        deps != nullptr && deps->is_array()) {
-      for (const JsonValue& d : deps->items()) {
-        double dep = -1;
-        if (!GetNumber(&d, &dep) || infos.count(static_cast<int>(dep)) == 0) {
-          r->Add(kRuleDanglingEdge, path,
-                 "dependency on unknown pipeline " +
-                     std::to_string(static_cast<int>(dep)));
-        } else {
-          info.edges.push_back(static_cast<int>(dep));
-        }
-      }
-    }
-
-    // Scan source: table/column existence (HL004) and the initial width.
-    int width = -1;
-    double scale = 1.0;
-    GetNumber(Member(&p, "scale"), &scale);
-    if (scale <= 0 || !IsFiniteNumber(scale)) {
-      r->Add(kRuleInvalidParameter, path,
-             "scale must be a finite value > 0 (got " + std::to_string(scale) +
-                 ")");
-    }
-    storage::TablePtr table;
-    if (const JsonValue* src = Member(&p, "source"); src != nullptr) {
-      const std::string table_name = GetString(Member(src, "table"), "");
-      if (catalog != nullptr) {
-        if (auto res = catalog->Get(table_name); res.ok()) {
-          table = res.MoveValue();
-        } else {
-          r->Add(kRuleUnknownTableOrColumn, path,
-                 "table '" + table_name + "' is not in the catalog");
-        }
-      }
-      if (const JsonValue* cols = Member(src, "columns");
-          cols != nullptr && cols->is_array()) {
-        width = static_cast<int>(cols->items().size());
-        if (table != nullptr) {
-          for (const JsonValue& c : cols->items()) {
-            const std::string name = GetString(&c, "");
-            if (table->schema().IndexOf(name) < 0) {
-              r->Add(kRuleUnknownTableOrColumn, path,
-                     "scan column '" + name + "' is not in table '" +
-                         table_name + "'");
-            }
-          }
-        }
-      }
-      double chunk_rows = 0;
-      if (GetNumber(Member(src, "chunk_rows"), &chunk_rows) &&
-          chunk_rows <= 0) {
-        r->Add(kRuleInvalidParameter, path, "chunk_rows must be > 0");
-      }
-    }
-
-    // Device overrides (HL005).
-    bool any_cpu_override = true;
-    if (const JsonValue* run_on = Member(&p, "run_on");
-        run_on != nullptr && run_on->is_array() && topo != nullptr &&
-        !run_on->items().empty()) {
-      any_cpu_override = false;
-      const int ndev = static_cast<int>(topo->devices().size());
-      for (const JsonValue& d : run_on->items()) {
-        double dev = -1;
-        GetNumber(&d, &dev);
-        const int di = static_cast<int>(dev);
-        if (di < 0 || di >= ndev) {
-          r->Add(kRuleInfeasiblePlacement, path,
-                 "device override names unknown device " + std::to_string(di));
-        } else if (topo->device(di).type == sim::DeviceType::kCpu) {
-          any_cpu_override = true;
-        }
-      }
-    }
-
-    // Op chain: edges, widths, suspicious expressions.
-    if (const JsonValue* ops = Member(&p, "ops");
-        ops != nullptr && ops->is_array()) {
-      int op_index = 0;
-      for (const JsonValue& op : ops->items()) {
-        const std::string op_path = path + " op " + std::to_string(op_index);
-        const std::string kind = GetString(Member(&op, "kind"), "");
-        if (kind == "filter") {
-          const JsonValue* pred = Member(&op, "expr");
-          CheckExprDoc(r, pred, width, op_path, "filter predicate");
-          const std::string root = GetString(Member(pred, "op"), "");
-          if (!root.empty() && !IsBooleanOpName(root)) {
-            r->Add(kRuleSuspiciousExpr, op_path,
-                   "filter predicate is not a boolean expression (root op is "
-                   "'" +
-                       root + "')",
-                   "wrap the value in a comparison; non-boolean predicates "
-                   "select on raw nonzero-ness");
-          }
-        } else if (kind == "project") {
-          if (const JsonValue* exprs = Member(&op, "exprs");
-              exprs != nullptr && exprs->is_array()) {
-            for (const JsonValue& e : exprs->items()) {
-              CheckExprDoc(r, &e, width, op_path, "projection expression");
-            }
-            width = static_cast<int>(exprs->items().size());
-          }
-        } else if (kind == "probe") {
-          double ref = -1;
-          GetNumber(Member(&op, "build_pipeline"), &ref);
-          const int refi = static_cast<int>(ref);
-          auto it = infos.find(refi);
-          if (it == infos.end()) {
-            r->Add(kRuleDanglingEdge, op_path,
-                   "probe references unknown pipeline " + std::to_string(refi));
-          } else if (it->second.sink_kind != "hash_build") {
-            r->Add(kRuleDanglingEdge, op_path,
-                   "probe references pipeline " + std::to_string(refi) +
-                       " whose sink is '" + it->second.sink_kind +
-                       "', not a hash build");
-          }
-          // The key addresses the packet *before* the probe appends the
-          // build side's payload columns.
-          bool has_col = false;
-          CheckExprDoc(r, Member(&op, "key"), width, op_path, "probe key",
-                       &has_col);
-          if (Member(&op, "key") != nullptr && !has_col) {
-            r->Add(kRuleSuspiciousExpr, op_path,
-                   "probe key is a constant (references no column)",
-                   "a constant key sends every row to one hash bucket");
-          }
-          if (it != infos.end() && it->second.sink_kind == "hash_build") {
-            info.edges.push_back(refi);
-            if (width >= 0) width += it->second.payload_cols;
-          }
-        } else {
-          r->Add(kRuleSchemaDrift, op_path, "unknown op kind '" + kind + "'");
-        }
-        ++op_index;
-      }
-    }
-
-    // Sink (HL001/HL003/HL005/HL012/HL014).
-    const JsonValue* sink = Member(&p, "sink");
-    if (sink == nullptr) {
-      r->Add(kRuleDanglingEdge, path, "pipeline has no sink",
-             "terminate every pipeline with a hash_build/hash_agg/collect "
-             "sink");
-    } else if (info.sink_kind == "hash_build") {
-      bool has_col = false;
-      CheckExprDoc(r, Member(sink, "key"), width, path, "build key", &has_col);
-      if (Member(sink, "key") != nullptr && !has_col) {
-        r->Add(kRuleSuspiciousExpr, path,
-               "build key is a constant (references no column)",
-               "a constant key sends every row to one hash bucket");
-      }
-      if (const JsonValue* pay = Member(sink, "payload_cols");
-          pay != nullptr && pay->is_array() && width >= 0) {
-        for (const JsonValue& c : pay->items()) {
-          double col = -1;
-          GetNumber(&c, &col);
-          if (col < 0 || col >= width) {
-            r->Add(kRuleColumnOutOfRange, path,
-                   "build payload column " +
-                       std::to_string(static_cast<int>(col)) +
-                       " is outside the " + std::to_string(width) +
-                       "-column packet");
-          }
-        }
-      }
-      if (!any_cpu_override) {
-        r->Add(kRuleInfeasiblePlacement, path,
-               "build pipeline placed on non-CPU devices only",
-               "build sides are host-resident; include a CPU socket in the "
-               "override");
-      }
-      double declared = 0;
-      if (GetNumber(Member(sink, "declared_build_rows"), &declared) &&
-          declared > 0 && table != nullptr && scale > 0) {
-        const double nominal =
-            static_cast<double>(table->num_rows()) * scale;
-        if (declared > nominal) {
-          r->Add(kRuleBuildAnnotation, path,
-                 "declared build rows " +
-                     Itoa(static_cast<uint64_t>(declared)) +
-                     " exceed the nominal source cardinality " +
-                     Itoa(static_cast<uint64_t>(nominal)),
-                 "declared_build_rows should be the rows *surviving* the "
-                 "pipeline's filters");
-        }
-      }
-    } else if (info.sink_kind == "hash_agg") {
-      CheckExprDoc(r, Member(sink, "key"), width, path, "aggregation key");
-      if (const JsonValue* aggs = Member(sink, "aggs");
-          aggs != nullptr && aggs->is_array()) {
-        for (const JsonValue& a : aggs->items()) {
-          CheckExprDoc(r, Member(&a, "arg"), width, path,
-                       "aggregate argument");
-        }
-      }
-    } else if (info.sink_kind != "collect") {
-      r->Add(kRuleSchemaDrift, path,
-             "unknown sink kind '" + info.sink_kind + "'");
-    }
-
-    double cost = 0;
-    if (GetNumber(Member(Member(&p, "estimated"), "cost_seconds"), &cost)) {
-      total_cost += cost;
-    }
-  }
-
-  // Cycle check over deps + probe edges (Kahn).
-  {
-    std::unordered_map<int, int> indegree;
-    std::unordered_map<int, std::vector<int>> out_edges;
-    for (int id : ids) indegree.emplace(id, 0);
-    for (const auto& [id, info] : infos) {
-      for (int dep : info.edges) {
-        out_edges[dep].push_back(id);
-        ++indegree[id];
-      }
-    }
-    std::deque<int> ready;
-    for (int id : ids) {
-      if (indegree[id] == 0) ready.push_back(id);
-    }
-    size_t seen = 0;
-    while (!ready.empty()) {
-      const int id = ready.front();
-      ready.pop_front();
-      ++seen;
-      for (int next : out_edges[id]) {
-        if (--indegree[next] == 0) ready.push_back(next);
-      }
-    }
-    if (seen != ids.size()) {
-      std::string cyclic;
-      for (int id : ids) {
-        if (indegree[id] > 0) {
-          if (!cyclic.empty()) cyclic += ", ";
-          cyclic += std::to_string(id);
-        }
-      }
-      r->Add(kRuleCyclicPlan, qpath,
-             "dependency/probe cycle through pipeline(s) " + cyclic);
-    }
-  }
-
-  return total_cost;
-}
-
 constexpr const char* kManifestFormat = "hape-manifest-v1";
 constexpr int kManifestVersion = 2;
 
@@ -795,10 +290,11 @@ constexpr int kManifestVersion = 2;
 
 LintReport LintPlan(const QueryPlan& plan, const LintContext& ctx) {
   LintReport r;
-  PassStructure(&r, plan);
-  PassColumns(&r, plan, ctx.catalog);
-  PassPlacement(&r, plan, ctx);
-  PassGpuBudget(&r, plan, ctx);
+  if (PassStructure(&r, plan, ctx.topo)) {
+    PassColumns(&r, plan, ctx.catalog);
+    PassPlacement(&r, plan, ctx);
+    PassGpuBudget(&r, plan, ctx);
+  }
   PassSubmit(&r, plan, ctx);
   return r;
 }
@@ -808,26 +304,8 @@ LintReport LintPolicy(const ExecutionPolicy& policy,
   LintReport r;
   const std::string path = "policy";
   if (topo != nullptr) {
-    const int ndev = static_cast<int>(topo->devices().size());
-    if (policy.devices.empty()) {
-      r.Add(kRuleInfeasiblePlacement, path,
-            "execution policy has no devices");
-    }
-    for (int d : policy.devices) {
-      if (d < 0 || d >= ndev) {
-        r.Add(kRuleInfeasiblePlacement, path,
-              "unknown device id " + std::to_string(d));
-      }
-    }
-    for (int d : policy.build_devices) {
-      if (d < 0 || d >= ndev) {
-        r.Add(kRuleInfeasiblePlacement, path,
-              "unknown build device id " + std::to_string(d));
-      } else if (topo->device(d).type != sim::DeviceType::kCpu) {
-        r.Add(kRuleInfeasiblePlacement, path,
-              "build device " + std::to_string(d) +
-                  " is not a CPU (build sides are host-resident)");
-      }
+    if (const Status st = policy.Validate(*topo); !st.ok()) {
+      r.Add(kRuleInfeasiblePlacement, path, st.message());
     }
   }
   if (policy.async.prefetch_depth < 0) {
@@ -900,21 +378,12 @@ LintReport LintManifestDoc(const JsonValue& doc, const sim::Topology* topo,
     return r;
   }
 
-  if (const JsonValue* tpch = Member(&doc, "tpch"); tpch != nullptr) {
-    double sf_actual = 0, sf_nominal = 0;
-    if (GetNumber(Member(tpch, "sf_actual"), &sf_actual) && sf_actual <= 0) {
-      r.Add(kRuleInvalidParameter, "manifest tpch",
-            "sf_actual must be > 0");
-    }
-    if (GetNumber(Member(tpch, "sf_nominal"), &sf_nominal) &&
-        sf_nominal <= 0) {
-      r.Add(kRuleInvalidParameter, "manifest tpch",
-            "sf_nominal must be > 0");
-    }
-  } else {
+  if (const JsonValue* tpch = Member(&doc, "tpch"); tpch == nullptr) {
     r.Add(Severity::kWarning, kRuleSchemaDrift, "manifest",
           "manifest has no tpch block; the driver cannot regenerate its "
           "dataset");
+  } else if (auto spec = queries::ReadTpchSpec(*tpch); !spec.ok()) {
+    r.Add(kRuleInvalidParameter, "manifest tpch", spec.status().message());
   }
 
   ExecutionPolicy policy;
@@ -938,6 +407,12 @@ LintReport LintManifestDoc(const JsonValue& doc, const sim::Topology* topo,
   if (queries->items().empty()) {
     r.Add(Severity::kWarning, kRuleSchemaDrift, "manifest",
           "manifest has no queries");
+  } else if (catalog == nullptr) {
+    r.Add(Severity::kWarning, kRuleSchemaDrift, "manifest",
+          "no catalog to resolve the plans' scans: the plan documents were "
+          "not checked",
+          "lint with a catalog (hape_lint builds one from a usable tpch "
+          "block)");
   }
 
   std::unordered_set<std::string> labels;
@@ -956,64 +431,43 @@ LintReport LintManifestDoc(const JsonValue& doc, const sim::Topology* topo,
             "duplicate query label in one manifest",
             "labels key the schedule stats; duplicates make them ambiguous");
     }
-    double weight = 1.0;
-    if (q.Has("weight") && (!GetNumber(q.Find("weight"), &weight) ||
-                            !IsFiniteNumber(weight) || weight <= 0)) {
-      r.Add(kRuleInvalidParameter, qpath,
-            "weight must be a finite value > 0");
+    // Only valid knobs reach the plan's SubmitOptions, so PassSubmit never
+    // repeats a finding reported here.
+    SubmitOptions submit;
+    submit.label = label;
+    double v = 0;
+    if (q.Has("weight")) {
+      if (GetNumber(q.Find("weight"), &v) && IsFiniteNumber(v) && v > 0) {
+        submit.weight = v;
+      } else {
+        r.Add(kRuleInvalidParameter, qpath,
+              "weight must be a finite value > 0");
+      }
     }
-    double deadline_s = 0;
-    if (q.Has("deadline_s") && (!GetNumber(q.Find("deadline_s"), &deadline_s) ||
-                                !IsFiniteNumber(deadline_s) ||
-                                deadline_s < 0)) {
-      r.Add(kRuleInvalidParameter, qpath,
-            "deadline_s must be finite and >= 0");
+    if (q.Has("deadline_s")) {
+      if (GetNumber(q.Find("deadline_s"), &v) && IsFiniteNumber(v) && v >= 0) {
+        submit.deadline_s = v;
+      } else {
+        r.Add(kRuleInvalidParameter, qpath,
+              "deadline_s must be finite and >= 0");
+      }
     }
     const JsonValue* plan_doc = q.Find("plan");
     if (plan_doc == nullptr) {
       r.Add(kRuleSchemaDrift, qpath, "query entry has no plan document");
       continue;
     }
+    if (catalog == nullptr) continue;
 
-    LintReport entry;
-    const double doc_cost =
-        LintPlanDocStructure(&entry, *plan_doc, qpath, topo, catalog);
-    if (deadline_s > 0 && doc_cost > 0 && doc_cost > deadline_s) {
-      char est[32], dl[32];
-      std::snprintf(est, sizeof(est), "%.3f", doc_cost);
-      std::snprintf(dl, sizeof(dl), "%.3f", deadline_s);
-      entry.Add(kRuleUnreachableDeadline, qpath,
-                std::string("deadline ") + dl +
-                    "s is unreachable: the document's cost estimates sum to " +
-                    est + "s even uncontended",
-                "the scheduler will abort this query at its first decision "
-                "point past the deadline");
+    const char* rule = nullptr;
+    auto loaded = engine::PlanJson::Load(*plan_doc, *catalog, topo, &rule);
+    if (!loaded.ok()) {
+      r.Add(rule, qpath, loaded.status().message());
+      continue;
     }
-    const bool entry_clean = !entry.has_errors();
-    r.Merge(entry);
-
-    // Semantic pass on the rebuilt plan: only when the document is
-    // structurally clean (Load would reject it with a bare Status
-    // otherwise) and a catalog can resolve its scans.
-    if (entry_clean && catalog != nullptr) {
-      auto loaded = engine::PlanJson::Load(*plan_doc, *catalog, topo);
-      if (!loaded.ok()) {
-        r.Add(kRuleUnreadable, qpath,
-              "plan document failed to load: " + loaded.status().message());
-        continue;
-      }
-      engine::LoadedPlan lp = loaded.MoveValue();
-      SubmitOptions submit;
-      submit.weight = weight;
-      submit.label = label;
-      submit.deadline_s = deadline_s;
-      LintContext ctx;
-      ctx.topo = topo;
-      ctx.catalog = catalog;
-      ctx.policy = has_policy ? &policy : nullptr;
-      ctx.submit = &submit;
-      r.Merge(LintPlan(lp.plan, ctx));
-    }
+    const LintContext ctx{topo, catalog, has_policy ? &policy : nullptr,
+                          &submit};
+    r.Merge(LintPlan(loaded.value().plan, ctx));
   }
   return r;
 }

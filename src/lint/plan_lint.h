@@ -17,9 +17,10 @@ struct SubmitOptions;
 namespace hape::lint {
 
 /// Everything the lint passes may consult besides the plan itself. All
-/// members are optional: a null member simply disables the passes that
-/// need it (no topology -> no placement or GPU-budget checks, no catalog
-/// -> no table/column existence checks, ...).
+/// members are optional: a null member simply disables the checks that
+/// need it (no topology -> no device-id, placement or GPU-budget checks;
+/// no catalog -> no catalog-membership check in LintPlan, and no plan
+/// check at all in LintManifestDoc, which needs it to load the plans).
 struct LintContext {
   const sim::Topology* topo = nullptr;
   const storage::Catalog* catalog = nullptr;
@@ -27,16 +28,18 @@ struct LintContext {
   const engine::SubmitOptions* submit = nullptr;
 };
 
-/// Static analysis of one in-memory QueryPlan: structure (HL001/HL002),
-/// column references (HL003/HL004), placement feasibility (HL005), GPU
-/// admission-budget fit (HL006), deadline reachability against the
-/// optimizer's cost estimates (HL007), submit parameters (HL008), and
-/// suspicious expressions (HL012/HL014). Pure: never mutates the plan,
-/// never executes anything.
+/// Static analysis of one in-memory QueryPlan: QueryPlan::Validate's
+/// structural verdict (HL001/HL002/HL003/HL005, one diagnostic, after which
+/// only the submit pass runs), catalog membership (HL004), placement
+/// feasibility (HL005), GPU admission-budget fit (HL006), deadline
+/// reachability against the optimizer's cost estimates (HL007), submit
+/// parameters (HL008), and suspicious expressions and annotations
+/// (HL012/HL014). Pure: never mutates the plan, never executes anything.
 LintReport LintPlan(const engine::QueryPlan& plan, const LintContext& ctx);
 
-/// Static analysis of an ExecutionPolicy alone: device-set feasibility
-/// against `topo` (HL005, skipped when null), scheduling policies that
+/// Static analysis of an ExecutionPolicy alone: ExecutionPolicy::Validate's
+/// device-set verdict against `topo` (HL005, skipped when null), the one
+/// place a policy's devices are checked; scheduling policies that
 /// require knobs the policy disables (HL009), serve knobs the configured
 /// scheduling policy ignores (HL010), and out-of-domain numeric knobs
 /// (HL008).
@@ -45,12 +48,13 @@ LintReport LintPolicy(const engine::ExecutionPolicy& policy,
 
 /// Static analysis of a whole manifest document (the hape-manifest-v1
 /// shape examples/manifest_run.cpp executes): format/version drift
-/// (HL011), per-query submit parameters (HL008), duplicate labels
-/// (HL013), the embedded policy (LintPolicy), and — per query — the raw
-/// plan document structurally (dangling/cyclic edges, column widths,
-/// unknown tables/columns, device ids, deadline vs the document's
-/// declared cost estimates), followed by the full semantic LintPlan on
-/// the rebuilt plan when the document is loadable and `catalog` is given.
+/// (HL011), the tpch block (queries::ReadTpchSpec, HL008), per-query
+/// weight and deadline (HL008), duplicate labels (HL013), the embedded
+/// policy (LintPolicy), and per query the plan document: PlanJson::Load
+/// against `catalog`, whose failure is one diagnostic under the rule Load
+/// names, and LintPlan on the loaded plan. Each fault is reported once.
+/// Without a catalog the plans cannot be loaded; one HL011 warning says
+/// they were not checked.
 LintReport LintManifestDoc(const JsonValue& doc, const sim::Topology* topo,
                            const storage::Catalog* catalog);
 

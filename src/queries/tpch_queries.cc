@@ -1,6 +1,7 @@
 #include "queries/tpch_queries.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -106,6 +107,38 @@ engine::Engine& EngineFor(TpchContext* ctx) {
 Status PrepareTpch(TpchContext* ctx, uint64_t seed) {
   storage::tpch::TpchGenerator gen(ctx->sf_actual, seed, /*home_node=*/0);
   return gen.GenerateAll(&ctx->catalog);
+}
+
+Result<TpchSpec> ReadTpchSpec(const JsonValue& tpch) {
+  if (!tpch.is_object()) {
+    return Status::InvalidArgument("'tpch' must be an object");
+  }
+  auto number = [&tpch](const char* key) {
+    const JsonValue* v = tpch.Find(key);
+    return v != nullptr && v->kind() == JsonValue::Kind::kNumber ? v->number()
+                                                                 : NAN;
+  };
+  TpchSpec spec;
+  spec.sf_actual = number("sf_actual");
+  spec.sf_nominal = number("sf_nominal");
+  for (const double sf : {spec.sf_actual, spec.sf_nominal}) {
+    if (!(sf > 0 && std::isfinite(sf))) {
+      return Status::InvalidArgument(
+          "'tpch' needs finite 'sf_actual' and 'sf_nominal' > 0");
+    }
+  }
+  if (tpch.Has("seed")) {
+    // Bounded before the cast: a larger or fractional seed is an author
+    // error, and converting it would be undefined behaviour.
+    const double seed = number("seed");
+    if (!(seed >= 0 && seed <= 9007199254740992.0) ||
+        seed != std::floor(seed)) {
+      return Status::InvalidArgument(
+          "'tpch.seed' must be an integer in [0, 2^53]");
+    }
+    spec.seed = static_cast<uint64_t>(seed);
+  }
+  return spec;
 }
 
 // ---- Q1: scan-heavy multi-aggregate ----------------------------------------

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/status.h"
 #include "engine/engine.h"
 #include "sim/topology.h"
@@ -69,6 +70,19 @@ struct TpchContext {
 
 /// Populate `ctx.catalog` with generated TPC-H tables at `sf_actual`.
 Status PrepareTpch(TpchContext* ctx, uint64_t seed = 42);
+
+/// The dataset a manifest's "tpch" block names.
+struct TpchSpec {
+  double sf_actual = 0;
+  double sf_nominal = 0;
+  uint64_t seed = 42;
+};
+
+/// The one reader of a manifest's "tpch" block (manifest drivers and lint
+/// use it): `sf_actual` and `sf_nominal` must be finite numbers > 0, and
+/// the optional `seed` (default 42) an integer in [0, 2^53].
+/// InvalidArgument otherwise.
+Result<TpchSpec> ReadTpchSpec(const JsonValue& tpch);
 
 /// A declared-but-not-yet-executed query: the QueryPlan plus the aggregate
 /// handle its result is read through. This is the unit Engine::Submit

@@ -106,6 +106,11 @@ struct KernelCase {
   JoinOutcome (*run)(const JoinInput&);
 };
 
+// Without this gtest prints the raw struct bytes, i.e. the address of `name`,
+// which changes with every load of the binary, so each build would register
+// these cases under different test names.
+void PrintTo(const KernelCase& c, std::ostream* os) { *os << c.name; }
+
 JoinOutcome RunGpuSm(const JoinInput& in) {
   return GpuRadixJoin(in, sim::GpuSpec{}, ProbeMemory::kScratchpad);
 }

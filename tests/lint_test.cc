@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -82,6 +83,11 @@ class LintTest : public ::testing::Test {
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
+  }
+
+  static std::string ShippedManifest() {
+    return ReadFile(std::filesystem::path(HAPE_SOURCE_DIR) / "examples" /
+                    "manifests" / "mix_q3_q5_q9.json");
   }
 
   static sim::Topology* topo_;
@@ -381,16 +387,70 @@ TEST_F(LintTest, DuplicateQueryLabelsAreHL013) {
 }
 
 TEST_F(LintTest, ShippedManifestLintsClean) {
-  const std::string text = ReadFile(
-      std::filesystem::path(HAPE_SOURCE_DIR) / "examples" / "manifests" /
-      "mix_q3_q5_q9.json");
+  const std::string text = ShippedManifest();
   const LintReport r = LintManifestText(text, topo_, &tctx_->catalog);
   EXPECT_TRUE(r.empty()) << r.ToJsonString();
+
+  // No catalog, no plan check: one warning says so, and nothing else.
+  const LintReport unchecked = LintManifestText(text, topo_, nullptr);
+  ASSERT_EQ(unchecked.diagnostics().size(), 1u) << unchecked.ToJsonString();
+  EXPECT_EQ(unchecked.diagnostics()[0].code, kRuleSchemaDrift);
+  EXPECT_EQ(unchecked.errors(), 0u);
+}
+
+// Numbers no writer emits must end in an error diagnostic, never in an
+// out-of-range float -> integer cast.
+TEST_F(LintTest, HostileManifestNumbersAreErrors) {
+  const std::string shipped = ShippedManifest();
+  const struct {
+    const char* from;
+    const char* to;
+    const char* rule;
+  } edits[] = {
+      {R"("build_pipeline":0)", R"("build_pipeline":1e300)", kRuleSchemaDrift},
+      {R"("id":0)", R"("id":1e300)", kRuleSchemaDrift},
+      {R"("deps":[])", R"("deps":[4294967296])", kRuleSchemaDrift},
+      {R"("seed":42)", R"("seed":1e300)", kRuleInvalidParameter},
+  };
+  for (const auto& e : edits) {
+    std::string text = shipped;
+    const size_t at = text.find(e.from);
+    ASSERT_NE(at, std::string::npos) << e.from;
+    text.replace(at, std::strlen(e.from), e.to);
+    const LintReport r = LintManifestText(text, topo_, &tctx_->catalog);
+    ASSERT_EQ(r.diagnostics().size(), 1u) << e.to << ": " << r.ToJsonString();
+    EXPECT_EQ(r.diagnostics()[0].code, e.rule) << e.to;
+    EXPECT_TRUE(r.has_errors()) << e.to;
+  }
+}
+
+// A fault in the policy's device set is LintPolicy's, reported once, not
+// again by every plan the policy places.
+TEST_F(LintTest, PolicyDeviceFaultsAreReportedOnce) {
+  std::string text = ShippedManifest();
+  const std::string from = R"("devices":[0,1,2,3])";
+  const size_t at = text.find(from);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, from.size(), R"("devices":[0,1,2,99])");
+  const LintReport r = LintManifestText(text, topo_, &tctx_->catalog);
+  ASSERT_EQ(r.diagnostics().size(), 1u) << r.ToJsonString();
+  EXPECT_EQ(r.diagnostics()[0].code, kRuleInfeasiblePlacement);
+
+  // Engine admission counts an empty device set once.
+  sim::Topology topo = sim::Topology::PaperServer();
+  engine::Engine eng(&topo);
+  ExecutionPolicy policy;
+  engine::QueryPlan plan = JoinPlan();
+  EXPECT_FALSE(eng.Run(&plan, policy).ok());
+  const obs::Counter* errors = eng.metrics().FindCounter("lint.errors");
+  ASSERT_NE(errors, nullptr);
+  EXPECT_EQ(errors->value, 1.0);
 }
 
 // Every corpus file is named after the rule it must trigger
-// (HL###_description.json). Error-severity rules must make the report
-// fail; warning rules must fire without introducing any error.
+// (HL###_description.json), and its one fault yields exactly one
+// diagnostic. Error-severity rules must make the report fail; warning
+// rules must fire without introducing any error.
 TEST_F(LintTest, CorpusFilesTriggerTheirNamedRule) {
   const std::filesystem::path dir =
       std::filesystem::path(HAPE_SOURCE_DIR) / "tests" / "lint_corpus";
@@ -402,6 +462,8 @@ TEST_F(LintTest, CorpusFilesTriggerTheirNamedRule) {
     const LintReport r =
         LintManifestText(ReadFile(entry.path()), topo_, &tctx_->catalog);
     EXPECT_TRUE(r.Has(code.c_str()))
+        << entry.path() << ": " << r.ToJsonString();
+    EXPECT_EQ(r.diagnostics().size(), 1u)
         << entry.path() << ": " << r.ToJsonString();
     if (RuleSeverity(code.c_str()) == Severity::kError) {
       EXPECT_TRUE(r.has_errors()) << entry.path();

@@ -8,8 +8,8 @@
 //     all five system configurations x async depths 0/1/4, through
 //     Engine::Optimize (the fuzzer extends this to random DAGs);
 //   - malformed manifests (unknown tables/columns/devices, dangling or
-//     cyclic probe edges, bad expressions) return Status errors, never
-//     crash;
+//     cyclic probe edges, bad expressions) return Status errors naming the
+//     lint rule they break, never crash;
 //   - non-ASCII labels survive the trip (common/json.h UTF-8 handling).
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "common/json.h"
 #include "engine/engine.h"
 #include "engine/plan_json.h"
+#include "lint/diagnostic.h"
 #include "queries/tpch_queries.h"
 #include "storage/tpch.h"
 
@@ -325,42 +326,72 @@ std::string ProbePipeline(int id, int build_ref,
          R"("aggs":[{"op":"count","arg":null}]}})";
 }
 
+// Each case names the lint rule Load must report for it (the rule lint's
+// manifest pass files the failure under).
 TEST_F(PlanJsonTest, MalformedManifestsReturnStatusErrors) {
-  Engine& eng = EngineFor(ctx_);
+  using namespace lint;  // NOLINT — the HL### rule names
   struct Case {
     const char* what;
     std::string json;
+    const char* rule;
   };
   const std::vector<Case> cases = {
-      {"not JSON", "{plan"},
-      {"not a plan document", R"({"format":"hape-plan-v1"})"},
+      {"not JSON", "{plan", kRuleUnreadable},
+      {"not a plan document", R"({"format":"hape-plan-v1"})",
+       kRuleSchemaDrift},
       {"wrong format tag",
-       R"({"format":"hape-plan-v999","plan":{"name":"t","pipelines":[]}})"},
+       R"({"format":"hape-plan-v999","plan":{"name":"t","pipelines":[]}})",
+       kRuleSchemaDrift},
       {"stale schema version",
        std::string(R"({"format":"hape-plan-v1","version":1,)"
                    R"("plan":{"name":"t","pipelines":[)") +
-           kNationBuild + "]}}"},
+           kNationBuild + "]}}",
+       kRuleSchemaDrift},
       {"future schema version",
        std::string(R"({"format":"hape-plan-v1","version":3,)"
                    R"("plan":{"name":"t","pipelines":[)") +
-           kNationBuild + "]}}"},
-      {"empty pipelines", Manifest("")},
+           kNationBuild + "]}}",
+       kRuleSchemaDrift},
+      {"empty pipelines", Manifest(""), kRuleSchemaDrift},
+      {"id off its array position",
+       Manifest(R"({"id":1,"name":"p","source":{"table":"nation",)"
+                R"("columns":["n_nationkey"],"chunk_rows":64},"ops":[],)"
+                R"("sink":{"kind":"collect"}})"),
+       kRuleSchemaDrift},
       {"unknown table",
        Manifest(R"({"id":0,"name":"p","source":{"table":"no_such_table",)"
                 R"("columns":["c"],"chunk_rows":64},"ops":[],)"
-                R"("sink":{"kind":"collect"}})")},
+                R"("sink":{"kind":"collect"}})"),
+       kRuleUnknownTableOrColumn},
       {"unknown column",
        Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
                 R"("columns":["n_bogus"],"chunk_rows":64},"ops":[],)"
-                R"("sink":{"kind":"collect"}})")},
+                R"("sink":{"kind":"collect"}})"),
+       kRuleUnknownTableOrColumn},
       {"zero chunk_rows",
        Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
                 R"("columns":["n_nationkey"],"chunk_rows":0},"ops":[],)"
-                R"("sink":{"kind":"collect"}})")},
+                R"("sink":{"kind":"collect"}})"),
+       kRuleInvalidParameter},
+      {"non-positive scale",
+       Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
+                R"("columns":["n_nationkey"],"chunk_rows":64},"scale":0,)"
+                R"("ops":[],"sink":{"kind":"collect"}})"),
+       kRuleInvalidParameter},
       {"dangling probe edge (out of range)",
-       Manifest(std::string(kNationBuild) + "," + ProbePipeline(1, 7))},
+       Manifest(std::string(kNationBuild) + "," + ProbePipeline(1, 7)),
+       kRuleDanglingEdge},
       {"dangling probe edge (not a build)",
-       Manifest(std::string(kNationBuild) + "," + ProbePipeline(1, 1))},
+       Manifest(std::string(kNationBuild) + "," + ProbePipeline(1, 1)),
+       kRuleDanglingEdge},
+      {"self-probe",
+       Manifest(R"({"id":0,"name":"a","source":{"table":"nation",)"
+                R"("columns":["n_nationkey"],"chunk_rows":64},)"
+                R"("ops":[{"kind":"probe","build_pipeline":0,)"
+                R"("key":{"op":"col","col":0}}],)"
+                R"("sink":{"kind":"hash_build","key":{"op":"col","col":0},)"
+                R"("payload_cols":[0]}})"),
+       kRuleCyclicPlan},
       {"probe cycle",
        Manifest(
            R"({"id":0,"name":"a","source":{"table":"nation",)"
@@ -374,97 +405,135 @@ TEST_F(PlanJsonTest, MalformedManifestsReturnStatusErrors) {
            R"("ops":[{"kind":"probe","build_pipeline":0,)"
            R"("key":{"op":"col","col":0}}],)"
            R"("sink":{"kind":"hash_build","key":{"op":"col","col":0},)"
-           R"("payload_cols":[0]}})")},
+           R"("payload_cols":[0]}})"),
+       kRuleCyclicPlan},
       {"dependency cycle",
        Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
                 R"("columns":["n_nationkey"],"chunk_rows":64},"deps":[0],)"
-                R"("ops":[],"sink":{"kind":"collect"}})")},
+                R"("ops":[],"sink":{"kind":"collect"}})"),
+       kRuleCyclicPlan},
       {"unknown device id",
        Manifest(std::string(kNationBuild) + "," +
-                ProbePipeline(1, 0, R"("run_on":[99],)"))},
+                ProbePipeline(1, 0, R"("run_on":[99],)")),
+       kRuleInfeasiblePlacement},
+      {"unknown policy device",
+       std::string(R"({"format":"hape-plan-v1","plan":{"name":"t",)"
+                   R"("pipelines":[)") +
+           kNationBuild + R"(]},"policy":{"devices":[0,99]}})",
+       kRuleInfeasiblePlacement},
+      {"unreadable policy block",
+       std::string(R"({"format":"hape-plan-v1","plan":{"name":"t",)"
+                   R"("pipelines":[)") +
+           kNationBuild + R"(]},"policy":{"devices":"all"}})",
+       kRuleSchemaDrift},
       {"unknown sink kind",
        Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
                 R"("columns":["n_nationkey"],"chunk_rows":64},"ops":[],)"
-                R"("sink":{"kind":"teleport"}})")},
+                R"("sink":{"kind":"teleport"}})"),
+       kRuleSchemaDrift},
       {"unknown op kind",
        Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
                 R"("columns":["n_nationkey"],"chunk_rows":64},)"
-                R"("ops":[{"kind":"sort"}],"sink":{"kind":"collect"}})")},
+                R"("ops":[{"kind":"sort"}],"sink":{"kind":"collect"}})"),
+       kRuleSchemaDrift},
       {"unknown expression operator",
        Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
                 R"("columns":["n_nationkey"],"chunk_rows":64},)"
                 R"("ops":[{"kind":"filter","expr":{"op":"modulo",)"
-                R"("args":[]}}],"sink":{"kind":"collect"}})")},
+                R"("args":[]}}],"sink":{"kind":"collect"}})"),
+       kRuleSchemaDrift},
       {"negative column index",
        Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
                 R"("columns":["n_nationkey"],"chunk_rows":64},)"
                 R"("ops":[{"kind":"filter","expr":{"op":"col","col":-3}}],)"
-                R"("sink":{"kind":"collect"}})")},
+                R"("sink":{"kind":"collect"}})"),
+       kRuleColumnOutOfRange},
       {"aggregate without arg",
        Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
                 R"("columns":["n_nationkey"],"chunk_rows":64},"ops":[],)"
                 R"("sink":{"kind":"hash_agg","key":null,)"
-                R"("aggs":[{"op":"sum","arg":null}]}})")},
+                R"("aggs":[{"op":"sum","arg":null}]}})"),
+       kRuleSchemaDrift},
       {"filter column beyond the packet layout",
        Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
                 R"("columns":["n_nationkey"],"chunk_rows":64},)"
                 R"("ops":[{"kind":"filter","expr":{"op":"col","col":5}}],)"
-                R"("sink":{"kind":"collect"}})")},
+                R"("sink":{"kind":"collect"}})"),
+       kRuleColumnOutOfRange},
       {"aggregate arg beyond the packet layout",
        Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
                 R"("columns":["n_nationkey"],"chunk_rows":64},"ops":[],)"
                 R"("sink":{"kind":"hash_agg","key":null,)"
-                R"("aggs":[{"op":"sum","arg":{"op":"col","col":3}}]}})")},
+                R"("aggs":[{"op":"sum","arg":{"op":"col","col":3}}]}})"),
+       kRuleColumnOutOfRange},
       {"payload column beyond the packet layout",
        Manifest(R"({"id":0,"name":"b","source":{"table":"nation",)"
                 R"("columns":["n_nationkey"],"chunk_rows":64},"ops":[],)"
                 R"("sink":{"kind":"hash_build","key":{"op":"col","col":0},)"
-                R"("payload_cols":[99]}})")},
+                R"("payload_cols":[99]}})"),
+       kRuleColumnOutOfRange},
+      {"negative payload column",
+       Manifest(R"({"id":0,"name":"b","source":{"table":"nation",)"
+                R"("columns":["n_nationkey"],"chunk_rows":64},"ops":[],)"
+                R"("sink":{"kind":"hash_build","key":{"op":"col","col":0},)"
+                R"("payload_cols":[-1]}})"),
+       kRuleColumnOutOfRange},
       {"astronomical probe reference (float-cast guard)",
        Manifest(std::string(kNationBuild) + "," +
                 R"({"id":1,"name":"p","source":{"table":"supplier",)"
                 R"("columns":["s_suppkey"],"chunk_rows":64},)"
                 R"("ops":[{"kind":"probe","build_pipeline":1e300,)"
                 R"("key":{"op":"col","col":0}}],)"
-                R"("sink":{"kind":"collect"}})")},
+                R"("sink":{"kind":"collect"}})"),
+       kRuleSchemaDrift},
       {"astronomical int literal (float-cast guard)",
        Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
                 R"("columns":["n_nationkey"],"chunk_rows":64},)"
                 R"("ops":[{"kind":"filter","expr":{"op":"==","args":)"
                 R"([{"op":"col","col":0},{"op":"int","v":1e300}]}}],)"
-                R"("sink":{"kind":"collect"}})")},
+                R"("sink":{"kind":"collect"}})"),
+       kRuleSchemaDrift},
       {"fractional int literal",
        Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
                 R"("columns":["n_nationkey"],"chunk_rows":64},)"
                 R"("ops":[{"kind":"filter","expr":{"op":"==","args":)"
                 R"([{"op":"col","col":0},{"op":"int","v":2.5}]}}],)"
-                R"("sink":{"kind":"collect"}})")},
+                R"("sink":{"kind":"collect"}})"),
+       kRuleSchemaDrift},
       {"wrapping dependency index",
        Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
                 R"("columns":["n_nationkey"],"chunk_rows":64},)"
                 R"("deps":[4294967296],"ops":[],)"
-                R"("sink":{"kind":"collect"}})")},
+                R"("sink":{"kind":"collect"}})"),
+       kRuleSchemaDrift},
       {"empty-string int literal",
        Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
                 R"("columns":["n_nationkey"],"chunk_rows":64},)"
                 R"("ops":[{"kind":"filter","expr":{"op":"==","args":)"
                 R"([{"op":"col","col":0},{"op":"int","v":""}]}}],)"
-                R"("sink":{"kind":"collect"}})")},
+                R"("sink":{"kind":"collect"}})"),
+       kRuleSchemaDrift},
       {"implausible ht_buckets (allocation guard)",
        Manifest(R"({"id":0,"name":"b","source":{"table":"nation",)"
                 R"("columns":["n_nationkey"],"chunk_rows":64},"ops":[],)"
                 R"("sink":{"kind":"hash_build","key":{"op":"col","col":0},)"
-                R"("payload_cols":[0],"ht_buckets":4503599627370496}})")},
+                R"("payload_cols":[0],"ht_buckets":4503599627370496}})"),
+       kRuleInvalidParameter},
       {"fractional chunk_rows",
        Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
                 R"("columns":["n_nationkey"],"chunk_rows":64.5},"ops":[],)"
-                R"("sink":{"kind":"collect"}})")},
+                R"("sink":{"kind":"collect"}})"),
+       kRuleSchemaDrift},
   };
   for (const Case& c : cases) {
-    auto loaded = eng.LoadPlan(c.json, ctx_->catalog);
+    const char* rule = nullptr;
+    auto loaded = PlanJson::Load(c.json, ctx_->catalog, topo_, &rule);
     EXPECT_FALSE(loaded.ok()) << c.what;
     if (!loaded.ok()) {
       EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+          << c.what << ": " << loaded.status().ToString();
+      ASSERT_NE(rule, nullptr) << c.what;
+      EXPECT_STREQ(rule, c.rule)
           << c.what << ": " << loaded.status().ToString();
     }
   }

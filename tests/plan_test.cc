@@ -3,8 +3,10 @@
 #include "engine/engine.h"
 #include "engine/plan.h"
 #include "engine/policy.h"
+#include "lint/diagnostic.h"
 #include "sim/topology.h"
 #include "storage/column.h"
+#include "storage/table.h"
 
 namespace hape::engine {
 namespace {
@@ -27,6 +29,19 @@ std::vector<memory::Batch> MakeBatches(int packets, size_t rows_per_packet) {
     out.push_back(std::move(b));
   }
   return out;
+}
+
+/// Two-column table (k int64, v float64) for Scan pipelines, whose packet
+/// width Validate checks.
+storage::TablePtr TinyTable() {
+  auto schema = std::make_shared<storage::Schema>(std::vector<storage::Field>{
+      {"k", storage::DataType::kInt64}, {"v", storage::DataType::kFloat64}});
+  return std::make_shared<storage::Table>(
+      "tiny", schema,
+      std::vector<storage::ColumnPtr>{
+          std::make_shared<storage::Column>(std::vector<int64_t>{1, 2, 3}),
+          std::make_shared<storage::Column>(
+              std::vector<double>{0.5, 1.5, 2.5})});
 }
 
 // ---- builder round-trip ------------------------------------------------------
@@ -77,10 +92,12 @@ TEST(QueryPlan, ValidateRejectsMissingSink) {
   PlanBuilder b("no-sink");
   b.Source("scan", MakeBatches(1, 8));  // no terminal
   QueryPlan plan = std::move(b).Build();
-  const Status st = plan.Validate();
+  const char* rule = nullptr;
+  const Status st = plan.Validate(nullptr, &rule);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("no sink"), std::string::npos);
+  EXPECT_STREQ(rule, lint::kRuleDanglingEdge);
 }
 
 TEST(QueryPlan, ValidateRejectsEmptyStageChain) {
@@ -89,9 +106,11 @@ TEST(QueryPlan, ValidateRejectsEmptyStageChain) {
                        SourceOptions{1.0, /*charge_source_read=*/false});
   pipe.Collect();
   QueryPlan plan = std::move(b).Build();
-  const Status st = plan.Validate();
+  const char* rule = nullptr;
+  const Status st = plan.Validate(nullptr, &rule);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("empty stage chain"), std::string::npos);
+  EXPECT_STREQ(rule, lint::kRuleDanglingEdge);
 }
 
 TEST(QueryPlan, ValidateRejectsDependencyCycle) {
@@ -101,9 +120,11 @@ TEST(QueryPlan, ValidateRejectsDependencyCycle) {
   a.After(c.id()).Collect();
   c.After(a.id()).Collect();
   QueryPlan plan = std::move(b).Build();
-  const Status st = plan.Validate();
+  const char* rule = nullptr;
+  const Status st = plan.Validate(nullptr, &rule);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("cycle"), std::string::npos);
+  EXPECT_STREQ(rule, lint::kRuleCyclicPlan);
   EXPECT_FALSE(plan.TopologicalOrder().ok());
 }
 
@@ -114,10 +135,13 @@ TEST(QueryPlan, ValidateRejectsUnknownDeviceId) {
   pipe.OnDevices({42});
   pipe.Collect();
   QueryPlan plan = std::move(b).Build();
-  EXPECT_TRUE(plan.Validate().ok());  // structurally fine
-  const Status st = plan.Validate(&topo);
+  const char* rule = nullptr;
+  EXPECT_TRUE(plan.Validate(nullptr, &rule).ok());  // structurally fine
+  EXPECT_EQ(rule, nullptr);  // set only on failure
+  const Status st = plan.Validate(&topo, &rule);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("unknown device id 42"), std::string::npos);
+  EXPECT_STREQ(rule, lint::kRuleInfeasiblePlacement);
 }
 
 TEST(QueryPlan, ValidateRejectsForeignJoinState) {
@@ -131,9 +155,116 @@ TEST(QueryPlan, ValidateRejectsForeignJoinState) {
   probe.Probe(foreign, Expr::Col(0));
   probe.Collect();
   QueryPlan plan = std::move(b).Build();
-  const Status st = plan.Validate();
+  const char* rule = nullptr;
+  const Status st = plan.Validate(nullptr, &rule);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("not built by this plan"), std::string::npos);
+  EXPECT_STREQ(rule, lint::kRuleDanglingEdge);
+}
+
+// Every column reference is checked against the packet layout at its
+// position: scanned columns, plus each probe's payload, replaced by each
+// projection.
+TEST(QueryPlan, ValidateRejectsColumnsPastThePacketWidth) {
+  const storage::TablePtr tiny = TinyTable();
+  const auto count = std::vector<AggDef>{AggDef{AggOp::kCount, nullptr}};
+  struct Case {
+    const char* what;
+    void (*declare)(PipelineBuilder* pipe, const BuildHandle& build);
+    bool fits;
+  };
+  const Case cases[] = {
+      {"filter on the scan's last column",
+       [](PipelineBuilder* p, const BuildHandle&) {
+         p->Filter(Expr::Gt(Expr::Col(1), Expr::Int(0)));
+       },
+       true},
+      {"filter past the scan",
+       [](PipelineBuilder* p, const BuildHandle&) {
+         p->Filter(Expr::Gt(Expr::Col(2), Expr::Int(0)));
+       },
+       false},
+      {"projection past the scan",
+       [](PipelineBuilder* p, const BuildHandle&) {
+         p->Project({Expr::Col(0), Expr::Col(5)});
+       },
+       false},
+      {"filter past a narrowing projection",
+       [](PipelineBuilder* p, const BuildHandle&) {
+         p->Project({Expr::Col(1)});
+         p->Filter(Expr::Gt(Expr::Col(1), Expr::Int(0)));
+       },
+       false},
+      {"probe key past the scan",
+       [](PipelineBuilder* p, const BuildHandle& b) {
+         p->Probe(b, Expr::Col(2));
+       },
+       false},
+      {"filter on the probe's payload column",
+       [](PipelineBuilder* p, const BuildHandle& b) {
+         p->Probe(b, Expr::Col(0));
+         p->Filter(Expr::Gt(Expr::Col(2), Expr::Int(0)));
+       },
+       true},
+      {"filter past the probe's payload",
+       [](PipelineBuilder* p, const BuildHandle& b) {
+         p->Probe(b, Expr::Col(0));
+         p->Filter(Expr::Gt(Expr::Col(3), Expr::Int(0)));
+       },
+       false},
+  };
+  for (const Case& c : cases) {
+    PlanBuilder b("widths");
+    const BuildHandle build =
+        b.Scan(tiny, {"k", "v"}, 2).HashBuild(Expr::Col(0), {1});
+    auto pipe = b.Scan(tiny, {"k", "v"}, 2);
+    c.declare(&pipe, build);
+    pipe.Aggregate(nullptr, count);
+    QueryPlan plan = std::move(b).Build();
+    const char* rule = nullptr;
+    const Status st = plan.Validate(nullptr, &rule);
+    EXPECT_EQ(st.ok(), c.fits) << c.what << ": " << st.ToString();
+    if (!c.fits) {
+      EXPECT_STREQ(rule, lint::kRuleColumnOutOfRange) << c.what;
+    }
+  }
+
+  // Sink references: build key and payload (negative too), aggregate key
+  // and arguments.
+  const std::vector<std::pair<const char*, void (*)(PipelineBuilder*)>>
+      sinks = {
+          {"build key", [](PipelineBuilder* p) {
+             p->HashBuild(Expr::Col(2), {0});
+           }},
+          {"build payload", [](PipelineBuilder* p) {
+             p->HashBuild(Expr::Col(0), {2});
+           }},
+          {"negative build payload", [](PipelineBuilder* p) {
+             p->HashBuild(Expr::Col(0), {-1});
+           }},
+          {"aggregate key", [](PipelineBuilder* p) {
+             p->Aggregate(Expr::Col(2), {AggDef{AggOp::kCount, nullptr}});
+           }},
+          {"aggregate argument", [](PipelineBuilder* p) {
+             p->Aggregate(nullptr, {AggDef{AggOp::kSum, Expr::Col(4)}});
+           }},
+      };
+  for (const auto& [what, terminate] : sinks) {
+    PlanBuilder b("sink-widths");
+    auto pipe = b.Scan(tiny, {"k", "v"}, 2);
+    terminate(&pipe);
+    QueryPlan plan = std::move(b).Build();
+    const char* rule = nullptr;
+    EXPECT_FALSE(plan.Validate(nullptr, &rule).ok()) << what;
+    EXPECT_STREQ(rule, lint::kRuleColumnOutOfRange) << what;
+  }
+
+  // Source() pipelines have no declared width: their references pass.
+  PlanBuilder src("source");
+  auto pipe = src.Source("packets", MakeBatches(1, 8));
+  pipe.Filter(Expr::Gt(Expr::Col(7), Expr::Int(0)));
+  pipe.Aggregate(nullptr, count);
+  EXPECT_TRUE(std::move(src).Build().Validate().ok());
 }
 
 // ---- policy ------------------------------------------------------------------
@@ -201,6 +332,24 @@ TEST_F(EngineFacadeTest, RunsAggPlanAndReportsPerPipelineStats) {
   ASSERT_EQ(agg.result().size(), 10u);
   EXPECT_DOUBLE_EQ(agg.result().at(0)[0], 40.0);
   EXPECT_DOUBLE_EQ(agg.result().at(0)[1], 40.0);
+}
+
+// A filter on column 5 of a one-column scan used to reach the executor's
+// unchecked column access; Validate rejects it before any admission work.
+TEST_F(EngineFacadeTest, RunRejectsColumnPastThePacketWidth) {
+  PlanBuilder b("too-wide");
+  auto pipe = b.Scan(TinyTable(), {"k"}, 2);
+  pipe.Filter(Expr::Gt(Expr::Col(5), Expr::Int(0)));
+  pipe.Aggregate(nullptr, {AggDef{AggOp::kCount, nullptr}});
+  QueryPlan plan = std::move(b).Build();
+
+  ExecutionPolicy policy;
+  policy.devices = topo_.CpuDeviceIds();
+  auto run = eng_.Run(&plan, policy);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(run.status().message().find("column $5"), std::string::npos)
+      << run.status().ToString();
 }
 
 TEST_F(EngineFacadeTest, ProbeStartsAfterBuildFinishes) {

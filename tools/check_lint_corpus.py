@@ -6,9 +6,10 @@ Two legs, both required:
      error-severity diagnostics.
   2. Every deliberately-broken manifest under tests/lint_corpus must
      trigger exactly the HL### rule its filename names
-     (HL###_description.json). Files naming an error-severity rule must
-     make hape_lint exit 1; files naming a warning rule must keep exit 0
-     with zero errors.
+     (HL###_description.json), as its one diagnostic: each file holds one
+     fault, and each fault is reported once. Files naming an
+     error-severity rule must make hape_lint exit 1; files naming a
+     warning rule must keep exit 0 with zero errors.
 
 Usage: check_lint_corpus.py <hape_lint-binary> <repo-root>
 """
@@ -36,12 +37,10 @@ def run_lint(binary: str, manifest: pathlib.Path):
     return proc.returncode, json.loads(proc.stdout)
 
 
-def codes_of(report: dict) -> set[str]:
-    codes = set()
-    for entry in report.get("files", []):
-        for diag in entry.get("report", {}).get("diagnostics", []):
-            codes.add(diag.get("code", ""))
-    return codes
+def codes_of(report: dict) -> list[str]:
+    return [diag.get("code", "")
+            for entry in report.get("files", [])
+            for diag in entry.get("report", {}).get("diagnostics", [])]
 
 
 def main() -> int:
@@ -71,10 +70,10 @@ def main() -> int:
         code = manifest.name[:5]
         rc, report = run_lint(binary, manifest)
         codes = codes_of(report)
-        if code not in codes:
+        if codes != [code]:
             failures.append(
-                f"{manifest.name}: rule {code} did not fire (got "
-                f"{sorted(codes) or 'nothing'})")
+                f"{manifest.name}: expected exactly one {code} diagnostic "
+                f"(got {codes or 'nothing'})")
             continue
         if code in WARNING_RULES:
             if rc != 0 or report.get("errors", -1) != 0:

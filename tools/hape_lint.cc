@@ -4,12 +4,14 @@
 //   $ hape_lint --json report.json tests/lint_corpus/*.json
 //   $ hape_lint --rules
 //
-// Runs the lint::LintManifestText pass pipeline over each manifest: the
-// document structure (format/version drift, dangling/cyclic probe edges,
-// column references, device placements, submit parameters) plus — when the
-// manifest's tpch block lets the dataset be regenerated — the full
-// semantic pass on every rebuilt plan (GPU admission-budget fit, deadline
-// reachability, catalog resolution).
+// Runs lint::LintManifestText over each manifest: the manifest's own
+// fields (format/version drift, the tpch block, submit parameters,
+// duplicate labels, the policy) and, per query, PlanJson::Load of the plan
+// document followed by the full LintPlan pass on the loaded plan (structure
+// and column widths through QueryPlan::Validate, catalog resolution,
+// placement, GPU admission-budget fit, deadline reachability). The plans
+// are checked against the TPC-H dataset the manifest's tpch block names;
+// without a usable block they are not checked, and the report says so.
 //
 // Human-readable findings go to stderr; the JSON report (one object per
 // file, the shape LintReport::ToJson pins) goes to stdout or --json PATH.
@@ -61,21 +63,10 @@ class ContextCache {
     auto parsed = JsonParser::Parse(text);
     if (!parsed.ok() || !parsed.value().is_object()) return nullptr;
     const JsonValue* tpch = parsed.value().Find("tpch");
-    if (tpch == nullptr || !tpch->is_object()) return nullptr;
-    double sf_actual = 0, sf_nominal = 0, seed = 42;
-    if (const JsonValue* v = tpch->Find("sf_actual");
-        v != nullptr && v->kind() == JsonValue::Kind::kNumber) {
-      sf_actual = v->number();
-    }
-    if (const JsonValue* v = tpch->Find("sf_nominal");
-        v != nullptr && v->kind() == JsonValue::Kind::kNumber) {
-      sf_nominal = v->number();
-    }
-    if (const JsonValue* v = tpch->Find("seed");
-        v != nullptr && v->kind() == JsonValue::Kind::kNumber) {
-      seed = v->number();
-    }
-    if (sf_actual <= 0 || sf_nominal <= 0 || seed < 0) return nullptr;
+    if (tpch == nullptr) return nullptr;
+    auto spec = ReadTpchSpec(*tpch);
+    if (!spec.ok()) return nullptr;
+    const auto [sf_actual, sf_nominal, seed] = spec.value();
 
     const auto key = std::make_tuple(sf_actual, sf_nominal, seed);
     if (auto it = cache_.find(key); it != cache_.end()) {
@@ -85,8 +76,7 @@ class ContextCache {
     ctx->topo = topo_;
     ctx->sf_actual = sf_actual;
     ctx->sf_nominal = sf_nominal;
-    if (const Status st = PrepareTpch(ctx.get(), static_cast<uint64_t>(seed));
-        !st.ok()) {
+    if (const Status st = PrepareTpch(ctx.get(), seed); !st.ok()) {
       std::fprintf(stderr, "hape_lint: tpch generation failed: %s\n",
                    st.ToString().c_str());
       return nullptr;
@@ -100,7 +90,7 @@ class ContextCache {
 
  private:
   sim::Topology* topo_;
-  std::map<std::tuple<double, double, double>, std::unique_ptr<TpchContext>>
+  std::map<std::tuple<double, double, uint64_t>, std::unique_ptr<TpchContext>>
       cache_;
 };
 
