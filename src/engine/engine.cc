@@ -101,19 +101,14 @@ Status Engine::PlaceJoinStates(PlanExec* ex, sim::SimTime* t) {
   uint64_t total = 0;
   for (int b : build_nodes) total += plan->node(b).built_state->NominalBytes();
 
-  uint64_t min_budget = std::numeric_limits<uint64_t>::max();
-  for (int node : gpu_nodes) {
-    const uint64_t cap = topo_->mem_node(node).capacity();
-    const uint64_t reserved = std::min(cap, policy.device_reserved_bytes);
-    min_budget = std::min(min_budget, cap - reserved);
-  }
   // Under a shared schedule, tables other queries hold resident count
   // against the budget too (ex->placement.resident_bytes was seeded from
   // the schedule's shared residency before this round).
+  const uint64_t budget = policy.GpuBudget(*topo_);
   const bool fits =
       policy.build_staging_factor *
           static_cast<double>(placement->resident_bytes + total) <=
-      static_cast<double>(min_budget);
+      static_cast<double>(budget);
 
   std::vector<int> heavy_nodes;
   for (int b : build_nodes) {
@@ -262,7 +257,7 @@ Status Engine::PlaceJoinStates(PlanExec* ex, sim::SimTime* t) {
       "hash tables (" + std::to_string(total >> 20) + " MiB, " +
       std::to_string(policy.build_staging_factor) +
       "x with build staging) exceed GPU memory budget " +
-      std::to_string(min_budget >> 20) + " MiB");
+      std::to_string(budget >> 20) + " MiB");
 }
 
 Result<opt::OptimizeResult> Engine::Optimize(QueryPlan* plan,

@@ -110,7 +110,11 @@ class Engine {
   ///     sequences are bit-identical to a standalone Run, the makespan is
   ///     the serial sum (the compat baseline);
   ///   - kFairShare: pipelines of different queries interleave on the
-  ///     shared event-queue substrate (requires AsyncOptions depth >= 1).
+  ///     shared event-queue substrate, admitted in GPU-memory waves;
+  ///   - kSlaTiered: the serving policy on the same substrate, with
+  ///     open-loop arrivals, tiered head-of-line admission and tier-first
+  ///     pipeline picks.
+  /// The two shared-substrate policies require AsyncOptions depth >= 1.
   /// RunAll owns the topology: link/copy-engine reservations are reset at
   /// schedule boundaries.
   Result<ScheduleStats> RunAll(const ExecutionPolicy& policy);

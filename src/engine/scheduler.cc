@@ -122,6 +122,21 @@ bool DropAtAdmission(const SubmittedQuery& q, const Cutoff& cut,
          (q.cancel_at <= now || policy.serve.shed_on_deadline);
 }
 
+/// Copy-engine lane quota for `streams` queries sharing the substrate:
+/// only throttle per-query DMA bursts when more queries run at once than
+/// the copy engines have channels — below that, the gap-filling lane
+/// arbitration interleaves streams fairly on its own, and a hard stripe
+/// would idle channels a solo-sized burst could use. Quotas must hold on
+/// every engine a transfer may issue from, so they are sized off the
+/// least-channeled memory node.
+int LaneQuota(sim::Topology* topo, int streams) {
+  int channels = topo->copy_engine(0).channels();
+  for (int n = 1; n < topo->num_mem_nodes(); ++n) {
+    channels = std::min(channels, topo->copy_engine(n).channels());
+  }
+  return streams > channels ? std::max(1, channels / 2) : 0;
+}
+
 }  // namespace
 
 const char* QueryOutcomeName(QueryOutcome o) {
@@ -171,61 +186,136 @@ uint64_t Scheduler::EstimatedResidentBytes(const QueryPlan& plan,
   return total;
 }
 
-QueryRunStats Scheduler::FinishQuery(const SubmittedQuery& q,
-                                     sim::SimTime admitted, RunStats run,
-                                     int stream) {
-  QueryRunStats qs;
-  qs.id = q.id;
-  qs.label = q.opts.label;
-  qs.weight = q.opts.weight;
-  qs.tier = q.opts.tier;
-  qs.admitted = admitted;
-  qs.deadline_s = q.opts.deadline_s;
-  qs.run = std::move(run);
-  sim::Topology* topo = engine_->topo_;
-  for (int n = 0; n < topo->num_mem_nodes(); ++n) {
-    qs.copy_engine_bytes += topo->copy_engine(n).stream_stats(stream).bytes;
-  }
-  return qs;
+/// One submitted query's passage through the schedule: what every policy
+/// decides on, its in-flight execution, and its share of the substrate.
+struct Scheduler::Slot {
+  SubmittedQuery* q = nullptr;
+  Cutoff cut;
+  /// Estimated GPU-resident bytes (capped at the budget; 0 when the
+  /// policy runs on no GPU or does not share the substrate).
+  uint64_t fp = 0;
+  /// SubmitOptions::arrival under kSlaTiered; 0 under the other policies,
+  /// which treat every query as arriving at 0.
+  sim::SimTime arrival = 0;
+  Engine::PlanExec ex;
+  sim::SimTime admitted = 0;
+  /// Progress on the shared timeline: admission, then the finish of the
+  /// query's last completed pipeline.
+  sim::SimTime progress = 0;
+  /// Per-query residency attribution: the GPU bytes this query's
+  /// placement rounds put on the devices.
+  uint64_t contrib = 0;
+  /// Weighted-fair-queueing virtual time (device-seconds / weight).
+  double vtime = 0.0;
+};
+
+void Scheduler::Arrive(const Slot& s) {
+  obs::Tracer& tracer = engine_->tracer_;
+  if (!tracer.enabled()) return;
+  const SubmittedQuery& q = *s.q;
+  tracer.NameThread(obs::kSchedulerPid, obs::QueryTid(q.id), q.opts.label);
+  tracer.Instant(obs::kSchedulerPid, obs::QueryTid(q.id), s.arrival,
+                 "arrival", "query",
+                 obs::TraceAttr{q.id, -1, -1, -1, q.opts.tier, 0, {}, {}});
 }
 
-QueryRunStats Scheduler::ShedQuery(const SubmittedQuery& q, sim::SimTime at,
-                                   QueryOutcome outcome) {
+void Scheduler::Shed(Slot* s, sim::SimTime at) {
+  s->admitted = at;
+  Finish(s, at, s->cut.outcome, /*shed=*/true);
+}
+
+Status Scheduler::Admit(Slot* s, sim::SimTime at) {
+  const SubmittedQuery& q = *s->q;
+  Engine::PlanExec& ex = s->ex;
+  HAPE_RETURN_NOT_OK(engine_->BeginPlan(&s->q->plan, policy_, &ex));
+  ex.trace_query = q.id;
+  if (policy_.scheduling != SchedulingPolicy::kFifo) {
+    ex.admit = at;
+    ex.clocks = &clocks_;
+    ex.shared_resident = &shared_resident_;
+    ex.dma_stream = q.id;
+    ex.dma_lane_quota = quota_;
+  }
+  s->admitted = at;
+  s->progress = at;
+  obs::Tracer& tracer = engine_->tracer_;
+  if (tracer.enabled()) {
+    tracer.Instant(obs::kSchedulerPid, obs::QueryTid(q.id), at, "admit",
+                   "query",
+                   obs::TraceAttr{q.id, -1, -1, -1, q.opts.tier, 0, {}, {}});
+  }
+  return Status::OK();
+}
+
+Status Scheduler::Step(Slot* s) {
+  // The shared counter only ever grows while a pipeline runs, and the
+  // growth belongs to the stepped query (its placement round broadcast
+  // the tables).
+  const uint64_t before = shared_resident_;
+  HAPE_RETURN_NOT_OK(engine_->StepPlan(&s->ex));
+  HAPE_CHECK(shared_resident_ >= before)
+      << "GPU residency accounting went backwards (double-free?)";
+  s->contrib += shared_resident_ - before;
+  out_.peak_resident_bytes =
+      std::max(out_.peak_resident_bytes, shared_resident_);
+  engine_->metrics_.GetGauge("scheduler.resident_bytes")
+      ->Set(static_cast<double>(shared_resident_));
+  const ExecStats& last = s->ex.out.pipelines.back().stats;
+  s->vtime += TotalBusy(last) / s->q->opts.weight;
+  s->progress = last.finish;
+  return Status::OK();
+}
+
+void Scheduler::Finish(Slot* s, sim::SimTime finish, QueryOutcome outcome,
+                       bool shed) {
+  const SubmittedQuery& q = *s->q;
   QueryRunStats qs;
   qs.id = q.id;
   qs.label = q.opts.label;
   qs.weight = q.opts.weight;
   qs.tier = q.opts.tier;
-  qs.arrival = q.opts.arrival;
-  qs.admitted = at;
-  qs.finish = at;
+  qs.arrival = s->arrival;
+  qs.admitted = s->admitted;
+  qs.finish = finish;
   qs.deadline_s = q.opts.deadline_s;
   qs.outcome = outcome;
-  qs.shed = true;
-  obs::Tracer& tracer = engine_->tracer_;
-  if (tracer.enabled()) {
-    tracer.NameThread(obs::kSchedulerPid, obs::QueryTid(q.id), q.opts.label);
-  }
-  RecordAbort(qs);
-  return qs;
-}
-
-void Scheduler::RecordAbort(const QueryRunStats& qs) {
+  qs.shed = shed;
+  qs.run = std::move(s->ex.out);
   obs::MetricsRegistry& metrics = engine_->metrics_;
   metrics.GetCounter("scheduler.queries")->Increment();
-  if (qs.shed) metrics.GetCounter("scheduler.shed")->Increment();
-  metrics
-      .GetCounter(qs.outcome == QueryOutcome::kCancelled
-                      ? "scheduler.cancelled"
-                      : "scheduler.deadline_exceeded")
-      ->Increment();
+  if (shed) metrics.GetCounter("scheduler.shed")->Increment();
+  if (!qs.completed()) {
+    metrics
+        .GetCounter(outcome == QueryOutcome::kCancelled
+                        ? "scheduler.cancelled"
+                        : "scheduler.deadline_exceeded")
+        ->Increment();
+  }
   obs::Tracer& tracer = engine_->tracer_;
   if (tracer.enabled()) {
-    tracer.Instant(obs::kSchedulerPid, obs::QueryTid(qs.id), qs.finish,
-                   "cancel", "query",
-                   obs::TraceAttr{qs.id, -1, -1, -1, qs.tier, 0, {},
-                                  QueryOutcomeName(qs.outcome)});
+    tracer.Instant(obs::kSchedulerPid, obs::QueryTid(q.id), finish,
+                   qs.completed() ? "complete" : "cancel", "query",
+                   obs::TraceAttr{q.id, -1, -1, -1, q.opts.tier, 0, {},
+                                  qs.completed() ? ""
+                                                 : QueryOutcomeName(outcome)});
   }
+  // A shed query never touched the substrate: nothing to release or
+  // merge, and it does not extend the makespan.
+  if (!shed) {
+    sim::Topology* topo = engine_->topo_;
+    for (int n = 0; n < topo->num_mem_nodes(); ++n) {
+      qs.copy_engine_bytes +=
+          topo->copy_engine(n).stream_stats(s->ex.dma_stream).bytes;
+    }
+    // The query's tables are released the moment it completes (or
+    // aborts).
+    if (s->contrib > 0) released_.emplace_back(finish, s->contrib);
+    for (const auto& [dev, busy] : qs.run.device_busy_s) {
+      out_.device_busy_s[dev] += busy;
+    }
+    out_.makespan = std::max(out_.makespan, finish);
+  }
+  out_.queries.push_back(std::move(qs));
 }
 
 Result<ScheduleStats> Scheduler::Run(
@@ -238,142 +328,111 @@ Result<ScheduleStats> Scheduler::Run(
     HAPE_RETURN_NOT_OK(
         engine_->LintAdmission(q->plan, policy_, &q->opts, "RunAll"));
   }
-  Result<ScheduleStats> res = [&]() -> Result<ScheduleStats> {
-    switch (policy_.scheduling) {
-      case SchedulingPolicy::kFifo:
-        return RunFifo(queries);
-      case SchedulingPolicy::kFairShare:
-        return RunFairShare(queries);
-      case SchedulingPolicy::kSlaTiered:
-        return RunSlaTiered(queries);
+  out_.policy = policy_.scheduling;
+  sim::Topology* topo = engine_->topo_;
+  // kFairShare and kSlaTiered interleave queries on one event-queue
+  // substrate, reset once for the whole schedule; kFifo resets it per
+  // query instead.
+  const bool shared = policy_.scheduling != SchedulingPolicy::kFifo;
+  if (shared) {
+    if (!policy_.async.enabled()) {
+      return Status::InvalidArgument(
+          std::string(SchedulingPolicyName(policy_.scheduling)) +
+          " scheduling interleaves on the event-queue substrate: the "
+          "policy must enable the async executor (AsyncOptions depth >= 1)");
     }
-    return Status::Internal("unknown scheduling policy");
-  }();
-  if (!res.ok()) return res;
-  ScheduleStats out = res.MoveValue();
-  ComputeTierPercentiles(&out);
-  return out;
+    topo->Reset();
+  }
+
+  // Footprint estimates drive the shared policies' GPU-memory admission.
+  const uint64_t budget = policy_.GpuBudget(*topo);
+  const bool contended = shared && policy_.UsesGpu(*topo);
+  std::vector<Slot> slots(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    Slot& s = slots[i];
+    s.q = queries[i];
+    s.cut = CutoffOf(*s.q);
+    s.fp = contended
+               ? std::min(EstimatedResidentBytes(s.q->plan, policy_, budget),
+                          budget)
+               : 0;
+    if (policy_.scheduling == SchedulingPolicy::kSlaTiered) {
+      s.arrival = s.q->opts.arrival;
+    }
+  }
+
+  Status st = Status::Internal("unknown scheduling policy");
+  switch (policy_.scheduling) {
+    case SchedulingPolicy::kFifo:
+      st = RunFifo(&slots);
+      break;
+    case SchedulingPolicy::kFairShare:
+      st = RunFairShare(&slots);
+      break;
+    case SchedulingPolicy::kSlaTiered:
+      st = RunSlaTiered(&slots);
+      break;
+  }
+  HAPE_RETURN_NOT_OK(st);
+  // Report queries in submission order regardless of how they ran.
+  std::sort(out_.queries.begin(), out_.queries.end(),
+            [](const QueryRunStats& a, const QueryRunStats& b) {
+              return a.id < b.id;
+            });
+  ComputeTierPercentiles(&out_);
+  return std::move(out_);
 }
 
-Result<ScheduleStats> Scheduler::RunFifo(
-    const std::vector<SubmittedQuery*>& queries) {
+Status Scheduler::RunFifo(std::vector<Slot>* slots) {
   // Run-to-completion: each query owns the whole topology while it runs.
   // Resetting link/copy-engine reservations at every query boundary makes
   // each query's cost sequences bit-identical to a standalone Engine::Run
   // — FIFO is the compat baseline, and its makespan is the serial sum.
-  ScheduleStats out;
-  out.policy = SchedulingPolicy::kFifo;
-  obs::Tracer& tracer = engine_->tracer_;
   sim::SimTime clock = 0;
-  for (SubmittedQuery* q : queries) {
-    const Cutoff cut = CutoffOf(*q);
+  for (Slot& s : *slots) {
+    Arrive(s);
     // A query dropped before its turn never touches the (per-query reset)
     // topology: the survivors' cost sequences are byte-identical to a
     // schedule the dropped query was never submitted into.
-    if (DropAtAdmission(*q, cut, clock, policy_)) {
-      if (tracer.enabled()) {
-        tracer.Instant(obs::kSchedulerPid, obs::QueryTid(q->id),
-                       q->opts.arrival, "arrival", "query",
-                       obs::TraceAttr{q->id, -1, -1, -1, q->opts.tier, 0,
-                                      {}, {}});
-      }
-      out.queries.push_back(ShedQuery(*q, clock, cut.outcome));
+    if (DropAtAdmission(*s.q, s.cut, clock, policy_)) {
+      Shed(&s, clock);
       continue;
     }
     engine_->topo_->Reset();
-    Engine::PlanExec ex;
-    HAPE_RETURN_NOT_OK(engine_->BeginPlan(&q->plan, policy_, &ex));
-    ex.trace_query = q->id;
-    if (tracer.enabled()) {
-      tracer.NameThread(obs::kSchedulerPid, obs::QueryTid(q->id),
-                        q->opts.label);
-      tracer.Instant(obs::kSchedulerPid, obs::QueryTid(q->id),
-                     q->opts.arrival, "arrival", "query",
-                     obs::TraceAttr{q->id, -1, -1, -1, q->opts.tier, 0, {}, {}});
-      tracer.Instant(obs::kSchedulerPid, obs::QueryTid(q->id), clock, "admit",
-                     "query",
-                     obs::TraceAttr{q->id, -1, -1, -1, q->opts.tier, 0, {}, {}});
-    }
+    HAPE_RETURN_NOT_OK(Admit(&s, clock));
     // Cooperative cancellation: the cutoff is honored between pipeline
     // steps (the query runs on a private timeline starting at 0, so its
     // absolute progress is clock + out.finish).
     bool aborted = false;
-    while (!ex.done()) {
-      HAPE_RETURN_NOT_OK(engine_->StepPlan(&ex));
-      if (!ex.done() && clock + ex.out.finish >= cut.at) {
+    while (!s.ex.done()) {
+      HAPE_RETURN_NOT_OK(engine_->StepPlan(&s.ex));
+      if (!s.ex.done() && clock + s.ex.out.finish >= s.cut.at) {
         aborted = true;
         break;
       }
     }
-    QueryRunStats qs = FinishQuery(*q, /*admitted=*/clock,
-                                   std::move(ex.out), /*stream=*/0);
     // The query ran on a private timeline starting at 0; its schedule
     // window is [clock, clock + finish).
-    qs.finish = clock + qs.run.finish;
-    clock = qs.finish;
-    if (aborted) {
-      qs.outcome = cut.outcome;
-      RecordAbort(qs);
-    } else {
-      engine_->metrics_.GetCounter("scheduler.queries")->Increment();
-      if (tracer.enabled()) {
-        tracer.Instant(obs::kSchedulerPid, obs::QueryTid(q->id), qs.finish,
-                       "complete", "query",
-                       obs::TraceAttr{q->id, -1, -1, -1, q->opts.tier, 0,
-                                      {}, {}});
-      }
-    }
-    for (const auto& [dev, busy] : qs.run.device_busy_s) {
-      out.device_busy_s[dev] += busy;
-    }
-    out.queries.push_back(std::move(qs));
+    clock += s.ex.out.finish;
+    Finish(&s, clock, aborted ? s.cut.outcome : QueryOutcome::kCompleted);
   }
-  out.makespan = clock;
-  return out;
+  return Status::OK();
 }
 
-Result<ScheduleStats> Scheduler::RunFairShare(
-    const std::vector<SubmittedQuery*>& queries) {
-  if (!policy_.async.enabled()) {
-    return Status::InvalidArgument(
-        "fair-share scheduling interleaves on the event-queue substrate: "
-        "the policy must enable the async executor (AsyncOptions depth "
-        ">= 1)");
-  }
-  sim::Topology* topo = engine_->topo_;
-  topo->Reset();
-
-  ScheduleStats out;
-  out.policy = SchedulingPolicy::kFairShare;
-  if (queries.empty()) return out;
-
+Status Scheduler::RunFairShare(std::vector<Slot>* slots) {
   // Queries dropped before the schedule starts are excluded from wave
   // packing entirely, so the survivors' waves — and therefore their cost
   // sequences — are identical to a schedule the dropped queries never
   // entered.
-  obs::Tracer& tracer = engine_->tracer_;
-  std::vector<SubmittedQuery*> live;
-  live.reserve(queries.size());
-  for (SubmittedQuery* q : queries) {
-    const Cutoff cut = CutoffOf(*q);
-    if (DropAtAdmission(*q, cut, /*now=*/0, policy_)) {
-      if (tracer.enabled()) {
-        tracer.Instant(obs::kSchedulerPid, obs::QueryTid(q->id),
-                       q->opts.arrival, "arrival", "query",
-                       obs::TraceAttr{q->id, -1, -1, -1, q->opts.tier, 0,
-                                      {}, {}});
-      }
-      out.queries.push_back(ShedQuery(*q, /*at=*/0, cut.outcome));
+  std::vector<Slot*> live;
+  live.reserve(slots->size());
+  for (Slot& s : *slots) {
+    if (DropAtAdmission(*s.q, s.cut, /*now=*/0, policy_)) {
+      Arrive(s);
+      Shed(&s, /*at=*/0);
     } else {
-      live.push_back(q);
+      live.push_back(&s);
     }
-  }
-  if (live.empty()) {
-    std::sort(out.queries.begin(), out.queries.end(),
-              [](const QueryRunStats& a, const QueryRunStats& b) {
-                return a.id < b.id;
-              });
-    return out;
   }
 
   // ---- admission: pack queries into waves whose estimated GPU-resident
@@ -382,20 +441,15 @@ Result<ScheduleStats> Scheduler::RunFairShare(
   // release that leaves room for its footprint — the queueing delay
   // GPU-memory contention causes. Packing is in submission order (no
   // skip-ahead), so admission is fair and deterministic.
+  sim::Topology* topo = engine_->topo_;
   const uint64_t budget = policy_.GpuBudget(*topo);
-  const bool contended = policy_.UsesGpu(*topo);
-  std::vector<std::vector<SubmittedQuery*>> waves;
+  std::vector<std::vector<Slot*>> waves;
   std::vector<uint64_t> wave_fp;  // estimated footprint per wave
-  for (SubmittedQuery* q : live) {
-    const uint64_t fp =
-        contended
-            ? std::min(EstimatedResidentBytes(q->plan, policy_, budget),
-                       budget)
-            : 0;
+  for (Slot* s : live) {
     const bool fits =
         !waves.empty() &&
         policy_.build_staging_factor *
-                static_cast<double>(wave_fp.back() + fp) <=
+                static_cast<double>(wave_fp.back() + s->fp) <=
             static_cast<double>(budget);
     // Open a new wave when the query does not co-fit the current one. A
     // query that does not fit even an empty wave still gets one of its
@@ -404,29 +458,21 @@ Result<ScheduleStats> Scheduler::RunFairShare(
       waves.emplace_back();
       wave_fp.push_back(0);
     }
-    waves.back().push_back(q);
-    wave_fp.back() += fp;
+    waves.back().push_back(s);
+    wave_fp.back() += s->fp;
   }
 
-  // Worker clocks persist across waves: a wave's pipelines naturally queue
-  // behind the previous wave's tail work on each worker.
-  WorkerClocks clocks;
-  // Channel quotas must hold on every engine a transfer may issue from,
-  // so size them off the least-channeled memory node.
-  int channels = topo->copy_engine(0).channels();
-  for (int n = 1; n < topo->num_mem_nodes(); ++n) {
-    channels = std::min(channels, topo->copy_engine(n).channels());
-  }
+  // Worker clocks (clocks_) persist across waves: a wave's pipelines
+  // naturally queue behind the previous wave's tail work on each worker.
   sim::SimTime wave_gate = 0;
 
-  // Residency intervals of every admitted query: (release time = the
-  // query's completion, bytes = the placements attributed to it). Bytes
-  // still held at time t are the intervals with release > t — a purely
-  // functional view, so a query's bytes can never be freed twice.
-  std::vector<std::pair<sim::SimTime, uint64_t>> residency;
-  const auto held_after = [&residency](sim::SimTime t) {
+  // Bytes still held at time t are the released_ intervals (release time
+  // = the query's completion, bytes = the placements attributed to it)
+  // with release > t — a purely functional view, so a query's bytes can
+  // never be freed twice.
+  const auto held_after = [this](sim::SimTime t) {
     uint64_t s = 0;
-    for (const auto& [release, bytes] : residency) {
+    for (const auto& [release, bytes] : released_) {
       if (release > t) s += bytes;
     }
     return s;
@@ -436,22 +482,15 @@ Result<ScheduleStats> Scheduler::RunFairShare(
   // wave's budget, conservatively never released mid-wave).
   uint64_t carried = 0;
 
+  obs::Tracer& tracer = engine_->tracer_;
   for (size_t w = 0; w < waves.size(); ++w) {
-    const std::vector<SubmittedQuery*>& wave = waves[w];
-    uint64_t shared_resident = carried;
-    // Channel quota: only throttle per-query DMA bursts when the wave has
-    // more queries than the copy engines have channels — below that, the
-    // gap-filling lane arbitration interleaves streams fairly on its own,
-    // and a hard stripe would idle channels a solo-sized burst could use.
-    const int quota = static_cast<int>(wave.size()) > channels
-                          ? std::max(1, channels / 2)
-                          : 0;
-    std::vector<Engine::PlanExec> exs(wave.size());
+    const std::vector<Slot*>& wave = waves[w];
+    shared_resident_ = carried;
+    quota_ = LaneQuota(topo, static_cast<int>(wave.size()));
     // Queries whose cutoff passed while they queued for this wave are
     // dropped at the admission decision point (no BeginPlan, no admit
     // event); `terminal` marks wave slots already recorded.
     std::vector<char> terminal(wave.size(), 0);
-    std::vector<Cutoff> cuts(wave.size());
     sim::SimTime wave_finish = wave_gate;
     engine_->metrics_.GetCounter("scheduler.admission_waves")->Increment();
     if (tracer.enabled()) {
@@ -460,35 +499,13 @@ Result<ScheduleStats> Scheduler::RunFairShare(
                      obs::TraceAttr{-1, -1, -1, -1, -1, wave_fp[w], {}, {}});
     }
     for (size_t i = 0; i < wave.size(); ++i) {
-      cuts[i] = CutoffOf(*wave[i]);
-      if (tracer.enabled()) {
-        tracer.NameThread(obs::kSchedulerPid, obs::QueryTid(wave[i]->id),
-                          wave[i]->opts.label);
-        tracer.Instant(obs::kSchedulerPid, obs::QueryTid(wave[i]->id),
-                       wave[i]->opts.arrival, "arrival", "query",
-                       obs::TraceAttr{wave[i]->id, -1, -1, -1,
-                                      wave[i]->opts.tier, 0, {}, {}});
-      }
-      if (DropAtAdmission(*wave[i], cuts[i], wave_gate, policy_)) {
-        out.queries.push_back(ShedQuery(*wave[i], wave_gate,
-                                        cuts[i].outcome));
+      Arrive(*wave[i]);
+      if (DropAtAdmission(*wave[i]->q, wave[i]->cut, wave_gate, policy_)) {
+        Shed(wave[i], wave_gate);
         terminal[i] = 1;
         continue;
       }
-      HAPE_RETURN_NOT_OK(
-          engine_->BeginPlan(&wave[i]->plan, policy_, &exs[i]));
-      exs[i].admit = wave_gate;
-      exs[i].clocks = &clocks;
-      exs[i].shared_resident = &shared_resident;
-      exs[i].dma_stream = wave[i]->id;
-      exs[i].dma_lane_quota = quota;
-      exs[i].trace_query = wave[i]->id;
-      if (tracer.enabled()) {
-        tracer.Instant(obs::kSchedulerPid, obs::QueryTid(wave[i]->id),
-                       wave_gate, "admit", "query",
-                       obs::TraceAttr{wave[i]->id, -1, -1, -1,
-                                      wave[i]->opts.tier, 0, {}, {}});
-      }
+      HAPE_RETURN_NOT_OK(Admit(wave[i], wave_gate));
     }
 
     // ---- weighted fair queueing at pipeline granularity: the next
@@ -507,19 +524,15 @@ Result<ScheduleStats> Scheduler::RunFairShare(
     // schedule tail and idles workers there. Hoisting breakers keeps the
     // bulk of the work (probes) under weighted fairness while the cheap
     // critical-path work clears first.
-    std::vector<double> vtime(wave.size(), 0.0);
-    // Per-query residency attribution: the shared counter only ever grows
-    // while pipelines run, and each step's growth belongs to the stepped
-    // query (its placement round broadcast the tables).
-    std::vector<uint64_t> contrib(wave.size(), 0);
+    //
     // The pick is the lexicographic argmin over (probe-class, vtime,
     // index): builds beat probes, smaller virtual time wins within a
     // class, submission order breaks exact ties. Only the stepped query's
     // key changes per iteration, so a min-heap holding exactly the
     // not-yet-done queries replaces the linear scan — O(log n) per step,
     // which is what keeps thousand-query serving waves tractable.
-    const auto next_is_build = [&exs](size_t i) {
-      const Engine::PlanExec& ex = exs[i];
+    const auto next_is_build = [&wave](size_t i) {
+      const Engine::PlanExec& ex = wave[i]->ex;
       return ex.plan->node(ex.order[ex.pos]).is_build;
     };
     struct PickKey {
@@ -535,56 +548,29 @@ Result<ScheduleStats> Scheduler::RunFairShare(
       }
     };
     std::priority_queue<PickKey, std::vector<PickKey>, LaterPick> picks;
-    // Per-query progress on the shared timeline: admission, then the
-    // finish of the query's last completed pipeline — the decision point
-    // the cutoff is checked against before each of its steps.
-    std::vector<sim::SimTime> progress(wave.size(), wave_gate);
     for (size_t i = 0; i < wave.size(); ++i) {
-      if (terminal[i] == 0 && !exs[i].done()) {
-        picks.push(PickKey{!next_is_build(i), vtime[i],
+      if (terminal[i] == 0 && !wave[i]->ex.done()) {
+        picks.push(PickKey{!next_is_build(i), wave[i]->vtime,
                            static_cast<int>(i)});
       }
     }
     while (!picks.empty()) {
       const int pick = picks.top().index;
       picks.pop();
-      // Cooperative mid-flight abort at the pipeline boundary: the
-      // query's residency is released immediately, so the next wave's
-      // admission gate can move up to the abort instead of the query's
-      // natural finish.
-      if (cuts[pick].at <= progress[pick]) {
-        QueryRunStats qs =
-            FinishQuery(*wave[pick], /*admitted=*/wave_gate,
-                        std::move(exs[pick].out), wave[pick]->id);
-        qs.finish = progress[pick];
-        qs.outcome = cuts[pick].outcome;
-        RecordAbort(qs);
-        if (contrib[pick] > 0) {
-          residency.emplace_back(qs.finish, contrib[pick]);
-        }
-        for (const auto& [dev, busy] : qs.run.device_busy_s) {
-          out.device_busy_s[dev] += busy;
-        }
-        wave_finish = std::max(wave_finish, qs.finish);
-        out.makespan = std::max(out.makespan, qs.finish);
-        out.queries.push_back(std::move(qs));
+      Slot* s = wave[pick];
+      // Cooperative mid-flight abort at the pipeline boundary, checked
+      // against the query's own progress: its residency is released
+      // immediately, so the next wave's admission gate can move up to the
+      // abort instead of the query's natural finish.
+      if (s->cut.at <= s->progress) {
+        Finish(s, s->progress, s->cut.outcome);
+        wave_finish = std::max(wave_finish, s->progress);
         terminal[pick] = 1;
         continue;
       }
-      const uint64_t resident_before = shared_resident;
-      HAPE_RETURN_NOT_OK(engine_->StepPlan(&exs[pick]));
-      HAPE_CHECK(shared_resident >= resident_before)
-          << "GPU residency accounting went backwards (double-free?)";
-      contrib[pick] += shared_resident - resident_before;
-      out.peak_resident_bytes =
-          std::max(out.peak_resident_bytes, shared_resident);
-      engine_->metrics_.GetGauge("scheduler.resident_bytes")
-          ->Set(static_cast<double>(shared_resident));
-      vtime[pick] += TotalBusy(exs[pick].out.pipelines.back().stats) /
-                     wave[pick]->opts.weight;
-      progress[pick] = exs[pick].out.pipelines.back().stats.finish;
-      if (!exs[pick].done()) {
-        picks.push(PickKey{!next_is_build(pick), vtime[pick], pick});
+      HAPE_RETURN_NOT_OK(Step(s));
+      if (!s->ex.done()) {
+        picks.push(PickKey{!next_is_build(pick), s->vtime, pick});
       }
     }
 
@@ -592,31 +578,16 @@ Result<ScheduleStats> Scheduler::RunFairShare(
     // releasing per query at completion (or abort) can neither double-free
     // nor leak.
     uint64_t attributed = 0;
-    for (uint64_t c : contrib) attributed += c;
-    HAPE_CHECK(attributed == shared_resident - carried)
+    for (const Slot* s : wave) attributed += s->contrib;
+    HAPE_CHECK(attributed == shared_resident_ - carried)
         << "per-query residency attribution does not cover the wave's "
         << "placements exactly";
 
     for (size_t i = 0; i < wave.size(); ++i) {
       if (terminal[i] != 0) continue;  // dropped or aborted: recorded above
-      QueryRunStats qs = FinishQuery(*wave[i], /*admitted=*/wave_gate,
-                                     std::move(exs[i].out), wave[i]->id);
-      qs.finish = qs.run.finish;
-      wave_finish = std::max(wave_finish, qs.finish);
-      engine_->metrics_.GetCounter("scheduler.queries")->Increment();
-      if (tracer.enabled()) {
-        tracer.Instant(obs::kSchedulerPid, obs::QueryTid(wave[i]->id),
-                       qs.finish, "complete", "query",
-                       obs::TraceAttr{wave[i]->id, -1, -1, -1,
-                                      wave[i]->opts.tier, 0, {}, {}});
-      }
-      // The query's tables are released the moment it completes.
-      if (contrib[i] > 0) residency.emplace_back(qs.finish, contrib[i]);
-      for (const auto& [dev, busy] : qs.run.device_busy_s) {
-        out.device_busy_s[dev] += busy;
-      }
-      out.makespan = std::max(out.makespan, qs.finish);
-      out.queries.push_back(std::move(qs));
+      const sim::SimTime finish = wave[i]->ex.out.finish;
+      Finish(wave[i], finish, QueryOutcome::kCompleted);
+      wave_finish = std::max(wave_finish, finish);
     }
 
     // Admit the next wave at the earliest completion whose releases leave
@@ -626,7 +597,7 @@ Result<ScheduleStats> Scheduler::RunFairShare(
     if (w + 1 < waves.size()) {
       const uint64_t next_fp = wave_fp[w + 1];
       std::vector<sim::SimTime> candidates{wave_gate};
-      for (const auto& [release, bytes] : residency) {
+      for (const auto& [release, bytes] : released_) {
         if (release > wave_gate && release < wave_finish) {
           candidates.push_back(release);
         }
@@ -646,74 +617,29 @@ Result<ScheduleStats> Scheduler::RunFairShare(
       carried = held_after(wave_gate);
     }
   }
-
-  // Report queries in submission order regardless of wave composition.
-  std::sort(out.queries.begin(), out.queries.end(),
-            [](const QueryRunStats& a, const QueryRunStats& b) {
-              return a.id < b.id;
-            });
-  return out;
+  return Status::OK();
 }
 
-Result<ScheduleStats> Scheduler::RunSlaTiered(
-    const std::vector<SubmittedQuery*>& queries) {
-  if (!policy_.async.enabled()) {
-    return Status::InvalidArgument(
-        "sla-tiered scheduling interleaves on the event-queue substrate: "
-        "the policy must enable the async executor (AsyncOptions depth "
-        ">= 1)");
-  }
+Status Scheduler::RunSlaTiered(std::vector<Slot>* slots) {
+  std::vector<Slot>& qs = *slots;
+  const size_t n = qs.size();
   sim::Topology* topo = engine_->topo_;
-  topo->Reset();
-
-  ScheduleStats out;
-  out.policy = SchedulingPolicy::kSlaTiered;
-  if (queries.empty()) return out;
-
   const uint64_t budget = policy_.GpuBudget(*topo);
-  const bool contended = policy_.UsesGpu(*topo);
   const int max_inflight = std::max(1, policy_.serve.max_inflight);
-  int channels = topo->copy_engine(0).channels();
-  for (int n = 1; n < topo->num_mem_nodes(); ++n) {
-    channels = std::min(channels, topo->copy_engine(n).channels());
-  }
   // Channel quota sized for the in-flight cap, not the whole backlog: at
   // most max_inflight streams ever burst DMA concurrently.
-  const int quota =
-      max_inflight > channels ? std::max(1, channels / 2) : 0;
-
-  const size_t n = queries.size();
-  std::vector<uint64_t> fp(n, 0);
-  std::vector<Cutoff> cuts(n);
-  for (size_t i = 0; i < n; ++i) {
-    fp[i] = contended
-                ? std::min(EstimatedResidentBytes(queries[i]->plan,
-                                                  policy_, budget),
-                           budget)
-                : 0;
-    cuts[i] = CutoffOf(*queries[i]);
-  }
+  quota_ = LaneQuota(topo, max_inflight);
 
   // Replay the open-loop arrival trace through an event queue. Events are
   // pushed in submission order, so simultaneous arrivals keep that order
   // (the queue's FIFO tie-break).
   EventQueue<int> arrivals;
   for (size_t i = 0; i < n; ++i) {
-    arrivals.Push(queries[i]->opts.arrival, static_cast<int>(i));
+    arrivals.Push(qs[i].arrival, static_cast<int>(i));
   }
 
-  WorkerClocks clocks;
-  std::vector<Engine::PlanExec> exs(n);
-  std::vector<double> vtime(n, 0.0);
-  // Per-query residency attribution (the bytes each query's placement
-  // rounds actually put on the GPUs).
-  std::vector<uint64_t> contrib(n, 0);
-  std::vector<sim::SimTime> admitted(n, 0);
   std::vector<int> ready;    // arrived, waiting for admission
   std::vector<int> running;  // admitted, not yet done
-  // (release time, bytes) of completed queries — see RunFairShare.
-  std::vector<std::pair<sim::SimTime, uint64_t>> residency;
-  uint64_t shared_resident = 0;
 
   // GPU bytes spoken for at time t. A completed query holds its bytes
   // until its finish; a running query other than `self` reserves the
@@ -724,9 +650,9 @@ Result<ScheduleStats> Scheduler::RunSlaTiered(
   const auto held_for = [&](sim::SimTime t, int self) {
     uint64_t held = 0;
     for (int i : running) {
-      held += i == self ? contrib[i] : std::max(contrib[i], fp[i]);
+      held += i == self ? qs[i].contrib : std::max(qs[i].contrib, qs[i].fp);
     }
-    for (const auto& [release, bytes] : residency) {
+    for (const auto& [release, bytes] : released_) {
       if (release > t) held += bytes;
     }
     return held;
@@ -735,12 +661,11 @@ Result<ScheduleStats> Scheduler::RunSlaTiered(
   // A ready query past the aging window counts as tier 0 from then on —
   // the anti-starvation promotion.
   const auto eff_tier = [&](int i, sim::SimTime t) {
-    const SubmitOptions& o = queries[i]->opts;
     if (policy_.serve.aging_boost_s > 0 &&
-        t - o.arrival >= policy_.serve.aging_boost_s) {
+        t - qs[i].arrival >= policy_.serve.aging_boost_s) {
       return 0;
     }
-    return o.tier;
+    return qs[i].q->opts.tier;
   };
 
   obs::Tracer& tracer = engine_->tracer_;
@@ -751,10 +676,10 @@ Result<ScheduleStats> Scheduler::RunSlaTiered(
   const std::vector<double> kDepthBounds{0, 1, 2, 4, 8, 16, 32, 64, 128,
                                          256};
   std::vector<int> tiers_present;
-  for (size_t i = 0; i < n; ++i) {
+  for (const Slot& s : qs) {
     if (std::find(tiers_present.begin(), tiers_present.end(),
-                  queries[i]->opts.tier) == tiers_present.end()) {
-      tiers_present.push_back(queries[i]->opts.tier);
+                  s.q->opts.tier) == tiers_present.end()) {
+      tiers_present.push_back(s.q->opts.tier);
     }
   }
   std::sort(tiers_present.begin(), tiers_present.end());
@@ -764,8 +689,7 @@ Result<ScheduleStats> Scheduler::RunSlaTiered(
   int prev_pick = -1;
 
   sim::SimTime clock = 0;
-  size_t done_count = 0;
-  while (done_count < n) {
+  while (out_.queries.size() < n) {
     // Nothing visible and nothing running: jump the clock to the next
     // arrival (the open-loop idle gap).
     if (ready.empty() && running.empty()) {
@@ -774,38 +698,18 @@ Result<ScheduleStats> Scheduler::RunSlaTiered(
     while (!arrivals.empty() && arrivals.next_time() <= clock) {
       const int i = arrivals.Pop().second;
       ready.push_back(i);
-      if (tracer.enabled()) {
-        tracer.NameThread(obs::kSchedulerPid, obs::QueryTid(queries[i]->id),
-                          queries[i]->opts.label);
-        tracer.Instant(obs::kSchedulerPid, obs::QueryTid(queries[i]->id),
-                       queries[i]->opts.arrival, "arrival", "query",
-                       obs::TraceAttr{queries[i]->id, -1, -1, -1,
-                                      queries[i]->opts.tier, 0, {}, {}});
-      }
+      Arrive(qs[i]);
     }
-    // Cooperative mid-flight abort at the pipeline boundary: a running
-    // query whose cutoff passed stops at this decision point, and its
-    // residency is released *before* this round's admission pass — freed
-    // bytes and the in-flight slot are available to the next admission
-    // immediately.
+    // Cooperative mid-flight abort at the pipeline boundary, checked
+    // against the decision clock: a running query whose cutoff passed
+    // stops at this decision point, and its residency is released
+    // *before* this round's admission pass — freed bytes and the
+    // in-flight slot are available to the next admission immediately.
     for (size_t r = 0; r < running.size();) {
       const int i = running[r];
-      if (cuts[i].at <= clock) {
+      if (qs[i].cut.at <= clock) {
         running.erase(running.begin() + static_cast<ptrdiff_t>(r));
-        QueryRunStats qs =
-            FinishQuery(*queries[i], admitted[i], std::move(exs[i].out),
-                        queries[i]->id);
-        qs.arrival = queries[i]->opts.arrival;
-        qs.finish = clock;
-        qs.outcome = cuts[i].outcome;
-        RecordAbort(qs);
-        if (contrib[i] > 0) residency.emplace_back(qs.finish, contrib[i]);
-        for (const auto& [dev, busy] : qs.run.device_busy_s) {
-          out.device_busy_s[dev] += busy;
-        }
-        out.makespan = std::max(out.makespan, qs.finish);
-        out.queries.push_back(std::move(qs));
-        ++done_count;
+        Finish(&qs[i], clock, qs[i].cut.outcome);
       } else {
         ++r;
       }
@@ -816,12 +720,9 @@ Result<ScheduleStats> Scheduler::RunSlaTiered(
     // between its first pipeline steps.
     for (size_t r = 0; r < ready.size();) {
       const int i = ready[r];
-      if (DropAtAdmission(*queries[i], cuts[i], clock, policy_)) {
+      if (DropAtAdmission(*qs[i].q, qs[i].cut, clock, policy_)) {
         ready.erase(ready.begin() + static_cast<ptrdiff_t>(r));
-        // The arrival instant was emitted when the query became ready.
-        out.queries.push_back(ShedQuery(*queries[i], clock,
-                                        cuts[i].outcome));
-        ++done_count;
+        Shed(&qs[i], clock);
       } else {
         ++r;
       }
@@ -829,22 +730,22 @@ Result<ScheduleStats> Scheduler::RunSlaTiered(
     // A ready query crossing the aging window is promoted to tier 0 from
     // then on; record the first crossing.
     for (int i : ready) {
-      if (promoted[i] == 0 && queries[i]->opts.tier > 0 &&
-          eff_tier(i, clock) == 0) {
+      const SubmittedQuery& q = *qs[i].q;
+      if (promoted[i] == 0 && q.opts.tier > 0 && eff_tier(i, clock) == 0) {
         promoted[i] = 1;
         metrics.GetCounter("scheduler.aging_promotions")->Increment();
         if (tracer.enabled()) {
-          tracer.Instant(obs::kSchedulerPid, obs::QueryTid(queries[i]->id),
-                         clock, "aging_promotion", "scheduler",
-                         obs::TraceAttr{queries[i]->id, -1, -1, -1,
-                                        queries[i]->opts.tier, 0, {}, {}});
+          tracer.Instant(obs::kSchedulerPid, obs::QueryTid(q.id), clock,
+                         "aging_promotion", "scheduler",
+                         obs::TraceAttr{q.id, -1, -1, -1, q.opts.tier, 0,
+                                        {}, {}});
         }
       }
     }
     for (int t : tiers_present) {
       int depth = 0;
       for (int i : ready) {
-        if (queries[i]->opts.tier == t) ++depth;
+        if (qs[i].q->opts.tier == t) ++depth;
       }
       metrics
           .GetHistogram("scheduler.ready_depth.tier" + std::to_string(t),
@@ -863,37 +764,23 @@ Result<ScheduleStats> Scheduler::RunSlaTiered(
       const int ta = eff_tier(a, clock);
       const int tb = eff_tier(b, clock);
       if (ta != tb) return ta < tb;
-      if (queries[a]->opts.arrival != queries[b]->opts.arrival) {
-        return queries[a]->opts.arrival < queries[b]->opts.arrival;
+      if (qs[a].arrival != qs[b].arrival) {
+        return qs[a].arrival < qs[b].arrival;
       }
-      return queries[a]->id < queries[b]->id;
+      return qs[a].q->id < qs[b].q->id;
     });
     while (!ready.empty() &&
            static_cast<int>(running.size()) < max_inflight) {
       const int i = ready.front();
       const bool fits =
           policy_.build_staging_factor *
-              static_cast<double>(held_for(clock, -1) + fp[i]) <=
+              static_cast<double>(held_for(clock, -1) + qs[i].fp) <=
           static_cast<double>(budget);
       if (!fits && !running.empty()) break;
-      HAPE_RETURN_NOT_OK(
-          engine_->BeginPlan(&queries[i]->plan, policy_, &exs[i]));
-      exs[i].admit = clock;
-      exs[i].clocks = &clocks;
-      exs[i].shared_resident = &shared_resident;
-      exs[i].dma_stream = queries[i]->id;
-      exs[i].dma_lane_quota = quota;
-      exs[i].trace_query = queries[i]->id;
-      admitted[i] = clock;
+      HAPE_RETURN_NOT_OK(Admit(&qs[i], clock));
       running.push_back(i);
       ready.erase(ready.begin());
       metrics.GetCounter("scheduler.admissions")->Increment();
-      if (tracer.enabled()) {
-        tracer.Instant(obs::kSchedulerPid, obs::QueryTid(queries[i]->id),
-                       clock, "admit", "query",
-                       obs::TraceAttr{queries[i]->id, -1, -1, -1,
-                                      queries[i]->opts.tier, 0, {}, {}});
-      }
     }
     metrics.GetGauge("scheduler.inflight")
         ->Set(static_cast<double>(running.size()));
@@ -907,10 +794,10 @@ Result<ScheduleStats> Scheduler::RunSlaTiered(
     // is over at most max_inflight entries.
     int pick = running.front();
     auto key = [&](int i) {
-      const Engine::PlanExec& ex = exs[i];
+      const Engine::PlanExec& ex = qs[i].ex;
       const bool probe = !ex.plan->node(ex.order[ex.pos]).is_build;
-      return std::make_tuple(eff_tier(i, clock), probe, vtime[i],
-                             queries[i]->id);
+      return std::make_tuple(eff_tier(i, clock), probe, qs[i].vtime,
+                             qs[i].q->id);
     };
     for (int i : running) {
       if (key(i) < key(pick)) pick = i;
@@ -921,63 +808,32 @@ Result<ScheduleStats> Scheduler::RunSlaTiered(
         std::find(running.begin(), running.end(), prev_pick) !=
             running.end() &&
         eff_tier(pick, clock) < eff_tier(prev_pick, clock)) {
+      const SubmittedQuery& prev = *qs[prev_pick].q;
       metrics.GetCounter("scheduler.preemptions")->Increment();
       if (tracer.enabled()) {
-        tracer.Instant(obs::kSchedulerPid,
-                       obs::QueryTid(queries[prev_pick]->id), clock,
+        tracer.Instant(obs::kSchedulerPid, obs::QueryTid(prev.id), clock,
                        "preempt", "scheduler",
-                       obs::TraceAttr{queries[prev_pick]->id, -1, -1, -1,
-                                      queries[prev_pick]->opts.tier, 0, {}, {}});
+                       obs::TraceAttr{prev.id, -1, -1, -1, prev.opts.tier, 0,
+                                      {}, {}});
       }
     }
     prev_pick = pick;
 
-    const uint64_t seed = held_for(clock, pick);
-    shared_resident = seed;
-    HAPE_RETURN_NOT_OK(engine_->StepPlan(&exs[pick]));
-    HAPE_CHECK(shared_resident >= seed)
-        << "GPU residency accounting went backwards (double-free?)";
-    contrib[pick] += shared_resident - seed;
-    out.peak_resident_bytes =
-        std::max(out.peak_resident_bytes, shared_resident);
-    metrics.GetGauge("scheduler.resident_bytes")
-        ->Set(static_cast<double>(shared_resident));
-    const ExecStats& last = exs[pick].out.pipelines.back().stats;
-    vtime[pick] += TotalBusy(last) / queries[pick]->opts.weight;
+    // Residency is re-seeded per step from what every other query holds
+    // at the decision clock.
+    shared_resident_ = held_for(clock, pick);
+    HAPE_RETURN_NOT_OK(Step(&qs[pick]));
     // The decision clock advances to the stepped pipeline's finish: the
     // next admission/pick decision happens at a pipeline boundary, which
     // is the preemption granularity.
-    clock = std::max(clock, last.finish);
+    clock = std::max(clock, qs[pick].progress);
 
-    if (exs[pick].done()) {
+    if (qs[pick].ex.done()) {
       running.erase(std::find(running.begin(), running.end(), pick));
-      QueryRunStats qs =
-          FinishQuery(*queries[pick], admitted[pick],
-                      std::move(exs[pick].out), queries[pick]->id);
-      qs.arrival = queries[pick]->opts.arrival;
-      qs.finish = qs.run.finish;
-      metrics.GetCounter("scheduler.queries")->Increment();
-      if (tracer.enabled()) {
-        tracer.Instant(obs::kSchedulerPid, obs::QueryTid(queries[pick]->id),
-                       qs.finish, "complete", "query",
-                       obs::TraceAttr{queries[pick]->id, -1, -1, -1,
-                                      queries[pick]->opts.tier, 0, {}, {}});
-      }
-      if (contrib[pick] > 0) residency.emplace_back(qs.finish, contrib[pick]);
-      for (const auto& [dev, busy] : qs.run.device_busy_s) {
-        out.device_busy_s[dev] += busy;
-      }
-      out.makespan = std::max(out.makespan, qs.finish);
-      out.queries.push_back(std::move(qs));
-      ++done_count;
+      Finish(&qs[pick], qs[pick].ex.out.finish, QueryOutcome::kCompleted);
     }
   }
-
-  std::sort(out.queries.begin(), out.queries.end(),
-            [](const QueryRunStats& a, const QueryRunStats& b) {
-              return a.id < b.id;
-            });
-  return out;
+  return Status::OK();
 }
 
 }  // namespace hape::engine

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -138,9 +139,9 @@ struct ScheduleStats {
   /// device share is its own run.device_busy_s over these totals.
   std::map<int, sim::SimTime> device_busy_s;
   /// Largest GPU-resident hash-table byte count the schedule held at once
-  /// (fair-share only; the admission waves bound it by the GPU budget). A
-  /// query's residency is released at its completion, so a later wave can
-  /// be admitted as soon as enough bytes have been freed.
+  /// (kFairShare and kSlaTiered; 0 under kFifo). Admission bounds it by
+  /// the GPU budget. A query's residency is released at its completion,
+  /// so a later query can be admitted as soon as enough bytes are freed.
   uint64_t peak_resident_bytes = 0;
   std::vector<QueryRunStats> queries;
   /// Per-tier queueing/makespan percentiles, ascending by tier.
@@ -155,7 +156,17 @@ struct ScheduleStats {
 
 /// The multi-query scheduler behind Engine::RunAll. One Engine instance
 /// admits several QueryPlans and arbitrates workers, GPU memory, and
-/// copy-engine channels between them:
+/// copy-engine channels between them.
+///
+/// Every query goes through one lifecycle whatever the policy: it
+/// arrives, is either shed at an admission decision point or admitted
+/// (BeginPlan plus the shared-substrate hooks), is stepped one pipeline
+/// at a time, and finishes with exactly one terminal record (completed,
+/// or aborted at its cutoff). The Arrive/Shed/Admit/Step/Finish members
+/// own the records, counters, trace instants and residency accounting of
+/// those events; the three policy loops keep only the rules their
+/// policy decides — when to admit, what to step next, and where a
+/// cutoff is checked:
 ///
 ///   - kFifo: run-to-completion in submission order. Each query gets the
 ///     whole (freshly reset) topology, so its cost sequences are
@@ -197,6 +208,7 @@ class Scheduler {
       : engine_(engine), policy_(policy) {}
 
   /// Execute `queries` (not-yet-run submissions) and report the schedule.
+  /// A Scheduler runs one schedule; Engine::RunAll builds one per call.
   Result<ScheduleStats> Run(const std::vector<SubmittedQuery*>& queries);
 
   /// Estimated nominal bytes of the GPU-resident hash tables `plan` asks
@@ -210,25 +222,47 @@ class Scheduler {
                                          uint64_t budget);
 
  private:
-  Result<ScheduleStats> RunFifo(const std::vector<SubmittedQuery*>& queries);
-  Result<ScheduleStats> RunFairShare(
-      const std::vector<SubmittedQuery*>& queries);
-  Result<ScheduleStats> RunSlaTiered(
-      const std::vector<SubmittedQuery*>& queries);
+  /// One submitted query's passage through the schedule (scheduler.cc).
+  struct Slot;
 
-  QueryRunStats FinishQuery(const SubmittedQuery& q, sim::SimTime admitted,
-                            RunStats run, int stream);
+  // ---- policy loops: each keeps only the rules its policy decides ----
+  Status RunFifo(std::vector<Slot>* slots);
+  Status RunFairShare(std::vector<Slot>* slots);
+  Status RunSlaTiered(std::vector<Slot>* slots);
 
-  /// Zero-work terminal record for a query dropped at an admission
-  /// decision point (outcome kCancelled / kDeadlineExceeded, shed=true),
-  /// plus its metrics bump and "cancel" lifecycle instant.
-  QueryRunStats ShedQuery(const SubmittedQuery& q, sim::SimTime at,
-                          QueryOutcome outcome);
-  /// Metrics + "cancel" lifecycle instant for a mid-flight abort.
-  void RecordAbort(const QueryRunStats& qs);
+  // ---- the per-query lifecycle all three loops share ----
+  /// The "arrival" lifecycle instant, at the slot's arrival.
+  void Arrive(const Slot& s);
+  /// Zero-work terminal record of a query dropped at an admission
+  /// decision point at `at` (its cutoff's outcome, shed=true).
+  void Shed(Slot* s, sim::SimTime at);
+  /// BeginPlan, the scheduling hooks of the shared-substrate policies
+  /// (admission gate, shared worker clocks and GPU residency, DMA stream
+  /// and lane quota), and the "admit" instant at `at`.
+  Status Admit(Slot* s, sim::SimTime at);
+  /// Run the slot's next pipeline on the shared substrate: attribute the
+  /// GPU residency it placed, track the peak, and advance the slot's
+  /// virtual time and progress.
+  Status Step(Slot* s);
+  /// Terminal record at `finish`: counters, the "complete" or "cancel"
+  /// instant, and, unless shed, the residency release, device-share
+  /// merge and makespan.
+  void Finish(Slot* s, sim::SimTime finish, QueryOutcome outcome,
+              bool shed = false);
 
   Engine* engine_;
   const ExecutionPolicy& policy_;
+  // ---- per-run state (a Scheduler runs one schedule) ----
+  ScheduleStats out_;
+  /// Worker availability shared by every query on the substrate.
+  WorkerClocks clocks_;
+  /// Schedule-wide GPU-resident hash-table bytes the placement rounds see.
+  uint64_t shared_resident_ = 0;
+  /// Copy-engine lane quota of newly admitted queries.
+  int quota_ = 0;
+  /// Release ledger: (completion or abort time, bytes attributed to the
+  /// query) of every finished query that held GPU residency.
+  std::vector<std::pair<sim::SimTime, uint64_t>> released_;
 };
 
 }  // namespace hape::engine

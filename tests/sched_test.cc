@@ -16,8 +16,10 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "engine/engine.h"
 #include "engine/scheduler.h"
+#include "obs/trace.h"
 #include "queries/plan_fuzzer.h"
 #include "queries/tpch_queries.h"
 #include "sim/copy_engine.h"
@@ -431,15 +433,22 @@ TEST_F(SchedTest, FairShareReleasesResidencyAtQueryCompletion) {
 }
 
 TEST_F(SchedTest, FairShareRequiresAsyncExecutor) {
-  ExecutionPolicy policy = MakePolicy(EngineConfig::kProteusHybrid,
-                                      /*depth=*/2,
-                                      SchedulingPolicy::kFairShare);
-  policy.async = engine::AsyncOptions::Off();
-  Engine eng(topo_);
-  SubmitQuery(&eng, BuildQ6Plan, policy);
-  auto sched = eng.RunAll(policy);
-  ASSERT_FALSE(sched.ok());
-  EXPECT_EQ(sched.status().code(), StatusCode::kInvalidArgument);
+  // Both shared-substrate policies interleave on the event-queue
+  // substrate, and the rejection names the policy that needs it.
+  for (SchedulingPolicy sched :
+       {SchedulingPolicy::kFairShare, SchedulingPolicy::kSlaTiered}) {
+    ExecutionPolicy policy = MakePolicy(EngineConfig::kProteusHybrid,
+                                        /*depth=*/2, sched);
+    policy.async = engine::AsyncOptions::Off();
+    Engine eng(topo_);
+    SubmitQuery(&eng, BuildQ6Plan, policy);
+    auto s = eng.RunAll(policy);
+    ASSERT_FALSE(s.ok()) << engine::SchedulingPolicyName(sched);
+    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.status().message().find(engine::SchedulingPolicyName(sched)),
+              std::string::npos)
+        << s.status().ToString();
+  }
 }
 
 TEST_F(SchedTest, NonPositiveWeightIsRejected) {
@@ -790,6 +799,52 @@ TEST_F(SchedTest, FairShareMidFlightCancelReleasesResidencyBeforeNextWave) {
   ExpectBitIdentical(aggs[2], expected, "survivor C vs reference");
   ExpectBitIdentical(aggs[0], base_aggs[0], "survivor A");
   ExpectBitIdentical(aggs[2], base_aggs[2], "survivor C");
+}
+
+// kFifo and kFairShare have no open-loop arrival clock: they treat every
+// query as arriving at 0, whatever SubmitOptions::arrival says. Records
+// and "arrival" instants must agree for a shed query as for a completed
+// one, so no queueing delay goes negative and arrival <= admit holds in
+// the trace.
+TEST_F(SchedTest, FifoAndFairShareReportEveryArrivalAtZero) {
+  for (SchedulingPolicy sched :
+       {SchedulingPolicy::kFifo, SchedulingPolicy::kFairShare}) {
+    SCOPED_TRACE(engine::SchedulingPolicyName(sched));
+    topo_->Reset();
+    const ExecutionPolicy policy =
+        MakePolicy(EngineConfig::kProteusCpu, /*depth=*/1, sched);
+    Engine eng(topo_);
+    eng.SetTraceOptions(obs::TraceOptions{true});
+    for (int i = 0; i < 2; ++i) {
+      auto bq = BuildQ6Plan(ctx_);
+      ASSERT_TRUE(bq.ok());
+      ASSERT_TRUE(eng.Optimize(&bq.value().plan, policy).ok());
+      SubmitOptions so;
+      so.arrival = 5.0;
+      eng.Submit(std::move(bq.value().plan), so);
+    }
+    ASSERT_TRUE(eng.Cancel(1).ok());
+    auto sched_stats = eng.RunAll(policy);
+    ASSERT_TRUE(sched_stats.ok()) << sched_stats.status().ToString();
+    const ScheduleStats& s = sched_stats.value();
+    ASSERT_EQ(s.queries.size(), 2u);
+    EXPECT_TRUE(s.queries[0].completed());
+    EXPECT_TRUE(s.queries[1].shed);
+    for (const engine::QueryRunStats& q : s.queries) {
+      EXPECT_EQ(q.arrival, 0.0) << "query " << q.id;
+      EXPECT_GE(q.queueing_delay_s(), 0.0) << "query " << q.id;
+    }
+
+    auto trace = JsonParser::Parse(eng.DumpTrace());
+    ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+    int arrivals = 0;
+    for (const JsonValue& e : trace.value().Find("traceEvents")->items()) {
+      if (e.Find("name")->str() != "arrival") continue;
+      EXPECT_EQ(e.Find("ts")->number(), 0.0);
+      ++arrivals;
+    }
+    EXPECT_EQ(arrivals, 2);
+  }
 }
 
 // ---- RunAll lifecycle -------------------------------------------------------
