@@ -6,56 +6,24 @@
 
 namespace hape::memory {
 
-namespace {
-
-storage::ColumnPtr SliceColumn(const storage::Column& col, size_t offset,
-                               size_t len) {
-  using storage::DataType;
-  switch (col.type()) {
-    case DataType::kInt32: {
-      auto s = col.i32();
-      return std::make_shared<storage::Column>(
-          std::vector<int32_t>(s.begin() + offset, s.begin() + offset + len));
-    }
-    case DataType::kInt64: {
-      auto s = col.i64();
-      return std::make_shared<storage::Column>(
-          std::vector<int64_t>(s.begin() + offset, s.begin() + offset + len));
-    }
-    case DataType::kFloat64: {
-      auto s = col.f64();
-      return std::make_shared<storage::Column>(
-          std::vector<double>(s.begin() + offset, s.begin() + offset + len));
-    }
-  }
-  HAPE_CHECK(false) << "unreachable";
-  return nullptr;
-}
-
-}  // namespace
-
 std::vector<Batch> ChunkColumns(const std::vector<storage::ColumnPtr>& cols,
                                 size_t rows, size_t chunk_rows, int mem_node) {
   HAPE_CHECK(chunk_rows > 0);
   std::vector<Batch> out;
-  for (size_t off = 0; off < rows; off += chunk_rows) {
+  // do-while: an empty input still yields one (empty) packet.
+  size_t off = 0;
+  do {
     const size_t len = std::min(chunk_rows, rows - off);
     Batch b;
     b.rows = len;
     b.mem_node = mem_node;
     b.columns.reserve(cols.size());
-    for (const auto& c : cols) b.columns.push_back(SliceColumn(*c, off, len));
-    out.push_back(std::move(b));
-  }
-  if (out.empty()) {
-    Batch b;
-    b.rows = 0;
-    b.mem_node = mem_node;
     for (const auto& c : cols) {
-      b.columns.push_back(std::make_shared<storage::Column>(c->type()));
+      b.columns.push_back(storage::Column::Slice(c, off, len));
     }
     out.push_back(std::move(b));
-  }
+    off += len;
+  } while (off < rows);
   return out;
 }
 

@@ -26,8 +26,11 @@ struct KeyCache {
 };
 
 /// A packet: the unit of data flow between operators and devices (§3,
-/// "data packing" trait). A Batch owns chunk-sized columns. Metadata lets
-/// the router take routing decisions without touching the data:
+/// "data packing" trait). A Batch holds chunk-sized columns. A scan
+/// packet's columns are read-only views of the table's (see ChunkColumns);
+/// stages that make new data replace a column, never write into one.
+/// Metadata lets the router take routing decisions without touching the
+/// data:
 ///   - `mem_node`     : which simulated memory currently holds the packet;
 ///   - `partition_id` : if >= 0, every tuple in the packet shares this
 ///                      hash-partition id (the paper's packing property).
@@ -50,8 +53,8 @@ struct Batch {
 };
 
 /// Chunk table-like column sets into packets of at most `chunk_rows` rows.
-/// Columns are deep-copied per chunk (packets own their memory, as the
-/// engine's buffer manager would).
+/// Each packet column is a read-only view (storage::Column::Slice) of its
+/// source column: no data is copied. Zero rows yield one empty packet.
 std::vector<Batch> ChunkColumns(const std::vector<storage::ColumnPtr>& cols,
                                 size_t rows, size_t chunk_rows, int mem_node);
 

@@ -629,13 +629,16 @@ QueryResult RefQ9(const TpchContext& ctx) {
     auto nk = s.column("s_nationkey")->i64();
     for (size_t i = 0; i < s.num_rows(); ++i) supp_nation[sk[i]] = nk[i];
   }
-  std::unordered_map<int64_t, double> ps_cost;
+  // Every partsupp row of a (partkey, suppkey) pair joins, as in SQL and
+  // the engine's hash join: at small scale factors the generator repeats
+  // some pairs.
+  std::unordered_multimap<int64_t, double> ps_cost;
   {
     auto pk = ps.column("ps_partkey")->i64();
     auto sk = ps.column("ps_suppkey")->i64();
     auto sc = ps.column("ps_supplycost")->f64();
     for (size_t i = 0; i < ps.num_rows(); ++i) {
-      ps_cost[pk[i] * kPsKeyMul + sk[i]] = sc[i];
+      ps_cost.emplace(pk[i] * kPsKeyMul + sk[i], sc[i]);
     }
   }
   auto lo = l.column("l_orderkey")->i64();
@@ -649,12 +652,15 @@ QueryResult RefQ9(const TpchContext& ctx) {
     if (oit == order_date.end()) continue;
     auto sit = supp_nation.find(lsup[i]);
     if (sit == supp_nation.end()) continue;
-    auto pit = ps_cost.find(lp[i] * kPsKeyMul + lsup[i]);
-    if (pit == ps_cost.end()) continue;
+    const auto [first, last] =
+        ps_cost.equal_range(lp[i] * kPsKeyMul + lsup[i]);
+    if (first == last) continue;
     const int64_t key = sit->second * 10000 + oit->second / 10000;
     auto& g = r.groups[key];
     if (g.empty()) g.assign(1, 0.0);
-    g[0] += price[i] * (1 - disc[i]) - pit->second * qty[i];
+    for (auto pit = first; pit != last; ++pit) {
+      g[0] += price[i] * (1 - disc[i]) - pit->second * qty[i];
+    }
   }
   return r;
 }

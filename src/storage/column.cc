@@ -2,6 +2,15 @@
 
 namespace hape::storage {
 
+namespace {
+
+template <typename T>
+void Extend(std::vector<T>& dst, std::span<const T> src) {
+  dst.insert(dst.end(), src.begin(), src.end());
+}
+
+}  // namespace
+
 Column::Column(DataType type) : type_(type) {
   switch (type) {
     case DataType::kInt32:
@@ -16,7 +25,24 @@ Column::Column(DataType type) : type_(type) {
   }
 }
 
+std::shared_ptr<Column> Column::Slice(std::shared_ptr<const Column> src,
+                                     size_t offset, size_t len) {
+  HAPE_CHECK(offset <= src->size() && len <= src->size() - offset)
+      << "slice [" << offset << ", " << offset + len << ") of a "
+      << src->size() << "-row column";
+  auto view = std::make_shared<Column>(src->type_);
+  if (src->owner_ != nullptr) {
+    offset += src->offset_;
+    src = src->owner_;
+  }
+  view->owner_ = std::move(src);
+  view->offset_ = offset;
+  view->len_ = len;
+  return view;
+}
+
 size_t Column::size() const {
+  if (owner_ != nullptr) return len_;
   return std::visit([](const auto& v) { return v.size(); }, data_);
 }
 
@@ -73,15 +99,19 @@ void Column::AppendDouble(double v) {
 }
 
 void Column::AppendColumn(const Column& src) {
+  CheckOwned();
   if (type_ == src.type_) {
-    std::visit(
-        [this](const auto& s) {
-          using V = std::decay_t<decltype(s)>;
-          auto& d = std::get<V>(data_);
-          d.insert(d.end(), s.begin(), s.end());
-        },
-        src.data_);
-    return;
+    switch (type_) {
+      case DataType::kInt32:
+        Extend(mutable_i32(), src.i32());
+        return;
+      case DataType::kInt64:
+        Extend(mutable_i64(), src.i64());
+        return;
+      case DataType::kFloat64:
+        Extend(mutable_f64(), src.f64());
+        return;
+    }
   }
   const size_t n = src.size();
   if (src.type_ == DataType::kFloat64) {
@@ -92,15 +122,21 @@ void Column::AppendColumn(const Column& src) {
 }
 
 void Column::Reserve(size_t n) {
+  CheckOwned();
   std::visit([n](auto& v) { v.reserve(n); }, data_);
 }
 
 const void* Column::raw_data() const {
+  if (owner_ != nullptr) {
+    return static_cast<const char*>(owner_->raw_data()) +
+           offset_ * TypeSize(type_);
+  }
   return std::visit([](const auto& v) -> const void* { return v.data(); },
                     data_);
 }
 
 void* Column::mutable_raw_data() {
+  CheckOwned();
   return std::visit([](auto& v) -> void* { return v.data(); }, data_);
 }
 

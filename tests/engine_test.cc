@@ -31,6 +31,10 @@ TEST(Batch, ChunkColumnsSplitsEvenly) {
   EXPECT_EQ(chunks[2].rows, 1u);
   EXPECT_EQ(chunks[2].columns[0]->i64()[0], 6);
   EXPECT_EQ(chunks[1].mem_node, 1);
+  // Zero-copy: each packet column aliases the source at its chunk's offset.
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    EXPECT_EQ(chunks[i].columns[0]->i64().data(), col->i64().data() + 3 * i);
+  }
 }
 
 TEST(Batch, ChunkEmptyYieldsOneEmptyPacket) {

@@ -299,6 +299,48 @@ TEST_F(PlanJsonTest, LoadedTpchPlansRerunByteIdenticalEverywhere) {
   }
 }
 
+// ---- zero-copy scans -----------------------------------------------------------
+
+// A loaded plan's scan packets slice the catalog's columns instead of
+// copying them: every packet column's data is the catalog column's buffer
+// at the packet's row offset.
+TEST_F(PlanJsonTest, LoadedScanPacketsAliasTheCatalogColumns) {
+  Engine& eng = EngineFor(ctx_);
+  for (const NamedBuild& q : kTpchPlans) {
+    auto bq = q.fn(ctx_);
+    ASSERT_TRUE(bq.ok()) << q.name;
+    auto dumped = eng.DumpPlan(bq.value().plan);
+    ASSERT_TRUE(dumped.ok()) << q.name;
+    auto loaded = eng.LoadPlan(dumped.value(), ctx_->catalog);
+    ASSERT_TRUE(loaded.ok()) << q.name << ": " << loaded.status().ToString();
+    const QueryPlan& plan = loaded.value().plan;
+    int scans = 0;
+    for (size_t i = 0; i < plan.num_pipelines(); ++i) {
+      const engine::PlanNode& node = plan.node(static_cast<int>(i));
+      if (node.source_columns.empty()) continue;
+      ++scans;
+      const storage::Table& table =
+          *ctx_->catalog.Get(node.source_table->name()).value();
+      size_t offset = 0;
+      for (const memory::Batch& packet : node.pipeline.inputs) {
+        ASSERT_EQ(packet.columns.size(), node.source_columns.size());
+        for (size_t c = 0; c < node.source_columns.size(); ++c) {
+          const storage::Column& src = *table.column(node.source_columns[c]);
+          const storage::Column& col = *packet.columns[c];
+          EXPECT_EQ(col.raw_data(),
+                    static_cast<const char*>(src.raw_data()) +
+                        offset * storage::TypeSize(src.type()))
+              << q.name << " " << node.pipeline.name << "."
+              << node.source_columns[c] << " at row " << offset;
+        }
+        offset += packet.rows;
+      }
+      EXPECT_EQ(offset, table.num_rows()) << q.name;
+    }
+    EXPECT_GT(scans, 0) << q.name;
+  }
+}
+
 // ---- malformed manifests -----------------------------------------------------
 
 std::string Manifest(const std::string& pipelines) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
+
+#include "codegen/kernels.h"
 #include "queries/tpch_queries.h"
 #include "storage/tpch.h"
 
@@ -130,6 +135,82 @@ TEST_F(TpchQueries, Q9CoversNationsAndYears) {
     EXPECT_GE(year, 1992);
     EXPECT_LE(year, 1998);
   }
+}
+
+// At SF 0.003 the generator repeats some of partsupp's (partkey, suppkey)
+// pairs. The engine's hash join matches every repeat, as SQL does, and the
+// reference must too.
+TEST_F(TpchQueries, Q9MatchesReferenceWhenPartsuppPairsRepeat) {
+  sim::Topology topo = sim::Topology::PaperServer();
+  TpchContext ctx;
+  ctx.topo = &topo;
+  ctx.sf_actual = 0.003;
+  ctx.sf_nominal = 100.0;
+  ASSERT_TRUE(PrepareTpch(&ctx).ok());
+  const storage::Table& ps = *ctx.catalog.Get("partsupp").value();
+  std::set<std::pair<int64_t, int64_t>> pairs;
+  for (size_t i = 0; i < ps.num_rows(); ++i) {
+    pairs.emplace(ps.column("ps_partkey")->i64()[i],
+                  ps.column("ps_suppkey")->i64()[i]);
+  }
+  ASSERT_LT(pairs.size(), ps.num_rows()) << "no (partkey, suppkey) repeats";
+
+  const QueryResult ref = RefQ9(ctx);
+  for (EngineConfig config :
+       {EngineConfig::kProteusCpu, EngineConfig::kProteusHybrid}) {
+    topo.Reset();
+    SCOPED_TRACE(ConfigName(config));
+    ExpectSameGroups(ref, RunQ9(&ctx, config));
+  }
+}
+
+/// 64-bit FNV-1a over every byte of every catalog column, table by table in
+/// name order.
+uint64_t CatalogDigest(const storage::Catalog& catalog) {
+  std::vector<std::string> names = catalog.TableNames();
+  std::sort(names.begin(), names.end());
+  uint64_t h = 14695981039346656037ull;
+  for (const std::string& name : names) {
+    const storage::Table& t = *catalog.Get(name).value();
+    for (int c = 0; c < t.num_columns(); ++c) {
+      const storage::Column& col = *t.column(c);
+      const auto* p = static_cast<const unsigned char*>(col.raw_data());
+      for (uint64_t i = 0; i < col.byte_size(); ++i) {
+        h = (h ^ p[i]) * 1099511628211ull;
+      }
+    }
+  }
+  return h;
+}
+
+// Scan packets are views of the catalog's columns, so a stage or sink that
+// wrote into a packet column would corrupt the tables. Run every query
+// under every configuration, synchronously and asynchronously, on both
+// data planes, and check that no catalog byte moved.
+TEST_F(TpchQueries, NoQueryWritesIntoTheCatalog) {
+  const uint64_t before = CatalogDigest(ctx_->catalog);
+  const codegen::DataPlaneConfig saved_plane = codegen::DataPlane();
+  const engine::AsyncOptions saved_async = ctx_->async;
+  for (codegen::KernelMode mode :
+       {codegen::KernelMode::kVectorized, codegen::KernelMode::kScalar}) {
+    codegen::SetDataPlane({mode, saved_plane.packet_threads});
+    for (int depth : {0, 1}) {
+      ctx_->async = depth > 0 ? engine::AsyncOptions::Depth(depth)
+                              : engine::AsyncOptions::Off();
+      for (QueryFn q : {RunQ1, RunQ3, RunQ5, RunQ6, RunQ9}) {
+        for (EngineConfig config :
+             {EngineConfig::kDbmsC, EngineConfig::kProteusCpu,
+              EngineConfig::kProteusHybrid, EngineConfig::kProteusGpu,
+              EngineConfig::kDbmsG}) {
+          topo_->Reset();
+          q(ctx_, config);
+        }
+      }
+    }
+  }
+  codegen::SetDataPlane(saved_plane);
+  ctx_->async = saved_async;
+  EXPECT_EQ(CatalogDigest(ctx_->catalog), before);
 }
 
 // ---- performance shape (Fig. 8) -------------------------------------------------

@@ -51,6 +51,111 @@ TEST(Column, EmptyTypedColumn) {
   EXPECT_EQ(c.byte_size(), 0u);
 }
 
+// ---- Column views -------------------------------------------------------------
+
+TEST(ColumnView, SharesTheOwnersStorage) {
+  auto owner = std::make_shared<Column>(std::vector<int32_t>{0, 1, 2, 3, 4, 5});
+  auto view = Column::Slice(owner, 2, 3);
+  EXPECT_EQ(view->type(), DataType::kInt32);
+  EXPECT_EQ(view->raw_data(), static_cast<const char*>(owner->raw_data()) +
+                                  2 * sizeof(int32_t));
+  EXPECT_EQ(view->i32().data(), owner->i32().data() + 2);
+  EXPECT_EQ(view->GetInt(2), 4);
+  EXPECT_DOUBLE_EQ(view->GetDouble(0), 2.0);
+}
+
+TEST(ColumnView, ReportsItsOwnSize) {
+  auto owner = std::make_shared<Column>(std::vector<double>(10, 1.5));
+  auto view = Column::Slice(owner, 7, 3);
+  EXPECT_EQ(view->size(), 3u);
+  EXPECT_EQ(view->byte_size(), 3 * sizeof(double));
+  EXPECT_EQ(view->f64().size(), 3u);
+  EXPECT_EQ(owner->size(), 10u);
+  EXPECT_EQ(Column::Slice(owner, 10, 0)->size(), 0u);
+}
+
+TEST(ColumnView, SliceOfASlicePointsAtTheOwner) {
+  std::vector<int64_t> values(100);
+  std::iota(values.begin(), values.end(), 0);
+  auto owner = std::make_shared<Column>(std::move(values));
+  auto outer = Column::Slice(owner, 10, 50);
+  auto inner = Column::Slice(outer, 5, 20);
+  EXPECT_EQ(inner->i64().data(), owner->i64().data() + 15);
+  EXPECT_EQ(inner->i64()[0], 15);
+  EXPECT_EQ(inner->size(), 20u);
+  // The inner view holds the owner, not the outer view.
+  std::weak_ptr<Column> outer_alive = outer;
+  outer.reset();
+  EXPECT_TRUE(outer_alive.expired());
+  EXPECT_EQ(inner->i64()[19], 34);
+}
+
+TEST(ColumnView, KeepsItsOwnerAlive) {
+  auto owner = std::make_shared<Column>(std::vector<int64_t>{7, 8, 9});
+  auto view = Column::Slice(owner, 1, 2);
+  owner.reset();
+  EXPECT_EQ(view->i64()[0], 8);
+  EXPECT_EQ(view->i64()[1], 9);
+}
+
+TEST(ColumnView, SliceOutOfRangeDies) {
+  auto owner = std::make_shared<Column>(std::vector<int64_t>{1, 2, 3});
+  EXPECT_DEATH(Column::Slice(owner, 2, 2), "slice");
+  EXPECT_DEATH(Column::Slice(owner, 4, 0), "slice");
+}
+
+TEST(ColumnView, EveryWriterDiesOnAView) {
+  auto i32 = Column::Slice(
+      std::make_shared<Column>(std::vector<int32_t>{1, 2, 3}), 0, 2);
+  auto i64 = Column::Slice(
+      std::make_shared<Column>(std::vector<int64_t>{1, 2, 3}), 1, 2);
+  auto f64 = Column::Slice(
+      std::make_shared<Column>(std::vector<double>{1, 2, 3}), 0, 3);
+  const Column source(std::vector<int64_t>{4, 5});
+  const char* kMessage = "read-only column view";
+  EXPECT_DEATH(i32->mutable_i32(), kMessage);
+  EXPECT_DEATH(i64->mutable_i64(), kMessage);
+  EXPECT_DEATH(f64->mutable_f64(), kMessage);
+  EXPECT_DEATH(i64->AppendInt(1), kMessage);
+  EXPECT_DEATH(f64->AppendDouble(1.0), kMessage);
+  EXPECT_DEATH(i64->AppendColumn(source), kMessage);
+  EXPECT_DEATH(i32->AppendColumn(Column(DataType::kInt32)), kMessage);
+  EXPECT_DEATH(i64->Reserve(8), kMessage);
+  EXPECT_DEATH(f64->mutable_raw_data(), kMessage);
+}
+
+TEST(ColumnView, AppendColumnAppendsExactlyTheViewsValues) {
+  auto i32 = std::make_shared<Column>(std::vector<int32_t>{10, 11, 12, 13});
+  auto i64 = std::make_shared<Column>(std::vector<int64_t>{20, 21, 22, 23});
+  auto f64 = std::make_shared<Column>(std::vector<double>{0.5, 1.5, 2.5});
+
+  Column a(std::vector<int32_t>{-1});
+  a.AppendColumn(*Column::Slice(i32, 1, 2));
+  EXPECT_EQ(std::vector<int32_t>(a.i32().begin(), a.i32().end()),
+            (std::vector<int32_t>{-1, 11, 12}));
+
+  Column b(DataType::kInt64);
+  b.AppendColumn(*Column::Slice(i64, 2, 2));
+  EXPECT_EQ(std::vector<int64_t>(b.i64().begin(), b.i64().end()),
+            (std::vector<int64_t>{22, 23}));
+
+  Column c(DataType::kFloat64);
+  c.AppendColumn(*Column::Slice(f64, 0, 2));
+  EXPECT_EQ(std::vector<double>(c.f64().begin(), c.f64().end()),
+            (std::vector<double>{0.5, 1.5}));
+
+  // Mixed types widen or narrow row by row, exactly the view's rows.
+  Column d(DataType::kFloat64);
+  d.AppendColumn(*Column::Slice(i32, 3, 1));
+  d.AppendColumn(*Column::Slice(i64, 0, 1));
+  Column e(DataType::kInt32);
+  e.AppendColumn(*Column::Slice(f64, 1, 2));
+  EXPECT_EQ(std::vector<double>(d.f64().begin(), d.f64().end()),
+            (std::vector<double>{13.0, 20.0}));
+  EXPECT_EQ(std::vector<int32_t>(e.i32().begin(), e.i32().end()),
+            (std::vector<int32_t>{1, 2}));
+}
+
 TEST(Types, SizesAndNames) {
   EXPECT_EQ(TypeSize(DataType::kInt32), 4u);
   EXPECT_EQ(TypeSize(DataType::kInt64), 8u);
