@@ -1,5 +1,6 @@
-// Schedule pins: one fixed 40-query mix per scheduling policy, replayed
-// with tracing on and reduced to 64-bit FNV-1a digests of
+// Schedule pins: one fixed 40-query mix per scheduling policy, plus one
+// 500-query kSlaTiered trace, replayed with tracing on and reduced to
+// 64-bit FNV-1a digests of
 //   - the schedule's Explain document (per-query records, cost sequences,
 //     tier percentiles and the metrics snapshot),
 //   - the Chrome trace (DumpTrace), and
@@ -281,6 +282,52 @@ TEST_F(SchedulePins, SlaTiered) {
 
   ExpectDigests(got, {0x1fc32f1f04caf898ull, 0xd5f9f499de8d889eull,
                       0x7d1109255b891a1aull});
+}
+
+// kSlaTiered over a long trace with bench_serve's serving policy: 500
+// queries arriving every 0.25 s (its 4 queries per simulated second) in
+// tiers weighted 1:2:5, with deadlines 5/10/12 s after arrival by tier,
+// at most eight in flight, async depth 1 and shed_on_deadline. The
+// schedule resets the link and copy-engine timelines once, so they keep
+// every window of the run and late gap searches run over thousands of
+// windows; the 40-query mixes above stay in the hundreds. The TPC-H-only
+// mix overloads the machine at this rate, so every terminal state shows.
+TEST_F(SchedulePins, SlaTieredLongTrace) {
+  constexpr int kLongQueries = 500;
+  ExecutionPolicy policy = Policy(/*depth=*/1, SchedulingPolicy::kSlaTiered);
+  policy.serve.max_inflight = 8;
+  policy.serve.aging_boost_s = 120.0;
+  policy.serve.shed_on_deadline = true;
+  constexpr int kTierOf[8] = {0, 1, 1, 2, 2, 2, 2, 2};
+  constexpr double kTierDeadline[3] = {5.0, 10.0, 12.0};
+  for (int i = 0; i < kLongQueries; ++i) {
+    SubmitOptions so;
+    so.tier = kTierOf[i % 8];
+    so.arrival = 0.25 * i;
+    so.deadline_s = so.arrival + kTierDeadline[so.tier];
+    Submit(i, policy, so);
+  }
+  Digests got;
+  const ScheduleStats s = Run(policy, &got);
+  ASSERT_EQ(s.queries.size(), static_cast<size_t>(kLongQueries));
+
+  // The regime: one ~137 s schedule issuing ~9.9k copy-engine copies
+  // (the 40-query kSlaTiered mix issues ~1.8k over ~25 s). At 8,000 or
+  // more the timelines hold thousands of windows.
+  uint64_t copies = 0;
+  for (int n = 0; n < topo_->num_mem_nodes(); ++n) {
+    copies += topo_->copy_engine(n).copies();
+  }
+  EXPECT_GE(copies, 8000u);
+  EXPECT_GT(s.makespan, 0.25 * (kLongQueries - 1));
+  EXPECT_GE(Counter(*eng_, "scheduler.preemptions"), 1);
+  EXPECT_GE(s.completed, 100u);
+  EXPECT_GE(s.shed, 100u);
+  EXPECT_GT(s.deadline_exceeded, s.shed);  // some abort mid-flight
+  EXPECT_EQ(s.tiers.size(), 3u);
+
+  ExpectDigests(got, {0x884819c41ab57cd8ull, 0xe6741a076c5630d8ull,
+                      0x8eab645d5beac91aull});
 }
 
 }  // namespace
