@@ -14,10 +14,16 @@ Timeline::Window Timeline::ReserveTail(SimTime earliest, SimTime dur) {
 }
 
 SimTime Timeline::ProbeStart(SimTime earliest, SimTime dur) const {
+  // A window that ends at or before `earliest` can neither hold the
+  // candidate start nor move it, so the scan starts at the first window
+  // that ends after it (finishes are sorted: see the class comment).
+  auto it = std::partition_point(
+      busy_.begin(), busy_.end(),
+      [earliest](const Window& w) { return w.finish <= earliest; });
   SimTime candidate = earliest;
-  for (const Window& w : busy_) {
-    if (candidate + dur <= w.start) return candidate;
-    candidate = std::max(candidate, w.finish);
+  for (; it != busy_.end(); ++it) {
+    if (candidate + dur <= it->start) return candidate;
+    candidate = std::max(candidate, it->finish);
   }
   return candidate;
 }
@@ -79,7 +85,9 @@ SimTime CopyEngine::Issue(SimTime earliest, SimTime dur, uint64_t bytes,
       best = c;
     }
   }
-  const Timeline::Window w = lanes_[best].Reserve(earliest, dur);
+  // best_start opens a free window on the chosen lane, so the reservation
+  // lands exactly there: its probe stops at the first window it visits.
+  const Timeline::Window w = lanes_[best].Reserve(best_start, dur);
   if (info != nullptr) *info = IssueInfo{best, w.start, w.finish};
   total_bytes_ += bytes;
   ++copies_;

@@ -20,6 +20,15 @@ namespace hape::sim {
 ///     uses this so DMA traffic can use link idle time that host-order
 ///     tail reservations would strand (e.g. PCIe sitting idle during a
 ///     build phase while the broadcast is only issued afterwards).
+///
+/// The gap search relies on one invariant: the windows are disjoint and
+/// sorted by start, with durations >= 0, so their finishes are sorted
+/// too. A probe binary-searches the first window that ends after
+/// `earliest` and scans forward from there until a gap fits: O(log n)
+/// plus the windows it steps over, not O(n) from the first window. The
+/// list grows with the link's idle gaps, not its transfer count, and
+/// nothing prunes it before Reset: a 1k-request serving replay leaves
+/// thousands of windows on one timeline.
 class Timeline {
  public:
   struct Window {

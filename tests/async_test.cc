@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -135,7 +136,231 @@ TEST(DmaTransfer, UsesLinkIdleTimeBeforeTailReservations) {
   EXPECT_GT(sync_done, 1.0);
 }
 
-// ---- the O(log n) event-queue / O(1) clock primitives -----------------------
+// ---- the O(log n) timeline search / event-queue / O(1) clock primitives -----
+
+/// The front-to-back gap search Timeline::ProbeStart replaced, kept as the
+/// reference of the property tests below. Insertion and coalescing are
+/// Timeline's own, so the windows, tail and busy time of both must match
+/// bit for bit after any sequence of reservations.
+class ReferenceTimeline {
+ public:
+  using Window = sim::Timeline::Window;
+
+  Window ReserveTail(sim::SimTime earliest, sim::SimTime dur) {
+    const sim::SimTime start = std::max(earliest, tail_);
+    return Insert(Window{start, start + dur});
+  }
+  Window Reserve(sim::SimTime earliest, sim::SimTime dur) {
+    const sim::SimTime start = ProbeStart(earliest, dur);
+    return Insert(Window{start, start + dur});
+  }
+  sim::SimTime ProbeStart(sim::SimTime earliest, sim::SimTime dur) const {
+    sim::SimTime candidate = earliest;
+    for (const Window& w : busy_) {
+      if (candidate + dur <= w.start) return candidate;
+      candidate = std::max(candidate, w.finish);
+    }
+    return candidate;
+  }
+  sim::SimTime tail() const { return tail_; }
+  sim::SimTime busy_time() const { return busy_time_; }
+  const std::vector<Window>& windows() const { return busy_; }
+
+ private:
+  Window Insert(const Window& w) {
+    busy_time_ += w.finish - w.start;
+    tail_ = std::max(tail_, w.finish);
+    auto it = std::lower_bound(
+        busy_.begin(), busy_.end(), w,
+        [](const Window& a, const Window& b) { return a.start < b.start; });
+    it = busy_.insert(it, w);
+    if (it != busy_.begin()) {
+      auto prev = it - 1;
+      if (prev->finish >= it->start) {
+        prev->finish = std::max(prev->finish, it->finish);
+        it = busy_.erase(it) - 1;
+      }
+    }
+    if (it + 1 != busy_.end() && it->finish >= (it + 1)->start) {
+      it->finish = std::max(it->finish, (it + 1)->finish);
+      busy_.erase(it + 1);
+    }
+    return w;
+  }
+
+  std::vector<Window> busy_;
+  sim::SimTime tail_ = 0;
+  sim::SimTime busy_time_ = 0;
+};
+
+/// CopyEngine::Issue over reference timelines, as it was before the
+/// search: probe every allowed lane, then Reserve(earliest, dur) on the
+/// winner.
+class ReferenceCopyEngine {
+ public:
+  explicit ReferenceCopyEngine(int channels) : lanes_(channels) {}
+
+  sim::SimTime Issue(sim::SimTime earliest, sim::SimTime dur, int stream,
+                     int max_lanes, sim::CopyEngine::IssueInfo* info) {
+    const int channels = static_cast<int>(lanes_.size());
+    const int quota =
+        max_lanes <= 0 ? channels : std::min(max_lanes, channels);
+    const int offset = max_lanes <= 0 ? 0 : (stream * quota) % channels;
+    int best = -1;
+    sim::SimTime best_start = 0;
+    for (int k = 0; k < quota; ++k) {
+      const int c = (offset + k) % channels;
+      const sim::SimTime s = lanes_[c].ProbeStart(earliest, dur);
+      if (best < 0 || s < best_start || (s == best_start && c < best)) {
+        best_start = s;
+        best = c;
+      }
+    }
+    const ReferenceTimeline::Window w = lanes_[best].Reserve(earliest, dur);
+    *info = sim::CopyEngine::IssueInfo{best, w.start, w.finish};
+    return best_start;
+  }
+  sim::SimTime busy_time() const {
+    sim::SimTime t = 0;
+    for (const ReferenceTimeline& l : lanes_) t += l.busy_time();
+    return t;
+  }
+  const ReferenceTimeline& lane(int c) const { return lanes_[c]; }
+
+ private:
+  std::vector<ReferenceTimeline> lanes_;
+};
+
+uint64_t Bits(sim::SimTime t) { return std::bit_cast<uint64_t>(t); }
+
+/// Random reservation requests against `ref`'s current windows. Times come
+/// either from a 1/8 grid (exact sums: touching windows, ties on every
+/// boundary) or from a continuous draw. `earliest` lands before the first
+/// window, inside a window, exactly on a window boundary, in an arbitrary
+/// place, or past the tail; a tenth of the durations are zero.
+class RequestGen {
+ public:
+  explicit RequestGen(uint64_t seed) : rng_(seed) {}
+
+  sim::SimTime Duration() {
+    switch (rng_() % 10) {
+      case 0:
+        return 0.0;
+      case 1:
+      case 2:
+      case 3:
+        return Uniform() * 3.0;
+      default:
+        return static_cast<double>(1 + rng_() % 24) / 8.0;
+    }
+  }
+
+  sim::SimTime Earliest(const ReferenceTimeline& ref) {
+    const std::vector<ReferenceTimeline::Window>& ws = ref.windows();
+    const auto pick = [&]() -> const ReferenceTimeline::Window& {
+      return ws[rng_() % ws.size()];
+    };
+    switch (ws.empty() ? 5 : rng_() % 6) {
+      case 0:  // before the first window
+        return ws.front().start - static_cast<double>(rng_() % 8) / 8.0;
+      case 1: {  // inside a window
+        const ReferenceTimeline::Window& w = pick();
+        return w.start + (w.finish - w.start) * Uniform();
+      }
+      case 2:  // exactly on a boundary
+        return rng_() % 2 == 0 ? pick().start : pick().finish;
+      case 3:  // past the tail
+        return ref.tail() + static_cast<double>(rng_() % 16) / 8.0;
+      case 4:
+        return Uniform() * (ref.tail() + 4.0);
+      default:  // anywhere on the grid
+        return static_cast<double>(
+                   rng_() % (8 * static_cast<uint64_t>(ref.tail() + 2.0))) /
+               8.0;
+    }
+  }
+
+  uint64_t Next() { return rng_(); }
+
+ private:
+  double Uniform() {
+    return static_cast<double>(rng_() >> 11) * 0x1.0p-53;
+  }
+  std::mt19937_64 rng_;
+};
+
+// Starting the gap search at the first window that ends after `earliest`
+// must give exactly the front-to-back scan's reservations over long mixed
+// ReserveTail/Reserve sequences: every window, tail() and busy_time() bit
+// for bit, and every ProbeStart in between.
+TEST(Timeline, GapSearchMatchesFrontToBackScan) {
+  size_t max_windows = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    RequestGen gen(seed);
+    sim::Timeline t;
+    ReferenceTimeline ref;
+    for (int op = 0; op < 3000; ++op) {
+      const sim::SimTime earliest = gen.Earliest(ref);
+      const sim::SimTime dur = gen.Duration();
+      ASSERT_EQ(Bits(t.ProbeStart(earliest, dur)),
+                Bits(ref.ProbeStart(earliest, dur)))
+          << "seed " << seed << " op " << op;
+      // A quarter tail reservations, some past the tail so the gaps that
+      // Reserve fills keep opening.
+      const bool tail = gen.Next() % 4 == 0;
+      const sim::Timeline::Window got =
+          tail ? t.ReserveTail(earliest, dur) : t.Reserve(earliest, dur);
+      const ReferenceTimeline::Window want =
+          tail ? ref.ReserveTail(earliest, dur) : ref.Reserve(earliest, dur);
+      ASSERT_EQ(Bits(got.start), Bits(want.start))
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(Bits(got.finish), Bits(want.finish))
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(Bits(t.tail()), Bits(ref.tail()))
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(Bits(t.busy_time()), Bits(ref.busy_time()))
+          << "seed " << seed << " op " << op;
+    }
+    max_windows = std::max(max_windows, ref.windows().size());
+  }
+  // The sequences must leave long timelines, or the search skips nothing.
+  EXPECT_GE(max_windows, 200u);
+}
+
+// CopyEngine::Issue reserves the lane window its probe found instead of
+// searching the lane again: every returned start and IssueInfo must match
+// the reference engine, under each lane quota and across streams.
+TEST(CopyEngine, IssueMatchesFrontToBackScan) {
+  for (int quota : {0, 1, 2, 4}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      RequestGen gen(100 * seed + quota);
+      sim::CopyEngine eng(4);
+      ReferenceCopyEngine ref(4);
+      for (int op = 0; op < 1500; ++op) {
+        const sim::SimTime earliest =
+            gen.Earliest(ref.lane(static_cast<int>(gen.Next() % 4)));
+        const sim::SimTime dur = gen.Duration();
+        const int stream = static_cast<int>(gen.Next() % 5);
+        sim::CopyEngine::IssueInfo got_info, want_info;
+        const sim::SimTime got =
+            eng.Issue(earliest, dur, 64, stream, quota, &got_info);
+        const sim::SimTime want =
+            ref.Issue(earliest, dur, stream, quota, &want_info);
+        ASSERT_EQ(Bits(got), Bits(want))
+            << "quota " << quota << " seed " << seed << " op " << op;
+        ASSERT_EQ(got_info.lane, want_info.lane)
+            << "quota " << quota << " seed " << seed << " op " << op;
+        ASSERT_EQ(Bits(got_info.start), Bits(want_info.start))
+            << "quota " << quota << " seed " << seed << " op " << op;
+        ASSERT_EQ(Bits(got_info.finish), Bits(want_info.finish))
+            << "quota " << quota << " seed " << seed << " op " << op;
+      }
+      EXPECT_EQ(eng.copies(), 1500u);
+      EXPECT_EQ(Bits(eng.busy_time()), Bits(ref.busy_time()));
+    }
+  }
+}
+
 
 // EventQueue must pop in (time, push-order) order — the exact semantics of
 // a linear next-event scan that breaks time ties by arrival, pinned here
