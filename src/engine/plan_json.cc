@@ -802,10 +802,7 @@ Result<LoadedPlan> LoadDocument(const JsonValue& doc,
     HAPE_ASSIGN_OR_RETURN(out.policy, PlanJson::ReadPolicy(*pol));
     out.has_policy = true;
     if (topo != nullptr) {
-      if (Status st = out.policy.Validate(*topo); !st.ok()) {
-        *why = lint::kRuleInfeasiblePlacement;
-        return st;
-      }
+      HAPE_RETURN_NOT_OK(out.policy.Validate(*topo, why));
     }
   }
   return out;

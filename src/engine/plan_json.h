@@ -82,7 +82,7 @@ class PlanJson {
                                   const ExecutionPolicy& policy);
 
   /// Parse + rebuild. `topo` (optional) additionally validates device ids
-  /// referenced by the plan's OnDevices overrides and the policy.
+  /// referenced by the plan's OnDevices overrides, and the policy.
   /// Fail-fast: the first fault is returned, and `*rule` (when non-null,
   /// set only on failure) names the lint rule it breaks — HL000 unparseable
   /// text; HL011 document shape (format/version, missing or mistyped keys,
@@ -90,8 +90,9 @@ class PlanJson {
   /// position, an unreadable policy block); HL001 probe of an unknown or
   /// non-build pipeline; HL002 self-probe or probe cycle; HL003 negative
   /// expression column; HL004 unknown table or column; HL008 non-positive
-  /// scale or chunk_rows, implausible ht_buckets; HL005 unknown policy
-  /// device; and whatever QueryPlan::Validate names.
+  /// scale or chunk_rows, implausible ht_buckets; and whatever
+  /// QueryPlan::Validate and ExecutionPolicy::Validate name (the policy's
+  /// devices and broadcast chunk floor).
   static Result<LoadedPlan> Load(std::string_view json,
                                  const storage::Catalog& catalog,
                                  const sim::Topology* topo = nullptr,

@@ -4,6 +4,8 @@
 #include <limits>
 #include <string>
 
+#include "lint/diagnostic.h"
+
 namespace hape::engine {
 
 const char* ConfigName(EngineConfig c) {
@@ -75,27 +77,41 @@ ExecutionPolicy ExecutionPolicy::ForConfig(const sim::Topology& topo,
   return p;
 }
 
-Status ExecutionPolicy::Validate(const sim::Topology& topo) const {
+Status ExecutionPolicy::Validate(const sim::Topology& topo,
+                                 const char** rule) const {
+  const auto reject = [rule](const char* code, const std::string& what) {
+    if (rule != nullptr) *rule = code;
+    return Status::InvalidArgument(what);
+  };
   if (devices.empty()) {
-    return Status::InvalidArgument("execution policy has no devices");
+    return reject(lint::kRuleInfeasiblePlacement,
+                  "execution policy has no devices");
   }
   const int n = static_cast<int>(topo.devices().size());
   for (int d : devices) {
     if (d < 0 || d >= n) {
-      return Status::InvalidArgument("unknown device id " +
-                                     std::to_string(d));
+      return reject(lint::kRuleInfeasiblePlacement,
+                    "unknown device id " + std::to_string(d));
     }
   }
   for (int d : build_devices) {
     if (d < 0 || d >= n) {
-      return Status::InvalidArgument("unknown build device id " +
-                                     std::to_string(d));
+      return reject(lint::kRuleInfeasiblePlacement,
+                    "unknown build device id " + std::to_string(d));
     }
     if (topo.device(d).type != sim::DeviceType::kCpu) {
-      return Status::InvalidArgument(
-          "build device " + std::to_string(d) +
-          " is not a CPU (build sides are host-resident)");
+      return reject(lint::kRuleInfeasiblePlacement,
+                    "build device " + std::to_string(d) +
+                        " is not a CPU (build sides are host-resident)");
     }
+  }
+  if (async.broadcast_chunk_bytes < AsyncOptions::kMinBroadcastChunkBytes) {
+    return reject(lint::kRuleInvalidParameter,
+                  "async broadcast_chunk_bytes " +
+                      std::to_string(async.broadcast_chunk_bytes) +
+                      " is below the floor of " +
+                      std::to_string(AsyncOptions::kMinBroadcastChunkBytes) +
+                      " bytes");
   }
   return Status::OK();
 }

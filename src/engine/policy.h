@@ -75,7 +75,13 @@ struct AsyncOptions {
   /// the one being computed). 0 = synchronous.
   int prefetch_depth = 0;
   /// Chunk size of double-buffered hash-table broadcasts (depth >= 1).
+  /// ExecutionPolicy::Validate rejects sizes below kMinBroadcastChunkBytes.
   uint64_t broadcast_chunk_bytes = 64 * sim::kMiB;
+  /// Floor of broadcast_chunk_bytes. Every chunk is a link reservation,
+  /// and a table is only broadcast when it fits the GPU budget (~8 GiB), so
+  /// the floor caps a broadcast at ~8192 chunks. A 1-byte chunk would turn
+  /// a nominal SF 100 build table into billions of them.
+  static constexpr uint64_t kMinBroadcastChunkBytes = sim::kMiB;
   /// Cap on the *bytes* a worker may hold in staged-but-unconsumed packet
   /// transfers (the prefetch window is otherwise bounded only in buffers,
   /// i.e. packet count). 0 = unbounded (the legacy behavior). A transfer
@@ -183,8 +189,12 @@ struct ExecutionPolicy {
                                    EngineConfig config);
 
   /// Checks device ids against `topo` (unknown ids, empty device set,
-  /// non-CPU build devices).
-  Status Validate(const sim::Topology& topo) const;
+  /// non-CPU build devices) and the broadcast chunk floor. Fail-fast: the
+  /// first fault is an InvalidArgument, and `*rule` (when non-null, set
+  /// only on failure) names the lint rule it breaks: HL005 for a device
+  /// fault, HL008 for a chunk below AsyncOptions::kMinBroadcastChunkBytes.
+  Status Validate(const sim::Topology& topo,
+                  const char** rule = nullptr) const;
 
   bool UsesGpu(const sim::Topology& topo) const;
   bool UsesCpu(const sim::Topology& topo) const;

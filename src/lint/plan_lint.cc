@@ -189,7 +189,7 @@ void PassGpuBudget(LintReport* r, const QueryPlan& plan,
                    const LintContext& ctx) {
   if (ctx.topo == nullptr || ctx.policy == nullptr) return;
   const ExecutionPolicy& policy = *ctx.policy;
-  // A device set Validate rejects is LintPolicy's HL005.
+  // A policy Validate rejects is LintPolicy's finding (HL005 or HL008).
   if (!policy.Validate(*ctx.topo).ok() || !policy.UsesGpu(*ctx.topo)) return;
   bool annotated = false;
   for (size_t i = 0; i < plan.num_pipelines(); ++i) {
@@ -304,8 +304,9 @@ LintReport LintPolicy(const ExecutionPolicy& policy,
   LintReport r;
   const std::string path = "policy";
   if (topo != nullptr) {
-    if (const Status st = policy.Validate(*topo); !st.ok()) {
-      r.Add(kRuleInfeasiblePlacement, path, st.message());
+    const char* rule = nullptr;
+    if (const Status st = policy.Validate(*topo, &rule); !st.ok()) {
+      r.Add(rule, path, st.message());
     }
   }
   if (policy.async.prefetch_depth < 0) {

@@ -38,8 +38,9 @@ struct LintContext {
 LintReport LintPlan(const engine::QueryPlan& plan, const LintContext& ctx);
 
 /// Static analysis of an ExecutionPolicy alone: ExecutionPolicy::Validate's
-/// device-set verdict against `topo` (HL005, skipped when null), the one
-/// place a policy's devices are checked; scheduling policies that
+/// verdict against `topo` (skipped when null), the one place a policy's
+/// devices (HL005) and broadcast chunk floor (HL008) are checked;
+/// scheduling policies that
 /// require knobs the policy disables (HL009), serve knobs the configured
 /// scheduling policy ignores (HL010), and out-of-domain numeric knobs
 /// (HL008).

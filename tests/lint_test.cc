@@ -424,6 +424,24 @@ TEST_F(LintTest, HostileManifestNumbersAreErrors) {
   }
 }
 
+// A broadcast chunk below the 1 MiB floor would make the engine reserve a
+// link window per chunk of a nominal SF 100 table (billions at 1 byte);
+// ExecutionPolicy::Validate rejects it, and lint files it under HL008 once.
+TEST_F(LintTest, BroadcastChunkBelowTheFloorIsHL008) {
+  const std::string from = R"("broadcast_chunk_bytes":67108864)";
+  for (const char* chunk : {"0", "1"}) {
+    std::string text = ShippedManifest();
+    const size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, from.size(),
+                 std::string(R"("broadcast_chunk_bytes":)") + chunk);
+    const LintReport r = LintManifestText(text, topo_, &tctx_->catalog);
+    ASSERT_EQ(r.diagnostics().size(), 1u) << chunk << ": " << r.ToJsonString();
+    EXPECT_EQ(r.diagnostics()[0].code, kRuleInvalidParameter) << chunk;
+    EXPECT_EQ(r.errors(), 1u) << chunk;
+  }
+}
+
 // A fault in the policy's device set is LintPolicy's, reported once, not
 // again by every plan the policy places.
 TEST_F(LintTest, PolicyDeviceFaultsAreReportedOnce) {

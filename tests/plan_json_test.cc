@@ -368,6 +368,19 @@ std::string ProbePipeline(int id, int build_ref,
          R"("aggs":[{"op":"count","arg":null}]}})";
 }
 
+/// A one-pipeline plan document carrying a policy over `devices` whose
+/// broadcast chunk is `chunk` bytes.
+std::string PolicyManifest(const std::string& devices,
+                           const std::string& chunk) {
+  return std::string(R"({"format":"hape-plan-v1","plan":{"name":"t",)") +
+         R"("pipelines":[{"id":0,"name":"p","source":{"table":"nation",)"
+         R"("columns":["n_nationkey"],"chunk_rows":64},"ops":[],)"
+         R"("sink":{"kind":"collect"}}]},"policy":{"devices":)" +
+         devices + R"(,"build_devices":[0,1],"async":{"prefetch_depth":1,)"
+                   R"("broadcast_chunk_bytes":)" +
+         chunk + "}}}";
+}
+
 // Each case names the lint rule Load must report for it (the rule lint's
 // manifest pass files the failure under).
 TEST_F(PlanJsonTest, MalformedManifestsReturnStatusErrors) {
@@ -566,6 +579,12 @@ TEST_F(PlanJsonTest, MalformedManifestsReturnStatusErrors) {
                 R"("columns":["n_nationkey"],"chunk_rows":64.5},"ops":[],)"
                 R"("sink":{"kind":"collect"}})"),
        kRuleSchemaDrift},
+      {"unknown policy device", PolicyManifest("[0,1,2,99]", "67108864"),
+       kRuleInfeasiblePlacement},
+      {"zero broadcast chunk (engine hang guard)",
+       PolicyManifest("[0,1,2,3]", "0"), kRuleInvalidParameter},
+      {"one-byte broadcast chunk (engine hang guard)",
+       PolicyManifest("[0,1,2,3]", "1"), kRuleInvalidParameter},
   };
   for (const Case& c : cases) {
     const char* rule = nullptr;
@@ -579,6 +598,10 @@ TEST_F(PlanJsonTest, MalformedManifestsReturnStatusErrors) {
           << c.what << ": " << loaded.status().ToString();
     }
   }
+  // The broadcast chunk floor itself loads.
+  const auto floor = PlanJson::Load(PolicyManifest("[0,1,2,3]", "1048576"),
+                                    ctx_->catalog, topo_);
+  EXPECT_TRUE(floor.ok()) << floor.status().ToString();
 }
 
 TEST_F(PlanJsonTest, ValidHandWrittenManifestLoadsAndRuns) {
