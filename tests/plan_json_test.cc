@@ -598,10 +598,6 @@ TEST_F(PlanJsonTest, MalformedManifestsReturnStatusErrors) {
           << c.what << ": " << loaded.status().ToString();
     }
   }
-  // The broadcast chunk floor itself loads.
-  const auto floor = PlanJson::Load(PolicyManifest("[0,1,2,3]", "1048576"),
-                                    ctx_->catalog, topo_);
-  EXPECT_TRUE(floor.ok()) << floor.status().ToString();
 }
 
 TEST_F(PlanJsonTest, ValidHandWrittenManifestLoadsAndRuns) {
