@@ -34,26 +34,9 @@ using namespace hape::queries;  // NOLINT
 
 namespace {
 
-constexpr const char* kManifestFormat = "hape-manifest-v1";
-// Manifest schema version: absent implies current, anything else must match
-// exactly (mirrors PlanJson::kVersion for the embedded plan documents).
-constexpr int kManifestVersion = 2;
-
 int Fail(const std::string& what) {
   std::fprintf(stderr, "manifest_run: %s\n", what.c_str());
   return 1;
-}
-
-/// Null-safe typed readers: hand-edited manifests must produce error
-/// messages, not crashes (JsonValue accessors CHECK-fail on kind misuse).
-const JsonValue* FindNumber(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.is_object() ? obj.Find(key) : nullptr;
-  return v != nullptr && v->kind() == JsonValue::Kind::kNumber ? v : nullptr;
-}
-
-const JsonValue* FindString(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.is_object() ? obj.Find(key) : nullptr;
-  return v != nullptr && v->kind() == JsonValue::Kind::kString ? v : nullptr;
 }
 
 int WriteManifest(const char* path) {
@@ -133,17 +116,8 @@ int RunManifest(const char* path, const char* trace_path) {
   auto parsed = JsonParser::Parse(text);
   if (!parsed.ok()) return Fail(parsed.status().ToString());
   const JsonValue& doc = parsed.value();
-  if (!doc.is_object()) return Fail("manifest must be a JSON object");
-  const JsonValue* format = FindString(doc, "format");
-  if (format == nullptr || format->str() != kManifestFormat) {
-    return Fail(std::string("expected a '") + kManifestFormat +
-                "' document");
-  }
-  if (const JsonValue* ver = doc.Find("version");
-      ver != nullptr && (ver->kind() != JsonValue::Kind::kNumber ||
-                         ver->number() != kManifestVersion)) {
-    return Fail("unsupported manifest schema version (expected " +
-                std::to_string(kManifestVersion) + ")");
+  if (const Status st = ReadManifestHeader(doc); !st.ok()) {
+    return Fail(st.ToString());
   }
 
   // TPC-H context at the manifest's scale (plans chunk their scans in
@@ -182,29 +156,18 @@ int RunManifest(const char* path, const char* trace_path) {
   std::vector<engine::AggHandle> handles;
   std::vector<char> has_agg;  // collect-terminal plans have no agg handle
   std::vector<std::string> labels;
-  for (const JsonValue& q : queries->items()) {
-    const JsonValue* plan_doc = q.Find("plan");
-    if (plan_doc == nullptr) return Fail("query entry without a 'plan'");
-    auto loaded = engine::PlanJson::Load(*plan_doc, ctx.catalog, &topo);
+  for (const JsonValue& entry : queries->items()) {
+    auto q = ReadManifestQuery(entry);
+    if (!q.ok()) return Fail(q.status().ToString());
+    if (!q.value().faults.empty()) return Fail(q.value().faults.front());
+    if (q.value().plan == nullptr) return Fail("query entry without a 'plan'");
+    auto loaded = engine::PlanJson::Load(*q.value().plan, ctx.catalog, &topo);
     if (!loaded.ok()) return Fail(loaded.status().ToString());
     if (const auto opt = eng.Optimize(&loaded.value().plan, policy.value());
         !opt.ok()) {
       return Fail(opt.status().ToString());
     }
-    engine::SubmitOptions so;
-    if (const JsonValue* wt = FindNumber(q, "weight")) {
-      if (wt->number() <= 0) return Fail("query 'weight' must be positive");
-      so.weight = wt->number();
-    }
-    // Optional absolute deadline (simulated seconds, 0 = none): the
-    // scheduler sheds or aborts the query once the cutoff passes.
-    if (const JsonValue* dl = FindNumber(q, "deadline_s")) {
-      if (dl->number() < 0) {
-        return Fail("query 'deadline_s' must be non-negative");
-      }
-      so.deadline_s = dl->number();
-    }
-    if (const JsonValue* lb = FindString(q, "label")) so.label = lb->str();
+    const engine::SubmitOptions& so = q.value().submit;
     const bool agg = !loaded.value().aggs.empty();
     handles.push_back(agg ? loaded.value().agg() : engine::AggHandle{});
     has_agg.push_back(agg ? 1 : 0);

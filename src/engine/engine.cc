@@ -1,7 +1,6 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <unordered_set>
 #include <utility>
@@ -262,13 +261,7 @@ Status Engine::PlaceJoinStates(PlanExec* ex, sim::SimTime* t) {
 
 Result<opt::OptimizeResult> Engine::Optimize(QueryPlan* plan,
                                              const ExecutionPolicy& policy) {
-  return Optimize(plan, policy, policy.optimizer);
-}
-
-Result<opt::OptimizeResult> Engine::Optimize(
-    QueryPlan* plan, const ExecutionPolicy& policy,
-    const opt::OptimizerOptions& options) {
-  opt::Optimizer optimizer(topo_, options, &stats_cache_);
+  opt::Optimizer optimizer(topo_, policy.optimizer, &stats_cache_);
   return optimizer.OptimizePlan(plan, policy);
 }
 
@@ -555,22 +548,9 @@ Result<ScheduleStats> Engine::RunAll(const ExecutionPolicy& policy) {
     if (!q.executed) pending.push_back(&q);
   }
   for (SubmittedQuery* q : pending) {
-    if (q->opts.weight <= 0) {
+    if (const auto faults = q->opts.Faults(); !faults.empty()) {
       return Status::InvalidArgument("query '" + q->opts.label +
-                                     "' has non-positive weight");
-    }
-    if (q->opts.tier < 0) {
-      return Status::InvalidArgument("query '" + q->opts.label +
-                                     "' has negative SLA tier");
-    }
-    if (q->opts.arrival < 0) {
-      return Status::InvalidArgument("query '" + q->opts.label +
-                                     "' has negative arrival time");
-    }
-    if (!(q->opts.deadline_s >= 0) || std::isinf(q->opts.deadline_s)) {
-      return Status::InvalidArgument("query '" + q->opts.label +
-                                     "' has a non-finite or negative "
-                                     "deadline");
+                                     "': " + faults.front());
     }
   }
   Scheduler scheduler(this, policy);

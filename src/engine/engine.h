@@ -123,13 +123,9 @@ class Engine {
   /// statistics from the plan's source tables, estimates cardinalities,
   /// reorders join probes, sizes build hash tables, derives heavy-build
   /// marks against the policy's device-memory budget, and (optionally)
-  /// pins per-pipeline device placements. Uses `policy.optimizer` knobs;
-  /// the second overload takes explicit options.
+  /// pins per-pipeline device placements. Uses `policy.optimizer` knobs.
   Result<opt::OptimizeResult> Optimize(QueryPlan* plan,
                                        const ExecutionPolicy& policy);
-  Result<opt::OptimizeResult> Optimize(QueryPlan* plan,
-                                       const ExecutionPolicy& policy,
-                                       const opt::OptimizerOptions& options);
 
   /// Serialize the (optimized) plan DAG to JSON: pipelines, dependency and
   /// build/probe edges, chosen devices, and estimated vs declared

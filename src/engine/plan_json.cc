@@ -1,5 +1,6 @@
 #include "engine/plan_json.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -63,6 +64,13 @@ constexpr double kMaxIntegerNumber = 9007199254740992.0;  // 2^53
 /// Bound for int-typed policy knobs (prefetch depth, DP join cap): keeps
 /// the int64 -> int narrowing from wrapping onto a plausible value.
 constexpr int64_t kMaxSmallKnob = 1 << 30;
+/// Ceiling of a scan's nominal rows (table rows x pipeline scale), about
+/// 1,800x the lineitem rows of SF 100. It keeps every rows x scale cast to
+/// uint64 in range: StatsCatalog::Collect's nominal rows, the optimizer's
+/// est_nominal_out_rows, a built table's nominal_rows (Engine::StepPlan),
+/// Scheduler::EstimatedResidentBytes, lint's HL014 pass, and with
+/// ExecutionPolicy::kMaxShuffleWireAmplification the executor's wire bytes.
+constexpr double kMaxNominalRows = 1099511627776.0;  // 2^40
 
 Result<int64_t> GetInt(const JsonValue& obj, const char* key,
                        const std::string& where) {
@@ -522,9 +530,12 @@ Status ParsePipeDoc(const JsonValue& v, size_t index,
   out->chunk_rows = static_cast<size_t>(chunk);
 
   HAPE_RETURN_NOT_OK(ReadOptNumber(v, "scale", &out->scale, out->where));
-  if (out->scale <= 0) {
+  // An empty table counts as one row, so the ceiling bounds its scale too.
+  const double rows = std::max<double>(1, out->table->num_rows());
+  if (!(out->scale > 0 && rows * out->scale <= kMaxNominalRows)) {
     return Bad(why, lint::kRuleInvalidParameter, out->where,
-               "'scale' must be positive");
+               "'scale' must be positive and keep the scan at most 2^40 "
+               "nominal rows");
   }
   HAPE_ASSIGN_OR_RETURN(out->deps, ReadIntArray(v, "deps", out->where));
   HAPE_ASSIGN_OR_RETURN(out->run_on, ReadIntArray(v, "run_on", out->where));
@@ -887,16 +898,6 @@ void PlanJson::WritePolicy(JsonWriter* w, const ExecutionPolicy& policy) {
   w->Double(policy.expected_device_share);
   w->Key("optimizer");
   w->BeginObject();
-  w->Key("enable");
-  w->Bool(policy.optimizer.enable);
-  w->Key("reorder_joins");
-  w->Bool(policy.optimizer.reorder_joins);
-  w->Key("size_hash_tables");
-  w->Bool(policy.optimizer.size_hash_tables);
-  w->Key("auto_heavy_marks");
-  w->Bool(policy.optimizer.auto_heavy_marks);
-  w->Key("respect_declared_overrides");
-  w->Bool(policy.optimizer.respect_declared_overrides);
   w->Key("placement");
   w->String(PlacementModeName(policy.optimizer.placement));
   w->Key("heavy_build_threshold_bytes");
@@ -974,16 +975,6 @@ Result<ExecutionPolicy> PlanJson::ReadPolicy(const JsonValue& v) {
   if (const JsonValue* o = v.Find("optimizer")) {
     if (!o->is_object()) return Bad("policy", "'optimizer' must be an object");
     opt::OptimizerOptions& opts = p.optimizer;
-    HAPE_RETURN_NOT_OK(ReadOptBool(*o, "enable", &opts.enable, "optimizer"));
-    HAPE_RETURN_NOT_OK(
-        ReadOptBool(*o, "reorder_joins", &opts.reorder_joins, "optimizer"));
-    HAPE_RETURN_NOT_OK(ReadOptBool(*o, "size_hash_tables",
-                                   &opts.size_hash_tables, "optimizer"));
-    HAPE_RETURN_NOT_OK(ReadOptBool(*o, "auto_heavy_marks",
-                                   &opts.auto_heavy_marks, "optimizer"));
-    HAPE_RETURN_NOT_OK(ReadOptBool(*o, "respect_declared_overrides",
-                                   &opts.respect_declared_overrides,
-                                   "optimizer"));
     if (const JsonValue* s = o->Find("placement")) {
       if (s->kind() != JsonValue::Kind::kString) {
         return Bad("optimizer", "'placement' must be a string");

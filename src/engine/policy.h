@@ -161,7 +161,14 @@ struct ExecutionPolicy {
   /// Interconnect amplification charged to pipelines probing heavy build
   /// sides that were hash-partitioned across GPUs instead of co-partitioned
   /// (§6.4: every probe packet shuffles between devices at each such join).
+  /// Validate requires [1, kMaxShuffleWireAmplification]: below 1 a packet
+  /// would put fewer bytes on the wire than it holds.
   double shuffle_wire_amplification = 2.0;
+  /// The executor charges packet bytes x pipeline scale x amplification to
+  /// the wire as a uint64 (engine/executor.cc). PlanJson::Load caps a scan
+  /// at 2^40 nominal rows, so with at most 2^10 here the product stays below
+  /// 2^64 for packet rows up to 2^14 bytes wide.
+  static constexpr double kMaxShuffleWireAmplification = 1024;
   /// Event-driven async execution (overlap of mem-moves with compute,
   /// double-buffered broadcasts, inter-pipeline overlap). Off by default:
   /// depth 0 reproduces the synchronous cost sequences exactly.
@@ -177,9 +184,9 @@ struct ExecutionPolicy {
   /// share, so contended offload decisions break even later. 1.0 = the
   /// query owns the machine (every single-query path).
   double expected_device_share = 1.0;
-  /// Knobs of the cost-based plan optimizer used when Engine::Optimize is
-  /// called without explicit options. Defaults are the compatibility
-  /// configuration (decisions reproduce well-annotated hand plans).
+  /// Knobs of the cost-based plan optimizer Engine::Optimize runs. Defaults
+  /// are the compatibility configuration (decisions reproduce
+  /// well-annotated hand plans).
   opt::OptimizerOptions optimizer;
   /// Static-analysis admission pass (see LintOptions). Not serialized.
   LintOptions lint;
@@ -188,11 +195,14 @@ struct ExecutionPolicy {
   static ExecutionPolicy ForConfig(const sim::Topology& topo,
                                    EngineConfig config);
 
-  /// Checks device ids against `topo` (unknown ids, empty device set,
-  /// non-CPU build devices) and the broadcast chunk floor. Fail-fast: the
-  /// first fault is an InvalidArgument, and `*rule` (when non-null, set
-  /// only on failure) names the lint rule it breaks: HL005 for a device
-  /// fault, HL008 for a chunk below AsyncOptions::kMinBroadcastChunkBytes.
+  /// The one checker of a policy's devices and ranges: device ids against
+  /// `topo` (unknown ids, empty device set, non-CPU build devices), the
+  /// broadcast chunk floor, a prefetch depth >= 0, finite
+  /// build_staging_factor and expected_device_share > 0, and
+  /// shuffle_wire_amplification in [1, kMaxShuffleWireAmplification].
+  /// Fail-fast: the first fault is an InvalidArgument, and `*rule` (when
+  /// non-null, set only on failure) names the lint rule it breaks: HL005
+  /// for a device fault, HL008 for a range.
   Status Validate(const sim::Topology& topo,
                   const char** rule = nullptr) const;
 

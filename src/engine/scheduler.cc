@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <queue>
 #include <tuple>
@@ -138,6 +139,30 @@ int LaneQuota(sim::Topology* topo, int streams) {
 }
 
 }  // namespace
+
+std::vector<std::string> SubmitOptions::Faults() const {
+  const auto got = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), " (got %g)", v);
+    return std::string(buf);
+  };
+  // Each rule is written to accept, so NaN fails it.
+  std::vector<std::string> out;
+  if (!(std::isfinite(weight) && weight > 0)) {
+    out.push_back("fair-share weight must be a finite value > 0" + got(weight));
+  }
+  if (!(tier >= 0)) {
+    out.push_back("SLA tier must be >= 0" + got(tier));
+  }
+  if (!(std::isfinite(arrival) && arrival >= 0)) {
+    out.push_back("arrival time must be finite and >= 0" + got(arrival));
+  }
+  if (!(std::isfinite(deadline_s) && deadline_s >= 0)) {
+    out.push_back("deadline must be finite and >= 0, 0 disables it" +
+                  got(deadline_s));
+  }
+  return out;
+}
 
 const char* QueryOutcomeName(QueryOutcome o) {
   switch (o) {

@@ -18,7 +18,7 @@ namespace hape::engine {
 /// Per-query knobs of Engine::Submit.
 struct SubmitOptions {
   /// Fair-share weight: the query's target fraction of every contended
-  /// device is weight / (sum of admitted weights). Must be > 0.
+  /// device is weight / (sum of admitted weights). Must be finite and > 0.
   double weight = 1.0;
   /// Display label in ScheduleStats / Explain; defaults to the plan name.
   std::string label;
@@ -28,8 +28,8 @@ struct SubmitOptions {
   int tier = 0;
   /// Open-loop arrival time (absolute schedule seconds) under
   /// SchedulingPolicy::kSlaTiered: the query is invisible to admission
-  /// before this instant. Must be >= 0. The other policies treat every
-  /// query as arriving at 0.
+  /// before this instant. Must be finite and >= 0. The other policies
+  /// treat every query as arriving at 0.
   sim::SimTime arrival = 0;
   /// Completion deadline, absolute schedule seconds. 0 disables the
   /// deadline (the default); a positive value makes every scheduling
@@ -39,6 +39,12 @@ struct SubmitOptions {
   /// ServeOptions::shed_on_deadline, an already-expired ready query is
   /// shed at admission without running at all. Must be finite and >= 0.
   double deadline_s = 0;
+
+  /// The one checker of the rules above: one message per faulty field, in
+  /// declaration order; empty when every field is valid. Engine::RunAll
+  /// rejects the first, lint reports each as HL008, and the manifest reader
+  /// (queries::ReadManifestQuery) checks the fields it reads.
+  std::vector<std::string> Faults() const;
 };
 
 /// One entry of the Engine's submission queue.

@@ -35,8 +35,6 @@ std::string MiBString(uint64_t bytes) {
   return std::string(buf) + " MiB";
 }
 
-bool IsFiniteNumber(double v) { return std::isfinite(v); }
-
 /// Comparison / boolean expression kinds — the ones a filter predicate is
 /// expected to have at its root (everything evaluates to 0/1).
 bool IsBooleanKind(expr::ExprKind k) {
@@ -218,21 +216,8 @@ void PassSubmit(LintReport* r, const QueryPlan& plan, const LintContext& ctx) {
   if (ctx.submit == nullptr) return;
   const SubmitOptions& s = *ctx.submit;
   const std::string path = "plan '" + plan.name() + "'";
-  if (!IsFiniteNumber(s.weight) || s.weight <= 0) {
-    r->Add(kRuleInvalidParameter, path,
-           "fair-share weight must be a finite value > 0 (got " +
-               std::to_string(s.weight) + ")");
-  }
-  if (s.tier < 0) {
-    r->Add(kRuleInvalidParameter, path,
-           "SLA tier must be >= 0 (got " + std::to_string(s.tier) + ")");
-  }
-  if (!IsFiniteNumber(s.arrival) || s.arrival < 0) {
-    r->Add(kRuleInvalidParameter, path, "arrival time must be finite and >= 0");
-  }
-  if (!IsFiniteNumber(s.deadline_s) || s.deadline_s < 0) {
-    r->Add(kRuleInvalidParameter, path,
-           "deadline must be finite and >= 0 (0 disables it)");
+  for (const std::string& fault : s.Faults()) {
+    r->Add(kRuleInvalidParameter, path, fault);
   }
   if (ctx.policy != nullptr && s.tier > 0 &&
       ctx.policy->scheduling != SchedulingPolicy::kSlaTiered) {
@@ -245,7 +230,7 @@ void PassSubmit(LintReport* r, const QueryPlan& plan, const LintContext& ctx) {
 
   // Deadline vs the optimizer's cost estimates. Only meaningful on
   // optimized plans (unoptimized nodes carry est_cost_seconds == 0).
-  if (s.deadline_s > 0 && IsFiniteNumber(s.deadline_s)) {
+  if (s.deadline_s > 0 && std::isfinite(s.deadline_s)) {
     double total = 0;
     for (size_t i = 0; i < plan.num_pipelines(); ++i) {
       total += plan.node(static_cast<int>(i)).est_cost_seconds;
@@ -263,26 +248,6 @@ void PassSubmit(LintReport* r, const QueryPlan& plan, const LintContext& ctx) {
     }
   }
 }
-
-// ---- manifest document readers ----------------------------------------------
-
-const JsonValue* Member(const JsonValue* v, const char* key) {
-  return (v != nullptr && v->is_object()) ? v->Find(key) : nullptr;
-}
-
-bool GetNumber(const JsonValue* v, double* out) {
-  if (v == nullptr || v->kind() != JsonValue::Kind::kNumber) return false;
-  *out = v->number();
-  return true;
-}
-
-std::string GetString(const JsonValue* v, const std::string& fallback) {
-  if (v == nullptr || v->kind() != JsonValue::Kind::kString) return fallback;
-  return v->str();
-}
-
-constexpr const char* kManifestFormat = "hape-manifest-v1";
-constexpr int kManifestVersion = 2;
 
 }  // namespace
 
@@ -309,19 +274,8 @@ LintReport LintPolicy(const ExecutionPolicy& policy,
       r.Add(rule, path, st.message());
     }
   }
-  if (policy.async.prefetch_depth < 0) {
-    r.Add(kRuleInvalidParameter, path, "async prefetch depth must be >= 0");
-  }
-  if (!IsFiniteNumber(policy.build_staging_factor) ||
-      policy.build_staging_factor <= 0) {
-    r.Add(kRuleInvalidParameter, path,
-          "build_staging_factor must be a finite value > 0");
-  }
-  if (!IsFiniteNumber(policy.expected_device_share) ||
-      policy.expected_device_share <= 0) {
-    r.Add(kRuleInvalidParameter, path,
-          "expected_device_share must be a finite value > 0");
-  } else if (policy.expected_device_share > 1.0) {
+  if (std::isfinite(policy.expected_device_share) &&
+      policy.expected_device_share > 1.0) {
     r.Add(Severity::kWarning, kRuleInvalidParameter, path,
           "expected_device_share > 1.0 (a query cannot hold more than the "
           "whole machine)");
@@ -361,25 +315,13 @@ LintReport LintManifestDoc(const JsonValue& doc, const sim::Topology* topo,
     r.Add(kRuleUnreadable, "manifest", "document is not a JSON object");
     return r;
   }
-  const std::string fmt = GetString(Member(&doc, "format"), "");
-  if (fmt != kManifestFormat) {
-    r.Add(kRuleSchemaDrift, "manifest",
-          "manifest format is '" + fmt + "', expected '" + kManifestFormat +
-              "'");
-    return r;
-  }
-  double version = kManifestVersion;
-  if (doc.Has("version") && (!GetNumber(doc.Find("version"), &version) ||
-                             version != kManifestVersion)) {
-    r.Add(kRuleSchemaDrift, "manifest",
-          "manifest version " + std::to_string(version) +
-              " drifts from the supported version " +
-              std::to_string(kManifestVersion),
+  if (const Status st = queries::ReadManifestHeader(doc); !st.ok()) {
+    r.Add(kRuleSchemaDrift, "manifest", st.message(),
           "regenerate the manifest with this build's --write path");
     return r;
   }
 
-  if (const JsonValue* tpch = Member(&doc, "tpch"); tpch == nullptr) {
+  if (const JsonValue* tpch = doc.Find("tpch"); tpch == nullptr) {
     r.Add(Severity::kWarning, kRuleSchemaDrift, "manifest",
           "manifest has no tpch block; the driver cannot regenerate its "
           "dataset");
@@ -389,7 +331,7 @@ LintReport LintManifestDoc(const JsonValue& doc, const sim::Topology* topo,
 
   ExecutionPolicy policy;
   bool has_policy = false;
-  if (const JsonValue* pol = Member(&doc, "policy"); pol != nullptr) {
+  if (const JsonValue* pol = doc.Find("policy"); pol != nullptr) {
     if (auto res = engine::PlanJson::ReadPolicy(*pol); res.ok()) {
       policy = res.MoveValue();
       has_policy = true;
@@ -400,12 +342,12 @@ LintReport LintManifestDoc(const JsonValue& doc, const sim::Topology* topo,
     }
   }
 
-  const JsonValue* queries = Member(&doc, "queries");
-  if (queries == nullptr || !queries->is_array()) {
+  const JsonValue* entries = doc.Find("queries");
+  if (entries == nullptr || !entries->is_array()) {
     r.Add(kRuleSchemaDrift, "manifest", "manifest has no queries array");
     return r;
   }
-  if (queries->items().empty()) {
+  if (entries->items().empty()) {
     r.Add(Severity::kWarning, kRuleSchemaDrift, "manifest",
           "manifest has no queries");
   } else if (catalog == nullptr) {
@@ -418,56 +360,41 @@ LintReport LintManifestDoc(const JsonValue& doc, const sim::Topology* topo,
 
   std::unordered_set<std::string> labels;
   int index = 0;
-  for (const JsonValue& q : queries->items()) {
+  for (const JsonValue& entry : entries->items()) {
     const std::string fallback = "queries[" + std::to_string(index) + "]";
     ++index;
-    if (!q.is_object()) {
-      r.Add(kRuleSchemaDrift, fallback, "query entry is not an object");
+    auto read = queries::ReadManifestQuery(entry);
+    if (!read.ok()) {
+      r.Add(kRuleSchemaDrift, fallback, read.status().message());
       continue;
     }
-    const std::string label = GetString(q.Find("label"), fallback);
-    const std::string qpath = "query '" + label + "'";
-    if (!labels.insert(label).second) {
+    // Faulty knobs keep their defaults, so PassSubmit never repeats a
+    // finding reported here.
+    queries::ManifestQuery& q = read.value();
+    if (q.submit.label.empty()) q.submit.label = fallback;
+    const std::string qpath = "query '" + q.submit.label + "'";
+    if (!labels.insert(q.submit.label).second) {
       r.Add(kRuleDuplicateLabel, qpath,
             "duplicate query label in one manifest",
             "labels key the schedule stats; duplicates make them ambiguous");
     }
-    // Only valid knobs reach the plan's SubmitOptions, so PassSubmit never
-    // repeats a finding reported here.
-    SubmitOptions submit;
-    submit.label = label;
-    double v = 0;
-    if (q.Has("weight")) {
-      if (GetNumber(q.Find("weight"), &v) && IsFiniteNumber(v) && v > 0) {
-        submit.weight = v;
-      } else {
-        r.Add(kRuleInvalidParameter, qpath,
-              "weight must be a finite value > 0");
-      }
+    for (const std::string& fault : q.faults) {
+      r.Add(kRuleInvalidParameter, qpath, fault);
     }
-    if (q.Has("deadline_s")) {
-      if (GetNumber(q.Find("deadline_s"), &v) && IsFiniteNumber(v) && v >= 0) {
-        submit.deadline_s = v;
-      } else {
-        r.Add(kRuleInvalidParameter, qpath,
-              "deadline_s must be finite and >= 0");
-      }
-    }
-    const JsonValue* plan_doc = q.Find("plan");
-    if (plan_doc == nullptr) {
+    if (q.plan == nullptr) {
       r.Add(kRuleSchemaDrift, qpath, "query entry has no plan document");
       continue;
     }
     if (catalog == nullptr) continue;
 
     const char* rule = nullptr;
-    auto loaded = engine::PlanJson::Load(*plan_doc, *catalog, topo, &rule);
+    auto loaded = engine::PlanJson::Load(*q.plan, *catalog, topo, &rule);
     if (!loaded.ok()) {
       r.Add(rule, qpath, loaded.status().message());
       continue;
     }
     const LintContext ctx{topo, catalog, has_policy ? &policy : nullptr,
-                          &submit};
+                          &q.submit};
     r.Merge(LintPlan(loaded.value().plan, ctx));
   }
   return r;

@@ -39,21 +39,22 @@ LintReport LintPlan(const engine::QueryPlan& plan, const LintContext& ctx);
 
 /// Static analysis of an ExecutionPolicy alone: ExecutionPolicy::Validate's
 /// verdict against `topo` (skipped when null), the one place a policy's
-/// devices (HL005) and broadcast chunk floor (HL008) are checked;
-/// scheduling policies that
-/// require knobs the policy disables (HL009), serve knobs the configured
-/// scheduling policy ignores (HL010), and out-of-domain numeric knobs
-/// (HL008).
+/// devices (HL005) and numeric ranges (HL008) are checked; an
+/// expected_device_share above 1 (an HL008 warning); scheduling policies
+/// that require knobs the policy disables (HL009), and serve knobs the
+/// configured scheduling policy ignores (HL010).
 LintReport LintPolicy(const engine::ExecutionPolicy& policy,
                       const sim::Topology* topo);
 
 /// Static analysis of a whole manifest document (the hape-manifest-v1
-/// shape examples/manifest_run.cpp executes): format/version drift
-/// (HL011), the tpch block (queries::ReadTpchSpec, HL008), per-query
-/// weight and deadline (HL008), duplicate labels (HL013), the embedded
-/// policy (LintPolicy), and per query the plan document: PlanJson::Load
-/// against `catalog`, whose failure is one diagnostic under the rule Load
-/// names, and LintPlan on the loaded plan. Each fault is reported once.
+/// shape examples/manifest_run.cpp executes), read with the same readers
+/// that driver uses: format/version drift (queries::ReadManifestHeader,
+/// HL011), the tpch block (queries::ReadTpchSpec, HL008), per-query weight
+/// and deadline (queries::ReadManifestQuery, HL008), duplicate labels
+/// (HL013), the embedded policy (LintPolicy), and per query the plan
+/// document: PlanJson::Load against `catalog`, whose failure is one
+/// diagnostic under the rule Load names, and LintPlan on the loaded plan.
+/// Each fault is reported once.
 /// Without a catalog the plans cannot be loaded; one HL011 warning says
 /// they were not checked.
 LintReport LintManifestDoc(const JsonValue& doc, const sim::Topology* topo,

@@ -492,7 +492,6 @@ Result<OptimizeResult> Optimizer::OptimizePlan(
     QueryPlan* plan, const engine::ExecutionPolicy& policy) {
   OptimizeResult result;
   result.nodes.resize(plan->num_pipelines());
-  if (!options_.enable) return result;
   if (plan->executed()) {
     return Status::InvalidArgument("plan '" + plan->name() +
                                    "' was already executed");
@@ -509,12 +508,10 @@ Result<OptimizeResult> Optimizer::OptimizePlan(
     NodeDecision& d = result.nodes[idx];
     d.pipeline = idx;
     d.name = plan->node(idx).pipeline.name;
-    if (options_.reorder_joins) {
-      if (Status st = ReorderNode(plan, idx, pre.value(), &d); !st.ok()) {
-        return st;
-      }
-      if (d.reordered) ++result.num_reordered_pipelines;
+    if (Status st = ReorderNode(plan, idx, pre.value(), &d); !st.ok()) {
+      return st;
     }
+    if (d.reordered) ++result.num_reordered_pipelines;
   }
 
   // Estimates over the final op order (per-op input cardinalities shift
@@ -533,24 +530,20 @@ Result<OptimizeResult> Optimizer::OptimizePlan(
     d.est_nominal_out_rows = node.est_nominal_out_rows;
 
     if (node.is_build) {
-      const bool declared =
-          node.declared_build_rows > 0 && options_.respect_declared_overrides;
-      if (options_.size_hash_tables && !declared) {
+      if (node.declared_build_rows == 0) {
         // Same sizing rule HashBuild applies to declared cardinalities,
         // fed by the estimate instead.
         node.built_state->ht.Rehash(
             static_cast<size_t>(est.nodes[idx].out_rows) + 16);
       }
       d.ht_buckets = node.built_state->ht.num_buckets();
-      if (options_.auto_heavy_marks) {
-        uint64_t value_bytes = 0;
-        for (int c : node.build_payload) {
-          value_bytes += PayloadValueBytes(node, c);
-        }
-        const uint64_t table_bytes = ops::ChainedHashTable::NominalBytes(
-            node.est_nominal_out_rows, value_bytes);
-        node.heavy_build = table_bytes >= options_.heavy_build_threshold_bytes;
+      uint64_t value_bytes = 0;
+      for (int c : node.build_payload) {
+        value_bytes += PayloadValueBytes(node, c);
       }
+      const uint64_t table_bytes = ops::ChainedHashTable::NominalBytes(
+          node.est_nominal_out_rows, value_bytes);
+      node.heavy_build = table_bytes >= options_.heavy_build_threshold_bytes;
       d.heavy = node.heavy_build;
     }
 

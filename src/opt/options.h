@@ -21,19 +21,10 @@ enum class PlacementMode {
 /// Knobs of the cost-based plan optimizer (Engine::Optimize). The defaults
 /// are the compatibility configuration: decisions derived purely from
 /// statistics that reproduce the hand-declared TPC-H plans' cost sequences.
+/// The pass always reorders join probes and filters, sizes build hash tables
+/// from the estimate (an explicit BuildOptions::expected_rows wins), and
+/// derives heavy-build marks.
 struct OptimizerOptions {
-  /// Master switch; false turns Optimize into a no-op (hand-declared mode).
-  bool enable = true;
-  /// Reorder join probes / filters inside probe pipelines (DP over the join
-  /// graph up to `dp_max_joins` probes, greedy beyond).
-  bool reorder_joins = true;
-  /// Re-bucket build hash tables from the cardinality estimate (unless the
-  /// plan declared an explicit expected_rows override).
-  bool size_hash_tables = true;
-  /// Derive heavy-build marks from estimated nominal hash-table bytes.
-  bool auto_heavy_marks = true;
-  /// Honor hand-declared BuildOptions overrides when present.
-  bool respect_declared_overrides = true;
   PlacementMode placement = PlacementMode::kPolicy;
   /// A build whose estimated nominal table exceeds this is "heavy": its GPU
   /// probes run the partitioned/co-partitioned flavors (Fig. 9, §5).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
+#include <utility>
 
 #include "common/logging.h"
 #include "ops/hash_table.h"
@@ -139,6 +140,58 @@ Result<TpchSpec> ReadTpchSpec(const JsonValue& tpch) {
     spec.seed = static_cast<uint64_t>(seed);
   }
   return spec;
+}
+
+Status ReadManifestHeader(const JsonValue& doc) {
+  if (!doc.is_object()) {
+    return Status::InvalidArgument("manifest must be a JSON object");
+  }
+  if (const JsonValue* f = doc.Find("format");
+      f == nullptr || f->kind() != JsonValue::Kind::kString ||
+      f->str() != kManifestFormat) {
+    return Status::InvalidArgument(std::string("manifest format is not '") +
+                                   kManifestFormat + "'");
+  }
+  if (const JsonValue* ver = doc.Find("version");
+      ver != nullptr && (ver->kind() != JsonValue::Kind::kNumber ||
+                         ver->number() != kManifestVersion)) {
+    return Status::InvalidArgument(
+        "manifest schema version drifts from the supported version " +
+        std::to_string(kManifestVersion));
+  }
+  return Status::OK();
+}
+
+Result<ManifestQuery> ReadManifestQuery(const JsonValue& entry) {
+  if (!entry.is_object()) {
+    return Status::InvalidArgument("query entry is not an object");
+  }
+  ManifestQuery q;
+  if (const JsonValue* label = entry.Find("label");
+      label != nullptr && label->kind() == JsonValue::Kind::kString) {
+    q.submit.label = label->str();
+  }
+  // Each number is checked alone on default options, whose other fields
+  // pass every rule, so a fault names its own field.
+  for (const auto& [key, field] :
+       {std::pair{"weight", &engine::SubmitOptions::weight},
+        std::pair{"deadline_s", &engine::SubmitOptions::deadline_s}}) {
+    const JsonValue* v = entry.Find(key);
+    if (v == nullptr) continue;
+    if (v->kind() != JsonValue::Kind::kNumber) {
+      q.faults.push_back("'" + std::string(key) + "' must be a number");
+      continue;
+    }
+    engine::SubmitOptions alone;
+    alone.*field = v->number();
+    if (const std::vector<std::string> f = alone.Faults(); !f.empty()) {
+      q.faults.push_back(f.front());
+    } else {
+      q.submit.*field = v->number();
+    }
+  }
+  q.plan = entry.Find("plan");
+  return q;
 }
 
 // ---- Q1: scan-heavy multi-aggregate ----------------------------------------

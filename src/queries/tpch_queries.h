@@ -9,6 +9,7 @@
 #include "common/json.h"
 #include "common/status.h"
 #include "engine/engine.h"
+#include "engine/scheduler.h"
 #include "sim/topology.h"
 #include "storage/table.h"
 
@@ -83,6 +84,34 @@ struct TpchSpec {
 /// the optional `seed` (default 42) an integer in [0, 2^53].
 /// InvalidArgument otherwise.
 Result<TpchSpec> ReadTpchSpec(const JsonValue& tpch);
+
+/// Format and schema version of an experiment manifest: a "tpch" block, a
+/// serialized ExecutionPolicy and a "queries" array of plan documents.
+/// examples/manifest_run.cpp writes and runs them; hape_lint checks them.
+inline constexpr const char* kManifestFormat = "hape-manifest-v1";
+inline constexpr int kManifestVersion = 2;
+
+/// The one check of a manifest's "format" and "version" (manifest drivers
+/// and lint use it). An absent version reads as kManifestVersion; any
+/// other value is InvalidArgument, as is a document that is no object.
+Status ReadManifestHeader(const JsonValue& doc);
+
+/// One entry of a manifest's "queries" array.
+struct ManifestQuery {
+  /// The entry's "label" (empty when absent), "weight" and "deadline_s".
+  /// Every other field, and a faulty one, keeps its default.
+  engine::SubmitOptions submit;
+  /// One message per "weight" or "deadline_s" that is not a number or
+  /// breaks SubmitOptions::Faults.
+  std::vector<std::string> faults;
+  /// The entry's plan document (PlanJson::Load's input), pointing into the
+  /// entry; null when absent.
+  const JsonValue* plan = nullptr;
+};
+
+/// The one reader of a manifest query entry (manifest drivers and lint use
+/// it). InvalidArgument when the entry is not an object.
+Result<ManifestQuery> ReadManifestQuery(const JsonValue& entry);
 
 /// A declared-but-not-yet-executed query: the QueryPlan plus the aggregate
 /// handle its result is read through. This is the unit Engine::Submit

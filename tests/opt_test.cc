@@ -303,10 +303,9 @@ TEST_F(TpchStats, CostBasedPlacementPinsTinyScans) {
 
   engine::ExecutionPolicy policy = engine::ExecutionPolicy::ForConfig(
       *topo_, engine::EngineConfig::kProteusHybrid);
-  OptimizerOptions opts;
-  opts.placement = PlacementMode::kCostBased;
+  policy.optimizer.placement = PlacementMode::kCostBased;
   engine::Engine eng(topo_);
-  auto result = eng.Optimize(&plan, policy, opts);
+  auto result = eng.Optimize(&plan, policy);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // The tiny probe pipeline gets pinned to the CPU subset.
   const auto& probe_node = plan.node(1);

@@ -175,7 +175,6 @@ TEST_F(PlanJsonTest, PolicyRoundTripsEveryField) {
   p.serve.aging_boost_s = 2.5;
   p.serve.shed_on_deadline = true;
   p.expected_device_share = 0.25;
-  p.optimizer.reorder_joins = false;
   p.optimizer.placement = opt::PlacementMode::kCostBased;
   p.optimizer.heavy_build_threshold_bytes = 64ull << 20;
   p.optimizer.dp_max_joins = 5;
@@ -204,12 +203,6 @@ TEST_F(PlanJsonTest, PolicyRoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(r.serve.aging_boost_s, p.serve.aging_boost_s);
   EXPECT_EQ(r.serve.shed_on_deadline, p.serve.shed_on_deadline);
   EXPECT_DOUBLE_EQ(r.expected_device_share, p.expected_device_share);
-  EXPECT_EQ(r.optimizer.enable, p.optimizer.enable);
-  EXPECT_EQ(r.optimizer.reorder_joins, p.optimizer.reorder_joins);
-  EXPECT_EQ(r.optimizer.size_hash_tables, p.optimizer.size_hash_tables);
-  EXPECT_EQ(r.optimizer.auto_heavy_marks, p.optimizer.auto_heavy_marks);
-  EXPECT_EQ(r.optimizer.respect_declared_overrides,
-            p.optimizer.respect_declared_overrides);
   EXPECT_EQ(r.optimizer.placement, p.optimizer.placement);
   EXPECT_EQ(r.optimizer.heavy_build_threshold_bytes,
             p.optimizer.heavy_build_threshold_bytes);
@@ -431,6 +424,16 @@ TEST_F(PlanJsonTest, MalformedManifestsReturnStatusErrors) {
       {"non-positive scale",
        Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
                 R"("columns":["n_nationkey"],"chunk_rows":64},"scale":0,)"
+                R"("ops":[],"sink":{"kind":"collect"}})"),
+       kRuleInvalidParameter},
+      {"scale past 2^40 nominal rows (float-cast guard)",
+       Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
+                R"("columns":["n_nationkey"],"chunk_rows":64},"scale":1e300,)"
+                R"("ops":[],"sink":{"kind":"collect"}})"),
+       kRuleInvalidParameter},
+      {"infinite scale",
+       Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"
+                R"("columns":["n_nationkey"],"chunk_rows":64},"scale":1e400,)"
                 R"("ops":[],"sink":{"kind":"collect"}})"),
        kRuleInvalidParameter},
       {"dangling probe edge (out of range)",

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "engine/engine.h"
 #include "engine/plan.h"
 #include "engine/policy.h"
@@ -492,6 +495,42 @@ TEST_F(EngineFacadeTest, RejectsBroadcastChunksBelowTheFloor) {
   const auto run = eng_.Run(&plan, policy);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_GT(run.value().broadcast_bytes, sim::kGiB);
+}
+
+// Validate holds every policy range, so Run refuses what lint flags. An
+// amplification of -2 or 1e300 would reach the executor's wire-byte cast.
+TEST_F(EngineFacadeTest, RejectsOutOfRangePolicyFactors) {
+  const struct {
+    const char* knob;
+    void (*edit)(ExecutionPolicy*);
+  } cases[] = {
+      {"shuffle_wire_amplification",
+       [](ExecutionPolicy* p) { p->shuffle_wire_amplification = -2; }},
+      {"shuffle_wire_amplification",
+       [](ExecutionPolicy* p) { p->shuffle_wire_amplification = 1e300; }},
+      {"build_staging_factor",
+       [](ExecutionPolicy* p) { p->build_staging_factor = 0; }},
+      {"expected_device_share",
+       [](ExecutionPolicy* p) {
+         p->expected_device_share = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"prefetch_depth",
+       [](ExecutionPolicy* p) { p->async.prefetch_depth = -1; }},
+  };
+  for (const auto& c : cases) {
+    PlanBuilder b("ranges");
+    auto pipe = b.Source("scan", MakeBatches(1, 8));
+    pipe.Aggregate(nullptr, {AggDef{AggOp::kCount, nullptr}});
+    QueryPlan plan = std::move(b).Build();
+    ExecutionPolicy policy;
+    policy.devices = topo_.CpuDeviceIds();
+    c.edit(&policy);
+    const auto run = eng_.Run(&plan, policy);
+    ASSERT_FALSE(run.ok()) << c.knob;
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(run.status().message().find(c.knob), std::string::npos)
+        << run.status().ToString();
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -451,14 +452,31 @@ TEST_F(SchedTest, FairShareRequiresAsyncExecutor) {
   }
 }
 
+// Non-finite weights and arrivals are rejected too, under every policy: an
+// infinite weight would zero the query's fair-share virtual time.
 TEST_F(SchedTest, NonPositiveWeightIsRejected) {
   const ExecutionPolicy policy = MakePolicy(
       EngineConfig::kProteusCpu, /*depth=*/1, SchedulingPolicy::kFairShare);
-  Engine eng(topo_);
-  SubmitQuery(&eng, BuildQ6Plan, policy, /*weight=*/0.0);
-  auto sched = eng.RunAll(policy);
-  ASSERT_FALSE(sched.ok());
-  EXPECT_EQ(sched.status().code(), StatusCode::kInvalidArgument);
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    double weight;
+    double arrival;
+  } cases[] = {{0.0, 0.0},
+               {inf, 0.0},
+               {1.0, std::numeric_limits<double>::quiet_NaN()},
+               {1.0, inf}};
+  for (const auto& c : cases) {
+    Engine eng(topo_);
+    auto bq = BuildQ6Plan(ctx_);
+    ASSERT_TRUE(bq.ok());
+    SubmitOptions so;
+    so.weight = c.weight;
+    so.arrival = c.arrival;
+    eng.Submit(std::move(bq.value().plan), so);
+    auto sched = eng.RunAll(policy);
+    ASSERT_FALSE(sched.ok()) << c.weight << " " << c.arrival;
+    EXPECT_EQ(sched.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 // ---- weighted shares --------------------------------------------------------

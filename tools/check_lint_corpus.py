@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
-"""Drive hape_lint over the checked-in manifests and verify its verdicts.
+"""Drive hape_lint over the shipped manifest and verify its verdicts.
 
-Two legs, both required:
-  1. The shipped example manifest must lint clean: exit 0, zero
-     error-severity diagnostics.
-  2. Every deliberately-broken manifest under tests/lint_corpus must
-     trigger exactly the HL### rule its filename names
-     (HL###_description.json), as its one diagnostic: each file holds one
-     fault, and each fault is reported once. Files naming an
-     error-severity rule must make hape_lint exit 1; files naming a
-     warning rule must keep exit 0 with zero errors.
+The shipped example manifest must lint clean: exit 0, zero error-severity
+diagnostics. Two broken copies of it, written to a temporary directory, pin
+the CLI's exit-code contract: a truncated copy must exit 1 with exactly one
+HL000 diagnostic (an error rule), and a copy with a duplicate query label
+must exit 0 with exactly one HL013 diagnostic (a warning rule). Every
+other rule's case is an edit of the same manifest in lint_test's
+CorpusFilesTriggerTheirNamedRule.
 
 Usage: check_lint_corpus.py <hape_lint-binary> <repo-root>
 """
@@ -18,12 +16,9 @@ import json
 import pathlib
 import subprocess
 import sys
+import tempfile
 
-# Warning-severity rules (must mirror lint::RuleTable); everything else
-# is error severity.
-WARNING_RULES = {"HL007", "HL010", "HL012", "HL013", "HL014"}
-
-MIN_CORPUS_FILES = 8
+TRUNCATE_AFTER = '"policy":{"dev'
 
 
 def run_lint(binary: str, manifest: pathlib.Path):
@@ -51,7 +46,6 @@ def main() -> int:
     binary, root = sys.argv[1], pathlib.Path(sys.argv[2])
     failures = []
 
-    # Leg 1: the shipped manifest is clean.
     shipped = root / "examples" / "manifests" / "mix_q3_q5_q9.json"
     rc, report = run_lint(binary, shipped)
     if rc != 0 or report.get("errors", -1) != 0:
@@ -61,41 +55,36 @@ def main() -> int:
     else:
         print(f"ok: {shipped.name} lints clean")
 
-    # Leg 2: each corpus file trips its named rule.
-    corpus = sorted((root / "tests" / "lint_corpus").glob("*.json"))
-    if len(corpus) < MIN_CORPUS_FILES:
-        failures.append(
-            f"corpus has {len(corpus)} files, expected >= {MIN_CORPUS_FILES}")
-    for manifest in corpus:
-        code = manifest.name[:5]
-        rc, report = run_lint(binary, manifest)
-        codes = codes_of(report)
-        if codes != [code]:
-            failures.append(
-                f"{manifest.name}: expected exactly one {code} diagnostic "
-                f"(got {codes or 'nothing'})")
-            continue
-        if code in WARNING_RULES:
-            if rc != 0 or report.get("errors", -1) != 0:
-                failures.append(
-                    f"{manifest.name}: warning rule {code} must not produce "
-                    f"errors (exit {rc}, {report.get('errors')} error(s)): "
-                    f"{json.dumps(report)}")
+    text = shipped.read_text()
+    at = text.find(TRUNCATE_AFTER)
+    truncated = text[:at + len(TRUNCATE_AFTER)] if at >= 0 else text
+    cases = [
+        ("truncated.json", truncated, 1, "HL000"),
+        ("duplicate_label.json",
+         text.replace('"label":"q5"', '"label":"q3"', 1), 0, "HL013"),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, body, want_rc, code in cases:
+            if body == text:
+                failures.append(f"{name}: the edit no longer applies")
                 continue
-        elif rc != 1:
-            failures.append(
-                f"{manifest.name}: error rule {code} must fail the lint "
-                f"(exit {rc})")
-            continue
-        print(f"ok: {manifest.name} -> {code}")
+            path = pathlib.Path(tmp) / name
+            path.write_text(body)
+            rc, report = run_lint(binary, path)
+            codes = codes_of(report)
+            if codes != [code] or rc != want_rc:
+                failures.append(
+                    f"{name}: expected exit {want_rc} and exactly one {code} "
+                    f"diagnostic (got exit {rc}, {codes or 'nothing'})")
+            else:
+                print(f"ok: {name} -> {code}, exit {rc}")
 
     if failures:
-        print("\ncorpus check failed:", file=sys.stderr)
+        print("\nlint check failed:", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
-    print(f"check_lint_corpus: {len(corpus)} corpus files + shipped "
-          "manifest verified")
+    print("check_lint_corpus: shipped manifest + 2 exit-code cases verified")
     return 0
 
 

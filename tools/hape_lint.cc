@@ -1,7 +1,7 @@
 // hape_lint: static analysis of experiment manifests.
 //
 //   $ hape_lint examples/manifests/mix_q3_q5_q9.json
-//   $ hape_lint --json report.json tests/lint_corpus/*.json
+//   $ hape_lint --json report.json a.json b.json
 //   $ hape_lint --rules
 //
 // Runs lint::LintManifestText over each manifest: the manifest's own
@@ -53,8 +53,9 @@ void PrintRules() {
   }
 }
 
-/// TPC-H contexts keyed by (sf_actual, sf_nominal, seed): several corpus
-/// files share one scale, and generation dominates the tool's runtime.
+/// TPC-H contexts keyed by (sf_actual, sf_nominal, seed): manifests linted
+/// in one run often share one scale, and generation dominates the tool's
+/// runtime.
 class ContextCache {
  public:
   /// The catalog for `text`'s tpch block, or nullptr when the manifest has
