@@ -1,14 +1,11 @@
 // Vectorized data-plane kernel microbenchmarks: measured scalar-vs-SIMD
 // throughput for every kernel class (filter select, murmur hashing,
-// chained-table probe/build, grouped accumulate), via the same
-// CalibrationHarness the engine's calibrated cost model loads.
+// chained-table probe/build, grouped accumulate), via
+// codegen::CalibrationHarness.
 //
-// Two artifacts are written next to the binary:
-//   - BENCH_kernels.json : per-kernel GB/s + speedup (CI gates the filter
-//     and probe speedups at >= 1.0 — the SIMD plane must never lose);
-//   - calibration.json   : the Calibration document CostModel::
-//     LoadCalibrationFile consumes, closing the measured-rate loop
-//     (Engine::Explain then reports cost_seconds_calibrated per node).
+// Prints a table and writes BENCH_kernels.json to the working directory:
+// per-kernel GB/s + speedup (CI gates the filter and probe speedups at
+// >= 1.0 — the SIMD plane must never lose).
 //
 // These are *wall-clock host* measurements — machine-dependent by design,
 // unlike every simulated number elsewhere in the repo. Nothing here feeds
@@ -24,7 +21,6 @@
 #include "codegen/calibration.h"
 #include "codegen/kernels.h"
 #include "common/json.h"
-#include "common/logging.h"
 #include "ops/hash_table.h"
 #include "storage/datagen.h"
 
@@ -76,19 +72,11 @@ void TableAndJson(const codegen::Calibration& cal, size_t rows) {
     w.EndObject();
   }
   w.EndArray();
-  // Derived rates the calibrated cost model charges with.
-  w.Key("stream_gbps");
-  w.Double(cal.stream_bytes_per_s() / 1e9);
-  w.Key("tuple_ops_per_s");
-  w.Double(cal.tuple_ops_per_s());
   w.EndObject();
 
   std::ofstream out("BENCH_kernels.json");
   out << w.str() << "\n";
-  std::printf("\nwrote BENCH_kernels.json\n");
-
-  HAPE_CHECK(cal.SaveFile("calibration.json").ok());
-  std::printf("wrote calibration.json\n\n");
+  std::printf("\nwrote BENCH_kernels.json\n\n");
 }
 
 // Interactive microbenchmarks (skipped by CI's --benchmark_filter='^$'):

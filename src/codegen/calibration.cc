@@ -1,14 +1,12 @@
 #include "codegen/calibration.h"
 
 #include <chrono>
-#include <fstream>
+#include <cstdint>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include "codegen/kernels.h"
 #include "common/hash.h"
-#include "common/json.h"
 
 namespace hape::codegen {
 
@@ -56,97 +54,7 @@ std::vector<double> MakeDoubles(size_t n, uint64_t seed) {
   return v;
 }
 
-void RateObject(JsonWriter* w, const KernelRate& r) {
-  w->BeginObject();
-  w->Key("scalar_gbps");
-  w->Double(r.scalar_gbps);
-  w->Key("simd_gbps");
-  w->Double(r.simd_gbps);
-  w->Key("speedup");
-  w->Double(r.speedup());
-  w->EndObject();
-}
-
-Status ParseRate(const JsonValue& doc, const char* key, KernelRate* out) {
-  const JsonValue* v = doc.Find(key);
-  if (v == nullptr || !v->is_object()) {
-    return Status::InvalidArgument(std::string("calibration: missing '") +
-                                   key + "'");
-  }
-  const JsonValue* scalar = v->Find("scalar_gbps");
-  const JsonValue* simd = v->Find("simd_gbps");
-  if (scalar == nullptr || simd == nullptr) {
-    return Status::InvalidArgument(std::string("calibration: '") + key +
-                                   "' lacks scalar_gbps/simd_gbps");
-  }
-  out->scalar_gbps = scalar->number();
-  out->simd_gbps = simd->number();
-  return Status::OK();
-}
-
 }  // namespace
-
-std::string Calibration::ToJson() const {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("version");
-  w.Int(1);
-  w.Key("avx2");
-  w.Bool(avx2);
-  w.Key("threads");
-  w.Int(threads);
-  w.Key("filter");
-  RateObject(&w, filter);
-  w.Key("hash");
-  RateObject(&w, hash);
-  w.Key("probe");
-  RateObject(&w, probe);
-  w.Key("build");
-  RateObject(&w, build);
-  w.Key("agg");
-  RateObject(&w, agg);
-  w.Key("stream_bytes_per_s");
-  w.Double(stream_bytes_per_s());
-  w.Key("tuple_ops_per_s");
-  w.Double(tuple_ops_per_s());
-  w.EndObject();
-  return w.str();
-}
-
-Result<Calibration> Calibration::FromJson(const std::string& json) {
-  Calibration c;
-  HAPE_ASSIGN_OR_RETURN(JsonValue doc, JsonParser::Parse(json));
-  if (!doc.is_object()) {
-    return Status::InvalidArgument("calibration: not a JSON object");
-  }
-  if (const JsonValue* v = doc.Find("avx2"); v != nullptr) {
-    c.avx2 = v->bool_value();
-  }
-  if (const JsonValue* v = doc.Find("threads"); v != nullptr) {
-    c.threads = static_cast<int>(v->number());
-  }
-  HAPE_RETURN_NOT_OK(ParseRate(doc, "filter", &c.filter));
-  HAPE_RETURN_NOT_OK(ParseRate(doc, "hash", &c.hash));
-  HAPE_RETURN_NOT_OK(ParseRate(doc, "probe", &c.probe));
-  HAPE_RETURN_NOT_OK(ParseRate(doc, "build", &c.build));
-  HAPE_RETURN_NOT_OK(ParseRate(doc, "agg", &c.agg));
-  return c;
-}
-
-Status Calibration::SaveFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path);
-  out << ToJson() << "\n";
-  return out ? Status::OK() : Status::IOError("write failed: " + path);
-}
-
-Result<Calibration> Calibration::LoadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return FromJson(buf.str());
-}
 
 Calibration CalibrationHarness::Measure() { return Measure(Options()); }
 
@@ -155,7 +63,6 @@ Calibration CalibrationHarness::Measure(const Options& options) {
   const int reps = options.reps;
   Calibration c;
   c.avx2 = Avx2Available();
-  c.threads = DataPlane().packet_threads;
   uint64_t sink = 0;
 
   // -- filter: column >= literal, ~50% selectivity -------------------------

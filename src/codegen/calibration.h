@@ -1,21 +1,12 @@
 #ifndef HAPE_CODEGEN_CALIBRATION_H_
 #define HAPE_CODEGEN_CALIBRATION_H_
 
-#include <cstdint>
-#include <string>
-
-#include "common/status.h"
+#include <cstddef>
 
 /// Measured per-kernel-class throughput on the host, and the harness that
-/// produces it. This is the loop that closes simulated time back onto real
-/// time: the optimizer's CostModel can load a Calibration and report
-/// per-pipeline costs derived from *measured* kernel rates next to the
-/// nominal paper-spec rates (opt/optimizer.h, Engine::Explain).
-///
-/// Calibration numbers are machine-dependent by construction. They are
-/// never serialized into plan manifests and never drive placement
-/// decisions — placement stays on the nominal model so plans (and their
-/// byte-exact manifest round-trips) are machine-independent.
+/// produces it (bench_kernels prints and writes it). The numbers are
+/// machine-dependent by construction, so nothing in the engine reads them:
+/// placement and every simulated cost stay on the nominal model.
 
 namespace hape::codegen {
 
@@ -31,35 +22,11 @@ struct KernelRate {
 
 struct Calibration {
   bool avx2 = false;    ///< dispatched kernels used AVX2 paths
-  int threads = 1;      ///< packet_threads the harness ran with
   KernelRate filter;    ///< fused compare+select over f64 columns
   KernelRate hash;      ///< HashMurmur64 over i64 keys
   KernelRate probe;     ///< chained-table probe (prefetched bulk vs per-row)
   KernelRate build;     ///< chained-table build (reserved bulk vs per-row)
   KernelRate agg;       ///< grouped accumulate (GroupIndex vs std::map)
-
-  bool loaded() const { return filter.simd_gbps > 0; }
-
-  /// Streaming-bytes rate the calibrated cost model charges for a
-  /// pipeline's byte volume: the measured filter rate (the most
-  /// bandwidth-like kernel class).
-  double stream_bytes_per_s() const { return filter.simd_gbps * 1e9; }
-
-  /// Tuple-ops rate for the calibrated model's compute term. The cost
-  /// model counts abstract per-tuple ops (expr nodes, probe steps); we map
-  /// them onto the measured hash rate via ~6 abstract ops per hashed key
-  /// (the murmur finalizer's op count) — a documented proxy, not a claim
-  /// that every op costs the same.
-  double tuple_ops_per_s() const {
-    constexpr double kOpsPerHashedKey = 6.0;
-    return hash.simd_gbps * 1e9 / 8.0 * kOpsPerHashedKey;
-  }
-
-  std::string ToJson() const;
-  static Result<Calibration> FromJson(const std::string& json);
-
-  Status SaveFile(const std::string& path) const;
-  static Result<Calibration> LoadFile(const std::string& path);
 };
 
 /// Times each kernel class on synthetic data (deterministic LCG inputs,

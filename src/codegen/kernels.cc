@@ -40,8 +40,6 @@ struct Counters {
   std::atomic<uint64_t> hashed_keys{0};
   std::atomic<uint64_t> probed_keys{0};
   std::atomic<uint64_t> bulk_inserts{0};
-  std::atomic<uint64_t> hash_cache_hits{0};
-  std::atomic<uint64_t> hash_cache_misses{0};
   std::atomic<uint64_t> parallel_packets{0};
 };
 
@@ -79,16 +77,10 @@ KernelCounterSnapshot KernelCounters() {
   s.hashed_keys = c.hashed_keys.load(std::memory_order_relaxed);
   s.probed_keys = c.probed_keys.load(std::memory_order_relaxed);
   s.bulk_inserts = c.bulk_inserts.load(std::memory_order_relaxed);
-  s.hash_cache_hits = c.hash_cache_hits.load(std::memory_order_relaxed);
-  s.hash_cache_misses = c.hash_cache_misses.load(std::memory_order_relaxed);
   s.parallel_packets = c.parallel_packets.load(std::memory_order_relaxed);
   return s;
 }
 
-void BumpHashCacheHits(uint64_t n) { Bump(GlobalCounters().hash_cache_hits, n); }
-void BumpHashCacheMisses(uint64_t n) {
-  Bump(GlobalCounters().hash_cache_misses, n);
-}
 void BumpParallelPackets(uint64_t n) {
   Bump(GlobalCounters().parallel_packets, n);
 }
@@ -401,11 +393,7 @@ GroupIndex::GroupIndex(size_t expected_groups) {
 }
 
 uint32_t GroupIndex::SlotOf(int64_t key) {
-  return SlotOfHashed(key, HashMurmur64(static_cast<uint64_t>(key)));
-}
-
-uint32_t GroupIndex::SlotOfHashed(int64_t key, uint64_t hash) {
-  uint64_t idx = hash & mask_;
+  uint64_t idx = HashMurmur64(static_cast<uint64_t>(key)) & mask_;
   while (table_[idx] >= 0) {
     if (dense_keys_[table_[idx]] == key) {
       return static_cast<uint32_t>(table_[idx]);

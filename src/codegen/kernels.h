@@ -44,21 +44,21 @@ inline bool VectorizedPlane() {
 /// the AVX2 translation unit enabled.
 bool Avx2Available();
 
-/// Monotonic process-wide kernel counters, for tests that assert a fast
-/// path actually ran (e.g. that sinks reused packet-threaded hashes rather
-/// than rehashing).
+/// Monotonic process-wide kernel counters, for tests and benchmarks that
+/// assert a fast path actually ran.
 struct KernelCounterSnapshot {
   uint64_t filter_rows = 0;       ///< rows pushed through select kernels
   uint64_t hashed_keys = 0;       ///< keys hashed by HashKeys
   uint64_t probed_keys = 0;       ///< keys probed by ProbeBulk
   uint64_t bulk_inserts = 0;      ///< entries inserted by BuildBulk
-  uint64_t hash_cache_hits = 0;   ///< sink consumed a packet-carried hash
-  uint64_t hash_cache_misses = 0; ///< sink had to (re)hash its keys
+  /// Always 0: no stage hands a sink its keys' hashes. bench/e2e reads
+  /// both fields for its `kernels.hash_cache_hit_rate` metric; they retire
+  /// with that metric in the next change to the benchmark.
+  uint64_t hash_cache_hits = 0;
+  uint64_t hash_cache_misses = 0;
   uint64_t parallel_packets = 0;  ///< packets transformed off-thread
 };
 KernelCounterSnapshot KernelCounters();
-void BumpHashCacheHits(uint64_t n);
-void BumpHashCacheMisses(uint64_t n);
 void BumpParallelPackets(uint64_t n);
 
 namespace kernels {
@@ -125,11 +125,10 @@ void HashKeys(const int64_t* keys, size_t n, uint64_t* out);
 
 /// Batch probe: for each key (in ascending i, matches within a chain in
 /// chain order) append matching (probe=i, build=row) pairs. `hashes` must be
-/// HashKeys(keys) — pass a packet-carried vector or hash locally. Buckets
-/// are computed up front and chain heads software-prefetched a fixed
-/// distance ahead, which is where the speedup over the pointer-chasing
-/// scalar loop comes from. Returns total chain nodes visited, bit-identical
-/// to summing ChainedHashTable::ForEachMatch.
+/// HashKeys(keys). Buckets are computed up front and chain heads
+/// software-prefetched a fixed distance ahead, which is where the speedup
+/// over the pointer-chasing scalar loop comes from. Returns total chain
+/// nodes visited, bit-identical to summing ChainedHashTable::ForEachMatch.
 uint64_t ProbeBulk(const ops::ChainedHashTable& ht, const int64_t* keys,
                    const uint64_t* hashes, size_t n,
                    std::vector<uint32_t>* probe_rows,
@@ -153,9 +152,6 @@ class GroupIndex {
 
   /// Dense slot of `key`, inserting a fresh slot if unseen.
   uint32_t SlotOf(int64_t key);
-  /// Same, with a precomputed `hash` == HashMurmur64(key) (packet-carried
-  /// hashes skip the per-row rehash).
-  uint32_t SlotOfHashed(int64_t key, uint64_t hash);
 
   size_t num_groups() const { return dense_keys_.size(); }
   /// Keys in first-seen (== slot) order.

@@ -35,10 +35,6 @@ namespace {
 /// device-type homogeneous.
 void TransformPacket(Pipeline* p, memory::Batch* b,
                      const codegen::Backend& backend, sim::TrafficStats* t) {
-  if (p->charge_source_read) {
-    // ScanStage charges this; nothing extra here. (Kept explicit so
-    // pipelines over intermediates can skip it.)
-  }
   for (auto& stage : p->stages) {
     stage(b, t, backend);
     if (p->vector_at_a_time) {
@@ -130,7 +126,8 @@ std::vector<PreparedPacket> PrepareInputs(Pipeline* p,
 }
 
 /// Worker-instance index within its device (MakeWorkers order) for each
-/// worker — the tid key of the trace's compute tracks.
+/// worker — the tid key of the trace's compute tracks and the key into the
+/// scheduler's shared WorkerClocks.
 std::vector<int> WorkerInstances(const std::vector<Worker>& workers) {
   std::vector<int> instance(workers.size(), 0);
   std::map<int, int> seen;
@@ -409,10 +406,8 @@ ExecStats Executor::RunAsync(Pipeline* p, std::vector<Worker>* workers_ptr,
   std::vector<std::vector<sim::SimTime>> fin(n_workers);
   // Instance index of each worker within its device (MakeWorkers order) —
   // the key into the scheduler's shared WorkerClocks.
-  std::vector<int> instance(n_workers, 0);
-  std::map<int, int> seen;
+  const std::vector<int> instance = WorkerInstances(workers);
   for (size_t w = 0; w < n_workers; ++w) {
-    instance[w] = seen[workers[w].device_id]++;
     const bool gpu =
         topo_->device(workers[w].device_id).type == sim::DeviceType::kGpu;
     gate[w] = gpu ? opts.compute_ready : opts.compute_ready_host;

@@ -255,26 +255,6 @@ std::string Engine::Explain(const QueryPlan& plan) const {
   w.String(plan.name());
   w.Key("num_pipelines");
   w.Uint(plan.num_pipelines());
-  if (opt::CostModel::HasCalibration()) {
-    // Host calibration the per-node "cost_seconds_calibrated" figures were
-    // derived from (codegen::CalibrationHarness; machine-dependent).
-    const codegen::Calibration& c = opt::CostModel::LoadedCalibration();
-    w.Key("calibration");
-    w.BeginObject();
-    w.Key("avx2");
-    w.Bool(c.avx2);
-    w.Key("threads");
-    w.Int(c.threads);
-    w.Key("stream_gbps");
-    w.Double(c.stream_bytes_per_s() / 1e9);
-    w.Key("tuple_ops_per_s");
-    w.Double(c.tuple_ops_per_s());
-    w.Key("filter_speedup");
-    w.Double(c.filter.speedup());
-    w.Key("probe_speedup");
-    w.Double(c.probe.speedup());
-    w.EndObject();
-  }
   if (plan.declared_intermediate_bytes() > 0) {
     w.Key("declared_intermediate_bytes");
     w.Uint(plan.declared_intermediate_bytes());
@@ -338,12 +318,6 @@ std::string Engine::Explain(const QueryPlan& plan) const {
     w.Uint(n.est_nominal_out_rows);
     w.Key("cost_seconds");
     w.Double(n.est_cost_seconds);
-    if (opt::CostModel::HasCalibration()) {
-      // Measured-rate estimate next to the nominal one (machine-dependent;
-      // present only when a calibration is loaded).
-      w.Key("cost_seconds_calibrated");
-      w.Double(n.est_cost_calibrated_seconds);
-    }
     w.EndObject();
     w.Key("ops");
     w.BeginArray();

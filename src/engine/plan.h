@@ -141,11 +141,6 @@ struct PlanNode {
   uint64_t est_nominal_out_rows = 0;
   /// Cost-model estimate for this pipeline on its chosen device set.
   double est_cost_seconds = 0.0;
-  /// Measured-rate (calibrated) estimate of the same pipeline. 0 until a
-  /// calibration is loaded (opt::CostModel::LoadCalibration). Machine-
-  /// dependent, so surfaced in Explain but deliberately *not* serialized
-  /// into plan manifests — manifests stay byte-exact across hosts.
-  double est_cost_calibrated_seconds = 0.0;
 };
 
 /// A validated DAG of pipelines with owned sinks — the unit Engine::Run

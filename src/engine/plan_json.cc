@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bits.h"
 #include "engine/sinks.h"
 #include "lint/diagnostic.h"
 
@@ -660,17 +661,32 @@ Status ApplyBuildSink(const PipeDoc& doc, PipelineBuilder* pipe,
   HAPE_RETURN_NOT_OK(ReadOptUint(sink, "declared_build_rows",
                                  &opts.expected_rows, doc.where));
   HAPE_RETURN_NOT_OK(ReadOptBool(sink, "heavy", &opts.heavy, doc.where));
+  uint64_t buckets = 0;
+  HAPE_RETURN_NOT_OK(ReadOptUint(sink, "ht_buckets", &buckets, doc.where));
+  // Both numbers size the table's bucket heads and entry reservation
+  // before a row arrives, so a hand-edited one must get an error, not a
+  // multi-gigabyte allocation. The ceilings are those of a table sized for
+  // its whole scanned source: at most the table's rows declared, and the
+  // NextPow2(rows + 16) buckets HashBuild gives it and Optimize never
+  // exceeds.
+  const uint64_t table_rows = doc.table->num_rows();
+  if (opts.expected_rows > table_rows) {
+    return Bad(why, lint::kRuleInvalidParameter, doc.where,
+               "'declared_build_rows' exceeds the " +
+                   std::to_string(table_rows) + " rows of table '" +
+                   doc.table->name() + "'");
+  }
+  if (buckets > NextPow2(table_rows + 16)) {
+    return Bad(why, lint::kRuleInvalidParameter, doc.where,
+               "'ht_buckets' exceeds the " +
+                   std::to_string(NextPow2(table_rows + 16)) +
+                   " buckets of a table sized for all of '" +
+                   doc.table->name() + "'");
+  }
   BuildHandle h = pipe->HashBuild(std::move(key), std::move(payload), opts);
   // Reproduce the dumped bucket count exactly (the plan optimizer may have
   // re-bucketed the table after declaration; counts are powers of two, so
-  // Rehash lands on the same size). Bounded: a hand-edited count must get
-  // an error, not a multi-petabyte allocation.
-  uint64_t buckets = 0;
-  HAPE_RETURN_NOT_OK(ReadOptUint(sink, "ht_buckets", &buckets, doc.where));
-  if (buckets > static_cast<uint64_t>(kMaxSmallKnob)) {
-    return Bad(why, lint::kRuleInvalidParameter, doc.where,
-               "'ht_buckets' is implausibly large");
-  }
+  // Rehash lands on the same size).
   if (buckets > 0 && buckets != h.state()->ht.num_buckets()) {
     h.state()->ht.Rehash(buckets);
   }

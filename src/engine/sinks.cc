@@ -31,7 +31,6 @@ BuildSink::BuildSink(JoinStatePtr state, expr::ExprPtr key_expr,
                      std::vector<int> payload_cols)
     : state_(std::move(state)),
       key_expr_(std::move(key_expr)),
-      key_signature_(key_expr_->ToString()),
       payload_cols_(std::move(payload_cols)) {}
 
 void BuildSink::Consume(int worker, memory::Batch&& batch,
@@ -50,34 +49,19 @@ void BuildSink::Consume(int worker, memory::Batch&& batch,
     payload_initialized_ = true;
   }
   const uint32_t base = static_cast<uint32_t>(state_->payload.rows);
+  const std::vector<int64_t> keys = expr::Eval::Ints(*key_expr_, batch);
   if (codegen::VectorizedPlane()) {
-    // Bulk build: keys + hashes from the packet's key cache when an
-    // upstream probe already evaluated this expression, else hashed here
-    // in one pass; the table reserves once and never reallocates
-    // mid-insert.
-    std::shared_ptr<const std::vector<int64_t>> keys;
-    std::shared_ptr<const std::vector<uint64_t>> hashes;
-    if (batch.key_cache.valid() &&
-        batch.key_cache.signature == key_signature_) {
-      keys = batch.key_cache.keys;
-      hashes = batch.key_cache.hashes;
-      codegen::BumpHashCacheHits(batch.rows);
-    } else {
-      keys = std::make_shared<const std::vector<int64_t>>(
-          expr::Eval::Ints(*key_expr_, batch));
-      auto h = std::make_shared<std::vector<uint64_t>>(batch.rows);
-      codegen::kernels::HashKeys(keys->data(), batch.rows, h->data());
-      hashes = std::move(h);
-      codegen::BumpHashCacheMisses(batch.rows);
-    }
-    codegen::kernels::BuildBulk(&state_->ht, keys->data(), hashes->data(),
+    // Bulk build: keys hashed in one pass; the table reserves once and
+    // never reallocates mid-insert.
+    std::vector<uint64_t> hashes(batch.rows);
+    codegen::kernels::HashKeys(keys.data(), batch.rows, hashes.data());
+    codegen::kernels::BuildBulk(&state_->ht, keys.data(), hashes.data(),
                                 batch.rows, base);
     for (size_t c = 0; c < payload_cols_.size(); ++c) {
       state_->payload.columns[c]->AppendColumn(
           *batch.columns[payload_cols_[c]]);
     }
   } else {
-    const std::vector<int64_t> keys = expr::Eval::Ints(*key_expr_, batch);
     for (size_t i = 0; i < batch.rows; ++i) {
       state_->ht.Insert(keys[i], base + static_cast<uint32_t>(i));
     }
@@ -109,7 +93,6 @@ void BuildSink::Finish(sim::TrafficStats* traffic) { (void)traffic; }
 
 void BuildSink::RemapColumns(const std::vector<int>& old_to_new) {
   key_expr_ = expr::Expr::RemapColumns(key_expr_, old_to_new);
-  key_signature_ = key_expr_->ToString();
   for (int& c : payload_cols_) {
     HAPE_CHECK(c >= 0 && c < static_cast<int>(old_to_new.size()) &&
                old_to_new[c] >= 0);
@@ -120,9 +103,7 @@ void BuildSink::RemapColumns(const std::vector<int>& old_to_new) {
 // ---- HashAggSink ------------------------------------------------------------
 
 HashAggSink::HashAggSink(expr::ExprPtr key_expr, std::vector<AggDef> aggs)
-    : key_expr_(std::move(key_expr)),
-      key_signature_(key_expr_ != nullptr ? key_expr_->ToString() : ""),
-      aggs_(std::move(aggs)) {
+    : key_expr_(std::move(key_expr)), aggs_(std::move(aggs)) {
   HAPE_CHECK(!aggs_.empty());
 }
 
@@ -130,23 +111,10 @@ void HashAggSink::Consume(int worker, memory::Batch&& batch,
                           sim::TrafficStats* traffic,
                           const codegen::Backend& backend) {
   (void)backend;
-  const bool vectorized = codegen::VectorizedPlane();
+  // Empty for the single global group (and for an empty packet).
   std::vector<int64_t> keys;
-  const std::vector<int64_t>* key_ptr = nullptr;
-  const std::vector<uint64_t>* hash_ptr = nullptr;
   if (key_expr_ != nullptr && batch.rows > 0) {
-    if (vectorized && batch.key_cache.valid() &&
-        batch.key_cache.signature == key_signature_) {
-      // Packet-carried keys+hashes from the probe stage: skip both the key
-      // evaluation and the per-row rehash in the group index.
-      key_ptr = batch.key_cache.keys.get();
-      hash_ptr = batch.key_cache.hashes.get();
-      codegen::BumpHashCacheHits(batch.rows);
-    } else {
-      keys = expr::Eval::Ints(*key_expr_, batch);
-      key_ptr = &keys;
-      if (vectorized) codegen::BumpHashCacheMisses(batch.rows);
-    }
+    keys = expr::Eval::Ints(*key_expr_, batch);
   }
   // Evaluate aggregate arguments vectorized once per packet.
   std::vector<std::vector<double>> args(aggs_.size());
@@ -161,17 +129,15 @@ void HashAggSink::Consume(int worker, memory::Batch&& batch,
   }
   traffic->tuple_ops += batch.rows * ops;
 
-  if (vectorized) {
+  if (codegen::VectorizedPlane()) {
     AccumulateVectorized(worker, batch.rows,
-                         key_ptr != nullptr ? key_ptr->data() : nullptr,
-                         hash_ptr != nullptr ? hash_ptr->data() : nullptr,
-                         args);
+                         keys.empty() ? nullptr : keys.data(), args);
     return;
   }
 
   auto& local = partials_[worker];
   for (size_t i = 0; i < batch.rows; ++i) {
-    const int64_t k = key_ptr != nullptr ? (*key_ptr)[i] : 0;
+    const int64_t k = keys.empty() ? 0 : keys[i];
     auto [it, inserted] = local.try_emplace(k);
     if (inserted) {
       it->second.assign(aggs_.size(), 0.0);
@@ -204,7 +170,7 @@ void HashAggSink::Consume(int worker, memory::Batch&& batch,
 }
 
 void HashAggSink::AccumulateVectorized(
-    int worker, size_t rows, const int64_t* keys, const uint64_t* hashes,
+    int worker, size_t rows, const int64_t* keys,
     const std::vector<std::vector<double>>& args) {
   if (rows == 0) return;
   const size_t stride = aggs_.size();
@@ -218,10 +184,7 @@ void HashAggSink::AccumulateVectorized(
   // appending initialized accumulator cells for fresh groups.
   std::vector<uint32_t> slots(rows);
   for (size_t i = 0; i < rows; ++i) {
-    const int64_t k = keys != nullptr ? keys[i] : 0;
-    const uint32_t slot = hashes != nullptr
-                              ? p.index.SlotOfHashed(k, hashes[i])
-                              : p.index.SlotOf(k);
+    const uint32_t slot = p.index.SlotOf(keys != nullptr ? keys[i] : 0);
     if (static_cast<size_t>(slot) * stride == p.accs.size()) {
       for (size_t a = 0; a < stride; ++a) {
         double init = 0.0;
@@ -277,7 +240,6 @@ void HashAggSink::AccumulateVectorized(
 void HashAggSink::RemapColumns(const std::vector<int>& old_to_new) {
   if (key_expr_ != nullptr) {
     key_expr_ = expr::Expr::RemapColumns(key_expr_, old_to_new);
-    key_signature_ = key_expr_->ToString();
   }
   for (AggDef& a : aggs_) {
     if (a.arg != nullptr) a.arg = expr::Expr::RemapColumns(a.arg, old_to_new);

@@ -3,7 +3,6 @@
 
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "codegen/kernels.h"
@@ -46,7 +45,6 @@ class BuildSink final : public Sink {
  private:
   JoinStatePtr state_;
   expr::ExprPtr key_expr_;
-  std::string key_signature_;  // key_expr_->ToString(), for KeyCache matches
   std::vector<int> payload_cols_;
   bool payload_initialized_ = false;
 };
@@ -95,14 +93,12 @@ class HashAggSink final : public Sink {
     std::vector<double> accs;
   };
 
-  /// Grouped accumulate on the vectorized plane. `keys`/`hashes` may be
-  /// null (single group / no packet-carried hashes respectively).
+  /// Grouped accumulate on the vectorized plane. `keys` is null for the
+  /// single global group.
   void AccumulateVectorized(int worker, size_t rows, const int64_t* keys,
-                            const uint64_t* hashes,
                             const std::vector<std::vector<double>>& args);
 
   expr::ExprPtr key_expr_;
-  std::string key_signature_;  // key_expr_->ToString(), for KeyCache matches
   std::vector<AggDef> aggs_;
   std::map<int, std::map<int64_t, std::vector<double>>> partials_;
   std::map<int, VecPartial> vec_partials_;

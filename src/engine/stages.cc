@@ -42,50 +42,30 @@ Stage ProjectStage(std::vector<expr::ExprPtr> exprs) {
     }
     t->tuple_ops += b->rows * (ops + 1);
     b->columns = std::move(out);
-    b->key_cache.Clear();  // column layout changed
   };
 }
 
 Stage ProbeStage(JoinStatePtr state, expr::ExprPtr key_expr) {
-  const std::string signature = key_expr->ToString();
-  return [state, key_expr, signature](memory::Batch* b, sim::TrafficStats* t,
-                                      const codegen::Backend& backend) {
-    const bool vectorized = codegen::VectorizedPlane();
+  return [state, key_expr](memory::Batch* b, sim::TrafficStats* t,
+                           const codegen::Backend& backend) {
     std::vector<uint32_t> probe_rows;
     std::vector<uint32_t> build_rows;
     probe_rows.reserve(b->rows);
     build_rows.reserve(b->rows);
     uint64_t visits = 0;
-    // Keys (and, on the vectorized plane, their hashes) for this packet —
-    // reused from the packet's key cache when an upstream stage already
-    // evaluated the same expression.
-    std::shared_ptr<const std::vector<int64_t>> keys;
-    std::shared_ptr<const std::vector<uint64_t>> hashes;
-    if (vectorized && b->key_cache.valid() &&
-        b->key_cache.signature == signature) {
-      keys = b->key_cache.keys;
-      hashes = b->key_cache.hashes;
-      codegen::BumpHashCacheHits(b->rows);
-    } else {
-      keys = std::make_shared<const std::vector<int64_t>>(
-          expr::Eval::Ints(*key_expr, *b));
-      if (vectorized) {
-        auto h = std::make_shared<std::vector<uint64_t>>(b->rows);
-        codegen::kernels::HashKeys(keys->data(), b->rows, h->data());
-        hashes = std::move(h);
-        codegen::BumpHashCacheMisses(b->rows);
-      }
-    }
-    if (vectorized) {
+    const std::vector<int64_t> keys = expr::Eval::Ints(*key_expr, *b);
+    if (codegen::VectorizedPlane()) {
       // Bulk probe: bucket resolution + software prefetch, selection-vector
       // output. Pair order and visit count are bit-identical to the scalar
       // chain walk below.
-      visits = codegen::kernels::ProbeBulk(state->ht, keys->data(),
-                                           hashes->data(), b->rows,
+      std::vector<uint64_t> hashes(b->rows);
+      codegen::kernels::HashKeys(keys.data(), b->rows, hashes.data());
+      visits = codegen::kernels::ProbeBulk(state->ht, keys.data(),
+                                           hashes.data(), b->rows,
                                            &probe_rows, &build_rows);
     } else {
       for (size_t i = 0; i < b->rows; ++i) {
-        visits += state->ht.ForEachMatch((*keys)[i], [&](uint32_t br) {
+        visits += state->ht.ForEachMatch(keys[i], [&](uint32_t br) {
           probe_rows.push_back(static_cast<uint32_t>(i));
           build_rows.push_back(br);
         });
@@ -122,18 +102,6 @@ Stage ProbeStage(JoinStatePtr state, expr::ExprPtr key_expr) {
     memory::TakeBatch(b, probe_rows);
     for (const auto& c : state->payload.columns) {
       b->columns.push_back(memory::Take(*c, build_rows));
-    }
-    if (vectorized && b->rows > 0) {
-      // Thread the (gathered) keys + hashes through the packet: a sink
-      // keyed on the same expression consumes them instead of rehashing.
-      auto out_keys = std::make_shared<std::vector<int64_t>>(b->rows);
-      auto out_hashes = std::make_shared<std::vector<uint64_t>>(b->rows);
-      for (size_t i = 0; i < b->rows; ++i) {
-        (*out_keys)[i] = (*keys)[probe_rows[i]];
-        (*out_hashes)[i] = (*hashes)[probe_rows[i]];
-      }
-      b->key_cache = memory::KeyCache{signature, std::move(out_keys),
-                                      std::move(out_hashes)};
     }
   };
 }

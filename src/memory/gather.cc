@@ -31,10 +31,6 @@ storage::ColumnPtr Take(const storage::Column& col,
 void TakeBatch(Batch* b, std::span<const uint32_t> rows) {
   for (auto& c : b->columns) c = Take(*c, rows);
   b->rows = rows.size();
-  // The row set changed: any packet-carried keys/hashes index the old rows.
-  // Stages that can re-derive the cache for the gathered rows (the probe
-  // stage) do so after this call.
-  b->key_cache.Clear();
 }
 
 }  // namespace hape::memory

@@ -55,8 +55,7 @@ class ChainedHashTable {
   }
 
   /// Insert with a precomputed `hash` == HashMurmur64(key). The bulk-build
-  /// kernels hash whole key vectors up front (or reuse hashes threaded
-  /// through the packet by an upstream probe) instead of rehashing per row.
+  /// kernels hash whole key vectors up front instead of per row.
   void InsertHashed(int64_t key, uint64_t hash, uint32_t row) {
     const uint32_t b = BucketOfHash(hash, log_buckets_);
     keys_.push_back(key);

@@ -163,47 +163,6 @@ double CostModel::PipelineSeconds(const sim::Topology& topo,
                        /*cpu_scale=*/1.0);
 }
 
-// ---- measured calibration ---------------------------------------------------
-
-namespace {
-/// Process-wide loaded calibration. Mutated only by the Load*/Clear
-/// entry points below (engine setup, benches, tests) — never during plan
-/// optimization, which only reads it.
-codegen::Calibration& MutableCalibration() {
-  static codegen::Calibration c;
-  return c;
-}
-}  // namespace
-
-void CostModel::LoadCalibration(const codegen::Calibration& c) {
-  MutableCalibration() = c;
-}
-
-Status CostModel::LoadCalibrationFile(const std::string& path) {
-  auto c = codegen::Calibration::LoadFile(path);
-  if (!c.ok()) return c.status();
-  MutableCalibration() = c.MoveValue();
-  return Status::OK();
-}
-
-void CostModel::ClearCalibration() {
-  MutableCalibration() = codegen::Calibration{};
-}
-
-bool CostModel::HasCalibration() { return MutableCalibration().loaded(); }
-
-const codegen::Calibration& CostModel::LoadedCalibration() {
-  return MutableCalibration();
-}
-
-double CostModel::CalibratedPipelineSeconds(uint64_t nominal_bytes,
-                                            uint64_t nominal_ops) {
-  const codegen::Calibration& c = MutableCalibration();
-  if (!c.loaded()) return 0;
-  return std::max(static_cast<double>(nominal_bytes) / c.stream_bytes_per_s(),
-                  static_cast<double>(nominal_ops) / c.tuple_ops_per_s());
-}
-
 // ---- op ordering ------------------------------------------------------------
 
 std::vector<int> Optimizer::OrderOps(const std::vector<double>& factors,
@@ -455,10 +414,6 @@ void Optimizer::ChoosePlacement(QueryPlan* plan, int node_idx,
   const double share = policy.expected_device_share;
   decision->est_seconds = CostModel::PipelineSeconds(
       *topo_, base_set, bytes, nominal_ops, policy.async, share);
-  // Measured-rate estimate of the same footprint (0 until a calibration
-  // is loaded); recorded for Explain, never compared against anything.
-  decision->est_calibrated_seconds =
-      CostModel::CalibratedPipelineSeconds(bytes, nominal_ops);
   if (options_.placement != PlacementMode::kCostBased ||
       !node.run_on.empty()) {
     // kPolicy, or an explicit hand placement: keep, only record the cost.
@@ -532,9 +487,15 @@ Result<OptimizeResult> Optimizer::OptimizePlan(
     if (node.is_build) {
       if (node.declared_build_rows == 0) {
         // Same sizing rule HashBuild applies to declared cardinalities,
-        // fed by the estimate instead.
+        // fed by the estimate instead. Capped at the source, as HashBuild's
+        // default is: PlanJson::Load rejects more buckets than that, and
+        // the estimate passes it only when a probe in this pipeline
+        // multiplies rows.
         node.built_state->ht.Rehash(
-            static_cast<size_t>(est.nodes[idx].out_rows) + 16);
+            static_cast<size_t>(
+                std::min(est.nodes[idx].out_rows,
+                         static_cast<double>(node.source_rows))) +
+            16);
       }
       d.ht_buckets = node.built_state->ht.num_buckets();
       uint64_t value_bytes = 0;
@@ -549,7 +510,6 @@ Result<OptimizeResult> Optimizer::OptimizePlan(
 
     ChoosePlacement(plan, idx, policy, est, &d);
     node.est_cost_seconds = d.est_seconds;
-    node.est_cost_calibrated_seconds = d.est_calibrated_seconds;
   }
   return result;
 }

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "codegen/calibration.h"
 #include "common/status.h"
 #include "engine/plan.h"
 #include "engine/policy.h"
@@ -54,29 +53,6 @@ class CostModel {
                                 uint64_t nominal_bytes, uint64_t nominal_ops,
                                 const engine::AsyncOptions& async,
                                 double device_share);
-
-  // ---- measured calibration (observability only) ---------------------------
-  // A loaded Calibration (codegen::CalibrationHarness output) lets the
-  // model report a second, *measured* per-pipeline cost next to the
-  // nominal one: max(bytes / measured stream rate, ops / measured tuple-op
-  // rate). Calibrated costs are machine-dependent by construction, so they
-  // are surfaced in Explain but never serialized into plan manifests and
-  // never consulted by placement — rankings stay machine-independent.
-
-  /// Install `c` as the process-wide calibration.
-  static void LoadCalibration(const codegen::Calibration& c);
-  /// Load a calibration.json written by Calibration::SaveFile.
-  static Status LoadCalibrationFile(const std::string& path);
-  static void ClearCalibration();
-  static bool HasCalibration();
-  /// The loaded calibration (zeroed/unloaded when HasCalibration() is
-  /// false).
-  static const codegen::Calibration& LoadedCalibration();
-
-  /// Seconds to stream `nominal_bytes` and retire `nominal_ops` at the
-  /// *measured* host rates; 0 when no calibration is loaded.
-  static double CalibratedPipelineSeconds(uint64_t nominal_bytes,
-                                          uint64_t nominal_ops);
 };
 
 /// Decisions the optimizer took for one pipeline.
@@ -94,9 +70,6 @@ struct NodeDecision {
   /// Chosen device set; empty means "the policy's default set".
   std::vector<int> devices;
   double est_seconds = 0;      // cost-model estimate on the chosen devices
-  /// Measured-rate estimate for the same pipeline (0 until a calibration
-  /// is loaded; see CostModel::LoadCalibration). Never drives decisions.
-  double est_calibrated_seconds = 0;
 };
 
 /// Result of one Engine::Optimize pass.

@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "codegen/calibration.h"
-#include "codegen/kernels.h"
 #include "common/json.h"
 #include "engine/engine.h"
 #include "engine/scheduler.h"
@@ -226,50 +224,6 @@ TEST_F(ExplainSchema, PlanDocumentHasRequiredStructure) {
   }
   EXPECT_TRUE(saw_build);
   EXPECT_TRUE(saw_probe_op);
-}
-
-TEST_F(ExplainSchema, PlanDocumentSurfacesCalibratedCostsWhenLoaded) {
-  // With a calibration loaded, Explain reports the measured-rate cost next
-  // to the nominal one, plus a top-level calibration summary. (No
-  // calibration loaded -> neither key appears; the structural test above
-  // runs in that mode.)
-  codegen::Calibration cal;
-  cal.avx2 = codegen::Avx2Available();
-  cal.threads = 1;
-  cal.filter = {10.0, 20.0};
-  cal.hash = {4.0, 12.0};
-  cal.probe = {0.5, 1.5};
-  cal.build = {1.0, 2.0};
-  cal.agg = {1.0, 2.0};
-  opt::CostModel::LoadCalibration(cal);
-
-  ctx_->async = engine::AsyncOptions::Off();
-  auto bq = BuildQ5Plan(ctx_);
-  ASSERT_TRUE(bq.ok());
-  Engine& eng = EngineFor(ctx_);
-  const ExecutionPolicy policy =
-      ExecutionPolicy::ForConfig(*topo_, EngineConfig::kProteusCpu);
-  ASSERT_TRUE(eng.Optimize(&bq.value().plan, policy).ok());
-  auto parsed = JsonParser::Parse(eng.Explain(bq.value().plan));
-  opt::CostModel::ClearCalibration();  // never leak into other tests
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const JsonValue& doc = parsed.value();
-
-  ASSERT_TRUE(doc.Has("calibration"));
-  ExpectKeys(*doc.Find("calibration"),
-             {"avx2", "threads", "stream_gbps", "tuple_ops_per_s",
-              "filter_speedup", "probe_speedup"},
-             "calibration");
-  bool saw_positive = false;
-  for (const JsonValue& p : doc.Find("pipelines")->items()) {
-    const JsonValue& est = *p.Find("estimated");
-    ASSERT_TRUE(est.Has("cost_seconds_calibrated"))
-        << "per-node calibrated cost missing";
-    if (est.Find("cost_seconds_calibrated")->number() > 0) {
-      saw_positive = true;
-    }
-  }
-  EXPECT_TRUE(saw_positive) << "no pipeline got a calibrated estimate";
 }
 
 void ExpectMetricsObject(const JsonValue& m, const std::string& where) {

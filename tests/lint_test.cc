@@ -459,6 +459,14 @@ TEST_F(LintTest, HostileManifestNumbersAreErrors) {
        kRuleInvalidParameter},
       {R"("expected_device_share":0.33333333333333331)",
        R"("expected_device_share":0)", kRuleInvalidParameter},
+      // Hash-table sizes past the scanned table (q3's customer build, 1,500
+      // rows): each used to size the table before any check ran.
+      {R"("declared_build_rows":0)",
+       R"("declared_build_rows":4503599627370496)", kRuleInvalidParameter},
+      {R"("declared_build_rows":0)", R"("declared_build_rows":100000000)",
+       kRuleInvalidParameter},
+      {R"("ht_buckets":2048)", R"("ht_buckets":1073741824)",
+       kRuleInvalidParameter},
   };
   for (const auto& e : edits) {
     const std::string text = Edited(shipped, {{e.from, e.to}});

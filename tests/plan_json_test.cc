@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bits.h"
 #include "common/json.h"
 #include "engine/engine.h"
 #include "engine/plan_json.h"
@@ -239,6 +240,42 @@ TEST_F(PlanJsonTest, OptimizedPlanRoundTripsSizingAndEstimates) {
           << i;
     }
   }
+}
+
+// A build whose probe multiplies its rows (part probing partsupp on its
+// non-unique partkey) is estimated past its source; the optimizer must
+// still size it within the bucket ceiling PlanJson::Load enforces, so its
+// dump reloads.
+TEST_F(PlanJsonTest, OptimizedRowMultiplyingBuildReloads) {
+  Engine& eng = EngineFor(ctx_);
+  const storage::TablePtr part = ctx_->catalog.Get("part").value();
+  engine::PlanBuilder b("fanout");
+  engine::BuildHandle ps =
+      b.Scan(ctx_->catalog.Get("partsupp").value(),
+             {"ps_partkey", "ps_suppkey"}, 4096)
+          .HashBuild(Expr::Col(0), {1});
+  engine::BuildHandle parts = b.Scan(part, {"p_partkey"}, 4096)
+                                  .Probe(ps, Expr::Col(0))
+                                  .HashBuild(Expr::Col(1), {0});
+  auto probe = b.Scan(ctx_->catalog.Get("supplier").value(), {"s_suppkey"},
+                      4096);
+  probe.Probe(parts, Expr::Col(0));
+  probe.Aggregate(nullptr, {engine::AggDef{engine::AggOp::kCount, nullptr}});
+  QueryPlan plan = std::move(b).Build();
+  const ExecutionPolicy policy =
+      ExecutionPolicy::ForConfig(*topo_, EngineConfig::kProteusCpu);
+  ASSERT_TRUE(eng.Optimize(&plan, policy).ok());
+  const engine::PlanNode& build = plan.node(1);
+  ASSERT_GT(build.est_out_rows, part->num_rows()) << "no fan-out estimated";
+  EXPECT_EQ(build.built_state->ht.num_buckets(),
+            NextPow2(part->num_rows() + 16));
+
+  auto dumped = eng.DumpPlan(plan);
+  ASSERT_TRUE(dumped.ok());
+  auto loaded = eng.LoadPlan(dumped.value(), ctx_->catalog);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().plan.node(1).built_state->ht.num_buckets(),
+            build.built_state->ht.num_buckets());
 }
 
 // ---- execution round-trip ----------------------------------------------------
@@ -576,6 +613,12 @@ TEST_F(PlanJsonTest, MalformedManifestsReturnStatusErrors) {
                 R"("columns":["n_nationkey"],"chunk_rows":64},"ops":[],)"
                 R"("sink":{"kind":"hash_build","key":{"op":"col","col":0},)"
                 R"("payload_cols":[0],"ht_buckets":4503599627370496}})"),
+       kRuleInvalidParameter},
+      {"declared_build_rows past the table (allocation guard)",
+       Manifest(R"({"id":0,"name":"b","source":{"table":"nation",)"
+                R"("columns":["n_nationkey"],"chunk_rows":64},"ops":[],)"
+                R"("sink":{"kind":"hash_build","key":{"op":"col","col":0},)"
+                R"("payload_cols":[0],"declared_build_rows":26}})"),
        kRuleInvalidParameter},
       {"fractional chunk_rows",
        Manifest(R"({"id":0,"name":"p","source":{"table":"nation",)"

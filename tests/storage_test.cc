@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
 #include <numeric>
 #include <set>
 #include <unordered_set>
 
-#include "storage/binary_io.h"
 #include "storage/column.h"
 #include "storage/datagen.h"
 #include "storage/table.h"
@@ -415,47 +413,6 @@ TEST(TpchDates, EncodeOrdersLikeDates) {
   EXPECT_LT(tpch::Date(1994, 12, 31), tpch::Date(1995, 1, 1));
   EXPECT_LT(tpch::Date(1995, 1, 31), tpch::Date(1995, 2, 1));
   EXPECT_EQ(tpch::Date(1998, 9, 2), 19980902);
-}
-
-// ---- binary I/O ----------------------------------------------------------------
-
-TEST(BinaryIo, RoundTrip) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "hape_io_test").string();
-  auto t = TinyTable();
-  ASSERT_TRUE(BinaryIo::WriteTable(*t, dir).ok());
-  auto back = BinaryIo::ReadTable(dir, "tiny");
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  const Table& rt = *back.value();
-  ASSERT_EQ(rt.num_rows(), 3u);
-  ASSERT_EQ(rt.num_columns(), 2);
-  EXPECT_EQ(rt.schema().field(0).name, "k");
-  EXPECT_EQ(rt.column("k")->i64()[2], 3);
-  EXPECT_DOUBLE_EQ(rt.column("v")->f64()[0], 0.5);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(BinaryIo, MissingTableIsIOError) {
-  auto r = BinaryIo::ReadTable("/nonexistent_dir_hape", "ghost");
-  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
-}
-
-TEST(BinaryIo, TpchRoundTripPreservesAggregates) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "hape_io_tpch").string();
-  Catalog cat;
-  tpch::TpchGenerator gen(0.001, 7);
-  ASSERT_TRUE(gen.GenerateAll(&cat).ok());
-  auto li = cat.Get("lineitem").value();
-  ASSERT_TRUE(BinaryIo::WriteTable(*li, dir).ok());
-  auto back = BinaryIo::ReadTable(dir, "lineitem");
-  ASSERT_TRUE(back.ok());
-  auto a = li->column("l_extendedprice")->f64();
-  auto b = back.value()->column("l_extendedprice")->f64();
-  double sa = std::accumulate(a.begin(), a.end(), 0.0);
-  double sb = std::accumulate(b.begin(), b.end(), 0.0);
-  EXPECT_DOUBLE_EQ(sa, sb);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -56,8 +56,8 @@ TEST(TsanStress, ParallelForSlotWritesAndSharedAtomic) {
 // Concurrent readers over one shared ChainedHashTable: each worker hashes
 // its own key block, bulk-probes the shared table into private outputs,
 // and bumps the process-wide counters (HashKeys/ProbeBulk do so
-// internally; the cache-accounting bumps are called explicitly). The
-// visit counts must match the single-threaded reference exactly.
+// internally; the parallel-packet bump is called explicitly). The visit
+// counts must match the single-threaded reference exactly.
 TEST(TsanStress, ConcurrentProbeBulkOverSharedTable) {
   constexpr size_t kBuildRows = 1 << 14;
   constexpr size_t kBlocks = 64;
@@ -90,7 +90,6 @@ TEST(TsanStress, ConcurrentProbeBulkOverSharedTable) {
     visits[b] = kernels::ProbeBulk(ht, keys.data(), hashes.data(), kBlockKeys,
                                    &probe_rows, &build_rows);
     matches[b] = build_rows.size();
-    BumpHashCacheHits(1);
     BumpParallelPackets(1);
   });
 
@@ -113,7 +112,7 @@ TEST(TsanStress, ConcurrentProbeBulkOverSharedTable) {
 // The real product path: a fuzzed join/agg plan executed with parallel
 // packet transforms must race-free produce the same result bytes as the
 // sequential scalar plane. Under the TSan CI job this drives the whole
-// executor handoff (stage closures, KeyCache propagation, sink consume).
+// executor handoff (stage closures, packet gathers, sink consume).
 TEST(TsanStress, EngineRunWithPacketThreadsMatchesSequential) {
   sim::Topology topo = sim::Topology::PaperServer();
   storage::Catalog catalog;

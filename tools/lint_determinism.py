@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Ban nondeterminism APIs from the deterministic core.
 
-The simulator, engine, and serving layer promise bit-identical replays:
-same seed, same bytes. Wall clocks and ambient PRNGs break that silently,
-so this checker greps src/sim, src/engine, and src/serve for the APIs
-that smuggle in nondeterminism and fails the build when one appears.
+The simulator, engine, optimizer and serving layer promise bit-identical
+replays: same seed, same bytes. Wall clocks and ambient PRNGs break that
+silently, so this checker greps src/sim, src/engine, src/opt and src/serve
+for the APIs that smuggle in nondeterminism and fails the build when one
+appears.
 
 Seeded, owned PRNGs (the sim's own RNG, std::mt19937 with an explicit
 seed) are fine and not flagged. A line that genuinely needs an exemption
@@ -17,7 +18,7 @@ import pathlib
 import re
 import sys
 
-CHECKED_DIRS = ["src/sim", "src/engine", "src/serve"]
+CHECKED_DIRS = ["src/sim", "src/engine", "src/opt", "src/serve"]
 SUFFIXES = {".cc", ".h"}
 ALLOW_MARK = "lint-determinism: allow"
 
