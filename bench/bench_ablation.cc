@@ -9,8 +9,6 @@
 //   A4 scratchpad budget sweep for the in-GPU radix join — the
 //      fanout-vs-passes trade-off of §4.1.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -130,21 +128,9 @@ void PrintTables() {
   std::printf("\n");
 }
 
-void BM_RouterPolicy(benchmark::State& state) {
-  const auto pol = static_cast<engine::RoutingPolicy>(state.range(0));
-  double s = 0;
-  for (auto _ : state) s = RunQ6Hybrid(pol);
-  state.counters["sim_s"] = s;
-}
-
 }  // namespace
 
-BENCHMARK(BM_RouterPolicy)->Arg(0)->Arg(1)->Arg(2)->Unit(
-    benchmark::kMillisecond);
-
-int main(int argc, char** argv) {
+int main() {
   PrintTables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,15 +6,13 @@
 // and double-buffered, probe-side staging overlaps builds, and per-packet
 // mem-moves hide behind compute.
 //
-// Besides the stdout table, results go to BENCH_async.json. CI enforces
-// two invariants on it: depth 0 must equal the plain synchronous run
-// exactly, and hybrid Q5/Q9 must be strictly faster at every depth >= 1.
-
-#include <benchmark/benchmark.h>
+// Besides the stdout table, results go to BENCH_async.json. Its ctest
+// (tools/check_bench_outputs.py) enforces two invariants on it: depth 0
+// must equal the plain synchronous run exactly, and hybrid Q5/Q9 must be
+// strictly faster at every depth >= 1.
 
 #include <cstdio>
 #include <fstream>
-#include <string>
 
 #include "common/json.h"
 #include "queries/tpch_queries.h"
@@ -109,7 +107,7 @@ void AblationTableAndJson() {
         }
         if (!plain.DidNotFinish()) {
           // The plain run carries no AsyncOptions at all: depth 0 must
-          // reproduce it exactly (CI enforces this).
+          // reproduce it exactly (the ctest enforces this).
           w.Key("plain_sync_seconds");
           w.Double(plain.seconds);
         }
@@ -134,39 +132,9 @@ void AblationTableAndJson() {
   std::printf("\nwrote BENCH_async.json\n\n");
 }
 
-void BM_Async(benchmark::State& state, int q, EngineConfig config,
-              int depth) {
-  double sim_s = -1;
-  for (auto _ : state) {
-    const QueryResult r = RunAtDepth(q, config, depth);
-    if (!r.DidNotFinish()) sim_s = r.seconds;
-    benchmark::DoNotOptimize(r.groups.size());
-  }
-  state.counters["sim_s"] = sim_s;
-}
-
-void RegisterAll() {
-  for (int q = 0; q < kNumQueries; ++q) {
-    for (auto c : kConfigs) {
-      for (int d : {0, 2}) {
-        std::string name = std::string("Async/") + kQueryNames[q] + "/" +
-                           ConfigName(c) + "/depth" + std::to_string(d);
-        benchmark::RegisterBenchmark(name.c_str(),
-                                     [q, c, d](benchmark::State& s) {
-                                       BM_Async(s, q, c, d);
-                                     });
-      }
-    }
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   AblationTableAndJson();
-  RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -6,8 +6,6 @@
 // small degradation below ~1K elements from hardware underutilization),
 // while the L1-based variants pay line-granularity over-fetch and pollution.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -57,36 +55,9 @@ void PrintPaperTable() {
   std::printf("\n");
 }
 
-void BM_Fig5(benchmark::State& state, ProbeMemory mem) {
-  bench::JoinData data;
-  const uint64_t elems = static_cast<uint64_t>(state.range(0));
-  double ms = 0;
-  for (auto _ : state) {
-    const auto out = Run(&data, elems, mem);
-    ms = out.build_probe_seconds * 1e3;
-    benchmark::DoNotOptimize(out.matches);
-  }
-  state.counters["sim_probe_ms"] = ms;
-}
-
-void RegisterAll() {
-  for (auto [name, mem] :
-       {std::pair{"fig5/SM", ProbeMemory::kScratchpad},
-        std::pair{"fig5/SM+L1", ProbeMemory::kScratchpadHeadsL1},
-        std::pair{"fig5/L1", ProbeMemory::kL1}}) {
-    auto* b = benchmark::RegisterBenchmark(
-        name, [mem](benchmark::State& s) { BM_Fig5(s, mem); });
-    for (int elems = 128; elems <= 4096; elems *= 2) b->Arg(elems);
-    b->Unit(benchmark::kMillisecond);
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintPaperTable();
-  RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

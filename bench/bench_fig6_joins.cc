@@ -6,8 +6,6 @@
 // over an order of magnitude against the CPU-side systems at 128M; beyond
 // 128M the datasets stop fitting in GPU memory.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <functional>
 
@@ -77,34 +75,9 @@ void PrintPaperTable() {
   std::printf("\n");
 }
 
-void RegisterAll() {
-  for (const auto& s : MakeSeries()) {
-    auto run = s.run;
-    auto* b = benchmark::RegisterBenchmark(
-        (std::string("fig6/") + s.name).c_str(),
-        [run](benchmark::State& state) {
-          bench::JoinData data;
-          auto in = data.Make(static_cast<uint64_t>(state.range(0)) << 20,
-                              1u << 18);
-          double sim_s = -1;
-          for (auto _ : state) {
-            const auto out = run(in);
-            if (out.status.ok()) sim_s = out.seconds;
-            benchmark::DoNotOptimize(out.matches);
-          }
-          state.counters["sim_s"] = sim_s;
-        });
-    for (int m : {1, 2, 8, 32, 128}) b->Arg(m);
-    b->Unit(benchmark::kMillisecond);
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintPaperTable();
-  RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -5,8 +5,6 @@
 // random-access join stays well below PCIe throughput; DBMS G collapses
 // once its hash table no longer fits device memory.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "baselines/baseline_joins.h"
@@ -44,30 +42,9 @@ void PrintPaperTable() {
   std::printf("\n");
 }
 
-void BM_Coproc(benchmark::State& state) {
-  sim::Topology topo = sim::Topology::PaperServer();
-  bench::JoinData data;
-  auto in = data.Make(static_cast<uint64_t>(state.range(0)) << 20, 1u << 18);
-  const int gpus = static_cast<int>(state.range(1));
-  double sim_s = 0;
-  for (auto _ : state) {
-    topo.Reset();
-    const auto out = coproc::CoprocRadixJoin(in, &topo, gpus);
-    sim_s = out.seconds;
-    benchmark::DoNotOptimize(out.matches);
-  }
-  state.counters["sim_s"] = sim_s;
-}
-
 }  // namespace
 
-BENCHMARK(BM_Coproc)
-    ->ArgsProduct({{256, 512, 1024, 2048}, {1, 2}})
-    ->Unit(benchmark::kMillisecond);
-
-int main(int argc, char** argv) {
+int main() {
   PrintPaperTable();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 // only through the hybrid co-processing join (2x over CPU-only), and
 // DBMS G finishes only Q6.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "queries/tpch_queries.h"
@@ -61,38 +59,9 @@ void PrintPaperTable() {
   std::printf("\n");
 }
 
-void BM_Tpch(benchmark::State& state, QueryFn fn, EngineConfig config) {
-  TpchContext* ctx = Context();
-  double sim_s = -1;
-  for (auto _ : state) {
-    ctx->topo->Reset();
-    const QueryResult r = fn(ctx, config);
-    if (!r.DidNotFinish()) sim_s = r.seconds;
-    benchmark::DoNotOptimize(r.groups.size());
-  }
-  state.counters["sim_s"] = sim_s;
-}
-
-void RegisterAll() {
-  for (int q = 0; q < 4; ++q) {
-    for (auto c : kConfigs) {
-      const std::string name = std::string("fig8/") + kQueryNames[q] + "/" +
-                               ConfigName(c);
-      auto fn = kQueries[q];
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [fn, c](benchmark::State& s) { BM_Tpch(s, fn, c); })
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintPaperTable();
-  RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

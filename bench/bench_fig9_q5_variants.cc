@@ -4,8 +4,6 @@
 // join. Expected shape: the partitioned join wins in both configurations
 // (the paper reports 1.44x for GPU-only and 1.23x for hybrid).
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "queries/tpch_queries.h"
@@ -52,36 +50,9 @@ void PrintPaperTable() {
   std::printf("\n");
 }
 
-void BM_Fig9(benchmark::State& state, EngineConfig config,
-             bool partitioned) {
-  double sim_s = 0;
-  for (auto _ : state) {
-    sim_s = RunQ5Variant(config, partitioned);
-  }
-  state.counters["sim_s"] = sim_s;
-}
-
-void RegisterAll() {
-  for (auto [name, cfg] :
-       {std::pair{"GPU", EngineConfig::kProteusGpu},
-        std::pair{"Hybrid", EngineConfig::kProteusHybrid}}) {
-    for (bool part : {false, true}) {
-      const std::string bname = std::string("fig9/") + name + "/" +
-                                (part ? "partitioned" : "non-partitioned");
-      benchmark::RegisterBenchmark(
-          bname.c_str(),
-          [cfg, part](benchmark::State& s) { BM_Fig9(s, cfg, part); })
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintPaperTable();
-  RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

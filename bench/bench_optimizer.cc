@@ -7,11 +7,8 @@
 // Besides the stdout table, results are written to BENCH_optimizer.json so
 // future changes can track optimizer-vs-manual cost ratios mechanically.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <fstream>
-#include <string>
 
 #include "common/json.h"
 #include "queries/tpch_queries.h"
@@ -105,40 +102,9 @@ void AblationTableAndJson() {
   std::printf("\nwrote BENCH_optimizer.json\n\n");
 }
 
-void BM_Optimize(benchmark::State& state, int q, EngineConfig config,
-                 PlanMode mode) {
-  double sim_s = -1;
-  for (auto _ : state) {
-    const QueryResult r = RunMode(q, config, mode);
-    if (!r.DidNotFinish()) sim_s = r.seconds;
-    benchmark::DoNotOptimize(r.groups.size());
-  }
-  state.counters["sim_s"] = sim_s;
-}
-
-void RegisterAll() {
-  for (int q = 0; q < 4; ++q) {
-    for (auto c : kConfigs) {
-      for (auto mode : {PlanMode::kHandDeclared, PlanMode::kOptimized}) {
-        const std::string name =
-            std::string("optimizer/") + kQueryNames[q] + "/" +
-            ConfigName(c) +
-            (mode == PlanMode::kOptimized ? "/optimized" : "/hand");
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [q, c, mode](benchmark::State& s) { BM_Optimize(s, q, c, mode); })
-            ->Unit(benchmark::kMillisecond);
-      }
-    }
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   AblationTableAndJson();
-  RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

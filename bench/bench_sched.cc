@@ -13,17 +13,15 @@
 // second is admitted in a later wave and reports a positive queueing
 // delay.
 //
-// Besides the stdout table, results go to BENCH_sched.json. CI enforces:
+// Besides the stdout table, results go to BENCH_sched.json. Its ctest
+// (tools/check_bench_outputs.py) enforces:
 //   - kFifo reproduces the serial sum exactly (bit-exact compat),
 //   - the concurrent hybrid makespan is strictly below the serial sum
 //     at both depths,
 //   - the contended scenario reports a positive queueing delay.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <fstream>
-#include <string>
 #include <vector>
 
 #include "common/json.h"
@@ -226,38 +224,9 @@ void ScheduleTableAndJson() {
   std::printf("\nwrote BENCH_sched.json\n\n");
 }
 
-void BM_Schedule(benchmark::State& state, engine::SchedulingPolicy sched,
-                 int depth) {
-  double makespan = -1;
-  for (auto _ : state) {
-    const engine::ScheduleStats s = RunSchedule(MakePolicy(depth, sched));
-    makespan = s.makespan;
-    benchmark::DoNotOptimize(makespan);
-  }
-  state.counters["makespan_s"] = makespan;
-}
-
-void RegisterAll() {
-  for (int depth : {1, 2}) {
-    for (auto sched : {engine::SchedulingPolicy::kFifo,
-                       engine::SchedulingPolicy::kFairShare}) {
-      std::string name = std::string("Sched/") +
-                         engine::SchedulingPolicyName(sched) + "/depth" +
-                         std::to_string(depth);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [sched, depth](benchmark::State& s) { BM_Schedule(s, sched, depth); });
-    }
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   ScheduleTableAndJson();
-  RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -9,7 +9,8 @@
 //
 // Besides the stdout table, results go to BENCH_serve.json, and the
 // tiered replay's full run trace (every DMA packet, compute slice, and
-// scheduling decision) to TRACE_serve.json. CI enforces:
+// scheduling decision) to TRACE_serve.json. Its ctest
+// (tools/check_bench_outputs.py) enforces:
 //   - the replay is deterministic (a second run of the tiered schedule is
 //     bit-identical, per-tier percentiles included — and since the second
 //     run records a trace while the first does not, this doubles as proof
@@ -25,8 +26,6 @@
 //     admission, or aborted mid-flight on its expired deadline), and
 //   - tier 0's deadline-miss rate is no worse than the untiered
 //     baseline's over the same tier-0 population.
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <fstream>
@@ -103,8 +102,9 @@ struct Replay {
 /// Replay the trace through a fresh engine + service. `untiered` forces
 /// every request to tier 0 — the baseline of the tiering comparison —
 /// without touching arrivals, plans, or anything else. `traced` records
-/// the full run trace; it must never change the schedule (CI compares a
-/// traced replay against an untraced one bit-for-bit).
+/// the full run trace; it must never change the schedule (the ctest
+/// asserts `deterministic_replay`, a traced replay compared bit-for-bit
+/// against an untraced one).
 Replay Run(const WorkloadOptions& wo, bool untiered, bool traced = false) {
   queries::TpchContext* ctx = Context();
   ctx->topo->Reset();
@@ -361,26 +361,9 @@ void ReplayTableAndJson() {
   std::printf("\nwrote BENCH_serve.json and TRACE_serve.json\n\n");
 }
 
-void BM_Replay(benchmark::State& state, bool untiered) {
-  const WorkloadOptions wo = BenchWorkload(64);
-  for (auto _ : state) {
-    const Replay r = Run(wo, untiered);
-    benchmark::DoNotOptimize(r.stats.makespan);
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   ReplayTableAndJson();
-  benchmark::RegisterBenchmark("Serve/tiered/64", [](benchmark::State& s) {
-    BM_Replay(s, /*untiered=*/false);
-  });
-  benchmark::RegisterBenchmark("Serve/untiered/64", [](benchmark::State& s) {
-    BM_Replay(s, /*untiered=*/true);
-  });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -85,10 +85,13 @@ BuildHandle PipelineBuilder::HashBuild(expr::ExprPtr key,
       << "pipeline '" << n.pipeline.name << "' already has a sink";
   // A declared cardinality is an explicit override; without one the table
   // is sized for the full source until Engine::Optimize re-buckets it from
-  // its cardinality estimate.
-  const size_t sizing_rows = opts.expected_rows > 0
-                                 ? static_cast<size_t>(opts.expected_rows)
-                                 : n.source_rows;
+  // its cardinality estimate. A declaration past the source is Validate's
+  // error, and sizes no more than the source meanwhile.
+  const size_t sizing_rows =
+      opts.expected_rows > 0
+          ? static_cast<size_t>(
+                std::min<uint64_t>(opts.expected_rows, n.source_rows))
+          : n.source_rows;
   auto state = std::make_shared<JoinState>(sizing_rows + 16);
   n.pipeline.sink = std::make_unique<BuildSink>(state, key, payload_cols);
   n.is_build = true;
@@ -297,6 +300,13 @@ Status QueryPlan::Validate(const sim::Topology* topo, const char** rule) const {
     }
     if (Status st = CheckPacketWidths(node, id); !st.ok()) {
       return Reject(rule, lint::kRuleColumnOutOfRange, st.message());
+    }
+    if (node.declared_build_rows > node.source_rows) {
+      return Reject(rule, lint::kRuleInvalidParameter,
+                    id + " declares " +
+                        std::to_string(node.declared_build_rows) +
+                        " build rows but its source has " +
+                        std::to_string(node.source_rows));
     }
   }
   auto order = TopologicalOrder();

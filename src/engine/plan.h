@@ -27,7 +27,8 @@ struct BuildOptions {
   /// filters). 0 (the default) means "derive from the optimizer's
   /// cardinality estimate" (Engine::Optimize re-buckets the table; an
   /// unoptimized Run sizes it for the full source). A positive value is an
-  /// explicit override that the optimizer respects.
+  /// explicit override that the optimizer respects; one above the
+  /// pipeline's source rows is an error (QueryPlan::Validate, HL008).
   uint64_t expected_rows = 0;
   /// Marks a big build side. Heavy builds drive the engine's placement
   /// decisions on GPUs: partitioned vs non-partitioned probing (Fig. 9) and
@@ -181,11 +182,12 @@ class QueryPlan {
   /// build payload column lies inside the packet layout at its position
   /// (scanned columns, plus each probe's payload, replaced by each
   /// projection; Source() pipelines have no declared width and are
-  /// skipped), and (when `topo` is given) device overrides name known
-  /// devices. Fail-fast: the first fault is an InvalidArgument, and
-  /// `*rule` (when non-null, set only on failure) names the lint rule it
-  /// breaks: HL001 missing sink/stages or dangling edge, HL002 cycle, HL003
-  /// column outside the layout, HL005 unknown device.
+  /// skipped), (when `topo` is given) device overrides name known
+  /// devices, and no build declares more rows than its source has.
+  /// Fail-fast: the first fault is an InvalidArgument, and `*rule` (when
+  /// non-null, set only on failure) names the lint rule it breaks: HL001
+  /// missing sink/stages or dangling edge, HL002 cycle, HL003 column
+  /// outside the layout, HL005 unknown device, HL008 declared build rows.
   Status Validate(const sim::Topology* topo = nullptr,
                   const char** rule = nullptr) const;
 

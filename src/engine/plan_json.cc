@@ -69,7 +69,7 @@ constexpr int64_t kMaxSmallKnob = 1 << 30;
 /// 1,800x the lineitem rows of SF 100. It keeps every rows x scale cast to
 /// uint64 in range: StatsCatalog::Collect's nominal rows, the optimizer's
 /// est_nominal_out_rows, a built table's nominal_rows (Engine::StepPlan),
-/// Scheduler::EstimatedResidentBytes, lint's HL014 pass, and with
+/// Scheduler::EstimatedResidentBytes, and with
 /// ExecutionPolicy::kMaxShuffleWireAmplification the executor's wire bytes.
 constexpr double kMaxNominalRows = 1099511627776.0;  // 2^40
 
@@ -663,19 +663,13 @@ Status ApplyBuildSink(const PipeDoc& doc, PipelineBuilder* pipe,
   HAPE_RETURN_NOT_OK(ReadOptBool(sink, "heavy", &opts.heavy, doc.where));
   uint64_t buckets = 0;
   HAPE_RETURN_NOT_OK(ReadOptUint(sink, "ht_buckets", &buckets, doc.where));
-  // Both numbers size the table's bucket heads and entry reservation
-  // before a row arrives, so a hand-edited one must get an error, not a
-  // multi-gigabyte allocation. The ceilings are those of a table sized for
-  // its whole scanned source: at most the table's rows declared, and the
+  // The bucket count resizes the table before a row arrives, so a
+  // hand-edited one must get an error, not a multi-gigabyte allocation. Its
+  // ceiling is that of a table sized for its whole scanned source: the
   // NextPow2(rows + 16) buckets HashBuild gives it and Optimize never
-  // exceeds.
+  // exceeds. (HashBuild sizes a declared_build_rows past the table for the
+  // table alone, and QueryPlan::Validate, which ends Load, rejects it.)
   const uint64_t table_rows = doc.table->num_rows();
-  if (opts.expected_rows > table_rows) {
-    return Bad(why, lint::kRuleInvalidParameter, doc.where,
-               "'declared_build_rows' exceeds the " +
-                   std::to_string(table_rows) + " rows of table '" +
-                   doc.table->name() + "'");
-  }
   if (buckets > NextPow2(table_rows + 16)) {
     return Bad(why, lint::kRuleInvalidParameter, doc.where,
                "'ht_buckets' exceeds the " +

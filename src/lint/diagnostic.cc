@@ -48,7 +48,7 @@ const std::vector<RuleInfo>& RuleTable() {
       {kRuleDuplicateLabel, Severity::kWarning,
        "duplicate query label in one manifest"},
       {kRuleBuildAnnotation, Severity::kWarning,
-       "build annotation inconsistent with source cardinality"},
+       "retired: declared build rows past the source are HL008"},
   };
   return kTable;
 }

@@ -35,6 +35,8 @@ inline constexpr const char* kRuleIgnoredServeKnob = "HL010";
 inline constexpr const char* kRuleSchemaDrift = "HL011";
 inline constexpr const char* kRuleSuspiciousExpr = "HL012";
 inline constexpr const char* kRuleDuplicateLabel = "HL013";
+/// Retired: nothing reports it. Declared build rows past the source are
+/// HL008 (QueryPlan::Validate).
 inline constexpr const char* kRuleBuildAnnotation = "HL014";
 
 /// One row of the shipped rule table (CLI --rules, README).

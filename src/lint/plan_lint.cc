@@ -26,8 +26,6 @@ using engine::SubmitOptions;
 
 // ---- small shared helpers ---------------------------------------------------
 
-std::string Itoa(uint64_t v) { return std::to_string(v); }
-
 std::string MiBString(uint64_t bytes) {
   const double mib = static_cast<double>(bytes) / (1024.0 * 1024.0);
   char buf[32];
@@ -61,9 +59,9 @@ std::string PipePath(const QueryPlan& plan, int i) {
 }
 
 /// Structure pass: QueryPlan::Validate is the one structural checker
-/// (HL001/HL002/HL003/HL005 device overrides). Returns false when it
-/// rejects the plan; the other plan passes walk the DAG and need a valid
-/// one.
+/// (HL001/HL002/HL003/HL005 device overrides/HL008 declared build rows).
+/// Returns false when it rejects the plan; the other plan passes walk the
+/// DAG and need a valid one.
 bool PassStructure(LintReport* r, const QueryPlan& plan,
                    const sim::Topology* topo) {
   const char* rule = nullptr;
@@ -74,7 +72,7 @@ bool PassStructure(LintReport* r, const QueryPlan& plan,
 }
 
 /// Column pass: scanned tables vs the catalog (HL004), suspicious
-/// expressions (HL012), build annotations (HL014).
+/// expressions (HL012).
 void PassColumns(LintReport* r, const QueryPlan& plan,
                  const storage::Catalog* catalog) {
   const int n = static_cast<int>(plan.num_pipelines());
@@ -111,18 +109,6 @@ void PassColumns(LintReport* r, const QueryPlan& plan,
       r->Add(kRuleSuspiciousExpr, path,
              "build key is a constant (references no column)",
              "a constant key sends every row to one hash bucket");
-    }
-    if (node.declared_build_rows > 0 && node.source_rows > 0) {
-      const uint64_t nominal_source = static_cast<uint64_t>(
-          static_cast<double>(node.source_rows) * node.pipeline.scale);
-      if (node.declared_build_rows > nominal_source) {
-        r->Add(kRuleBuildAnnotation, path,
-               "declared build rows " + Itoa(node.declared_build_rows) +
-                   " exceed the nominal source cardinality " +
-                   Itoa(nominal_source),
-               "BuildOptions::expected_rows should be the rows *surviving* "
-               "the pipeline's filters");
-      }
     }
   }
 }

@@ -29,12 +29,12 @@ struct LintContext {
 };
 
 /// Static analysis of one in-memory QueryPlan: QueryPlan::Validate's
-/// structural verdict (HL001/HL002/HL003/HL005, one diagnostic, after which
-/// only the submit pass runs), catalog membership (HL004), placement
+/// structural verdict (HL001/HL002/HL003/HL005/HL008, one diagnostic, after
+/// which only the submit pass runs), catalog membership (HL004), placement
 /// feasibility (HL005), GPU admission-budget fit (HL006), deadline
 /// reachability against the optimizer's cost estimates (HL007), submit
-/// parameters (HL008), and suspicious expressions and annotations
-/// (HL012/HL014). Pure: never mutates the plan, never executes anything.
+/// parameters (HL008), and suspicious expressions (HL012). Pure: never
+/// mutates the plan, never executes anything.
 LintReport LintPlan(const engine::QueryPlan& plan, const LintContext& ctx);
 
 /// Static analysis of an ExecutionPolicy alone: ExecutionPolicy::Validate's

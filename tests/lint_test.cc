@@ -357,20 +357,44 @@ TEST_F(LintTest, SuspiciousExpressionsAreHL012) {
   EXPECT_EQ(suspicious, 2u);
 }
 
-TEST_F(LintTest, DeclaredRowsPastSourceCardinalityIsHL014) {
-  engine::PlanBuilder pb("overdeclared");
-  auto build = pb.Scan(Table("customer"), {"c_custkey"}, 1024);
-  engine::BuildOptions opts;
-  opts.expected_rows = 5000;  // customer has ~1.5k actual rows at SF 0.01
-  engine::BuildHandle h = build.HashBuild(Expr::Col(0), {0}, opts);
-  auto probe = pb.Scan(Table("lineitem"), {"l_orderkey"}, 4096);
-  probe.Probe(h, Expr::Col(0));
-  probe.Aggregate(nullptr, {engine::AggDef{engine::AggOp::kCount, nullptr}});
-  engine::QueryPlan plan = std::move(pb).Build();
+// A build may not declare more rows than its source has, at any pipeline
+// scale: QueryPlan::Validate rejects it (HL008) for lint, Engine::Run and
+// QueryService::Submit alike, so the engine never runs a plan the service
+// cannot serve.
+TEST_F(LintTest, DeclaredRowsPastSourceRowsAreHL008) {
+  for (double scale : {1.0, 10000.0}) {
+    SCOPED_TRACE(scale);
+    auto make = [scale] {
+      engine::PlanBuilder pb("overdeclared");
+      auto build = pb.Scan(Table("customer"), {"c_custkey"}, 1024);
+      build.Scale(scale);
+      engine::BuildOptions opts;
+      opts.expected_rows = 5000;  // customer has 1,500 rows at SF 0.01
+      engine::BuildHandle h = build.HashBuild(Expr::Col(0), {0}, opts);
+      auto probe = pb.Scan(Table("lineitem"), {"l_orderkey"}, 4096);
+      probe.Scale(scale);
+      probe.Probe(h, Expr::Col(0));
+      probe.Aggregate(nullptr,
+                      {engine::AggDef{engine::AggOp::kCount, nullptr}});
+      return std::move(pb).Build();
+    };
+    engine::QueryPlan plan = make();
 
-  const LintReport r = LintPlan(plan, FullContext(nullptr));
-  EXPECT_TRUE(r.Has(kRuleBuildAnnotation)) << r.Summary();
-  EXPECT_EQ(r.errors(), 0u) << r.Summary();
+    const LintReport r = LintPlan(plan, FullContext(nullptr));
+    ASSERT_EQ(r.diagnostics().size(), 1u) << r.Summary();
+    EXPECT_EQ(r.diagnostics()[0].code, kRuleInvalidParameter);
+    EXPECT_EQ(r.errors(), 1u);
+
+    sim::Topology topo = sim::Topology::PaperServer();
+    engine::Engine eng(&topo);
+    const ExecutionPolicy policy =
+        ExecutionPolicy::ForConfig(topo, EngineConfig::kProteusHybrid);
+    EXPECT_EQ(eng.Run(&plan, policy).status().code(),
+              StatusCode::kInvalidArgument);
+    serve::QueryService service(&eng, &tctx_->catalog, policy);
+    EXPECT_EQ(service.Submit(make(), SubmitOptions{}).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 // ---- manifest document passes -----------------------------------------------

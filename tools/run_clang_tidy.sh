@@ -24,8 +24,8 @@ if ! command -v "$TIDY" >/dev/null; then
   exit 2
 fi
 
-# First-party TUs only: the database also holds GoogleTest/benchmark
-# sources fetched by the build, which are not ours to lint.
+# The library, tests, tools and examples: the database also lists the
+# bench/ programs, which this profile does not cover.
 mapfile -t FILES < <(python3 - "$BUILD_DIR" <<'PY'
 import json, os, sys
 root = os.path.dirname(os.path.abspath(sys.argv[1].rstrip("/")))
