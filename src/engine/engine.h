@@ -258,8 +258,9 @@ class Engine {
   obs::Tracer tracer_;
   obs::MetricsRegistry metrics_;
   Executor executor_;
-  /// Table statistics cached across Optimize calls (tables are immutable;
-  /// entries re-collect if a table's scale or row count changes).
+  /// Table statistics cached across Optimize calls: each table is collected
+  /// once (tables are immutable; an entry re-collects only if its table's
+  /// row count changes, never for the scale a plan runs it at).
   opt::StatsCatalog stats_cache_;
   /// Plans admitted via Submit. Executed entries are kept (their sinks own
   /// the query results the caller's handles point into); RunAll only runs

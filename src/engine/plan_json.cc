@@ -67,10 +67,10 @@ constexpr double kMaxIntegerNumber = 9007199254740992.0;  // 2^53
 constexpr int64_t kMaxSmallKnob = 1 << 30;
 /// Ceiling of a scan's nominal rows (table rows x pipeline scale), about
 /// 1,800x the lineitem rows of SF 100. It keeps every rows x scale cast to
-/// uint64 in range: StatsCatalog::Collect's nominal rows, the optimizer's
-/// est_nominal_out_rows, a built table's nominal_rows (Engine::StepPlan),
-/// Scheduler::EstimatedResidentBytes, and with
-/// ExecutionPolicy::kMaxShuffleWireAmplification the executor's wire bytes.
+/// uint64 in range: the optimizer's est_nominal_out_rows, a built table's
+/// nominal_rows (Engine::StepPlan), Scheduler::EstimatedResidentBytes, and
+/// with ExecutionPolicy::kMaxShuffleWireAmplification the executor's wire
+/// bytes.
 constexpr double kMaxNominalRows = 1099511627776.0;  // 2^40
 
 Result<int64_t> GetInt(const JsonValue& obj, const char* key,

@@ -36,11 +36,6 @@ const Gauge* MetricsRegistry::FindGauge(const std::string& name) const {
   return it == gauges_.end() ? nullptr : &it->second;
 }
 
-const Histogram* MetricsRegistry::FindHistogram(const std::string& name) const {
-  auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
-}
-
 void MetricsRegistry::Clear() {
   counters_.clear();
   gauges_.clear();

@@ -64,7 +64,6 @@ class MetricsRegistry {
 
   const Counter* FindCounter(const std::string& name) const;
   const Gauge* FindGauge(const std::string& name) const;
-  const Histogram* FindHistogram(const std::string& name) const;
 
   void Clear();
   bool empty() const {

@@ -30,9 +30,6 @@ struct JoinInput {
   std::span<const int32_t> s_key, s_pay;
   uint64_t nominal_r = 0, nominal_s = 0;
 
-  double ScaleR() const {
-    return r_key.empty() ? 1.0 : static_cast<double>(nominal_r) / r_key.size();
-  }
   double ScaleS() const {
     return s_key.empty() ? 1.0 : static_cast<double>(nominal_s) / s_key.size();
   }

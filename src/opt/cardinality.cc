@@ -40,12 +40,13 @@ Status CardinalityEstimator::EstimateNode(const QueryPlan& plan, int node_idx,
   NodeEstimate& ne = est->nodes[node_idx];
 
   if (node.source_table != nullptr) {
-    // Collect on first sight; re-collect when a cached entry was taken at
-    // a different nominal scale (shared catalogs outlive single plans).
+    // Statistics describe the stored rows, whatever scale a plan runs the
+    // table at: collect on first sight, and again only if the table's row
+    // count changed (shared catalogs outlive single plans).
     const TableStats* cached = stats_->Get(node.source_table->name());
-    if (cached == nullptr || cached->scale != node.pipeline.scale ||
+    if (cached == nullptr ||
         cached->actual_rows != node.source_table->num_rows()) {
-      stats_->Collect(*node.source_table, node.pipeline.scale);
+      stats_->Collect(*node.source_table);
     }
   }
 

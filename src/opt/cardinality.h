@@ -36,15 +36,12 @@ struct NodeEstimate {
 /// Whole-plan estimate, indexed like the plan's nodes.
 struct PlanEstimate {
   std::vector<NodeEstimate> nodes;
-
-  uint64_t OutRows(int node) const {
-    return static_cast<uint64_t>(nodes[node].out_rows);
-  }
 };
 
 /// Propagates cardinality estimates through the filter/probe/aggregate
-/// chains of a QueryPlan, bottom-up in dependency order. Collects missing
-/// table statistics into `stats` on demand (at each scan's declared scale).
+/// chains of a QueryPlan, bottom-up in dependency order. Collects a scanned
+/// table's statistics into `stats` on first sight, and again only when its
+/// row count changed; the scale a scan runs at does not enter them.
 class CardinalityEstimator {
  public:
   explicit CardinalityEstimator(StatsCatalog* stats) : stats_(stats) {}

@@ -85,15 +85,11 @@ struct OptimizeResult {
 /// thesis: heterogeneity decisions belong to the engine, not the plans).
 class Optimizer {
  public:
-  /// `shared_stats` (optional) is a caller-owned catalog reused across
-  /// plans — tables are immutable, so the Engine caches collection work
-  /// there. Without it the optimizer collects into its own catalog.
+  /// `stats` is a caller-owned catalog reused across plans: tables are
+  /// immutable, so the Engine collects each one there once.
   Optimizer(const sim::Topology* topo, OptimizerOptions options,
-            StatsCatalog* shared_stats = nullptr)
-      : topo_(topo),
-        options_(options),
-        active_stats_(shared_stats != nullptr ? shared_stats : &stats_),
-        estimator_(active_stats_) {}
+            StatsCatalog* stats)
+      : topo_(topo), options_(options), estimator_(stats) {}
 
   /// Optimize `plan` for execution under `policy`. Idempotent; must run
   /// before the plan executes (build hash tables are re-bucketed).
@@ -113,8 +109,6 @@ class Optimizer {
                                    const std::vector<std::vector<int>>& deps,
                                    int num_probes, const OptimizerOptions& o);
 
-  StatsCatalog& stats() { return *active_stats_; }
-
  private:
   Status ReorderNode(engine::QueryPlan* plan, int node_idx,
                      const PlanEstimate& est, NodeDecision* decision);
@@ -126,8 +120,6 @@ class Optimizer {
 
   const sim::Topology* topo_;
   OptimizerOptions options_;
-  StatsCatalog stats_;  // used only when no shared catalog was given
-  StatsCatalog* active_stats_;
   CardinalityEstimator estimator_;
 };
 

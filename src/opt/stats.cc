@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <unordered_set>
+#include <span>
+#include <utility>
+#include <vector>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace hape::opt {
@@ -150,6 +153,75 @@ bool TryRangeConjunction(const expr::Expr& l, const expr::Expr& r,
   return true;
 }
 
+/// Set of 64-bit patterns: linear probing over a power-of-two slot array
+/// kept at most half full. Every pattern is a possible value (NaN payloads
+/// and the all-ones word included), so the zero pattern marks empty slots
+/// and its own membership is a flag.
+class DistinctBits {
+ public:
+  void Insert(uint64_t bits) {
+    if (bits == 0) {
+      has_zero_ = true;
+      return;
+    }
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    if (Place(bits)) ++size_;
+  }
+
+  uint64_t size() const { return size_ + (has_zero_ ? 1 : 0); }
+
+ private:
+  /// Stores `bits` unless present; true if it was new.
+  bool Place(uint64_t bits) {
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = HashMurmur64(bits) & mask;; s = (s + 1) & mask) {
+      if (slots_[s] == bits) return false;
+      if (slots_[s] == 0) {
+        slots_[s] = bits;
+        return true;
+      }
+    }
+  }
+
+  void Grow() {
+    const size_t n = std::max<size_t>(1024, 2 * slots_.size());
+    const std::vector<uint64_t> old =
+        std::exchange(slots_, std::vector<uint64_t>(n));
+    for (uint64_t bits : old) {
+      if (bits != 0) Place(bits);
+    }
+  }
+
+  std::vector<uint64_t> slots_;
+  uint64_t size_ = 0;  // nonzero patterns stored
+  bool has_zero_ = false;
+};
+
+/// One pass over a column's typed values. Each value is widened to double
+/// as Column::GetDouble does; a run of equal neighbours inserts once.
+template <typename T>
+void ScanValues(std::span<const T> values, ColumnStats* cs) {
+  cs->row_count = values.size();
+  if (values.empty()) return;
+  DistinctBits distinct;
+  double lo = static_cast<double>(values[0]);
+  double hi = lo;
+  uint64_t prev = std::bit_cast<uint64_t>(lo);
+  distinct.Insert(prev);
+  for (size_t i = 1; i < values.size(); ++i) {
+    const double v = static_cast<double>(values[i]);
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+    const uint64_t bits = std::bit_cast<uint64_t>(v);
+    if (bits != prev) distinct.Insert(bits);
+    prev = bits;
+  }
+  cs->min_value = lo;
+  cs->max_value = hi;
+  cs->has_range = true;
+  cs->ndv = distinct.size();
+}
+
 }  // namespace
 
 uint64_t ColumnStats::NominalNdv(double scale, uint64_t nominal_rows) const {
@@ -165,34 +237,25 @@ uint64_t ColumnStats::NominalNdv(double scale, uint64_t nominal_rows) const {
   return ndv;
 }
 
-const TableStats& StatsCatalog::Collect(const storage::Table& table,
-                                        double scale) {
+const TableStats& StatsCatalog::Collect(const storage::Table& table) {
   TableStats ts;
   ts.table = table.name();
   ts.actual_rows = table.num_rows();
-  ts.scale = scale;
-  ts.nominal_rows = static_cast<uint64_t>(table.num_rows() * scale);
   for (int c = 0; c < table.num_columns(); ++c) {
     const storage::Column& col = *table.column(c);
     ColumnStats cs;
     cs.name = table.schema().field(c).name;
-    cs.row_count = col.size();
-    std::unordered_set<uint64_t> distinct;
-    distinct.reserve(col.size());
-    for (size_t i = 0; i < col.size(); ++i) {
-      const double v = col.GetDouble(i);
-      if (!cs.has_range) {
-        cs.min_value = cs.max_value = v;
-        cs.has_range = true;
-      } else {
-        cs.min_value = std::min(cs.min_value, v);
-        cs.max_value = std::max(cs.max_value, v);
-      }
-      // Hash the value's representation; for integer columns GetDouble is
-      // exact over the domains used here (|v| < 2^53).
-      distinct.insert(std::bit_cast<uint64_t>(v));
+    switch (col.type()) {
+      case storage::DataType::kInt32:
+        ScanValues(col.i32(), &cs);
+        break;
+      case storage::DataType::kInt64:
+        ScanValues(col.i64(), &cs);
+        break;
+      case storage::DataType::kFloat64:
+        ScanValues(col.f64(), &cs);
+        break;
     }
-    cs.ndv = distinct.size();
     ts.columns.emplace(cs.name, std::move(cs));
   }
   auto [it, _] = tables_.insert_or_assign(ts.table, std::move(ts));

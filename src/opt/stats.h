@@ -11,10 +11,9 @@
 
 namespace hape::opt {
 
-/// Per-column statistics collected by one pass over the stored data. The
-/// engine runs on sampled data costed at a nominal scale factor, so every
-/// count carries both views: `*_actual` is what the scan saw, nominal is
-/// actual times the table's scale.
+/// Per-column statistics collected by one pass over the stored data. They
+/// describe the stored rows only: a plan may run a table at any nominal
+/// scale, and NominalNdv takes that scale as an argument.
 struct ColumnStats {
   std::string name;
   uint64_t row_count = 0;  // actual rows scanned
@@ -30,12 +29,10 @@ struct ColumnStats {
   uint64_t NominalNdv(double scale, uint64_t nominal_rows) const;
 };
 
-/// Statistics of one table (at collection scale) plus its nominal view.
+/// Statistics of one stored table.
 struct TableStats {
   std::string table;
   uint64_t actual_rows = 0;
-  uint64_t nominal_rows = 0;
-  double scale = 1.0;  // nominal/actual ratio used at collection
   std::unordered_map<std::string, ColumnStats> columns;
 
   const ColumnStats* Column(const std::string& name) const {
@@ -50,15 +47,13 @@ struct TableStats {
 /// here without changing the consumers.
 class StatsCatalog {
  public:
-  /// Scan `table` and record stats under its name; `scale` is the
-  /// nominal/actual ratio the plans run the table at. Re-collection
-  /// replaces the previous entry.
-  const TableStats& Collect(const storage::Table& table, double scale);
+  /// Scan `table` and record stats under its name. Each column's typed
+  /// values are read once; NDV counts the distinct bit patterns of the
+  /// values widened to double, and min/max fold them in row order.
+  /// Re-collection replaces the previous entry.
+  const TableStats& Collect(const storage::Table& table);
 
   const TableStats* Get(const std::string& table) const;
-  bool Contains(const std::string& table) const {
-    return tables_.count(table) > 0;
-  }
   size_t num_tables() const { return tables_.size(); }
 
  private:

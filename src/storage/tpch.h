@@ -36,7 +36,6 @@ constexpr uint64_t kOrdersSf1 = 1500000;
 constexpr uint64_t kCustomerSf1 = 150000;
 constexpr uint64_t kPartSf1 = 200000;
 constexpr uint64_t kSupplierSf1 = 10000;
-constexpr uint64_t kPartsuppSf1 = 800000;
 
 /// Generates a deterministic TPC-H-shaped database at scale factor `sf`
 /// (may be fractional, e.g. 0.01 for tests). The generator preserves the
@@ -68,7 +67,6 @@ class TpchGenerator {
   uint64_t NumCustomer() const { return Scaled(kCustomerSf1); }
   uint64_t NumPart() const { return Scaled(kPartSf1); }
   uint64_t NumSupplier() const { return Scaled(kSupplierSf1); }
-  uint64_t NumPartsupp() const { return Scaled(kPartsuppSf1); }
 
  private:
   uint64_t Scaled(uint64_t base) const {

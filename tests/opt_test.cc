@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <random>
+#include <unordered_set>
 
 #include "engine/engine.h"
 #include "opt/cardinality.h"
@@ -31,7 +35,7 @@ class TpchStats : public ::testing::Test {
     stats_ = new StatsCatalog();
     for (const char* t : {"lineitem", "orders", "customer", "supplier",
                           "nation", "partsupp"}) {
-      stats_->Collect(*ctx_->catalog.Get(t).value(), ctx_->scale());
+      stats_->Collect(*ctx_->catalog.Get(t).value());
     }
   }
 
@@ -52,10 +56,10 @@ queries::TpchContext* TpchStats::ctx_ = nullptr;
 StatsCatalog* TpchStats::stats_ = nullptr;
 
 TEST_F(TpchStats, RowCountsScaleToNominal) {
+  // Stats hold the stored rows; the nominal view is rows x a plan's scale.
   EXPECT_EQ(stats_->Get("lineitem")->actual_rows, 120024u);
-  EXPECT_EQ(stats_->Get("lineitem")->nominal_rows, 6001200u);
-  EXPECT_EQ(stats_->Get("orders")->nominal_rows, 1500000u);
-  EXPECT_EQ(stats_->Get("customer")->nominal_rows, 150000u);
+  EXPECT_EQ(stats_->Get("orders")->actual_rows, 30000u);
+  EXPECT_EQ(stats_->Get("customer")->actual_rows, 3000u);
 }
 
 TEST_F(TpchStats, KeyNdvsAreExact) {
@@ -156,6 +160,169 @@ TEST_F(TpchStats, CompositeKeyNdv) {
   EXPECT_EQ(EstimateKeyNdv(*key, binding, 16000), 16000u);
   EXPECT_EQ(EstimateKeyNdv(*Expr::Col(1), binding, 16000), 200u);
   EXPECT_EQ(EstimateKeyNdv(*Expr::Int(7), binding, 16000), 1u);
+}
+
+// ---- the typed collection pass against the set-based reference -------------
+
+/// The row-at-a-time pass Collect replaced: every value read through
+/// GetDouble into an unordered_set of its bit pattern, min/max folded in
+/// row order.
+TableStats ReferenceCollect(const storage::Table& table) {
+  TableStats ts;
+  ts.table = table.name();
+  ts.actual_rows = table.num_rows();
+  for (int c = 0; c < table.num_columns(); ++c) {
+    const storage::Column& col = *table.column(c);
+    ColumnStats cs;
+    cs.name = table.schema().field(c).name;
+    cs.row_count = col.size();
+    std::unordered_set<uint64_t> distinct;
+    distinct.reserve(col.size());
+    for (size_t i = 0; i < col.size(); ++i) {
+      const double v = col.GetDouble(i);
+      if (!cs.has_range) {
+        cs.min_value = cs.max_value = v;
+        cs.has_range = true;
+      } else {
+        cs.min_value = std::min(cs.min_value, v);
+        cs.max_value = std::max(cs.max_value, v);
+      }
+      distinct.insert(std::bit_cast<uint64_t>(v));
+    }
+    cs.ndv = distinct.size();
+    ts.columns.emplace(cs.name, std::move(cs));
+  }
+  return ts;
+}
+
+/// Field by field, min/max compared as bit patterns (NaN, -0.0).
+void ExpectSameStats(const TableStats& want, const TableStats& got) {
+  EXPECT_EQ(got.table, want.table);
+  EXPECT_EQ(got.actual_rows, want.actual_rows);
+  ASSERT_EQ(got.columns.size(), want.columns.size());
+  for (const auto& [name, w] : want.columns) {
+    SCOPED_TRACE(want.table + "." + name);
+    const ColumnStats* g = got.Column(name);
+    ASSERT_NE(g, nullptr);
+    EXPECT_EQ(g->name, w.name);
+    EXPECT_EQ(g->row_count, w.row_count);
+    EXPECT_EQ(g->ndv, w.ndv);
+    EXPECT_EQ(g->has_range, w.has_range);
+    EXPECT_EQ(std::bit_cast<uint64_t>(g->min_value),
+              std::bit_cast<uint64_t>(w.min_value));
+    EXPECT_EQ(std::bit_cast<uint64_t>(g->max_value),
+              std::bit_cast<uint64_t>(w.max_value));
+  }
+}
+
+/// `n` values in runs of equal neighbours, each run drawn from `specials`
+/// or from `fresh` (a random value of the column's type).
+template <typename T, typename Fresh>
+std::vector<T> GenerateRuns(std::mt19937_64* rng, size_t n,
+                            const std::vector<T>& specials, Fresh fresh) {
+  std::vector<T> out;
+  out.reserve(n);
+  while (out.size() < n) {
+    const T v = (*rng)() % 3 == 0 ? specials[(*rng)() % specials.size()]
+                                  : fresh();
+    const size_t run = (*rng)() % 4 == 0 ? 1 + (*rng)() % 16 : 1;
+    for (size_t i = 0; i < run && out.size() < n; ++i) out.push_back(v);
+  }
+  return out;
+}
+
+TEST(StatsCollect, TypedPassMatchesSetPassOnGeneratedColumns) {
+  std::mt19937_64 rng(20261019);
+  const auto f64 = [](uint64_t bits) { return std::bit_cast<double>(bits); };
+  const std::vector<double> f64_specials{
+      0.0, -0.0, 1.0, -1.0, 0.5, 1e300, -1e300,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min(),
+      f64(0x7ff8000000000000ULL),  // quiet NaN
+      f64(0xfff8000000000000ULL),  // negative quiet NaN
+      f64(0x7ff0000000000001ULL),  // NaN with a payload
+      f64(0xffffffffffffffffULL),  // all ones: a negative NaN
+  };
+  const int64_t two53 = int64_t{1} << 53;
+  const std::vector<int64_t> i64_specials{
+      0, -1, 7, two53, two53 + 1, two53 + 2, -two53 - 1,
+      std::numeric_limits<int64_t>::min(), std::numeric_limits<int64_t>::max(),
+      std::numeric_limits<int64_t>::max() - 1};
+  const std::vector<int32_t> i32_specials{
+      0, -1, 7, std::numeric_limits<int32_t>::min(),
+      std::numeric_limits<int32_t>::max()};
+
+  for (int trial = 0; trial < 600; ++trial) {
+    // Mostly short columns; every fifth is long enough to grow the set,
+    // every 50th is empty.
+    const size_t max_rows = trial % 5 == 0 ? 5000 : 300;
+    const size_t n = trial % 50 == 0 ? 0 : rng() % max_rows;
+    // Narrow draws repeat values without being neighbours.
+    const uint64_t domain = trial % 2 == 0 ? 50 : ~uint64_t{0};
+    auto col = [&](int kind) -> storage::ColumnPtr {
+      switch (kind) {
+        case 0:
+          return std::make_shared<storage::Column>(GenerateRuns<int32_t>(
+              &rng, n, i32_specials,
+              [&] { return static_cast<int32_t>(rng() % domain); }));
+        case 1:
+          return std::make_shared<storage::Column>(GenerateRuns<int64_t>(
+              &rng, n, i64_specials,
+              [&] { return static_cast<int64_t>(rng() % domain); }));
+        default:
+          return std::make_shared<storage::Column>(GenerateRuns<double>(
+              &rng, n, f64_specials, [&] {
+                return domain == 50 ? static_cast<double>(rng() % 50) * 0.25
+                                    : f64(rng());
+              }));
+      }
+    };
+    const storage::Table table(
+        "t" + std::to_string(trial),
+        std::make_shared<storage::Schema>(std::vector<storage::Field>{
+            {"a", storage::DataType::kInt32},
+            {"b", storage::DataType::kInt64},
+            {"c", storage::DataType::kFloat64}}),
+        {col(0), col(1), col(2)});
+    StatsCatalog stats;
+    ExpectSameStats(ReferenceCollect(table), stats.Collect(table));
+    if (HasFailure()) return;  // one failing trial is enough to read
+  }
+}
+
+TEST_F(TpchStats, TypedPassMatchesSetPassOnEveryTable) {
+  for (const std::string& name : ctx_->catalog.TableNames()) {
+    const storage::Table& table = *ctx_->catalog.Get(name).value();
+    StatsCatalog stats;
+    ExpectSameStats(ReferenceCollect(table), stats.Collect(table));
+  }
+}
+
+TEST_F(TpchStats, ScanAtAnotherScaleKeepsTheFirstCollection) {
+  // A stand-in with the name and row count of orders and a constant key.
+  // The estimator collects it on first sight; a later scan of the real
+  // orders at another scale must read that entry, not re-collect.
+  const storage::TablePtr orders = ctx_->catalog.Get("orders").value();
+  const auto standin = std::make_shared<storage::Table>(
+      "orders",
+      std::make_shared<storage::Schema>(std::vector<storage::Field>{
+          {"o_orderkey", storage::DataType::kInt64}}),
+      std::vector<storage::ColumnPtr>{std::make_shared<storage::Column>(
+          std::vector<int64_t>(orders->num_rows(), 7))});
+  StatsCatalog stats;
+  CardinalityEstimator est(&stats);
+  for (const auto& [table, scale] :
+       {std::pair{standin, 1.0}, std::pair{orders, ctx_->scale()}}) {
+    engine::PlanBuilder b("scan");
+    b.Scan(table, {"o_orderkey"}, 1 << 16)
+        .Scale(scale)
+        .Aggregate(nullptr, {engine::AggDef{engine::AggOp::kCount, nullptr}});
+    engine::QueryPlan plan = std::move(b).Build();
+    ASSERT_TRUE(est.EstimatePlan(plan).ok());
+  }
+  ASSERT_EQ(stats.num_tables(), 1u);
+  EXPECT_EQ(stats.Get("orders")->Column("o_orderkey")->ndv, 1u);
 }
 
 // ---- cardinality propagation ------------------------------------------------
