@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_set>
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
 #include "engine/scheduler.h"
+#include "engine/stages.h"
 #include "lint/plan_lint.h"
 #include "ops/join_kernels.h"
 #include "sim/traffic.h"
@@ -21,6 +22,54 @@ constexpr uint64_t kCoPartitionTupleBytes = 16;
 
 std::string GiBString(uint64_t bytes) {
   return std::to_string(bytes >> 30);
+}
+
+/// One run's executor pipeline for pipeline `i` of `plan` under `policy`:
+/// its packet list, the stages its ops generate (probes against `tables`,
+/// by build index) and a fresh sink for its terminal, which fills
+/// `tables[i]` or the terminal's result cell (emptied first).
+Pipeline Compile(const QueryPlan& plan, int i, const ExecutionPolicy& policy,
+                 const std::vector<JoinStatePtr>& tables) {
+  const PlanNode& node = plan.node(i);
+  Pipeline p;
+  p.name = node.name;
+  p.inputs = node.inputs;
+  p.scale = node.scale;
+  p.charge_source_read = node.charge_source_read;
+  p.policy = policy.routing;
+  p.vector_at_a_time = policy.model == ExecutionModel::kVectorAtATime;
+  p.operator_at_a_time = policy.model == ExecutionModel::kOperatorAtATime;
+  if (node.charge_source_read) p.stages.push_back(ScanStage());
+  for (const LogicalOp& op : node.ops) {
+    switch (op.kind) {
+      case LogicalOp::Kind::kFilter:
+        p.stages.push_back(FilterStage(op.expr));
+        break;
+      case LogicalOp::Kind::kProject:
+        p.stages.push_back(ProjectStage(op.exprs));
+        break;
+      case LogicalOp::Kind::kProbe:
+        p.stages.push_back(ProbeStage(tables[op.build], op.expr));
+        break;
+    }
+  }
+  const TerminalSpec& t = node.terminal;
+  switch (t.kind) {
+    case TerminalSpec::Kind::kBuild:
+      p.sink = std::make_unique<BuildSink>(tables[i], t.key, t.payload);
+      break;
+    case TerminalSpec::Kind::kAggregate:
+      t.groups->clear();
+      p.sink = std::make_unique<HashAggSink>(t.key, t.aggs, t.groups);
+      break;
+    case TerminalSpec::Kind::kCollect:
+      t.batches->clear();
+      p.sink = std::make_unique<CollectSink>(t.batches);
+      break;
+    case TerminalSpec::Kind::kNone:  // Validate rejects it
+      break;
+  }
+  return p;
 }
 
 }  // namespace
@@ -58,29 +107,27 @@ void Engine::SetTraceOptions(const obs::TraceOptions& opts) {
 }
 
 Status Engine::PlaceJoinStates(PlanExec* ex, sim::SimTime* t) {
-  QueryPlan* plan = ex->plan;
+  const QueryPlan& plan = *ex->plan;
   const ExecutionPolicy& policy = *ex->policy;
   PlacementState* placement = &ex->placement;
   RunStats* out = &ex->out;
-  // The tables of this round: every state probed by some pipeline whose
-  // build pipeline has finished and that is not yet device-resident, in
-  // build declaration order (deterministic sums and broadcasts). Builds
-  // downstream of a probe (multi-level DAGs) are placed by a later round.
-  std::unordered_set<const JoinState*> probed;
-  for (size_t i = 0; i < plan->num_pipelines(); ++i) {
-    for (const JoinStatePtr& s : plan->node(static_cast<int>(i)).probed) {
-      probed.insert(s.get());
-    }
+  // The tables of this round: every probed build that has finished and is
+  // not yet device-resident, in build declaration order (deterministic
+  // sums and broadcasts). Builds downstream of a probe (multi-level DAGs)
+  // are placed by a later round.
+  const int n = static_cast<int>(plan.num_pipelines());
+  std::vector<char> probed(n, 0);
+  for (int i = 0; i < n; ++i) {
+    for (int b : plan.node(i).ProbedBuilds()) probed[b] = 1;
   }
   std::vector<int> build_nodes;
-  for (size_t i = 0; i < plan->num_pipelines(); ++i) {
-    const PlanNode& n = plan->node(static_cast<int>(i));
-    if (n.is_build && ex->ran[i] && probed.count(n.built_state.get()) > 0 &&
-        placement->placed.count(n.built_state.get()) == 0) {
-      build_nodes.push_back(static_cast<int>(i));
+  for (int i = 0; i < n; ++i) {
+    if (probed[i] && ex->ran[i] && placement->placed.count(i) == 0) {
+      build_nodes.push_back(i);
     }
   }
   if (build_nodes.empty()) return Status::OK();
+  const std::vector<JoinStatePtr>& tables = ex->tables;
 
   // The round starts once its builds are done (and no earlier than the
   // previous round).
@@ -98,7 +145,7 @@ Status Engine::PlaceJoinStates(PlanExec* ex, sim::SimTime* t) {
   }
 
   uint64_t total = 0;
-  for (int b : build_nodes) total += plan->node(b).built_state->NominalBytes();
+  for (int b : build_nodes) total += tables[b]->NominalBytes();
 
   // Under a shared schedule, tables other queries hold resident count
   // against the budget too (ex->placement.resident_bytes was seeded from
@@ -111,32 +158,27 @@ Status Engine::PlaceJoinStates(PlanExec* ex, sim::SimTime* t) {
 
   std::vector<int> heavy_nodes;
   for (int b : build_nodes) {
-    if (plan->node(b).heavy_build) heavy_nodes.push_back(b);
+    if (plan.node(b).terminal.heavy) heavy_nodes.push_back(b);
   }
-  const int from_node =
-      plan->node(build_nodes.front()).built_state->location_node;
+  const int from_node = tables[build_nodes.front()]->location_node;
 
   if (fits) {
     // Broadcast every table once (topology-aware multicast mem-move, §4.2).
     for (int b : heavy_nodes) {
-      plan->mutable_node(b).built_state->hardware_conscious =
-          policy.partitioned_gpu_join;
+      tables[b]->hardware_conscious = policy.partitioned_gpu_join;
     }
     // Non-partitioned heavy joins hash-partition their build sides across
     // the GPUs, so every probe packet shuffles between devices at each such
     // join (§6.4); the partitioned plan co-partitions once instead.
-    for (size_t i = 0; i < plan->num_pipelines(); ++i) {
-      PlanNode& n = plan->mutable_node(static_cast<int>(i));
+    for (int i = 0; i < n; ++i) {
       bool probes_heavy = false;
-      for (const JoinStatePtr& s : n.probed) {
-        for (int b : heavy_nodes) {
-          if (plan->node(b).built_state.get() == s.get()) probes_heavy = true;
-        }
+      for (int p : plan.node(i).ProbedBuilds()) {
+        for (int b : heavy_nodes) probes_heavy |= p == b;
       }
       if (probes_heavy) {
-        n.pipeline.wire_amplification = policy.partitioned_gpu_join
-                                            ? 1.0
-                                            : policy.shuffle_wire_amplification;
+        ex->pipelines[i].wire_amplification =
+            policy.partitioned_gpu_join ? 1.0
+                                        : policy.shuffle_wire_amplification;
       }
     }
     if (!policy.async.enabled()) {
@@ -153,19 +195,17 @@ Status Engine::PlaceJoinStates(PlanExec* ex, sim::SimTime* t) {
       // finishes (not at the round barrier), double-buffered across the
       // multicast tree; probe pipelines gate on the tables they probe.
       for (int b : build_nodes) {
-        const JoinStatePtr& s = plan->node(b).built_state;
+        const JoinState& s = *tables[b];
         const sim::SimTime ready = executor_.BroadcastAsync(
-            s->NominalBytes(), s->location_node, gpu_nodes, ex->finished[b],
+            s.NominalBytes(), s.location_node, gpu_nodes, ex->finished[b],
             policy.async.broadcast_chunk_bytes, ex->trace_query);
-        placement->ready[s.get()] = ready;
+        placement->ready[b] = ready;
         *t = std::max(*t, ready);
       }
     }
     out->broadcast_bytes += total;
     metrics_.GetCounter("engine.broadcast_bytes")->Add(total);
-    for (int b : build_nodes) {
-      placement->placed.insert(plan->node(b).built_state.get());
-    }
+    placement->placed.insert(build_nodes.begin(), build_nodes.end());
     placement->resident_bytes += total;
     return Status::OK();
   }
@@ -179,25 +219,18 @@ Status Engine::PlaceJoinStates(PlanExec* ex, sim::SimTime* t) {
     // pass and the broadcast of the remaining (small enough) tables.
     int big = heavy_nodes.front();
     for (int b : heavy_nodes) {
-      if (plan->node(b).built_state->NominalBytes() >
-          plan->node(big).built_state->NominalBytes()) {
-        big = b;
-      }
+      if (tables[b]->NominalBytes() > tables[big]->NominalBytes()) big = b;
     }
-    const JoinStatePtr& big_state = plan->node(big).built_state;
     uint64_t probe_tuples = 0;
-    for (size_t i = 0; i < plan->num_pipelines(); ++i) {
-      const PlanNode& n = plan->node(static_cast<int>(i));
-      for (const JoinStatePtr& s : n.probed) {
-        if (s.get() != big_state.get()) continue;
-        uint64_t rows = 0;
-        for (const memory::Batch& b : n.pipeline.inputs) rows += b.rows;
-        probe_tuples += static_cast<uint64_t>(rows * n.pipeline.scale);
-        break;
+    for (int i = 0; i < n; ++i) {
+      const PlanNode& node = plan.node(i);
+      const std::vector<int> builds = node.ProbedBuilds();
+      if (std::find(builds.begin(), builds.end(), big) != builds.end()) {
+        probe_tuples += static_cast<uint64_t>(node.source_rows * node.scale);
       }
     }
     const uint64_t copart_bytes =
-        probe_tuples * kCoPartitionTupleBytes + big_state->NominalBytes();
+        probe_tuples * kCoPartitionTupleBytes + tables[big]->NominalBytes();
     sim::TrafficStats pass;
     pass.dram_seq_read_bytes = copart_bytes;
     pass.dram_seq_write_bytes = copart_bytes;
@@ -211,7 +244,7 @@ Status Engine::PlaceJoinStates(PlanExec* ex, sim::SimTime* t) {
 
     uint64_t rest = 0;
     for (int b : build_nodes) {
-      if (b != big) rest += plan->node(b).built_state->NominalBytes();
+      if (b != big) rest += tables[b]->NominalBytes();
     }
     if (!policy.async.enabled()) {
       *t += pass_seconds;
@@ -221,27 +254,23 @@ Status Engine::PlaceJoinStates(PlanExec* ex, sim::SimTime* t) {
       // itself finishes; the small tables broadcast chunked from their
       // own build finishes, overlapping the pass.
       const sim::SimTime copart_ready = ex->finished[big] + pass_seconds;
-      placement->ready[big_state.get()] = copart_ready;
+      placement->ready[big] = copart_ready;
       sim::SimTime round = copart_ready;
       for (int b : build_nodes) {
         if (b == big) continue;
-        const JoinStatePtr& s = plan->node(b).built_state;
+        const JoinState& s = *tables[b];
         const sim::SimTime ready = executor_.BroadcastAsync(
-            s->NominalBytes(), s->location_node, gpu_nodes, ex->finished[b],
+            s.NominalBytes(), s.location_node, gpu_nodes, ex->finished[b],
             policy.async.broadcast_chunk_bytes, ex->trace_query);
-        placement->ready[s.get()] = ready;
+        placement->ready[b] = ready;
         round = std::max(round, ready);
       }
       *t = std::max(*t, round);
     }
     // Co-partitioned execution is inherently partitioned: the heavy joins
     // run hardware-conscious on the GPUs.
-    for (int b : heavy_nodes) {
-      plan->mutable_node(b).built_state->hardware_conscious = true;
-    }
-    for (int b : build_nodes) {
-      placement->placed.insert(plan->node(b).built_state.get());
-    }
+    for (int b : heavy_nodes) tables[b]->hardware_conscious = true;
+    placement->placed.insert(build_nodes.begin(), build_nodes.end());
     // The co-partitioned table streams through with the probe packets; only
     // the broadcast tables stay resident.
     placement->resident_bytes += rest;
@@ -265,43 +294,53 @@ Result<opt::OptimizeResult> Engine::Optimize(QueryPlan* plan,
   return optimizer.OptimizePlan(plan, policy);
 }
 
-Status Engine::BeginPlan(QueryPlan* plan, const ExecutionPolicy& policy,
+Status Engine::BeginPlan(const QueryPlan& plan, const ExecutionPolicy& policy,
                          PlanExec* ex) {
-  if (plan->executed()) {
-    return Status::InvalidArgument(
-        "plan '" + plan->name() +
-        "' was already executed (plans consume their input packets)");
-  }
-  if (Status st = plan->Validate(topo_); !st.ok()) return st;
+  if (Status st = plan.Validate(topo_); !st.ok()) return st;
   if (Status st = policy.Validate(*topo_); !st.ok()) return st;
 
   // Admission under operator-at-a-time execution: every stage boundary
   // materializes its full output in device memory, so the declared
   // intermediate footprint must fit the smallest device memory used.
   if (policy.model == ExecutionModel::kOperatorAtATime &&
-      plan->declared_intermediate_bytes() > 0) {
+      plan.declared_intermediate_bytes() > 0) {
     uint64_t budget = std::numeric_limits<uint64_t>::max();
     for (int d : policy.devices) {
       budget = std::min(budget,
                         topo_->mem_node(topo_->device(d).mem_node).capacity());
     }
-    if (plan->declared_intermediate_bytes() > budget) {
+    if (plan.declared_intermediate_bytes() > budget) {
       return Status::NotSupported(
           "operator-at-a-time intermediate of " +
-          GiBString(plan->declared_intermediate_bytes()) + " GiB (" +
-          plan->declared_intermediate_label() + ") exceeds device memory");
+          GiBString(plan.declared_intermediate_bytes()) + " GiB (" +
+          plan.declared_intermediate_label() + ") exceeds device memory");
     }
   }
 
-  auto order = plan->TopologicalOrder();
+  auto order = plan.TopologicalOrder();
   HAPE_CHECK(order.ok());  // Validate() already checked for cycles
-  plan->mark_executed();
 
-  ex->plan = plan;
+  ex->plan = &plan;
   ex->policy = &policy;
   ex->order = std::move(order.value());
   ex->pos = 0;
-  const int n = static_cast<int>(plan->num_pipelines());
+  const int n = static_cast<int>(plan.num_pipelines());
+  // A table reserves entries for every row its source may deliver: the
+  // bulk build then never reallocates, however far the estimate that sized
+  // its buckets is off.
+  ex->tables.assign(n, nullptr);
+  for (int i = 0; i < n; ++i) {
+    const PlanNode& node = plan.node(i);
+    if (node.is_build()) {
+      ex->tables[i] = std::make_shared<JoinState>(
+          node.terminal.ht_buckets, node.BuildSizingRows() + 16);
+    }
+  }
+  ex->pipelines.clear();
+  ex->pipelines.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    ex->pipelines.push_back(Compile(plan, i, policy, ex->tables));
+  }
   ex->finished.assign(n, 0);
   ex->ran.assign(n, 0);
   ex->out = RunStats{};
@@ -313,15 +352,15 @@ Status Engine::BeginPlan(QueryPlan* plan, const ExecutionPolicy& policy,
 
 Status Engine::StepPlan(PlanExec* ex) {
   HAPE_CHECK(!ex->done());
-  QueryPlan* plan = ex->plan;
   const ExecutionPolicy& policy = *ex->policy;
   const int idx = ex->order[ex->pos];
-  PlanNode& node = plan->mutable_node(idx);
+  const PlanNode& node = ex->plan->node(idx);
+  const std::vector<int> probed = node.ProbedBuilds();
 
   if (ex->needs_placement) {
     bool unplaced = false;
-    for (const JoinStatePtr& s : node.probed) {
-      if (ex->placement.placed.count(s.get()) == 0) unplaced = true;
+    for (int b : probed) {
+      if (ex->placement.placed.count(b) == 0) unplaced = true;
     }
     if (unplaced) {
       // This node's builds are among its deps, so they have finished;
@@ -351,7 +390,7 @@ Status Engine::StepPlan(PlanExec* ex) {
   if (!policy.async.enabled()) {
     // Synchronous: staging and compute both wait for the full placement
     // round and every dependency (the legacy barrier).
-    sim::SimTime start = node.probed.empty() ? 0 : ex->placement_finish;
+    sim::SimTime start = probed.empty() ? 0 : ex->placement_finish;
     for (int d : node.deps) start = std::max(start, ex->finished[d]);
     start = std::max(start, ex->admit);
     run_opts.start = run_opts.compute_ready = run_opts.compute_ready_host =
@@ -366,14 +405,7 @@ Status Engine::StepPlan(PlanExec* ex) {
     sim::SimTime transfer_start = ex->admit;
     sim::SimTime host_gate = 0;
     for (int d : node.deps) {
-      const PlanNode& dep = plan->node(d);
-      bool builds_probed_state = false;
-      if (dep.is_build) {
-        for (const JoinStatePtr& s : node.probed) {
-          if (s.get() == dep.built_state.get()) builds_probed_state = true;
-        }
-      }
-      if (builds_probed_state) {
+      if (std::find(probed.begin(), probed.end(), d) != probed.end()) {
         host_gate = std::max(host_gate, ex->finished[d]);
       } else {
         transfer_start = std::max(transfer_start, ex->finished[d]);
@@ -381,8 +413,8 @@ Status Engine::StepPlan(PlanExec* ex) {
     }
     host_gate = std::max(host_gate, transfer_start);
     sim::SimTime gpu_gate = host_gate;
-    for (const JoinStatePtr& s : node.probed) {
-      auto it = ex->placement.ready.find(s.get());
+    for (int b : probed) {
+      auto it = ex->placement.ready.find(b);
       if (it != ex->placement.ready.end()) {
         gpu_gate = std::max(gpu_gate, it->second);
       }
@@ -395,19 +427,14 @@ Status Engine::StepPlan(PlanExec* ex) {
   const std::vector<int>& devices =
       !node.run_on.empty()
           ? node.run_on
-          : (node.is_build ? policy.build_devices : policy.devices);
+          : (node.is_build() ? policy.build_devices : policy.devices);
   if (devices.empty()) {
     return Status::InvalidArgument(
-        "pipeline '" + node.pipeline.name +
+        "pipeline '" + node.name +
         "' is a build but the policy provides no build devices");
   }
-  node.pipeline.policy = policy.routing;
-  node.pipeline.vector_at_a_time =
-      policy.model == ExecutionModel::kVectorAtATime;
-  node.pipeline.operator_at_a_time =
-      policy.model == ExecutionModel::kOperatorAtATime;
 
-  const ExecStats st = executor_.Run(&node.pipeline, devices, run_opts);
+  const ExecStats st = executor_.Run(&ex->pipelines[idx], devices, run_opts);
   ex->finished[idx] = st.finish;
   ex->ran[idx] = 1;
   RunStats& out = ex->out;
@@ -421,7 +448,7 @@ Status Engine::StepPlan(PlanExec* ex) {
   }
   out.peak_staged_bytes = std::max(out.peak_staged_bytes,
                                    st.peak_staged_bytes);
-  out.pipelines.push_back(PipelineRunStats{node.pipeline.name, st});
+  out.pipelines.push_back(PipelineRunStats{node.name, st});
 
   // Pipeline-granular observability: one counter bump per pipeline (never
   // per packet — the executor hot loop stays untouched) plus a span on
@@ -446,16 +473,16 @@ Status Engine::StepPlan(PlanExec* ex) {
   }
   if (tracer_.enabled()) {
     tracer_.Span(obs::kSchedulerPid, obs::QueryTid(ex->trace_query), st.start,
-                 st.finish, node.pipeline.name, "pipeline",
+                 st.finish, node.name, "pipeline",
                  obs::TraceAttr{ex->trace_query, ex->dma_stream, -1, -1, -1,
-                                st.moved_bytes, node.pipeline.name, {}});
+                                st.moved_bytes, node.name, {}});
   }
 
-  if (node.is_build) {
-    node.built_state->nominal_rows = static_cast<uint64_t>(
-        node.built_state->payload.rows * node.pipeline.scale);
-    node.built_state->location_node =
-        topo_->device(devices.front()).mem_node;
+  if (node.is_build()) {
+    JoinState& table = *ex->tables[idx];
+    table.nominal_rows =
+        static_cast<uint64_t>(table.payload.rows * node.scale);
+    table.location_node = topo_->device(devices.front()).mem_node;
   }
   ++ex->pos;
   return Status::OK();
@@ -493,7 +520,7 @@ Status Engine::LintAdmission(const QueryPlan& plan,
 Result<RunStats> Engine::Run(QueryPlan* plan, const ExecutionPolicy& policy) {
   HAPE_RETURN_NOT_OK(LintAdmission(*plan, policy, nullptr, "Run"));
   PlanExec ex;
-  HAPE_RETURN_NOT_OK(BeginPlan(plan, policy, &ex));
+  HAPE_RETURN_NOT_OK(BeginPlan(*plan, policy, &ex));
   while (!ex.done()) {
     HAPE_RETURN_NOT_OK(StepPlan(&ex));
   }

@@ -2,8 +2,8 @@
 #define HAPE_ENGINE_ENGINE_H_
 
 #include <map>
+#include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -81,14 +81,16 @@ class Engine {
   explicit Engine(sim::Topology* topo);
   ~Engine();
 
-  /// Execute `plan` under `policy`. The plan is consumed (its input packets
-  /// are moved into the pipelines); a second Run on the same plan fails.
+  /// Execute `plan` under `policy`: compile it into fresh pipelines, sinks
+  /// and hash tables, run them, and drop them on return. The plan itself
+  /// is left as it was, so it can run again, here or on another engine;
+  /// its result handles read this run's results.
   Result<RunStats> Run(QueryPlan* plan, const ExecutionPolicy& policy);
 
   /// Admit `plan` into this Engine's submission queue for the next RunAll.
-  /// Returns the query id (dense, in submission order). The Engine keeps
-  /// the plan alive after the run, so result handles (AggHandle,
-  /// CollectHandle) taken against it stay valid for the Engine's lifetime.
+  /// Returns the query id (dense, in submission order). Result handles
+  /// (AggHandle, CollectHandle) taken against the plan read its results
+  /// once the query completes.
   int Submit(QueryPlan plan);
   int Submit(QueryPlan plan, const SubmitOptions& opts);
 
@@ -147,7 +149,7 @@ class Engine {
   /// Serialize `plan` (and optionally the policy it should run under) to a
   /// self-contained JSON document Engine::LoadPlan reconstructs exactly —
   /// the load half of plan serialization that Explain (dump-only) lacks.
-  /// Fails for plans with Source() pipelines or custom sinks.
+  /// Fails for plans with Source() pipelines.
   Result<std::string> DumpPlan(const QueryPlan& plan) const;
   Result<std::string> DumpPlan(const QueryPlan& plan,
                                const ExecutionPolicy& policy) const;
@@ -190,12 +192,14 @@ class Engine {
   /// Multi-level join DAGs (a build downstream of a probe) trigger one
   /// round per level.
   struct PlacementState {
-    std::unordered_set<const JoinState*> placed;
+    /// Build pipelines whose tables were placed.
+    std::set<int> placed;
     uint64_t resident_bytes = 0;
     /// Async mode: per-table device-residency time (broadcast finish, or
-    /// co-partition finish). Probe pipelines gate GPU compute on the
-    /// tables they actually probe instead of the whole placement round.
-    std::map<const JoinState*, sim::SimTime> ready;
+    /// co-partition finish), by build pipeline. Probe pipelines gate GPU
+    /// compute on the tables they actually probe instead of the whole
+    /// placement round.
+    std::map<int, sim::SimTime> ready;
   };
 
   /// In-flight execution of one plan, advanced one pipeline per StepPlan.
@@ -205,8 +209,13 @@ class Engine {
   /// shared GPU residency, DMA stream tags). Default hooks leave the
   /// single-plan path bit-identical to the historical Run.
   struct PlanExec {
-    QueryPlan* plan = nullptr;
+    const QueryPlan* plan = nullptr;
     const ExecutionPolicy* policy = nullptr;
+    /// The run state BeginPlan compiles: one executor pipeline per plan
+    /// node (stages, a fresh sink, a copy of the packet list) and a fresh
+    /// hash table per build (null for other nodes), both by node index.
+    std::vector<Pipeline> pipelines;
+    std::vector<JoinStatePtr> tables;
     std::vector<int> order;
     size_t pos = 0;
     std::vector<sim::SimTime> finished;
@@ -244,8 +253,9 @@ class Engine {
                        const SubmitOptions* opts, const char* where);
 
   /// Validate `plan` and `policy`, check operator-at-a-time admission, and
-  /// initialize `ex` for stepping. Marks the plan executed.
-  Status BeginPlan(QueryPlan* plan, const ExecutionPolicy& policy,
+  /// initialize `ex` for stepping: compile the plan's run state and empty
+  /// its result cells.
+  Status BeginPlan(const QueryPlan& plan, const ExecutionPolicy& policy,
                    PlanExec* ex);
   /// Execute the next pipeline in `ex`'s topological order (running a
   /// placement round first if the pipeline probes unplaced tables) and
@@ -262,9 +272,9 @@ class Engine {
   /// once (tables are immutable; an entry re-collects only if its table's
   /// row count changes, never for the scale a plan runs it at).
   opt::StatsCatalog stats_cache_;
-  /// Plans admitted via Submit. Executed entries are kept (their sinks own
-  /// the query results the caller's handles point into); RunAll only runs
-  /// the not-yet-executed tail.
+  /// Plans admitted via Submit: plan data and result cells. A query's run
+  /// state goes when it finishes; RunAll only runs the not-yet-executed
+  /// tail.
   std::vector<SubmittedQuery> submitted_;
 };
 

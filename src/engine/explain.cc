@@ -1,7 +1,6 @@
 #include "common/json.h"
 #include "engine/engine.h"
 #include "engine/scheduler.h"
-#include "engine/sinks.h"
 
 namespace hape::engine {
 
@@ -19,12 +18,18 @@ const char* OpKindName(LogicalOp::Kind k) {
   return "?";
 }
 
-const char* SinkKindName(const Sink* sink) {
-  if (sink == nullptr) return "none";
-  if (dynamic_cast<const BuildSink*>(sink) != nullptr) return "hash_build";
-  if (dynamic_cast<const HashAggSink*>(sink) != nullptr) return "hash_agg";
-  if (dynamic_cast<const CollectSink*>(sink) != nullptr) return "collect";
-  return "custom";
+const char* TerminalKindName(TerminalSpec::Kind kind) {
+  switch (kind) {
+    case TerminalSpec::Kind::kBuild:
+      return "hash_build";
+    case TerminalSpec::Kind::kAggregate:
+      return "hash_agg";
+    case TerminalSpec::Kind::kCollect:
+      return "collect";
+    case TerminalSpec::Kind::kNone:
+      break;
+  }
+  return "none";
 }
 
 void IntArray(JsonWriter* w, const std::vector<int>& v) {
@@ -269,7 +274,7 @@ std::string Engine::Explain(const QueryPlan& plan) const {
     w.Key("id");
     w.Uint(i);
     w.Key("name");
-    w.String(n.pipeline.name);
+    w.String(n.name);
     if (n.source_table != nullptr) {
       w.Key("source");
       w.BeginObject();
@@ -286,28 +291,28 @@ std::string Engine::Explain(const QueryPlan& plan) const {
     w.Key("run_on");
     IntArray(&w, n.run_on);
     w.Key("build");
-    w.Bool(n.is_build);
-    if (n.is_build) {
+    w.Bool(n.is_build());
+    if (n.is_build()) {
       w.Key("heavy");
-      w.Bool(n.heavy_build);
-      if (n.build_key != nullptr) {
+      w.Bool(n.terminal.heavy);
+      if (n.terminal.key != nullptr) {
         w.Key("build_key");
-        w.String(n.build_key->ToString());
+        w.String(n.terminal.key->ToString());
       }
       w.Key("ht_buckets");
-      w.Uint(n.built_state->ht.num_buckets());
+      w.Uint(n.terminal.ht_buckets);
     }
     w.Key("scale");
-    w.Double(n.pipeline.scale);
+    w.Double(n.scale);
     // Declared vs estimated cardinalities: what the plan said vs what the
     // optimizer derived (estimates are zero until Engine::Optimize ran).
     w.Key("declared");
     w.BeginObject();
     w.Key("source_rows");
     w.Uint(n.source_rows);
-    if (n.declared_build_rows > 0) {
+    if (n.terminal.declared_rows > 0) {
       w.Key("build_rows");
-      w.Uint(n.declared_build_rows);
+      w.Uint(n.terminal.declared_rows);
     }
     w.EndObject();
     w.Key("estimated");
@@ -331,15 +336,15 @@ std::string Engine::Explain(const QueryPlan& plan) const {
       }
       if (op.kind == LogicalOp::Kind::kProbe) {
         w.Key("build_pipeline");
-        w.Int(plan.BuildNodeOf(op.probe_state.get()));
+        w.Int(op.build);
         w.Key("appended_cols");
-        w.Int(op.appended_cols);
+        w.Int(plan.AppendedColumns(op));
       }
       w.EndObject();
     }
     w.EndArray();
     w.Key("sink");
-    w.String(SinkKindName(n.pipeline.sink.get()));
+    w.String(TerminalKindName(n.terminal.kind));
     w.EndObject();
   }
   w.EndArray();

@@ -10,12 +10,14 @@
 namespace hape::engine {
 
 /// Shared state of a hash join: the chained table plus the gathered
-/// build-side payload columns. Built by a BuildSink, probed by ProbeStage.
+/// build-side payload columns. Built by a BuildSink, probed by ProbeStage;
+/// a plan's run makes a fresh one per build (Engine::BeginPlan).
 /// `hardware_conscious` selects, on GPUs, the partitioned (radix) probe cost
 /// model of §4.1 instead of the random-access non-partitioned one — the
 /// switch behind Fig. 9.
 struct JoinState {
   explicit JoinState(size_t expected) : ht(expected) {}
+  JoinState(size_t buckets, size_t reserve_rows) : ht(buckets, reserve_rows) {}
 
   ops::ChainedHashTable ht;
   memory::Batch payload;          // one row per build tuple, gather-indexed

@@ -41,23 +41,13 @@ class Sink {
                        sim::TrafficStats* traffic,
                        const codegen::Backend& backend) = 0;
   virtual void Finish(sim::TrafficStats* traffic) { (void)traffic; }
-  /// Rewrite every column index `i` the sink references to `old_to_new[i]`.
-  /// Called by the plan optimizer when join reordering shifts the consumed
-  /// packets' column layout. Only meaningful when SupportsColumnRemap().
-  virtual void RemapColumns(const std::vector<int>& old_to_new) {
-    (void)old_to_new;
-  }
-  /// Whether this sink tolerates a column-layout permutation of its input
-  /// (by remapping its own references). Sinks that materialize packets in
-  /// declaration layout (CollectSink, custom sinks) return false, and the
-  /// optimizer then leaves the pipeline's op order as declared.
-  virtual bool SupportsColumnRemap() const { return false; }
 };
 
 /// One pipeline of a broken-down heterogeneity-aware plan (§3): a packet
 /// source, a chain of fused stages, and a sink, executed at some degree of
-/// parallelism on one or more devices. The pipeline owns its sink; plans
-/// built with PlanBuilder own their pipelines (move-only as a result).
+/// parallelism on one or more devices. The pipeline owns its sink, and a
+/// run consumes its input packets. Engine::BeginPlan compiles one per plan
+/// node for every run of a QueryPlan.
 struct Pipeline {
   std::string name;
   std::vector<memory::Batch> inputs;

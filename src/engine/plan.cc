@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bits.h"
 #include "common/logging.h"
 #include "lint/diagnostic.h"
 
@@ -12,56 +13,46 @@ namespace hape::engine {
 PlanNode& PipelineBuilder::node() { return plan_->nodes_[node_]; }
 
 PipelineBuilder& PipelineBuilder::Named(std::string name) {
-  node().pipeline.name = std::move(name);
+  node().name = std::move(name);
   return *this;
 }
 
 PipelineBuilder& PipelineBuilder::Scale(double scale) {
-  node().pipeline.scale = scale;
+  node().scale = scale;
   return *this;
 }
 
 PipelineBuilder& PipelineBuilder::Filter(expr::ExprPtr pred) {
-  node().pipeline.stages.push_back(FilterStage(pred));
-  LogicalOp op;
-  op.kind = LogicalOp::Kind::kFilter;
-  op.expr = std::move(pred);
-  node().ops.push_back(std::move(op));
+  node().ops.push_back(
+      LogicalOp{LogicalOp::Kind::kFilter, std::move(pred), {}});
   return *this;
 }
 
 PipelineBuilder& PipelineBuilder::Project(std::vector<expr::ExprPtr> exprs) {
-  node().pipeline.stages.push_back(ProjectStage(exprs));
-  LogicalOp op;
-  op.kind = LogicalOp::Kind::kProject;
-  op.exprs = std::move(exprs);
-  node().ops.push_back(std::move(op));
+  node().ops.push_back(
+      LogicalOp{LogicalOp::Kind::kProject, nullptr, std::move(exprs)});
   return *this;
 }
 
 PipelineBuilder& PipelineBuilder::Probe(const BuildHandle& build,
                                         expr::ExprPtr key) {
-  HAPE_CHECK(build.state() != nullptr)
-      << "pipeline '" << node().pipeline.name
-      << "' probes an empty build handle";
-  node().pipeline.stages.push_back(ProbeStage(build.state(), key));
-  node().probed.push_back(build.state());
-  LogicalOp op;
-  op.kind = LogicalOp::Kind::kProbe;
-  op.expr = std::move(key);
-  op.probe_state = build.state();
-  // Foreign handles (pipeline id from another plan) are rejected later by
-  // QueryPlan::Validate; guard the metadata lookup here.
-  const bool own_handle =
-      build.pipeline() >= 0 &&
-      build.pipeline() < static_cast<int>(plan_->nodes_.size()) &&
-      plan_->nodes_[build.pipeline()].built_state == build.state();
-  op.appended_cols =
-      own_handle
-          ? static_cast<int>(plan_->nodes_[build.pipeline()].build_payload.size())
-          : 0;
-  node().ops.push_back(std::move(op));
-  return After(build.pipeline());
+  HAPE_CHECK(build.pipeline() >= 0)
+      << "pipeline '" << node().name << "' probes an empty build handle";
+  if (build.owner_ == plan_->id_) {
+    return Probe(build.pipeline(), std::move(key));
+  }
+  // Another plan's handle names no build of this one: QueryPlan::Validate
+  // rejects the probe.
+  node().ops.push_back(
+      LogicalOp{LogicalOp::Kind::kProbe, std::move(key), {}});
+  return *this;
+}
+
+PipelineBuilder& PipelineBuilder::Probe(int build_pipeline,
+                                        expr::ExprPtr key) {
+  node().ops.push_back(
+      LogicalOp{LogicalOp::Kind::kProbe, std::move(key), {}, build_pipeline});
+  return After(build_pipeline);
 }
 
 PipelineBuilder& PipelineBuilder::After(int pipeline_id) {
@@ -81,53 +72,46 @@ BuildHandle PipelineBuilder::HashBuild(expr::ExprPtr key,
                                        std::vector<int> payload_cols,
                                        const BuildOptions& opts) {
   PlanNode& n = node();
-  HAPE_CHECK(n.pipeline.sink == nullptr)
-      << "pipeline '" << n.pipeline.name << "' already has a sink";
-  // A declared cardinality is an explicit override; without one the table
-  // is sized for the full source until Engine::Optimize re-buckets it from
-  // its cardinality estimate. A declaration past the source is Validate's
-  // error, and sizes no more than the source meanwhile.
-  const size_t sizing_rows =
-      opts.expected_rows > 0
-          ? static_cast<size_t>(
-                std::min<uint64_t>(opts.expected_rows, n.source_rows))
-          : n.source_rows;
-  auto state = std::make_shared<JoinState>(sizing_rows + 16);
-  n.pipeline.sink = std::make_unique<BuildSink>(state, key, payload_cols);
-  n.is_build = true;
-  n.heavy_build = opts.heavy;
-  n.built_state = state;
-  n.declared_build_rows = opts.expected_rows;
-  n.build_key = std::move(key);
-  n.build_payload = std::move(payload_cols);
+  HAPE_CHECK(n.terminal.kind == TerminalSpec::Kind::kNone)
+      << "pipeline '" << n.name << "' already has a sink";
+  n.terminal.kind = TerminalSpec::Kind::kBuild;
+  n.terminal.key = std::move(key);
+  n.terminal.payload = std::move(payload_cols);
+  n.terminal.declared_rows = opts.expected_rows;
+  n.terminal.heavy = opts.heavy;
+  n.terminal.ht_buckets = NextPow2(n.BuildSizingRows() + 16);
   BuildHandle h;
   h.pipeline_ = node_;
-  h.state_ = std::move(state);
+  h.owner_ = plan_->id_;
   return h;
 }
 
 AggHandle PipelineBuilder::Aggregate(expr::ExprPtr key,
                                      std::vector<AggDef> aggs) {
   PlanNode& n = node();
-  HAPE_CHECK(n.pipeline.sink == nullptr)
-      << "pipeline '" << n.pipeline.name << "' already has a sink";
-  auto sink = std::make_unique<HashAggSink>(std::move(key), std::move(aggs));
+  HAPE_CHECK(n.terminal.kind == TerminalSpec::Kind::kNone)
+      << "pipeline '" << n.name << "' already has a sink";
+  HAPE_CHECK(!aggs.empty())
+      << "pipeline '" << n.name << "' aggregates nothing";
+  n.terminal.kind = TerminalSpec::Kind::kAggregate;
+  n.terminal.key = std::move(key);
+  n.terminal.aggs = std::move(aggs);
+  n.terminal.groups = std::make_shared<AggGroups>();
   AggHandle h;
   h.pipeline_ = node_;
-  h.sink_ = sink.get();
-  n.pipeline.sink = std::move(sink);
+  h.groups_ = n.terminal.groups;
   return h;
 }
 
 CollectHandle PipelineBuilder::Collect() {
   PlanNode& n = node();
-  HAPE_CHECK(n.pipeline.sink == nullptr)
-      << "pipeline '" << n.pipeline.name << "' already has a sink";
-  auto sink = std::make_unique<CollectSink>();
+  HAPE_CHECK(n.terminal.kind == TerminalSpec::Kind::kNone)
+      << "pipeline '" << n.name << "' already has a sink";
+  n.terminal.kind = TerminalSpec::Kind::kCollect;
+  n.terminal.batches = std::make_shared<std::vector<memory::Batch>>();
   CollectHandle h;
   h.pipeline_ = node_;
-  h.sink_ = sink.get();
-  n.pipeline.sink = std::move(sink);
+  h.batches_ = n.terminal.batches;
   return h;
 }
 
@@ -140,14 +124,13 @@ PipelineBuilder PlanBuilder::Scan(const storage::TablePtr& table,
   selected.reserve(columns.size());
   for (const auto& name : columns) selected.push_back(table->column(name));
   PlanNode node;
-  node.pipeline.name = table->name();
-  node.pipeline.inputs = memory::ChunkColumns(
-      selected, table->num_rows(), chunk_rows, table->home_node());
+  node.name = table->name();
+  node.inputs = memory::ChunkColumns(selected, table->num_rows(), chunk_rows,
+                                     table->home_node());
   node.source_rows = table->num_rows();
   node.source_table = table;
   node.source_columns = columns;
   node.source_chunk_rows = chunk_rows;
-  node.pipeline.stages.push_back(ScanStage());
   nodes_.push_back(std::move(node));
   return PipelineBuilder(this, static_cast<int>(nodes_.size()) - 1);
 }
@@ -156,14 +139,11 @@ PipelineBuilder PlanBuilder::Source(std::string name,
                                     std::vector<memory::Batch> inputs,
                                     const SourceOptions& opts) {
   PlanNode node;
-  node.pipeline.name = std::move(name);
-  for (const auto& b : inputs) node.source_rows += b.rows;
-  node.pipeline.inputs = std::move(inputs);
-  node.pipeline.scale = opts.scale;
-  node.pipeline.charge_source_read = opts.charge_source_read;
-  if (opts.charge_source_read) {
-    node.pipeline.stages.push_back(ScanStage());
-  }
+  node.name = std::move(name);
+  node.source_rows = TotalRows(inputs);
+  node.inputs = std::move(inputs);
+  node.scale = opts.scale;
+  node.charge_source_read = opts.charge_source_read;
   nodes_.push_back(std::move(node));
   return PipelineBuilder(this, static_cast<int>(nodes_.size()) - 1);
 }
@@ -180,20 +160,34 @@ QueryPlan PlanBuilder::Build() && {
   plan.name_ = std::move(name_);
   plan.intermediate_bytes_ = intermediate_bytes_;
   plan.intermediate_label_ = std::move(intermediate_label_);
-  for (const PlanNode& n : nodes_) {
-    if (n.built_state != nullptr) plan.built_.insert(n.built_state.get());
-  }
   plan.nodes_ = std::move(nodes_);
   return plan;
 }
 
-// ---- QueryPlan --------------------------------------------------------------
+// ---- PlanNode / QueryPlan ---------------------------------------------------
 
-int QueryPlan::BuildNodeOf(const JoinState* state) const {
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].built_state.get() == state) return static_cast<int>(i);
+size_t PlanNode::BuildSizingRows() const {
+  return terminal.declared_rows > 0
+             ? static_cast<size_t>(
+                   std::min<uint64_t>(terminal.declared_rows, source_rows))
+             : source_rows;
+}
+
+std::vector<int> PlanNode::ProbedBuilds() const {
+  std::vector<int> builds;
+  for (const LogicalOp& op : ops) {
+    if (op.kind == LogicalOp::Kind::kProbe) builds.push_back(op.build);
   }
-  return -1;
+  return builds;
+}
+
+int QueryPlan::AppendedColumns(const LogicalOp& op) const {
+  if (op.kind != LogicalOp::Kind::kProbe || op.build < 0 ||
+      op.build >= static_cast<int>(nodes_.size()) ||
+      !nodes_[op.build].is_build()) {
+    return 0;
+  }
+  return static_cast<int>(nodes_[op.build].terminal.payload.size());
 }
 
 namespace {
@@ -214,7 +208,8 @@ Status CheckWidth(const expr::ExprPtr& e, int width, const std::string& id,
 
 /// The packet-width walk. The executor indexes packet columns unchecked,
 /// so an out-of-layout reference must be rejected before anything runs.
-Status CheckPacketWidths(const PlanNode& node, const std::string& id) {
+Status CheckPacketWidths(const QueryPlan& plan, const PlanNode& node,
+                         const std::string& id) {
   if (node.source_table == nullptr) return Status::OK();
   int width = static_cast<int>(node.source_columns.size());
   for (const LogicalOp& op : node.ops) {
@@ -232,13 +227,14 @@ Status CheckPacketWidths(const PlanNode& node, const std::string& id) {
         // The key addresses the packet before the probe appends the build
         // side's payload.
         HAPE_RETURN_NOT_OK(CheckWidth(op.expr, width, id, "probe key"));
-        width += op.appended_cols;
+        width += plan.AppendedColumns(op);
         break;
     }
   }
-  if (node.is_build) {
-    HAPE_RETURN_NOT_OK(CheckWidth(node.build_key, width, id, "build key"));
-    for (int c : node.build_payload) {
+  const TerminalSpec& t = node.terminal;
+  if (t.kind == TerminalSpec::Kind::kBuild) {
+    HAPE_RETURN_NOT_OK(CheckWidth(t.key, width, id, "build key"));
+    for (int c : t.payload) {
       if (c < 0 || c >= width) {
         return Status::InvalidArgument(
             id + ": payload column $" + std::to_string(c) +
@@ -246,10 +242,9 @@ Status CheckPacketWidths(const PlanNode& node, const std::string& id) {
             ")");
       }
     }
-  } else if (const auto* agg =
-                 dynamic_cast<const HashAggSink*>(node.pipeline.sink.get())) {
-    HAPE_RETURN_NOT_OK(CheckWidth(agg->key_expr(), width, id, "aggregate key"));
-    for (const AggDef& a : agg->aggs()) {
+  } else if (t.kind == TerminalSpec::Kind::kAggregate) {
+    HAPE_RETURN_NOT_OK(CheckWidth(t.key, width, id, "aggregate key"));
+    for (const AggDef& a : t.aggs) {
       HAPE_RETURN_NOT_OK(CheckWidth(a.arg, width, id, "aggregate arg"));
     }
   }
@@ -266,12 +261,12 @@ Status QueryPlan::Validate(const sim::Topology* topo, const char** rule) const {
   const int n = static_cast<int>(nodes_.size());
   for (int i = 0; i < n; ++i) {
     const PlanNode& node = nodes_[i];
-    const std::string id = "pipeline '" + node.pipeline.name + "' (#" +
+    const std::string id = "pipeline '" + node.name + "' (#" +
                            std::to_string(i) + ")";
-    if (node.pipeline.sink == nullptr) {
+    if (node.terminal.kind == TerminalSpec::Kind::kNone) {
       return Reject(rule, lint::kRuleDanglingEdge, id + " has no sink");
     }
-    if (node.pipeline.stages.empty()) {
+    if (!node.charge_source_read && node.ops.empty()) {
       return Reject(rule, lint::kRuleDanglingEdge,
                     id + " has an empty stage chain");
     }
@@ -282,8 +277,8 @@ Status QueryPlan::Validate(const sim::Topology* topo, const char** rule) const {
                           std::to_string(d));
       }
     }
-    for (const JoinStatePtr& s : node.probed) {
-      if (!OwnsState(s.get())) {
+    for (int b : node.ProbedBuilds()) {
+      if (b < 0 || b >= n || !nodes_[b].is_build()) {
         return Reject(rule, lint::kRuleDanglingEdge,
                       id + " probes a hash table not built by this plan");
       }
@@ -298,13 +293,13 @@ Status QueryPlan::Validate(const sim::Topology* topo, const char** rule) const {
         }
       }
     }
-    if (Status st = CheckPacketWidths(node, id); !st.ok()) {
+    if (Status st = CheckPacketWidths(*this, node, id); !st.ok()) {
       return Reject(rule, lint::kRuleColumnOutOfRange, st.message());
     }
-    if (node.declared_build_rows > node.source_rows) {
+    if (node.terminal.declared_rows > node.source_rows) {
       return Reject(rule, lint::kRuleInvalidParameter,
                     id + " declares " +
-                        std::to_string(node.declared_build_rows) +
+                        std::to_string(node.terminal.declared_rows) +
                         " build rows but its source has " +
                         std::to_string(node.source_rows));
     }

@@ -1,17 +1,13 @@
 #ifndef HAPE_ENGINE_PLAN_H_
 #define HAPE_ENGINE_PLAN_H_
 
-#include <map>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "engine/pipeline.h"
 #include "engine/sinks.h"
-#include "engine/stages.h"
 #include "memory/batch.h"
 #include "storage/table.h"
 
@@ -25,9 +21,9 @@ class QueryPlan;
 struct BuildOptions {
   /// Hand-declared build-side cardinality (rows surviving the pipeline's
   /// filters). 0 (the default) means "derive from the optimizer's
-  /// cardinality estimate" (Engine::Optimize re-buckets the table; an
-  /// unoptimized Run sizes it for the full source). A positive value is an
-  /// explicit override that the optimizer respects; one above the
+  /// cardinality estimate" (Engine::Optimize sets the table's bucket count;
+  /// an unoptimized plan sizes it for the full source). A positive value is
+  /// an explicit override that the optimizer respects; one above the
   /// pipeline's source rows is an error (QueryPlan::Validate, HL008).
   uint64_t expected_rows = 0;
   /// Marks a big build side. Heavy builds drive the engine's placement
@@ -37,57 +33,56 @@ struct BuildOptions {
   bool heavy = false;
 };
 
-/// Handle to a hash-build pipeline: lets later pipelines probe the built
-/// table. Valid only against the PlanBuilder/QueryPlan that created it
-/// (QueryPlan::Validate rejects foreign handles).
+/// Handle to a hash-build pipeline: lets later pipelines probe the table it
+/// builds. Valid only against the PlanBuilder/QueryPlan that created it
+/// (QueryPlan::Validate rejects a probe through another plan's handle).
 class BuildHandle {
  public:
   BuildHandle() = default;
   int pipeline() const { return pipeline_; }
-  const JoinStatePtr& state() const { return state_; }
 
  private:
   friend class PipelineBuilder;
   int pipeline_ = -1;
-  JoinStatePtr state_;
+  /// Identity of the creating PlanBuilder.
+  std::shared_ptr<const int> owner_;
 };
 
-/// Handle to an aggregation terminal. `result()` is populated once the plan
-/// has been executed by the Engine; the underlying sink is owned by the
-/// QueryPlan, so the handle must not outlive it.
+/// Handle to an aggregation terminal. It shares the terminal's result
+/// cell: every run of the plan empties the cell and fills it with the
+/// merged groups, so `result()` reads the latest run's, even after the plan
+/// is gone.
 class AggHandle {
  public:
   AggHandle() = default;
   int pipeline() const { return pipeline_; }
-  const std::map<int64_t, std::vector<double>>& result() const {
-    return sink_->result();
-  }
-  uint64_t num_groups() const { return sink_->num_groups(); }
+  const AggGroups& result() const { return *groups_; }
+  uint64_t num_groups() const { return groups_->size(); }
 
  private:
   friend class PipelineBuilder;
   int pipeline_ = -1;
-  const HashAggSink* sink_ = nullptr;
+  std::shared_ptr<const AggGroups> groups_;
 };
 
-/// Handle to a collect terminal (materialized result packets).
+/// Handle to a collect terminal: the latest run's result packets, through
+/// a result cell shared like AggHandle's.
 class CollectHandle {
  public:
   CollectHandle() = default;
   int pipeline() const { return pipeline_; }
-  std::vector<memory::Batch>& batches() const { return sink_->batches(); }
-  uint64_t total_rows() const { return sink_->total_rows(); }
+  std::vector<memory::Batch>& batches() const { return *batches_; }
+  uint64_t total_rows() const { return TotalRows(*batches_); }
 
  private:
   friend class PipelineBuilder;
   int pipeline_ = -1;
-  CollectSink* sink_ = nullptr;
+  std::shared_ptr<std::vector<memory::Batch>> batches_;
 };
 
-/// One logical operation of a pipeline's fused chain, recorded alongside
-/// the generated Stage closures. This is the declarative view the plan
-/// optimizer reasons over (selectivities, join reordering); the Stage chain
-/// can be regenerated from it after a permutation.
+/// One logical operation of a pipeline's fused chain — the declarative
+/// view the plan optimizer reasons over (selectivities, join reordering)
+/// and each run compiles into a Stage.
 struct LogicalOp {
   enum class Kind { kFilter, kProject, kProbe };
   Kind kind;
@@ -95,46 +90,76 @@ struct LogicalOp {
   expr::ExprPtr expr;
   /// Projection expressions (kProject).
   std::vector<expr::ExprPtr> exprs;
-  /// Probed hash table (kProbe); its build node appends `appended_cols`
-  /// payload columns to the packet.
-  JoinStatePtr probe_state;
-  int appended_cols = 0;
+  /// Probed build pipeline (kProbe), by index; -1 for a probe through
+  /// another plan's handle. The probe appends that build's payload columns
+  /// to the packet.
+  int build = -1;
 };
 
-/// One node of a QueryPlan: a pipeline (which owns its sink), the plan
-/// edges it depends on, and the metadata the Engine needs for placement.
-struct PlanNode {
-  Pipeline pipeline;
-  /// Pipelines that must finish before this one starts (build -> probe,
-  /// collect -> rescan, or explicit After()).
-  std::vector<int> deps;
-  /// Explicit device override; empty means "use the policy's device set".
-  std::vector<int> run_on;
-  bool is_build = false;
-  bool heavy_build = false;
-  /// Actual rows feeding this pipeline (sizes build hash tables).
-  size_t source_rows = 0;
-  JoinStatePtr built_state;            // set when is_build
-  std::vector<JoinStatePtr> probed;    // states probed by this pipeline
+/// The terminal of a pipeline, as data. Each run compiles it into a fresh
+/// sink (Engine::BeginPlan).
+struct TerminalSpec {
+  enum class Kind { kNone, kBuild, kAggregate, kCollect };
+  Kind kind = Kind::kNone;
+  /// Build key, or group key (kAggregate; null aggregates into one group).
+  expr::ExprPtr key;
 
-  // ---- declarative annotations consumed by the plan optimizer ----
+  // ---- kBuild ----
+  /// Packet columns carried into the hash table as its payload.
+  std::vector<int> payload;
+  /// BuildOptions::expected_rows (0: none declared).
+  uint64_t declared_rows = 0;
+  /// BuildOptions::heavy, or the optimizer's mark.
+  bool heavy = false;
+  /// Bucket count (a power of two) of the table a run builds: sized for
+  /// PlanNode::BuildSizingRows() + 16 by HashBuild, from the cardinality
+  /// estimate by Engine::Optimize when no rows are declared.
+  uint64_t ht_buckets = 0;
+
+  // ---- kAggregate ----
+  std::vector<AggDef> aggs;
+
+  /// The result cell the terminal's handle shares (kAggregate, kCollect).
+  std::shared_ptr<AggGroups> groups;
+  std::shared_ptr<std::vector<memory::Batch>> batches;
+};
+
+/// One node of a QueryPlan: a pipeline described as data — its source, its
+/// op chain and its terminal — plus the plan edges it depends on and the
+/// optimizer's estimates. Engine::BeginPlan compiles it into an executor
+/// Pipeline for every run.
+struct PlanNode {
+  std::string name;
+  /// Nominal/actual data ratio (Pipeline::scale).
+  double scale = 1.0;
+  /// Charge the sequential read of each source packet
+  /// (Pipeline::charge_source_read).
+  bool charge_source_read = true;
+
+  // ---- source ----
   /// Scanned table (null for Source() pipelines) and the scanned columns,
   /// in packet-column order. The optimizer binds per-column statistics
   /// through these.
   storage::TablePtr source_table;
   std::vector<std::string> source_columns;
   /// Packet granularity the scan was declared with (actual rows per chunk;
-  /// 0 for Source() pipelines). Recorded so plan serialization
-  /// (engine/plan_json.h) can re-chunk the scan identically on load.
+  /// 0 for Source() pipelines), so plan serialization (engine/plan_json.h)
+  /// can re-chunk the scan identically on load.
   size_t source_chunk_rows = 0;
-  /// Logical view of the fused stage chain, in stage order.
+  /// Source packets: read-only views of the scanned columns, or the
+  /// packets a Source() pipeline was given. A run copies the list.
+  std::vector<memory::Batch> inputs;
+  /// Rows feeding this pipeline.
+  size_t source_rows = 0;
+
+  /// The fused op chain, in stage order.
   std::vector<LogicalOp> ops;
-  /// BuildOptions::expected_rows (0: none declared).
-  uint64_t declared_build_rows = 0;
-  /// Build terminal metadata (set when is_build): key expression and the
-  /// payload column indices carried into the hash table.
-  expr::ExprPtr build_key;
-  std::vector<int> build_payload;
+  /// Pipelines that must finish before this one starts (build -> probe,
+  /// collect -> rescan, or explicit After()).
+  std::vector<int> deps;
+  /// Explicit device override; empty means "use the policy's device set".
+  std::vector<int> run_on;
+  TerminalSpec terminal;
 
   // ---- optimizer outputs (0 until Engine::Optimize runs) ----
   /// Estimated output rows of this pipeline at actual / nominal scale.
@@ -142,11 +167,19 @@ struct PlanNode {
   uint64_t est_nominal_out_rows = 0;
   /// Cost-model estimate for this pipeline on its chosen device set.
   double est_cost_seconds = 0.0;
+
+  bool is_build() const { return terminal.kind == TerminalSpec::Kind::kBuild; }
+  /// Rows a build's table is sized for: the declared rows, capped at the
+  /// source, or the whole source when none are declared.
+  size_t BuildSizingRows() const;
+  /// Build pipelines this pipeline probes, in op order.
+  std::vector<int> ProbedBuilds() const;
 };
 
-/// A validated DAG of pipelines with owned sinks — the unit Engine::Run
-/// executes. Construct with PlanBuilder. A plan is single-shot: executing it
-/// consumes its input packets, and a second Run is rejected.
+/// A validated DAG of pipelines, as data — the unit Engine::Run and Submit
+/// execute. Construct with PlanBuilder. A plan holds no run state: every
+/// run compiles it afresh, so one plan runs any number of times, on any
+/// engine.
 class QueryPlan {
  public:
   QueryPlan(QueryPlan&&) = default;
@@ -168,26 +201,24 @@ class QueryPlan {
     return intermediate_label_;
   }
 
-  /// True iff `state` was built by one of this plan's build pipelines.
-  bool OwnsState(const JoinState* state) const {
-    return built_.count(state) > 0;
-  }
-  /// Node index of the build pipeline producing `state`, or -1.
-  int BuildNodeOf(const JoinState* state) const;
+  /// Columns `op` appends to the packet: a probe's build payload width (0
+  /// for other ops, and for a probe that names no build of this plan).
+  int AppendedColumns(const LogicalOp& op) const;
 
   /// The one structural checker (PlanJson::Load, Engine::Optimize, Run and
   /// RunAll and the lint structure pass all call it). Every pipeline has a
-  /// sink and a non-empty stage chain, dependency edges are in range and
-  /// acyclic, probed hash tables belong to this plan, every expression and
-  /// build payload column lies inside the packet layout at its position
-  /// (scanned columns, plus each probe's payload, replaced by each
-  /// projection; Source() pipelines have no declared width and are
-  /// skipped), (when `topo` is given) device overrides name known
-  /// devices, and no build declares more rows than its source has.
-  /// Fail-fast: the first fault is an InvalidArgument, and `*rule` (when
-  /// non-null, set only on failure) names the lint rule it breaks: HL001
-  /// missing sink/stages or dangling edge, HL002 cycle, HL003 column
-  /// outside the layout, HL005 unknown device, HL008 declared build rows.
+  /// terminal and a non-empty stage chain, dependency edges are in range
+  /// and acyclic, every probe names a build pipeline of this plan, every
+  /// expression and build payload column lies inside the packet layout at
+  /// its position (scanned columns, plus each probe's payload, replaced by
+  /// each projection; Source() pipelines have no declared width and are
+  /// skipped), (when `topo` is given) device overrides name known devices,
+  /// and no build declares more rows than its source has. Fail-fast: the
+  /// first fault is an InvalidArgument, and `*rule` (when non-null, set
+  /// only on failure) names the lint rule it breaks: HL001 missing
+  /// terminal/stages, dangling edge or foreign build, HL002 cycle, HL003
+  /// column outside the layout, HL005 unknown device, HL008 declared build
+  /// rows.
   Status Validate(const sim::Topology* topo = nullptr,
                   const char** rule = nullptr) const;
 
@@ -195,19 +226,14 @@ class QueryPlan {
   /// InvalidArgument on a dependency cycle.
   Result<std::vector<int>> TopologicalOrder() const;
 
-  bool executed() const { return executed_; }
-  void mark_executed() { executed_ = true; }
-
  private:
   friend class PlanBuilder;
   QueryPlan() = default;
 
   std::string name_;
   std::vector<PlanNode> nodes_;
-  std::unordered_set<const JoinState*> built_;
   uint64_t intermediate_bytes_ = 0;
   std::string intermediate_label_;
-  bool executed_ = false;
 };
 
 /// Fluent handle onto one pipeline under construction. Lightweight: copies
@@ -227,6 +253,10 @@ class PipelineBuilder {
   /// Fused hash-join probe against a table built by this plan. Adds the
   /// build pipeline as a dependency.
   PipelineBuilder& Probe(const BuildHandle& build, expr::ExprPtr key);
+  /// The same against the table of pipeline `build_pipeline`, which must
+  /// be a build of this plan by the time the plan is validated (plan
+  /// documents name builds by index).
+  PipelineBuilder& Probe(int build_pipeline, expr::ExprPtr key);
   /// Explicit dependency edge on another pipeline of this plan.
   PipelineBuilder& After(int pipeline_id);
   /// Run this pipeline on an explicit device set instead of the policy's.
@@ -255,8 +285,8 @@ class PipelineBuilder {
 struct SourceOptions {
   double scale = 1.0;
   /// Charge the sequential read of each source packet (table scans do;
-  /// pipelines over just-produced intermediates may not — they then start
-  /// with an empty stage chain until stages are appended).
+  /// pipelines over just-produced intermediates may not — they then have
+  /// an empty stage chain until ops are appended).
   bool charge_source_read = true;
 };
 
@@ -281,8 +311,8 @@ class PlanBuilder {
   PlanBuilder& DeclareMaterializedIntermediate(uint64_t nominal_bytes,
                                                std::string label);
 
-  /// Finalize. The builder is consumed; handles stay valid against the
-  /// returned plan.
+  /// Finalize. The builder is consumed; its handles refer to the returned
+  /// plan.
   QueryPlan Build() &&;
 
  private:
@@ -291,6 +321,8 @@ class PlanBuilder {
   std::vector<PlanNode> nodes_;
   uint64_t intermediate_bytes_ = 0;
   std::string intermediate_label_;
+  /// Identity the builder's BuildHandles carry.
+  std::shared_ptr<const int> id_ = std::make_shared<const int>(0);
 };
 
 }  // namespace hape::engine

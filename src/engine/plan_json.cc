@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/bits.h"
-#include "engine/sinks.h"
 #include "lint/diagnostic.h"
 
 namespace hape::engine {
@@ -301,44 +300,45 @@ Result<expr::ExprPtr> ReadExprOrNull(const JsonValue& v, const char** why) {
 // ---- sink + op writers -------------------------------------------------------
 
 Status WriteSink(JsonWriter* w, const QueryPlan& plan, const PlanNode& n) {
-  const Sink* sink = n.pipeline.sink.get();
+  const TerminalSpec& t = n.terminal;
   w->BeginObject();
-  if (n.is_build) {
-    w->Key("kind");
-    w->String("hash_build");
-    w->Key("key");
-    WriteExprOrNull(w, n.build_key);
-    w->Key("payload_cols");
-    WriteIntArray(w, n.build_payload);
-    w->Key("declared_build_rows");
-    w->Uint(n.declared_build_rows);
-    w->Key("heavy");
-    w->Bool(n.heavy_build);
-    w->Key("ht_buckets");
-    w->Uint(n.built_state->ht.num_buckets());
-  } else if (const auto* agg = dynamic_cast<const HashAggSink*>(sink)) {
-    w->Key("kind");
-    w->String("hash_agg");
-    w->Key("key");
-    WriteExprOrNull(w, agg->key_expr());
-    w->Key("aggs");
-    w->BeginArray();
-    for (const AggDef& a : agg->aggs()) {
-      w->BeginObject();
-      w->Key("op");
-      w->String(AggOpName(a.op));
-      w->Key("arg");
-      WriteExprOrNull(w, a.arg);
-      w->EndObject();
-    }
-    w->EndArray();
-  } else if (dynamic_cast<const CollectSink*>(sink) != nullptr) {
-    w->Key("kind");
-    w->String("collect");
-  } else {
-    return Status::NotSupported("plan '" + plan.name() + "' pipeline '" +
-                                n.pipeline.name +
-                                "' has a custom sink, which has no JSON form");
+  w->Key("kind");
+  switch (t.kind) {
+    case TerminalSpec::Kind::kBuild:
+      w->String("hash_build");
+      w->Key("key");
+      WriteExprOrNull(w, t.key);
+      w->Key("payload_cols");
+      WriteIntArray(w, t.payload);
+      w->Key("declared_build_rows");
+      w->Uint(t.declared_rows);
+      w->Key("heavy");
+      w->Bool(t.heavy);
+      w->Key("ht_buckets");
+      w->Uint(t.ht_buckets);
+      break;
+    case TerminalSpec::Kind::kAggregate:
+      w->String("hash_agg");
+      w->Key("key");
+      WriteExprOrNull(w, t.key);
+      w->Key("aggs");
+      w->BeginArray();
+      for (const AggDef& a : t.aggs) {
+        w->BeginObject();
+        w->Key("op");
+        w->String(AggOpName(a.op));
+        w->Key("arg");
+        WriteExprOrNull(w, a.arg);
+        w->EndObject();
+      }
+      w->EndArray();
+      break;
+    case TerminalSpec::Kind::kCollect:
+      w->String("collect");
+      break;
+    case TerminalSpec::Kind::kNone:
+      return Status::InvalidArgument("plan '" + plan.name() + "' pipeline '" +
+                                     n.name + "' has no sink");
   }
   w->EndObject();
   return Status::OK();
@@ -360,7 +360,7 @@ Status WritePlanObject(JsonWriter* w, const QueryPlan& plan) {
     const PlanNode& n = plan.node(static_cast<int>(i));
     if (n.source_table == nullptr) {
       return Status::NotSupported(
-          "plan '" + plan.name() + "' pipeline '" + n.pipeline.name +
+          "plan '" + plan.name() + "' pipeline '" + n.name +
           "' is a Source() pipeline over in-memory packets; only table-scan "
           "plans are serializable");
     }
@@ -368,7 +368,7 @@ Status WritePlanObject(JsonWriter* w, const QueryPlan& plan) {
     w->Key("id");
     w->Uint(i);
     w->Key("name");
-    w->String(n.pipeline.name);
+    w->String(n.name);
     w->Key("source");
     w->BeginObject();
     w->Key("table");
@@ -381,7 +381,7 @@ Status WritePlanObject(JsonWriter* w, const QueryPlan& plan) {
     w->Uint(n.source_chunk_rows);
     w->EndObject();
     w->Key("scale");
-    w->Double(n.pipeline.scale);
+    w->Double(n.scale);
     w->Key("deps");
     WriteIntArray(w, n.deps);
     w->Key("run_on");
@@ -406,14 +406,13 @@ Status WritePlanObject(JsonWriter* w, const QueryPlan& plan) {
           break;
         case LogicalOp::Kind::kProbe: {
           w->String("probe");
-          const int build = plan.BuildNodeOf(op.probe_state.get());
-          if (build < 0) {
+          if (op.build < 0) {
             return Status::NotSupported(
-                "plan '" + plan.name() + "' pipeline '" + n.pipeline.name +
+                "plan '" + plan.name() + "' pipeline '" + n.name +
                 "' probes a hash table with no build pipeline in this plan");
           }
           w->Key("build_pipeline");
-          w->Int(build);
+          w->Int(op.build);
           w->Key("key");
           PlanJson::WriteExpr(w, op.expr);
           break;
@@ -479,11 +478,13 @@ struct PipeDoc {
   const JsonValue* ops = nullptr;
   const JsonValue* sink = nullptr;
   std::string sink_kind;
-  /// build_pipeline of every probe op, kept wide until range-validated.
-  std::vector<int64_t> probe_refs;
+  /// build_pipeline of every probe op (in range; Validate checks the rest).
+  std::vector<int> probe_refs;
+  /// A hash_build's dumped bucket count (0: HashBuild's default).
+  uint64_t ht_buckets = 0;
 };
 
-Status ParsePipeDoc(const JsonValue& v, size_t index,
+Status ParsePipeDoc(const JsonValue& v, size_t index, size_t num_pipelines,
                     const storage::Catalog& catalog, PipeDoc* out,
                     const char** why) {
   out->v = &v;
@@ -550,7 +551,11 @@ Status ParsePipeDoc(const JsonValue& v, size_t index,
       HAPE_ASSIGN_OR_RETURN(
           const int64_t build,
           GetInt(op, "build_pipeline", out->where + " probe op"));
-      out->probe_refs.push_back(build);
+      if (build < 0 || build >= static_cast<int64_t>(num_pipelines)) {
+        return Bad(why, lint::kRuleDanglingEdge, out->where,
+                   "probes unknown pipeline #" + std::to_string(build));
+      }
+      out->probe_refs.push_back(static_cast<int>(build));
     } else if (kind != "filter" && kind != "project") {
       return Bad(out->where, "unknown op kind '" + kind + "'");
     }
@@ -563,23 +568,30 @@ Status ParsePipeDoc(const JsonValue& v, size_t index,
       out->sink_kind != "collect") {
     return Bad(out->where, "unknown sink kind '" + out->sink_kind + "'");
   }
+  if (out->sink_kind == "hash_build") {
+    HAPE_RETURN_NOT_OK(
+        ReadOptUint(*out->sink, "ht_buckets", &out->ht_buckets, out->where));
+    // The bucket count sizes a table every run allocates, so a hand-edited
+    // one must get an error, not a multi-gigabyte allocation. Its ceiling
+    // is that of a table sized for its whole scanned source: the
+    // NextPow2(rows + 16) buckets HashBuild gives it and Optimize never
+    // exceeds.
+    const uint64_t ceiling = NextPow2(out->table->num_rows() + 16);
+    if (out->ht_buckets > ceiling) {
+      return Bad(why, lint::kRuleInvalidParameter, out->where,
+                 "'ht_buckets' exceeds the " + std::to_string(ceiling) +
+                     " buckets of a table sized for all of '" +
+                     out->table->name() + "'");
+    }
+  }
   return Status::OK();
 }
 
-/// Terminal handles accumulated while pipelines are applied (moved into the
-/// LoadedPlan once the QueryPlan is built).
-struct HandleStaging {
-  std::map<int, AggHandle> aggs;
-  std::map<int, CollectHandle> collects;
-  std::map<int, BuildHandle> builds;
-};
-
-/// Applies one pipeline's op chain, dependency edges, and terminal to its
-/// PipelineBuilder. The build handle of every probed pipeline must already
-/// be populated. Column references are left to QueryPlan::Validate.
+/// Applies one pipeline's dependency edges, op chain and terminal to its
+/// PipelineBuilder, collecting aggregate handles into `aggs`. Column
+/// references and probe targets are left to QueryPlan::Validate.
 Status ApplyPipeDoc(const PipeDoc& doc, PipelineBuilder* pipe,
-                    const std::vector<BuildHandle>& build_handles,
-                    HandleStaging* out, const char** why) {
+                    std::map<int, AggHandle>* aggs, const char** why) {
   // Replay the dumped dependency list first: it is the complete set (probe
   // edges included), and After() keeps first-occurrence order, so the
   // reloaded node's deps match the dump byte-for-byte — the Probe() calls
@@ -607,12 +619,11 @@ Status ApplyPipeDoc(const PipeDoc& doc, PipelineBuilder* pipe,
         exprs.push_back(std::move(p));
       }
       pipe->Project(std::move(exprs));
-    } else {  // probe (kinds and build refs were validated during parsing)
-      const int build = static_cast<int>(doc.probe_refs[probe_idx++]);
+    } else {  // probe (kinds and build refs were checked during parsing)
       HAPE_ASSIGN_OR_RETURN(const JsonValue* k,
                             GetMember(op, "key", doc.where + " probe op"));
       HAPE_ASSIGN_OR_RETURN(expr::ExprPtr key, ReadExpr(*k, why));
-      pipe->Probe(build_handles[build], std::move(key));
+      pipe->Probe(doc.probe_refs[probe_idx++], std::move(key));
     }
   }
 
@@ -626,7 +637,7 @@ Status ApplyPipeDoc(const PipeDoc& doc, PipelineBuilder* pipe,
     if (!av->is_array() || av->items().empty()) {
       return Bad(doc.where, "'aggs' must be a non-empty array");
     }
-    std::vector<AggDef> aggs;
+    std::vector<AggDef> defs;
     for (const JsonValue& a : av->items()) {
       HAPE_ASSIGN_OR_RETURN(const std::string op_name,
                             GetString(a, "op", doc.where + " agg"));
@@ -638,54 +649,23 @@ Status ApplyPipeDoc(const PipeDoc& doc, PipelineBuilder* pipe,
       if (op != AggOp::kCount && arg_expr == nullptr) {
         return Bad(doc.where, "aggregate '" + op_name + "' needs an 'arg'");
       }
-      aggs.push_back(AggDef{op, std::move(arg_expr)});
+      defs.push_back(AggDef{op, std::move(arg_expr)});
     }
-    out->aggs[pipe->id()] = pipe->Aggregate(std::move(key), std::move(aggs));
+    (*aggs)[pipe->id()] = pipe->Aggregate(std::move(key), std::move(defs));
   } else if (doc.sink_kind == "collect") {
-    out->collects[pipe->id()] = pipe->Collect();
+    pipe->Collect();
+  } else {  // hash_build
+    HAPE_ASSIGN_OR_RETURN(const JsonValue* kv,
+                          GetMember(sink, "key", doc.where + " sink"));
+    HAPE_ASSIGN_OR_RETURN(expr::ExprPtr key, ReadExpr(*kv, why));
+    HAPE_ASSIGN_OR_RETURN(std::vector<int> payload,
+                          ReadIntArray(sink, "payload_cols", doc.where));
+    BuildOptions opts;
+    HAPE_RETURN_NOT_OK(ReadOptUint(sink, "declared_build_rows",
+                                   &opts.expected_rows, doc.where));
+    HAPE_RETURN_NOT_OK(ReadOptBool(sink, "heavy", &opts.heavy, doc.where));
+    pipe->HashBuild(std::move(key), std::move(payload), opts);
   }
-  // hash_build is applied by the caller (it owns the handle table).
-  return Status::OK();
-}
-
-Status ApplyBuildSink(const PipeDoc& doc, PipelineBuilder* pipe,
-                      std::vector<BuildHandle>* build_handles,
-                      HandleStaging* out, const char** why) {
-  const JsonValue& sink = *doc.sink;
-  HAPE_ASSIGN_OR_RETURN(const JsonValue* kv,
-                        GetMember(sink, "key", doc.where + " sink"));
-  HAPE_ASSIGN_OR_RETURN(expr::ExprPtr key, ReadExpr(*kv, why));
-  HAPE_ASSIGN_OR_RETURN(std::vector<int> payload,
-                        ReadIntArray(sink, "payload_cols", doc.where));
-  BuildOptions opts;
-  HAPE_RETURN_NOT_OK(ReadOptUint(sink, "declared_build_rows",
-                                 &opts.expected_rows, doc.where));
-  HAPE_RETURN_NOT_OK(ReadOptBool(sink, "heavy", &opts.heavy, doc.where));
-  uint64_t buckets = 0;
-  HAPE_RETURN_NOT_OK(ReadOptUint(sink, "ht_buckets", &buckets, doc.where));
-  // The bucket count resizes the table before a row arrives, so a
-  // hand-edited one must get an error, not a multi-gigabyte allocation. Its
-  // ceiling is that of a table sized for its whole scanned source: the
-  // NextPow2(rows + 16) buckets HashBuild gives it and Optimize never
-  // exceeds. (HashBuild sizes a declared_build_rows past the table for the
-  // table alone, and QueryPlan::Validate, which ends Load, rejects it.)
-  const uint64_t table_rows = doc.table->num_rows();
-  if (buckets > NextPow2(table_rows + 16)) {
-    return Bad(why, lint::kRuleInvalidParameter, doc.where,
-               "'ht_buckets' exceeds the " +
-                   std::to_string(NextPow2(table_rows + 16)) +
-                   " buckets of a table sized for all of '" +
-                   doc.table->name() + "'");
-  }
-  BuildHandle h = pipe->HashBuild(std::move(key), std::move(payload), opts);
-  // Reproduce the dumped bucket count exactly (the plan optimizer may have
-  // re-bucketed the table after declaration; counts are powers of two, so
-  // Rehash lands on the same size).
-  if (buckets > 0 && buckets != h.state()->ht.num_buckets()) {
-    h.state()->ht.Rehash(buckets);
-  }
-  (*build_handles)[pipe->id()] = h;
-  out->builds[pipe->id()] = h;
   return Status::OK();
 }
 
@@ -723,67 +703,16 @@ Result<LoadedPlan> LoadDocument(const JsonValue& doc,
   std::vector<PipeDoc> docs(n);
   for (size_t i = 0; i < n; ++i) {
     HAPE_RETURN_NOT_OK(
-        ParsePipeDoc(pipelines->items()[i], i, catalog, &docs[i], why));
-  }
-  // Probe edges must point at hash-build pipelines of this plan.
-  for (const PipeDoc& d : docs) {
-    for (int64_t ref : d.probe_refs) {
-      if (ref < 0 || ref >= static_cast<int64_t>(n)) {
-        return Bad(why, lint::kRuleDanglingEdge, d.where,
-                   "probes unknown pipeline #" + std::to_string(ref));
-      }
-      if (docs[ref].sink_kind != "hash_build") {
-        return Bad(why, lint::kRuleDanglingEdge, d.where,
-                   "probes pipeline #" + std::to_string(ref) +
-                       " which is not a hash build");
-      }
-    }
+        ParsePipeDoc(pipelines->items()[i], i, n, catalog, &docs[i], why));
   }
 
   PlanBuilder builder(name);
-  std::vector<PipelineBuilder> pipes;
-  pipes.reserve(n);
+  std::map<int, AggHandle> aggs;
   for (const PipeDoc& d : docs) {
-    pipes.push_back(builder.Scan(d.table, d.columns, d.chunk_rows));
-    pipes.back().Named(d.name).Scale(d.scale);
-    if (!d.run_on.empty()) pipes.back().OnDevices(d.run_on);
-  }
-
-  HandleStaging staging;
-  std::vector<BuildHandle> build_handles(n);
-
-  // Apply op chains + terminals in probe-dependency order: a probe needs
-  // its build's handle, so builds terminalize first. No progress while
-  // pipelines remain means the probe edges form a cycle.
-  std::vector<char> applied(n, 0);
-  size_t remaining = n;
-  while (remaining > 0) {
-    bool progress = false;
-    for (size_t i = 0; i < n; ++i) {
-      if (applied[i]) continue;
-      bool ready = true;
-      for (int64_t ref : docs[i].probe_refs) {
-        if (ref == static_cast<int64_t>(i)) {
-          return Bad(why, lint::kRuleCyclicPlan, docs[i].where,
-                     "probes its own build");
-        }
-        if (!applied[ref]) ready = false;
-      }
-      if (!ready) continue;
-      HAPE_RETURN_NOT_OK(
-          ApplyPipeDoc(docs[i], &pipes[i], build_handles, &staging, why));
-      if (docs[i].sink_kind == "hash_build") {
-        HAPE_RETURN_NOT_OK(ApplyBuildSink(docs[i], &pipes[i], &build_handles,
-                                          &staging, why));
-      }
-      applied[i] = 1;
-      --remaining;
-      progress = true;
-    }
-    if (!progress) {
-      return Bad(why, lint::kRuleCyclicPlan, "plan '" + name + "'",
-                 "probe edges form a cycle among the remaining pipelines");
-    }
+    PipelineBuilder pipe = builder.Scan(d.table, d.columns, d.chunk_rows);
+    pipe.Named(d.name).Scale(d.scale);
+    if (!d.run_on.empty()) pipe.OnDevices(d.run_on);
+    HAPE_RETURN_NOT_OK(ApplyPipeDoc(d, &pipe, &aggs, why));
   }
 
   uint64_t intermediate = 0;
@@ -799,16 +728,19 @@ Result<LoadedPlan> LoadDocument(const JsonValue& doc,
   }
 
   LoadedPlan out(std::move(builder).Build());
-  out.aggs = std::move(staging.aggs);
-  out.collects = std::move(staging.collects);
-  out.builds = std::move(staging.builds);
+  out.aggs = std::move(aggs);
 
   // Restore the optimizer's outputs so a dumped optimized plan reloads
-  // with estimates (and the residency accounting derived from them) intact.
+  // with its bucket counts, estimates (and the residency accounting
+  // derived from them) intact. Counts are powers of two, so a dumped one
+  // comes back unchanged.
   for (size_t i = 0; i < n; ++i) {
+    PlanNode& node = out.plan.mutable_node(static_cast<int>(i));
+    if (docs[i].ht_buckets > 0) {
+      node.terminal.ht_buckets = NextPow2(docs[i].ht_buckets);
+    }
     const JsonValue* est = docs[i].v->Find("estimated");
     if (est == nullptr) continue;
-    PlanNode& node = out.plan.mutable_node(static_cast<int>(i));
     HAPE_RETURN_NOT_OK(
         ReadOptUint(*est, "out_rows", &node.est_out_rows, docs[i].where));
     HAPE_RETURN_NOT_OK(ReadOptUint(*est, "nominal_out_rows",

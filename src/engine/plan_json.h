@@ -15,9 +15,10 @@
 namespace hape::engine {
 
 /// Outcome of PlanJson::Load: a validated, runnable QueryPlan plus the
-/// terminal handles its results are read through (keyed by pipeline id) and,
-/// when the document carried one, the fully materialized ExecutionPolicy.
-/// Handles stay valid as long as the plan (move the plan, not the handles).
+/// handles of its aggregate terminals (keyed by pipeline id) and, when the
+/// document carried one, the fully materialized ExecutionPolicy. A handle
+/// reads the latest run's result of its plan, wherever the plan was moved
+/// (Engine::Submit, say).
 struct LoadedPlan {
   explicit LoadedPlan(QueryPlan p) : plan(std::move(p)) {}
   LoadedPlan(LoadedPlan&&) = default;
@@ -27,13 +28,12 @@ struct LoadedPlan {
   bool has_policy = false;
   ExecutionPolicy policy;
   std::map<int, AggHandle> aggs;
-  std::map<int, CollectHandle> collects;
-  std::map<int, BuildHandle> builds;
 
   /// Convenience: the first aggregation handle (most plans have exactly
   /// one terminal aggregate). CHECK-fails when the plan has no aggregate
-  /// terminal — check `aggs.empty()` first for collect-only plans (a
-  /// default-constructed handle would segfault on first use instead).
+  /// terminal — check `aggs.empty()` first: a loaded plan's other
+  /// terminals have no handles here, and a default-constructed handle
+  /// would segfault on first use.
   AggHandle agg() const {
     HAPE_CHECK(!aggs.empty())
         << "plan '" << plan.name()
@@ -48,13 +48,13 @@ struct LoadedPlan {
 /// policy x topology — are reproducible from checked-in manifests instead
 /// of C++ that rebuilds the plans.
 ///
-/// Dump serializes the plan's declarative state in pipeline declaration
-/// order (which fixes the stable topological order): per pipeline the scan
-/// source (table / columns / chunk granularity), the logical op chain with
-/// full expression trees, dependency and build/probe edges, the terminal
-/// sink (build key + payload, aggregate definitions), the BuildOptions
-/// annotations, and the optimizer's estimates (so a dumped *optimized*
-/// plan reloads with its sizing and heavy marks intact).
+/// Dump serializes the plan in pipeline declaration order (which fixes
+/// the stable topological order): per pipeline the scan source (table /
+/// columns / chunk granularity), the logical op chain with full expression
+/// trees, dependency and build/probe edges, the terminal (build key +
+/// payload, aggregate definitions), the BuildOptions annotations, and the
+/// optimizer's outputs (so a dumped *optimized* plan reloads with its
+/// bucket counts, estimates and heavy marks intact).
 ///
 /// Load is the only reader of hape-plan-v1 documents (lint's manifest pass
 /// loads through it too). It rebuilds the plan through PlanBuilder against

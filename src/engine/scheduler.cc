@@ -6,7 +6,6 @@
 #include <limits>
 #include <queue>
 #include <tuple>
-#include <unordered_set>
 #include <utility>
 
 #include "engine/executor.h"
@@ -179,26 +178,27 @@ const char* QueryOutcomeName(QueryOutcome o) {
 uint64_t Scheduler::EstimatedResidentBytes(const QueryPlan& plan,
                                            const ExecutionPolicy& policy,
                                            uint64_t budget) {
-  std::unordered_set<const JoinState*> probed;
-  for (size_t i = 0; i < plan.num_pipelines(); ++i) {
-    for (const JoinStatePtr& s : plan.node(static_cast<int>(i)).probed) {
-      probed.insert(s.get());
+  const int num = static_cast<int>(plan.num_pipelines());
+  std::vector<char> probed(num, 0);
+  for (int i = 0; i < num; ++i) {
+    for (int b : plan.node(i).ProbedBuilds()) {
+      if (b >= 0 && b < num) probed[b] = 1;  // callers pass unvalidated plans
     }
   }
   uint64_t total = 0;
   uint64_t largest_heavy = 0;
-  for (size_t i = 0; i < plan.num_pipelines(); ++i) {
-    const PlanNode& n = plan.node(static_cast<int>(i));
-    if (!n.is_build || probed.count(n.built_state.get()) == 0) continue;
+  for (int i = 0; i < num; ++i) {
+    const PlanNode& n = plan.node(i);
+    if (!n.is_build() || !probed[i]) continue;
     const uint64_t rows =
         n.est_nominal_out_rows > 0
             ? n.est_nominal_out_rows
-            : static_cast<uint64_t>(n.source_rows * n.pipeline.scale);
-    const uint64_t payload_bytes = 8 * n.build_payload.size();
+            : static_cast<uint64_t>(n.source_rows * n.scale);
+    const uint64_t payload_bytes = 8 * n.terminal.payload.size();
     const uint64_t bytes = ops::ChainedHashTable::NominalBytes(rows,
                                                                payload_bytes);
     total += bytes;
-    if (n.heavy_build) largest_heavy = std::max(largest_heavy, bytes);
+    if (n.terminal.heavy) largest_heavy = std::max(largest_heavy, bytes);
   }
   // A plan whose tables cannot fit even alone falls back to §5
   // co-processing: the largest heavy build streams through co-partitioned
@@ -252,7 +252,7 @@ void Scheduler::Shed(Slot* s, sim::SimTime at) {
 Status Scheduler::Admit(Slot* s, sim::SimTime at) {
   const SubmittedQuery& q = *s->q;
   Engine::PlanExec& ex = s->ex;
-  HAPE_RETURN_NOT_OK(engine_->BeginPlan(&s->q->plan, policy_, &ex));
+  HAPE_RETURN_NOT_OK(engine_->BeginPlan(s->q->plan, policy_, &ex));
   ex.trace_query = q.id;
   if (policy_.scheduling != SchedulingPolicy::kFifo) {
     ex.admit = at;
@@ -333,8 +333,11 @@ void Scheduler::Finish(Slot* s, sim::SimTime finish, QueryOutcome outcome,
           topo->copy_engine(n).stream_stats(s->ex.dma_stream).bytes;
     }
     // The query's tables are released the moment it completes (or
-    // aborts).
+    // aborts), and its compiled pipelines, sinks and hash tables go with
+    // them: the results live on in the plan's result cells.
     if (s->contrib > 0) released_.emplace_back(finish, s->contrib);
+    s->ex.pipelines = std::vector<Pipeline>();
+    s->ex.tables = std::vector<JoinStatePtr>();
     for (const auto& [dev, busy] : qs.run.device_busy_s) {
       out_.device_busy_s[dev] += busy;
     }
@@ -558,7 +561,7 @@ Status Scheduler::RunFairShare(std::vector<Slot>* slots) {
     // which is what keeps thousand-query serving waves tractable.
     const auto next_is_build = [&wave](size_t i) {
       const Engine::PlanExec& ex = wave[i]->ex;
-      return ex.plan->node(ex.order[ex.pos]).is_build;
+      return ex.plan->node(ex.order[ex.pos]).is_build();
     };
     struct PickKey {
       bool probe;
@@ -820,7 +823,7 @@ Status Scheduler::RunSlaTiered(std::vector<Slot>* slots) {
     int pick = running.front();
     auto key = [&](int i) {
       const Engine::PlanExec& ex = qs[i].ex;
-      const bool probe = !ex.plan->node(ex.order[ex.pos]).is_build;
+      const bool probe = !ex.plan->node(ex.order[ex.pos]).is_build();
       return std::make_tuple(eff_tier(i, clock), probe, qs[i].vtime,
                              qs[i].q->id);
     };

@@ -55,7 +55,7 @@ struct SubmittedQuery {
   int id;
   QueryPlan plan;
   SubmitOptions opts;
-  /// Ran in an earlier RunAll (kept alive for its result handles).
+  /// Ran in an earlier RunAll; the next one skips it.
   bool executed = false;
   /// Earliest simulated time an Engine::Cancel takes effect; +infinity
   /// when the query was never cancelled. The scheduler honors it at the

@@ -16,12 +16,12 @@ void CollectSink::Consume(int worker, memory::Batch&& batch,
   (void)worker;
   (void)backend;
   traffic->dram_seq_write_bytes += batch.byte_size();
-  batches_.push_back(std::move(batch));
+  batches_->push_back(std::move(batch));
 }
 
-uint64_t CollectSink::total_rows() const {
+uint64_t TotalRows(const std::vector<memory::Batch>& batches) {
   uint64_t n = 0;
-  for (const auto& b : batches_) n += b.rows;
+  for (const auto& b : batches) n += b.rows;
   return n;
 }
 
@@ -89,21 +89,13 @@ void BuildSink::Consume(int worker, memory::Batch&& batch,
   }
 }
 
-void BuildSink::Finish(sim::TrafficStats* traffic) { (void)traffic; }
-
-void BuildSink::RemapColumns(const std::vector<int>& old_to_new) {
-  key_expr_ = expr::Expr::RemapColumns(key_expr_, old_to_new);
-  for (int& c : payload_cols_) {
-    HAPE_CHECK(c >= 0 && c < static_cast<int>(old_to_new.size()) &&
-               old_to_new[c] >= 0);
-    c = old_to_new[c];
-  }
-}
-
 // ---- HashAggSink ------------------------------------------------------------
 
-HashAggSink::HashAggSink(expr::ExprPtr key_expr, std::vector<AggDef> aggs)
-    : key_expr_(std::move(key_expr)), aggs_(std::move(aggs)) {
+HashAggSink::HashAggSink(expr::ExprPtr key_expr, std::vector<AggDef> aggs,
+                         std::shared_ptr<AggGroups> result)
+    : key_expr_(std::move(key_expr)),
+      aggs_(std::move(aggs)),
+      result_(std::move(result)) {
   HAPE_CHECK(!aggs_.empty());
 }
 
@@ -237,24 +229,15 @@ void HashAggSink::AccumulateVectorized(
   }
 }
 
-void HashAggSink::RemapColumns(const std::vector<int>& old_to_new) {
-  if (key_expr_ != nullptr) {
-    key_expr_ = expr::Expr::RemapColumns(key_expr_, old_to_new);
-  }
-  for (AggDef& a : aggs_) {
-    if (a.arg != nullptr) a.arg = expr::Expr::RemapColumns(a.arg, old_to_new);
-  }
-}
-
 void HashAggSink::Finish(sim::TrafficStats* traffic) {
   uint64_t merged = 0;
-  // Merge one worker's partial group into result_. Each worker contributes
+  // Merge one worker's partial group into the result. Each worker contributes
   // a key at most once, so per-(key, agg) the merge applies one update per
   // worker in ascending-worker order on both planes — the iteration order
   // of groups *within* a worker cannot affect any merged double.
   auto merge_group = [&](int64_t k, const double* acc) {
     ++merged;
-    auto [it, inserted] = result_.try_emplace(k);
+    auto [it, inserted] = result_->try_emplace(k);
     if (inserted) {
       it->second.assign(acc, acc + aggs_.size());
       return;

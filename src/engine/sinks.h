@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "codegen/kernels.h"
@@ -12,17 +13,24 @@
 
 namespace hape::engine {
 
+/// Rows over all of `batches`.
+uint64_t TotalRows(const std::vector<memory::Batch>& batches);
+
 /// Materializes result packets (the mem-move / device-crossing boundary of
-/// a broken plan, or the query result itself).
+/// a broken plan, or the query result itself) into `out`, a result cell a
+/// plan's CollectHandle may share.
 class CollectSink final : public Sink {
  public:
+  explicit CollectSink(std::shared_ptr<std::vector<memory::Batch>> out =
+                           std::make_shared<std::vector<memory::Batch>>())
+      : batches_(std::move(out)) {}
+
   void Consume(int worker, memory::Batch&& batch, sim::TrafficStats* traffic,
                const codegen::Backend& backend) override;
-  std::vector<memory::Batch>& batches() { return batches_; }
-  uint64_t total_rows() const;
+  uint64_t total_rows() const { return TotalRows(*batches_); }
 
  private:
-  std::vector<memory::Batch> batches_;
+  std::shared_ptr<std::vector<memory::Batch>> batches_;
 };
 
 /// Builds a shared JoinState (HyPer-style: all workers insert into one
@@ -36,11 +44,6 @@ class BuildSink final : public Sink {
 
   void Consume(int worker, memory::Batch&& batch, sim::TrafficStats* traffic,
                const codegen::Backend& backend) override;
-  void Finish(sim::TrafficStats* traffic) override;
-  void RemapColumns(const std::vector<int>& old_to_new) override;
-  bool SupportsColumnRemap() const override { return true; }
-
-  const JoinStatePtr& state() const { return state_; }
 
  private:
   JoinStatePtr state_;
@@ -56,32 +59,28 @@ struct AggDef {
   expr::ExprPtr arg;  // ignored for kCount (may be null)
 };
 
+/// Merged aggregation result: group key -> aggregate values (AggDef order).
+using AggGroups = std::map<int64_t, std::vector<double>>;
+
 /// Group-by aggregation sink. `key_expr` evaluates to one int64 group key
 /// per tuple (compose multi-column keys arithmetically, as generated code
 /// does); nullptr aggregates everything into a single group. Each worker
 /// keeps a private partial table (group counts in the evaluated queries are
-/// tiny, so partials are cache-resident); Finish() merges them, charging
-/// the merge.
+/// tiny, so partials are cache-resident); Finish() merges them into
+/// `result`, charging the merge. `result` must start empty; it is a result
+/// cell a plan's AggHandle may share.
 class HashAggSink final : public Sink {
  public:
-  HashAggSink(expr::ExprPtr key_expr, std::vector<AggDef> aggs);
+  HashAggSink(expr::ExprPtr key_expr, std::vector<AggDef> aggs,
+              std::shared_ptr<AggGroups> result =
+                  std::make_shared<AggGroups>());
 
   void Consume(int worker, memory::Batch&& batch, sim::TrafficStats* traffic,
                const codegen::Backend& backend) override;
   void Finish(sim::TrafficStats* traffic) override;
-  void RemapColumns(const std::vector<int>& old_to_new) override;
-  bool SupportsColumnRemap() const override { return true; }
 
-  /// Merged result: group key -> aggregate values (in AggDef order).
-  const std::map<int64_t, std::vector<double>>& result() const {
-    return result_;
-  }
-  uint64_t num_groups() const { return result_.size(); }
-
-  /// Declarative view for plan serialization (current state — the plan
-  /// optimizer may have remapped column references).
-  const expr::ExprPtr& key_expr() const { return key_expr_; }
-  const std::vector<AggDef>& aggs() const { return aggs_; }
+  const AggGroups& result() const { return *result_; }
+  uint64_t num_groups() const { return result_->size(); }
 
  private:
   /// Vectorized-plane partial: open-addressing group index plus a flat
@@ -102,7 +101,7 @@ class HashAggSink final : public Sink {
   std::vector<AggDef> aggs_;
   std::map<int, std::map<int64_t, std::vector<double>>> partials_;
   std::map<int, VecPartial> vec_partials_;
-  std::map<int64_t, std::vector<double>> result_;
+  std::shared_ptr<AggGroups> result_;
 };
 
 }  // namespace hape::engine

@@ -104,8 +104,8 @@ void PassColumns(LintReport* r, const QueryPlan& plan,
       }
     }
 
-    if (!node.is_build) continue;
-    if (node.build_key != nullptr && node.build_key->MaxColumn() < 0) {
+    if (!node.is_build()) continue;
+    if (node.terminal.key != nullptr && node.terminal.key->MaxColumn() < 0) {
       r->Add(kRuleSuspiciousExpr, path,
              "build key is a constant (references no column)",
              "a constant key sends every row to one hash bucket");
@@ -124,7 +124,7 @@ void PassPlacement(LintReport* r, const QueryPlan& plan,
   const int n = static_cast<int>(plan.num_pipelines());
   for (int i = 0; i < n; ++i) {
     const PlanNode& node = plan.node(i);
-    if (!node.is_build || node.run_on.empty()) continue;
+    if (!node.is_build() || node.run_on.empty()) continue;
     const bool any_cpu =
         std::any_of(node.run_on.begin(), node.run_on.end(), [&](int d) {
           return topo.device(d).type == sim::DeviceType::kCpu;
@@ -178,7 +178,7 @@ void PassGpuBudget(LintReport* r, const QueryPlan& plan,
   bool annotated = false;
   for (size_t i = 0; i < plan.num_pipelines(); ++i) {
     const PlanNode& n = plan.node(static_cast<int>(i));
-    if (n.is_build && n.est_nominal_out_rows > 0) annotated = true;
+    if (n.is_build() && n.est_nominal_out_rows > 0) annotated = true;
   }
   if (!annotated) return;
   const uint64_t budget = policy.GpuBudget(*ctx.topo);

@@ -7,7 +7,6 @@
 
 #include "common/bits.h"
 #include "common/hash.h"
-#include "common/logging.h"
 
 namespace hape::ops {
 
@@ -18,28 +17,22 @@ namespace hape::ops {
 /// place in the different GPU memories.
 class ChainedHashTable {
  public:
-  explicit ChainedHashTable(size_t expected_rows) {
-    const uint64_t buckets = NextPow2(expected_rows == 0 ? 1 : expected_rows);
-    log_buckets_ = Log2Floor(buckets);
-    heads_.assign(buckets, -1);
-    Reserve(expected_rows);
-  }
+  explicit ChainedHashTable(size_t expected_rows)
+      : ChainedHashTable(expected_rows, expected_rows) {}
 
-  /// Re-bucket an *empty* table for a revised cardinality estimate. The
-  /// plan optimizer sizes build tables from its own estimates after the
-  /// plan was declared (hash tables are created at HashBuild() time).
-  void Rehash(size_t expected_rows) {
-    HAPE_CHECK(keys_.empty()) << "Rehash is only valid before any Insert";
+  /// NextPow2(`expected_rows`) buckets, with the entry arrays reserved for
+  /// `reserve_rows` inserts. A plan's build table takes its bucket count
+  /// from the plan and reserves for every row its source may deliver.
+  ChainedHashTable(size_t expected_rows, size_t reserve_rows) {
     const uint64_t buckets = NextPow2(expected_rows == 0 ? 1 : expected_rows);
     log_buckets_ = Log2Floor(buckets);
     heads_.assign(buckets, -1);
-    Reserve(expected_rows);
+    Reserve(reserve_rows);
   }
 
   /// Preallocate the entry arrays for `expected_rows` inserts so bulk
-  /// builds never reallocate mid-insert. Called by the constructor/Rehash
-  /// from the optimizer's cardinality estimate; inserting beyond the
-  /// reservation stays correct (the vectors grow), just slower.
+  /// builds never reallocate mid-insert; inserting beyond the reservation
+  /// stays correct (the vectors grow), just slower.
   void Reserve(size_t expected_rows) {
     keys_.reserve(expected_rows);
     rows_.reserve(expected_rows);

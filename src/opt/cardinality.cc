@@ -20,7 +20,7 @@ StatsBinding BaseBinding(const PlanNode& node, const StatsCatalog& stats) {
     // Pre-chunked Source(): no schema information; column count from the
     // first input packet, if any.
     const size_t cols =
-        node.pipeline.inputs.empty() ? 0 : node.pipeline.inputs[0].columns.size();
+        node.inputs.empty() ? 0 : node.inputs[0].columns.size();
     binding.assign(cols, nullptr);
     return binding;
   }
@@ -68,10 +68,11 @@ Status CardinalityEstimator::EstimateNode(const QueryPlan& plan, int node_idx,
         ne.binding.assign(op.exprs.size(), nullptr);
         break;
       case LogicalOp::Kind::kProbe: {
-        const int build = plan.BuildNodeOf(op.probe_state.get());
-        if (build < 0) {
+        const int build = op.build;
+        if (build < 0 || build >= static_cast<int>(plan.num_pipelines()) ||
+            !plan.node(build).is_build()) {
           return Status::InvalidArgument(
-              "pipeline '" + node.pipeline.name +
+              "pipeline '" + node.name +
               "' probes a hash table with no build node");
         }
         const NodeEstimate& be = est->nodes[build];
@@ -83,7 +84,7 @@ Status CardinalityEstimator::EstimateNode(const QueryPlan& plan, int node_idx,
                         : 1.0;
         // Append the build payload columns' stats to the layout binding.
         const PlanNode& bn = plan.node(build);
-        for (int payload_col : bn.build_payload) {
+        for (int payload_col : bn.terminal.payload) {
           const StatsBinding& bb = be.binding;
           ne.binding.push_back(
               payload_col < static_cast<int>(bb.size()) ? bb[payload_col]
@@ -100,12 +101,12 @@ Status CardinalityEstimator::EstimateNode(const QueryPlan& plan, int node_idx,
   ne.out_rows = rows;
   ne.selectivity = ne.source_rows > 0 ? rows / ne.source_rows : 1.0;
 
-  if (node.is_build && node.build_key != nullptr) {
+  if (node.is_build() && node.terminal.key != nullptr) {
     // The key's domain size comes from the *unfiltered* source binding:
     // probes reference the full domain even when the build filtered it.
     const StatsBinding base = BaseBinding(node, *stats_);
     ne.key_domain_ndv = static_cast<double>(EstimateKeyNdv(
-        *node.build_key, base,
+        *node.terminal.key, base,
         std::max<uint64_t>(1, static_cast<uint64_t>(ne.source_rows))));
   }
   return Status::OK();

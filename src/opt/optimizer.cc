@@ -4,9 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "common/bits.h"
 #include "common/logging.h"
-#include "engine/sinks.h"
-#include "engine/stages.h"
 #include "ops/hash_table.h"
 #include "sim/spec.h"
 
@@ -15,6 +14,7 @@ namespace hape::opt {
 using engine::LogicalOp;
 using engine::PlanNode;
 using engine::QueryPlan;
+using engine::TerminalSpec;
 
 namespace {
 
@@ -25,9 +25,8 @@ int BaseColumns(const PlanNode& node) {
   if (node.source_table != nullptr) {
     return static_cast<int>(node.source_columns.size());
   }
-  return node.pipeline.inputs.empty()
-             ? 0
-             : static_cast<int>(node.pipeline.inputs[0].columns.size());
+  return node.inputs.empty() ? 0
+                             : static_cast<int>(node.inputs[0].columns.size());
 }
 
 /// Per-tuple processing weight of an op for the ordering DP. A probe
@@ -251,11 +250,10 @@ Status Optimizer::ReorderNode(QueryPlan* plan, int node_idx,
   for (int i = 0; i < n; ++i) decision->op_order[i] = i;
   if (n < 2) return Status::OK();
 
-  if (node.pipeline.sink == nullptr ||
-      !node.pipeline.sink->SupportsColumnRemap()) {
-    // The sink materializes packets in declaration layout (CollectSink /
-    // custom sinks): a reorder would silently permute the observable
-    // columns. Leave the pipeline as declared.
+  if (node.terminal.kind == TerminalSpec::Kind::kCollect) {
+    // A collect terminal materializes packets in declaration layout: a
+    // reorder would silently permute the observable columns. Leave the
+    // pipeline as declared.
     return Status::OK();
   }
   int num_probes = 0;
@@ -271,15 +269,14 @@ Status Optimizer::ReorderNode(QueryPlan* plan, int node_idx,
   // Producer map: which op appends each column of the final layout.
   const int base = BaseColumns(node);
   int total = base;
-  for (const LogicalOp& op : node.ops) total += op.appended_cols;
+  for (const LogicalOp& op : node.ops) total += plan->AppendedColumns(op);
   std::vector<int> producer(total, -1);
   {
     int off = base;
     for (int i = 0; i < n; ++i) {
-      for (int k = 0; k < node.ops[i].appended_cols; ++k) {
-        producer[off + k] = i;
-      }
-      off += node.ops[i].appended_cols;
+      const int appended = plan->AppendedColumns(node.ops[i]);
+      for (int k = 0; k < appended; ++k) producer[off + k] = i;
+      off += appended;
     }
   }
   std::vector<std::vector<int>> deps(n);
@@ -291,7 +288,7 @@ Status Optimizer::ReorderNode(QueryPlan* plan, int node_idx,
     for (int c : node.ops[i].expr->ReferencedColumns()) {
       if (c < 0 || c >= total) {
         return Status::InvalidArgument(
-            "pipeline '" + node.pipeline.name + "' references column $" +
+            "pipeline '" + node.name + "' references column $" +
             std::to_string(c) + " outside its layout");
       }
       const int p = producer[c];
@@ -321,70 +318,47 @@ void Optimizer::ApplyOrder(QueryPlan* plan, int node_idx,
 
   // Column remapping: probe payloads move to their position in the new
   // probe order; base columns stay put.
+  std::vector<int> appended(n);
   int total = base;
   std::vector<int> old_start(n, 0);
   for (int i = 0; i < n; ++i) {
+    appended[i] = plan->AppendedColumns(node.ops[i]);
     old_start[i] = total;
-    total += node.ops[i].appended_cols;
+    total += appended[i];
   }
   std::vector<int> old_to_new(total);
   for (int c = 0; c < base; ++c) old_to_new[c] = c;
   {
     int off = base;
     for (int i : order) {
-      for (int k = 0; k < node.ops[i].appended_cols; ++k) {
+      for (int k = 0; k < appended[i]; ++k) {
         old_to_new[old_start[i] + k] = off + k;
       }
-      off += node.ops[i].appended_cols;
+      off += appended[i];
     }
   }
+  const auto remap = [&old_to_new](expr::ExprPtr* e) {
+    if (*e != nullptr) *e = expr::Expr::RemapColumns(*e, old_to_new);
+  };
 
-  // Rewrite every expression against the new layout, permute the logical
-  // chain, and regenerate the fused stages from it.
+  // Rewrite every expression of the op chain and the terminal against the
+  // new layout, and permute the chain.
   for (LogicalOp& op : node.ops) {
-    if (op.expr != nullptr) {
-      op.expr = expr::Expr::RemapColumns(op.expr, old_to_new);
-    }
-    for (expr::ExprPtr& e : op.exprs) {
-      e = expr::Expr::RemapColumns(e, old_to_new);
-    }
+    remap(&op.expr);
+    for (expr::ExprPtr& e : op.exprs) remap(&e);
   }
   std::vector<LogicalOp> reordered;
   reordered.reserve(n);
   for (int i : order) reordered.push_back(std::move(node.ops[i]));
   node.ops = std::move(reordered);
 
-  node.pipeline.sink->RemapColumns(old_to_new);
-  // Keep the build metadata (consumed by the estimator, heavy marking and
-  // Explain) in the new layout too.
-  if (node.build_key != nullptr) {
-    node.build_key = expr::Expr::RemapColumns(node.build_key, old_to_new);
-  }
-  for (int& c : node.build_payload) {
+  TerminalSpec& t = node.terminal;
+  remap(&t.key);
+  for (int& c : t.payload) {
     HAPE_CHECK(c >= 0 && c < total);
     c = old_to_new[c];
   }
-
-  node.probed.clear();
-  node.pipeline.stages.clear();
-  if (node.pipeline.charge_source_read) {
-    node.pipeline.stages.push_back(engine::ScanStage());
-  }
-  for (const LogicalOp& op : node.ops) {
-    switch (op.kind) {
-      case LogicalOp::Kind::kFilter:
-        node.pipeline.stages.push_back(engine::FilterStage(op.expr));
-        break;
-      case LogicalOp::Kind::kProject:
-        node.pipeline.stages.push_back(engine::ProjectStage(op.exprs));
-        break;
-      case LogicalOp::Kind::kProbe:
-        node.pipeline.stages.push_back(
-            engine::ProbeStage(op.probe_state, op.expr));
-        node.probed.push_back(op.probe_state);
-        break;
-    }
-  }
+  for (engine::AggDef& a : t.aggs) remap(&a.arg);
 }
 
 void Optimizer::ChoosePlacement(QueryPlan* plan, int node_idx,
@@ -393,12 +367,12 @@ void Optimizer::ChoosePlacement(QueryPlan* plan, int node_idx,
                                 NodeDecision* decision) {
   const PlanNode& node = plan->node(node_idx);
   const std::vector<int>& base_set =
-      node.is_build ? policy.build_devices : policy.devices;
+      node.is_build() ? policy.build_devices : policy.devices;
 
   // Nominal input footprint and a coarse per-tuple op count.
   uint64_t bytes = 0;
-  for (const memory::Batch& b : node.pipeline.inputs) bytes += b.byte_size();
-  bytes = static_cast<uint64_t>(bytes * node.pipeline.scale);
+  for (const memory::Batch& b : node.inputs) bytes += b.byte_size();
+  bytes = static_cast<uint64_t>(bytes * node.scale);
   double ops = est.nodes[node_idx].source_rows;
   for (size_t i = 0; i < node.ops.size(); ++i) {
     const LogicalOp& op = node.ops[i];
@@ -406,8 +380,7 @@ void Optimizer::ChoosePlacement(QueryPlan* plan, int node_idx,
         (op.expr != nullptr ? op.expr->OpCount() : 1) + 2;
     ops += est.nodes[node_idx].ops[i].in_rows * static_cast<double>(per_tuple);
   }
-  const uint64_t nominal_ops =
-      static_cast<uint64_t>(ops * node.pipeline.scale);
+  const uint64_t nominal_ops = static_cast<uint64_t>(ops * node.scale);
 
   // Under fair-share scheduling the query holds only a fraction of every
   // device, which shifts where CPU-vs-GPU offload breaks even.
@@ -447,10 +420,6 @@ Result<OptimizeResult> Optimizer::OptimizePlan(
     QueryPlan* plan, const engine::ExecutionPolicy& policy) {
   OptimizeResult result;
   result.nodes.resize(plan->num_pipelines());
-  if (plan->executed()) {
-    return Status::InvalidArgument("plan '" + plan->name() +
-                                   "' was already executed");
-  }
   if (Status st = plan->Validate(topo_); !st.ok()) return st;
   if (Status st = policy.Validate(*topo_); !st.ok()) return st;
 
@@ -462,7 +431,7 @@ Result<OptimizeResult> Optimizer::OptimizePlan(
   for (int idx : topo_order.value()) {
     NodeDecision& d = result.nodes[idx];
     d.pipeline = idx;
-    d.name = plan->node(idx).pipeline.name;
+    d.name = plan->node(idx).name;
     if (Status st = ReorderNode(plan, idx, pre.value(), &d); !st.ok()) {
       return st;
     }
@@ -480,32 +449,31 @@ Result<OptimizeResult> Optimizer::OptimizePlan(
     NodeDecision& d = result.nodes[idx];
     node.est_out_rows = static_cast<uint64_t>(est.nodes[idx].out_rows);
     node.est_nominal_out_rows = static_cast<uint64_t>(
-        est.nodes[idx].out_rows * node.pipeline.scale);
+        est.nodes[idx].out_rows * node.scale);
     d.est_out_rows = node.est_out_rows;
     d.est_nominal_out_rows = node.est_nominal_out_rows;
 
-    if (node.is_build) {
-      if (node.declared_build_rows == 0) {
+    if (node.is_build()) {
+      TerminalSpec& t = node.terminal;
+      if (t.declared_rows == 0) {
         // Same sizing rule HashBuild applies to declared cardinalities,
         // fed by the estimate instead. Capped at the source, as HashBuild's
         // default is: PlanJson::Load rejects more buckets than that, and
         // the estimate passes it only when a probe in this pipeline
         // multiplies rows.
-        node.built_state->ht.Rehash(
-            static_cast<size_t>(
-                std::min(est.nodes[idx].out_rows,
-                         static_cast<double>(node.source_rows))) +
+        t.ht_buckets = NextPow2(
+            static_cast<uint64_t>(std::min(
+                est.nodes[idx].out_rows,
+                static_cast<double>(node.source_rows))) +
             16);
       }
-      d.ht_buckets = node.built_state->ht.num_buckets();
+      d.ht_buckets = t.ht_buckets;
       uint64_t value_bytes = 0;
-      for (int c : node.build_payload) {
-        value_bytes += PayloadValueBytes(node, c);
-      }
+      for (int c : t.payload) value_bytes += PayloadValueBytes(node, c);
       const uint64_t table_bytes = ops::ChainedHashTable::NominalBytes(
           node.est_nominal_out_rows, value_bytes);
-      node.heavy_build = table_bytes >= options_.heavy_build_threshold_bytes;
-      d.heavy = node.heavy_build;
+      t.heavy = table_bytes >= options_.heavy_build_threshold_bytes;
+      d.heavy = t.heavy;
     }
 
     ChoosePlacement(plan, idx, policy, est, &d);

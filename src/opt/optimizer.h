@@ -91,8 +91,9 @@ class Optimizer {
             StatsCatalog* stats)
       : topo_(topo), options_(options), estimator_(stats) {}
 
-  /// Optimize `plan` for execution under `policy`. Idempotent; must run
-  /// before the plan executes (build hash tables are re-bucketed).
+  /// Optimize `plan` for execution under `policy`. Idempotent; it edits
+  /// only the plan's ops, terminal specs, placements and estimates, so
+  /// the next run of the plan uses them.
   Result<OptimizeResult> OptimizePlan(engine::QueryPlan* plan,
                                       const engine::ExecutionPolicy& policy);
 

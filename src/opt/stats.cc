@@ -224,19 +224,6 @@ void ScanValues(std::span<const T> values, ColumnStats* cs) {
 
 }  // namespace
 
-uint64_t ColumnStats::NominalNdv(double scale, uint64_t nominal_rows) const {
-  if (row_count == 0) return 0;
-  // Key-like columns (primary/foreign keys) keep NDV proportional to the
-  // row count as the data scales; narrow domains (dates, dictionary codes)
-  // saturate at the observed NDV.
-  const double ratio = static_cast<double>(ndv) / static_cast<double>(row_count);
-  if (ratio >= 0.5) {
-    return std::min<uint64_t>(nominal_rows,
-                              static_cast<uint64_t>(ndv * scale));
-  }
-  return ndv;
-}
-
 const TableStats& StatsCatalog::Collect(const storage::Table& table) {
   TableStats ts;
   ts.table = table.name();

@@ -12,8 +12,8 @@
 namespace hape::opt {
 
 /// Per-column statistics collected by one pass over the stored data. They
-/// describe the stored rows only: a plan may run a table at any nominal
-/// scale, and NominalNdv takes that scale as an argument.
+/// describe the stored rows only, whatever nominal scale a plan runs the
+/// table at (the optimizer scales its estimates by the pipeline's scale).
 struct ColumnStats {
   std::string name;
   uint64_t row_count = 0;  // actual rows scanned
@@ -22,11 +22,6 @@ struct ColumnStats {
   double min_value = 0;
   double max_value = 0;
   bool has_range = false;  // false for empty columns
-
-  /// Distinct values at nominal scale. Key-like columns (NDV close to the
-  /// row count, e.g. primary keys) grow with the data; low-cardinality
-  /// domains (dates, dictionary codes, nation keys) do not.
-  uint64_t NominalNdv(double scale, uint64_t nominal_rows) const;
 };
 
 /// Statistics of one stored table.

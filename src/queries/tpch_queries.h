@@ -113,11 +113,10 @@ struct ManifestQuery {
 /// it). InvalidArgument when the entry is not an object.
 Result<ManifestQuery> ReadManifestQuery(const JsonValue& entry);
 
-/// A declared-but-not-yet-executed query: the QueryPlan plus the aggregate
-/// handle its result is read through. This is the unit Engine::Submit
-/// admits — build several queries, submit them all, RunAll, then read each
-/// result off its handle (handles stay valid as long as the plan, which a
-/// submitted plan outlives via the Engine).
+/// A declared query: the QueryPlan plus the aggregate handle its result is
+/// read through. This is the unit Engine::Submit admits — build several
+/// queries, submit them all, RunAll, then read each result off its handle
+/// (the handle shares its terminal's result cell, which each run fills).
 struct BuiltQuery {
   BuiltQuery(engine::QueryPlan plan, engine::AggHandle agg)
       : plan(std::move(plan)), agg(agg) {}

@@ -589,8 +589,8 @@ TEST_F(AsyncExec, ExplainSurfacesOverlapAccounting) {
   const QueryResult r = RunQ5(ctx_, EngineConfig::kProteusHybrid);
   ASSERT_FALSE(r.DidNotFinish());
   ASSERT_NE(ctx_->engine, nullptr);
-  // A plan object is consumed by Run; Explain only needs *a* plan plus the
-  // RunStats, so serialize against a freshly declared (unexecuted) shape.
+  // Explain only needs *a* plan plus the RunStats, so serialize against a
+  // freshly declared shape.
   engine::PlanBuilder b("probe-shape");
   auto t = ctx_->catalog.Get("lineitem").value();
   auto agg = b.Scan(t, {"l_orderkey"}, 1 << 14)

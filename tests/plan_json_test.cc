@@ -231,13 +231,11 @@ TEST_F(PlanJsonTest, OptimizedPlanRoundTripsSizingAndEstimates) {
     EXPECT_EQ(na.est_out_rows, nb.est_out_rows) << i;
     EXPECT_EQ(na.est_nominal_out_rows, nb.est_nominal_out_rows) << i;
     EXPECT_DOUBLE_EQ(na.est_cost_seconds, nb.est_cost_seconds) << i;
-    EXPECT_EQ(na.heavy_build, nb.heavy_build) << i;
-    if (na.is_build) {
-      // The optimizer re-bucketed the table after declaration; the loaded
-      // plan must reproduce the revised size, not the declared one.
-      EXPECT_EQ(na.built_state->ht.num_buckets(),
-                nb.built_state->ht.num_buckets())
-          << i;
+    EXPECT_EQ(na.terminal.heavy, nb.terminal.heavy) << i;
+    if (na.is_build()) {
+      // The optimizer set the bucket count after declaration; the loaded
+      // plan must reproduce the revised count, not the declared one.
+      EXPECT_EQ(na.terminal.ht_buckets, nb.terminal.ht_buckets) << i;
     }
   }
 }
@@ -267,15 +265,14 @@ TEST_F(PlanJsonTest, OptimizedRowMultiplyingBuildReloads) {
   ASSERT_TRUE(eng.Optimize(&plan, policy).ok());
   const engine::PlanNode& build = plan.node(1);
   ASSERT_GT(build.est_out_rows, part->num_rows()) << "no fan-out estimated";
-  EXPECT_EQ(build.built_state->ht.num_buckets(),
-            NextPow2(part->num_rows() + 16));
+  EXPECT_EQ(build.terminal.ht_buckets, NextPow2(part->num_rows() + 16));
 
   auto dumped = eng.DumpPlan(plan);
   ASSERT_TRUE(dumped.ok());
   auto loaded = eng.LoadPlan(dumped.value(), ctx_->catalog);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().plan.node(1).built_state->ht.num_buckets(),
-            build.built_state->ht.num_buckets());
+  EXPECT_EQ(loaded.value().plan.node(1).terminal.ht_buckets,
+            build.terminal.ht_buckets);
 }
 
 // ---- execution round-trip ----------------------------------------------------
@@ -283,8 +280,7 @@ TEST_F(PlanJsonTest, OptimizedRowMultiplyingBuildReloads) {
 TEST_F(PlanJsonTest, LoadedTpchPlansRerunByteIdenticalEverywhere) {
   Engine& eng = EngineFor(ctx_);
   for (const NamedBuild& q : kTpchPlans) {
-    // Dump the unoptimized plan once; each cell reloads it fresh (plans are
-    // single-shot).
+    // Dump the unoptimized plan once; each cell reloads it fresh.
     auto bq = q.fn(ctx_);
     ASSERT_TRUE(bq.ok()) << q.name;
     auto dumped = eng.DumpPlan(bq.value().plan);
@@ -352,7 +348,7 @@ TEST_F(PlanJsonTest, LoadedScanPacketsAliasTheCatalogColumns) {
       const storage::Table& table =
           *ctx_->catalog.Get(node.source_table->name()).value();
       size_t offset = 0;
-      for (const memory::Batch& packet : node.pipeline.inputs) {
+      for (const memory::Batch& packet : node.inputs) {
         ASSERT_EQ(packet.columns.size(), node.source_columns.size());
         for (size_t c = 0; c < node.source_columns.size(); ++c) {
           const storage::Column& src = *table.column(node.source_columns[c]);
@@ -360,7 +356,7 @@ TEST_F(PlanJsonTest, LoadedScanPacketsAliasTheCatalogColumns) {
           EXPECT_EQ(col.raw_data(),
                     static_cast<const char*>(src.raw_data()) +
                         offset * storage::TypeSize(src.type()))
-              << q.name << " " << node.pipeline.name << "."
+              << q.name << " " << node.name << "."
               << node.source_columns[c] << " at row " << offset;
         }
         offset += packet.rows;
@@ -682,7 +678,7 @@ TEST_F(PlanJsonTest, NonAsciiLabelsSurviveTheRoundTrip) {
   auto loaded = eng.LoadPlan(dumped.value(), ctx_->catalog);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().plan.name(), name);
-  EXPECT_EQ(loaded.value().plan.node(0).pipeline.name, "σ-пайплайн");
+  EXPECT_EQ(loaded.value().plan.node(0).name, "σ-пайплайн");
 
   // The same labels written as \uXXXX escapes (as an external tool might)
   // must decode to the identical plan — the common/json.h regression this

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "engine/engine.h"
 #include "engine/plan.h"
@@ -60,9 +63,10 @@ TEST(PlanBuilder, RoundTripStructure) {
   EXPECT_EQ(plan.name(), "round-trip");
   ASSERT_EQ(plan.num_pipelines(), 1u);
   const PlanNode& node = plan.node(0);
-  EXPECT_EQ(node.pipeline.name, "scan");
-  EXPECT_EQ(node.pipeline.stages.size(), 2u);  // scan + filter
-  EXPECT_NE(node.pipeline.sink, nullptr);      // owned by the plan
+  EXPECT_EQ(node.name, "scan");
+  EXPECT_TRUE(node.charge_source_read);  // scan stage ...
+  EXPECT_EQ(node.ops.size(), 1u);        // ... + filter
+  EXPECT_EQ(node.terminal.kind, TerminalSpec::Kind::kAggregate);
   EXPECT_TRUE(node.deps.empty());
   EXPECT_EQ(agg.pipeline(), 0);
   EXPECT_TRUE(plan.Validate().ok());
@@ -78,10 +82,11 @@ TEST(PlanBuilder, BuildProbeCreatesDependencyEdge) {
   QueryPlan plan = std::move(b).Build();
 
   ASSERT_EQ(plan.num_pipelines(), 2u);
-  EXPECT_TRUE(plan.node(0).is_build);
+  EXPECT_TRUE(plan.node(0).is_build());
   ASSERT_EQ(plan.node(1).deps.size(), 1u);
   EXPECT_EQ(plan.node(1).deps[0], 0);
-  EXPECT_EQ(plan.BuildNodeOf(build.state().get()), 0);
+  EXPECT_EQ(build.pipeline(), 0);
+  EXPECT_EQ(plan.node(1).ProbedBuilds(), std::vector<int>{0});
   ASSERT_TRUE(plan.Validate().ok());
 
   auto order = plan.TopologicalOrder();
@@ -438,18 +443,94 @@ TEST_F(EngineFacadeTest, OperatorAtATimeAdmissionRejectsBigIntermediates) {
   EXPECT_EQ(run.status().code(), StatusCode::kNotSupported);
 }
 
-TEST_F(EngineFacadeTest, PlansAreSingleShot) {
-  PlanBuilder b("once");
-  auto pipe = b.Source("scan", MakeBatches(1, 8));
-  pipe.Aggregate(nullptr, {AggDef{AggOp::kCount, nullptr}});
-  QueryPlan plan = std::move(b).Build();
+/// Exact (hex-float) record of a run's simulated costs: the finish, and
+/// per pipeline its times, row counts, traffic and transfer accounting.
+std::string CostRecord(const RunStats& rs) {
+  std::string s;
+  char buf[64];
+  const auto d = [&](double v) {
+    std::snprintf(buf, sizeof(buf), "%a,", v);
+    s += buf;
+  };
+  const auto u = [&](uint64_t v) { s += std::to_string(v) + ","; };
+  d(rs.finish);
+  d(rs.placement_finish);
+  u(rs.broadcast_bytes);
+  for (const PipelineRunStats& p : rs.pipelines) {
+    s += p.name + ":";
+    d(p.stats.start);
+    d(p.stats.finish);
+    u(p.stats.packets);
+    u(p.stats.rows_in);
+    u(p.stats.rows_out);
+    const sim::TrafficStats& t = p.stats.traffic;
+    for (uint64_t v : {t.dram_seq_read_bytes, t.dram_seq_write_bytes,
+                       t.dram_rand_accesses, t.scratchpad_accesses,
+                       t.l1_line_accesses, t.tuple_ops, t.atomics}) {
+      u(v);
+    }
+    d(t.write_coalescing);
+    d(t.l1_miss_rate);
+    u(p.stats.moved_bytes);
+    d(p.stats.transfer_busy_s);
+    d(p.stats.transfer_exposed_s);
+    for (const auto& [dev, busy] : p.stats.device_busy_s) {
+      u(static_cast<uint64_t>(dev));
+      d(busy);
+    }
+    s += ";";
+  }
+  return s;
+}
 
-  ExecutionPolicy policy;
-  policy.devices = topo_.CpuDeviceIds();
-  ASSERT_TRUE(eng_.Run(&plan, policy).ok());
-  const auto again = eng_.Run(&plan, policy);
-  ASSERT_FALSE(again.ok());
-  EXPECT_EQ(again.status().code(), StatusCode::kInvalidArgument);
+// A plan is data: every run compiles fresh pipelines, sinks and hash
+// tables, so one plan runs twice on one engine and once on a fresh one
+// with byte-identical groups and bit-identical simulated costs. The build
+// is nominally far past the L3, which its own pricing reads: a table kept
+// from the first run would price the second run's build differently.
+TEST_F(EngineFacadeTest, PlansRunAgainOnAnyEngine) {
+  PlanBuilder b("again");
+  auto build = b.Source("build", MakeBatches(2, 50));
+  build.Scale(1e6);
+  BuildHandle h = build.HashBuild(Expr::Col(0), {1});
+  auto probe = b.Source("probe", MakeBatches(4, 100));
+  probe.Scale(1e6);
+  probe.Probe(h, Expr::Col(0));
+  AggHandle agg = probe.Aggregate(Expr::Col(0),
+                                  {AggDef{AggOp::kSum, Expr::Col(2)},
+                                   AggDef{AggOp::kCount, nullptr}});
+  QueryPlan plan = std::move(b).Build();
+  const ExecutionPolicy policy =
+      ExecutionPolicy::ForConfig(topo_, EngineConfig::kProteusHybrid);
+
+  struct Outcome {
+    AggGroups groups;
+    std::string costs;
+  };
+  const auto run = [&](Engine* eng, sim::Topology* topo) {
+    topo->Reset();
+    auto r = eng->Run(&plan, policy);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? Outcome{agg.result(), CostRecord(r.value())} : Outcome{};
+  };
+  const Outcome first = run(&eng_, &topo_);
+  ASSERT_FALSE(first.groups.empty());
+  ASSERT_GT(first.costs.size(), 0u);
+  sim::Topology fresh_topo = sim::Topology::PaperServer();
+  Engine fresh(&fresh_topo);
+  for (const Outcome& again :
+       {run(&eng_, &topo_), run(&fresh, &fresh_topo)}) {
+    ASSERT_EQ(again.groups.size(), first.groups.size());
+    for (auto a = again.groups.begin(), f = first.groups.begin();
+         a != again.groups.end(); ++a, ++f) {
+      ASSERT_EQ(a->first, f->first);
+      ASSERT_EQ(a->second.size(), f->second.size());
+      EXPECT_EQ(0, std::memcmp(a->second.data(), f->second.data(),
+                               a->second.size() * sizeof(double)))
+          << "group " << a->first;
+    }
+    EXPECT_EQ(again.costs, first.costs);
+  }
 }
 
 TEST_F(EngineFacadeTest, RejectsPolicyWithoutDevices) {

@@ -1,11 +1,17 @@
 #!/usr/bin/env python3
 """Ban nondeterminism APIs from the deterministic core.
 
-The simulator, engine, optimizer and serving layer promise bit-identical
-replays: same seed, same bytes. Wall clocks and ambient PRNGs break that
-silently, so this checker greps src/sim, src/engine, src/opt and src/serve
+The deterministic core promises bit-identical replays: same seed, same
+bytes. That covers the simulator, engine, optimizer and serving layer,
+and what they are built from: lint reports, plans and the queries that
+build them, generated tables, memory packets, expressions, operators and
+common utilities. Wall clocks and ambient PRNGs break that silently, so
+this checker greps src/sim, src/engine, src/opt, src/serve, src/lint,
+src/queries, src/storage, src/memory, src/expr, src/ops and src/common
 for the APIs that smuggle in nondeterminism and fails the build when one
-appears.
+appears. src/obs (where the host clock is to be injected) and
+src/codegen (whose calibration times kernels on the host) are not
+checked.
 
 Seeded, owned PRNGs (the sim's own RNG, std::mt19937 with an explicit
 seed) are fine and not flagged. A line that genuinely needs an exemption
@@ -18,7 +24,11 @@ import pathlib
 import re
 import sys
 
-CHECKED_DIRS = ["src/sim", "src/engine", "src/opt", "src/serve"]
+CHECKED_DIRS = [
+    "src/sim", "src/engine", "src/opt", "src/serve", "src/lint",
+    "src/queries", "src/storage", "src/memory", "src/expr", "src/ops",
+    "src/common",
+]
 SUFFIXES = {".cc", ".h"}
 ALLOW_MARK = "lint-determinism: allow"
 
@@ -94,7 +104,7 @@ def main() -> int:
               file=sys.stderr)
         for f in findings:
             print(f, file=sys.stderr)
-        print(f"\n{len(findings)} finding(s). The sim/engine/serve layers "
+        print(f"\n{len(findings)} finding(s). The deterministic core "
               "must stay bit-deterministic; use the simulated clock and "
               "seeded RNGs, or annotate a justified exemption with "
               f"`// {ALLOW_MARK}`.", file=sys.stderr)
