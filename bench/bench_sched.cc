@@ -66,8 +66,7 @@ engine::ExecutionPolicy MakePolicy(int depth,
   p.scheduling = sched;
   if (sched == engine::SchedulingPolicy::kFairShare) {
     // Each equal-weight query expects a third of the contended CPU pool;
-    // the optimizer's cost estimates (and, under PlacementMode::kCostBased,
-    // its placement decisions) account for the squeeze.
+    // the optimizer's cost estimates account for the squeeze.
     p.expected_device_share = 1.0 / (sizeof(kMix) / sizeof(kMix[0]));
   }
   return p;
@@ -190,10 +189,10 @@ void ScheduleTableAndJson() {
       HAPE_CHECK(eng.Optimize(&bq.value().plan, policy).ok());
       if (i == 0) {
         fp = engine::Scheduler::EstimatedResidentBytes(
-            bq.value().plan, policy, cap - policy.device_reserved_bytes);
+            bq.value().plan, cap - policy.device_reserved_bytes);
         policy.device_reserved_bytes =
-            cap - static_cast<uint64_t>(policy.build_staging_factor *
-                                        static_cast<double>(fp) * 1.5);
+            cap - static_cast<uint64_t>(
+                      engine::ExecutionPolicy::StagedBytes(fp) * 1.5);
       }
       engine::SubmitOptions so;
       so.label = i == 0 ? "Q5-a" : "Q5-b";

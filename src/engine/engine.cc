@@ -20,6 +20,15 @@ namespace {
 /// plus a row id, matching what the generated co-partitioner materializes.
 constexpr uint64_t kCoPartitionTupleBytes = 16;
 
+/// Interconnect amplification charged to pipelines probing heavy build
+/// sides that were hash-partitioned across GPUs instead of co-partitioned
+/// (§6.4: every probe packet shuffles between devices at each such join).
+/// The executor charges packet bytes x pipeline scale x amplification to
+/// the wire as a uint64; PlanJson::Load caps a scan at 2^40 nominal rows,
+/// so the product stays below 2^64 for packets narrower than 2^23 bytes
+/// per nominal row.
+constexpr double kShuffleWireAmplification = 2.0;
+
 std::string GiBString(uint64_t bytes) {
   return std::to_string(bytes >> 30);
 }
@@ -152,8 +161,7 @@ Status Engine::PlaceJoinStates(PlanExec* ex, sim::SimTime* t) {
   // the schedule's shared residency before this round).
   const uint64_t budget = policy.GpuBudget(*topo_);
   const bool fits =
-      policy.build_staging_factor *
-          static_cast<double>(placement->resident_bytes + total) <=
+      ExecutionPolicy::StagedBytes(placement->resident_bytes + total) <=
       static_cast<double>(budget);
 
   std::vector<int> heavy_nodes;
@@ -177,8 +185,7 @@ Status Engine::PlaceJoinStates(PlanExec* ex, sim::SimTime* t) {
       }
       if (probes_heavy) {
         ex->pipelines[i].wire_amplification =
-            policy.partitioned_gpu_join ? 1.0
-                                        : policy.shuffle_wire_amplification;
+            policy.partitioned_gpu_join ? 1.0 : kShuffleWireAmplification;
       }
     }
     if (!policy.async.enabled()) {
@@ -198,7 +205,7 @@ Status Engine::PlaceJoinStates(PlanExec* ex, sim::SimTime* t) {
         const JoinState& s = *tables[b];
         const sim::SimTime ready = executor_.BroadcastAsync(
             s.NominalBytes(), s.location_node, gpu_nodes, ex->finished[b],
-            policy.async.broadcast_chunk_bytes, ex->trace_query);
+            ex->trace_query);
         placement->ready[b] = ready;
         *t = std::max(*t, ready);
       }
@@ -261,7 +268,7 @@ Status Engine::PlaceJoinStates(PlanExec* ex, sim::SimTime* t) {
         const JoinState& s = *tables[b];
         const sim::SimTime ready = executor_.BroadcastAsync(
             s.NominalBytes(), s.location_node, gpu_nodes, ex->finished[b],
-            policy.async.broadcast_chunk_bytes, ex->trace_query);
+            ex->trace_query);
         placement->ready[b] = ready;
         round = std::max(round, ready);
       }
@@ -283,14 +290,14 @@ Status Engine::PlaceJoinStates(PlanExec* ex, sim::SimTime* t) {
 
   return Status::OutOfMemory(
       "hash tables (" + std::to_string(total >> 20) + " MiB, " +
-      std::to_string(policy.build_staging_factor) +
+      std::to_string(ExecutionPolicy::kBuildStagingFactor) +
       "x with build staging) exceed GPU memory budget " +
       std::to_string(budget >> 20) + " MiB");
 }
 
 Result<opt::OptimizeResult> Engine::Optimize(QueryPlan* plan,
                                              const ExecutionPolicy& policy) {
-  opt::Optimizer optimizer(topo_, policy.optimizer, &stats_cache_);
+  opt::Optimizer optimizer(topo_, &stats_cache_);
   return optimizer.OptimizePlan(plan, policy);
 }
 

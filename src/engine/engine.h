@@ -52,7 +52,7 @@ struct RunStats {
   /// the device-share accounting the multi-query scheduler reports.
   std::map<int, sim::SimTime> device_busy_s;
   /// Largest staged-but-unconsumed transfer byte count any worker held at
-  /// once (async mode; bounded by AsyncOptions::max_staged_bytes).
+  /// once (async mode).
   uint64_t peak_staged_bytes = 0;
   sim::SimTime transfer_hidden_s() const {
     return transfer_busy_s - transfer_exposed_s;
@@ -124,8 +124,8 @@ class Engine {
   /// Cost-based optimization pass over `plan` before it runs: collects
   /// statistics from the plan's source tables, estimates cardinalities,
   /// reorders join probes, sizes build hash tables, derives heavy-build
-  /// marks against the policy's device-memory budget, and (optionally)
-  /// pins per-pipeline device placements. Uses `policy.optimizer` knobs.
+  /// marks, and records each pipeline's cost estimate on the policy's
+  /// device set (a hand-set run_on is kept).
   Result<opt::OptimizeResult> Optimize(QueryPlan* plan,
                                        const ExecutionPolicy& policy);
 

@@ -435,48 +435,39 @@ ExecStats Executor::RunAsync(Pipeline* p, std::vector<Worker>* workers_ptr,
   // Prefill slot-major (slot 0 of every worker, then slot 1, ...): the
   // initial staging issues in packet order across workers, so no worker's
   // whole prefetch window reserves the links ahead of the others' first
-  // packets.
-  for (int k = 0; k < depth; ++k) {
+  // packets. Slots past the longest queue stage nothing, so the prefill
+  // stops there whatever the depth.
+  size_t longest = 0;
+  for (const std::vector<int>& q : queue) longest = std::max(longest, q.size());
+  const int prefill =
+      static_cast<int>(std::min<size_t>(static_cast<size_t>(depth), longest));
+  for (int k = 0; k < prefill; ++k) {
     for (size_t w = 0; w < n_workers; ++w) {
       if (k < static_cast<int>(queue[w].size())) {
         events.Push(opts.start, Staged{static_cast<int>(w), k});
       }
     }
   }
-  // Staged-byte accounting per worker: (compute-begin, wire bytes) of every
-  // issued-but-not-yet-computing transfer. Compute begins are monotonic per
-  // worker, so releases pop from the front. AsyncOptions::max_staged_bytes
-  // bounds the sum: a transfer that would overflow the cap is issued only
-  // once enough staged packets have been handed to compute (their begin
-  // times are already known — the worker's earlier slots were scheduled by
-  // earlier events). A packet larger than the cap proceeds once it is
-  // alone, so the cap bounds accumulation without deadlocking.
-  const uint64_t cap = opts.async.max_staged_bytes;
+  // Staged-byte accounting per worker, for peak_staged_bytes: (compute-
+  // begin, wire bytes) of every issued-but-not-yet-computing transfer.
+  // Compute begins are monotonic per worker, so releases pop from the
+  // front.
   std::vector<std::deque<std::pair<sim::SimTime, uint64_t>>> inflight(
       n_workers);
   std::vector<uint64_t> staged(n_workers, 0);
   const bool trace = tracing();
   while (!events.empty()) {
-    const auto [ev_t, ev] = events.Pop();
+    const auto [issue_t, ev] = events.Pop();
     const int w = ev.worker;
     const int k = ev.slot;
     const Rec& r = recs[queue[w][k]];
-    // Issue the staged mem-move now (a buffer just became available),
-    // unless the byte budget delays it.
-    sim::SimTime issue_t = ev_t;
-    sim::SimTime ready = ev_t;
+    // Issue the staged mem-move now: a buffer just became available.
+    sim::SimTime ready = issue_t;
     if (r.wire_bytes > 0) {
       auto& q = inflight[w];
       while (!q.empty() && q.front().first <= issue_t) {
         staged[w] -= q.front().second;
         q.pop_front();
-      }
-      if (cap > 0) {
-        while (staged[w] > 0 && staged[w] + r.wire_bytes > cap) {
-          issue_t = std::max(issue_t, q.front().first);
-          staged[w] -= q.front().second;
-          q.pop_front();
-        }
       }
       sim::CopyEngine::IssueInfo dma;
       ready = topo_->DmaTransferFinish(r.from_node, workers[w].mem_node,
@@ -518,10 +509,11 @@ ExecStats Executor::RunAsync(Pipeline* p, std::vector<Worker>* workers_ptr,
       stats.transfer_exposed_s +=
           std::max(0.0, ready - std::max(prev, gate[w]));
     }
-    // Computing slot k frees a staging buffer: issue slot k + depth.
-    const int next = k + depth;
-    if (next < static_cast<int>(queue[w].size())) {
-      events.Push(begin, Staged{w, next});
+    // Computing slot k frees a staging buffer: issue slot k + depth (in
+    // 64 bits, since the depth may be as large as INT_MAX).
+    const int64_t next = int64_t{k} + depth;
+    if (next < static_cast<int64_t>(queue[w].size())) {
+      events.Push(begin, Staged{w, static_cast<int>(next)});
     }
   }
 
@@ -559,14 +551,13 @@ sim::SimTime Executor::Broadcast(uint64_t bytes, int from_node,
 
 sim::SimTime Executor::BroadcastAsync(uint64_t bytes, int from_node,
                                       const std::vector<int>& to_nodes,
-                                      sim::SimTime start,
-                                      uint64_t chunk_bytes, int trace_query) {
+                                      sim::SimTime start, int trace_query) {
   std::vector<int> dsts;
   for (int d : to_nodes) {
     if (d != from_node) dsts.push_back(d);
   }
   if (dsts.empty() || bytes == 0) return start;
-  const uint64_t chunk = std::max<uint64_t>(1, std::min(chunk_bytes, bytes));
+  const uint64_t chunk = std::min(kBroadcastChunkBytes, bytes);
 
   sim::SimTime finish = start;
   uint64_t off = 0;

@@ -220,15 +220,17 @@ class Executor {
                          sim::SimTime start = 0);
 
   /// Chunked, double-buffered broadcast used by the async engine: the
-  /// payload is split into `chunk_bytes` chunks that pipeline
+  /// payload is split into kBroadcastChunkBytes chunks that pipeline
   /// store-and-forward across the multicast tree (chunk c+1 occupies the
   /// first hop while chunk c rides the second), issued through the source
   /// node's copy engine with gap-filling link reservations. Returns the
   /// time the last chunk reaches the last destination.
   sim::SimTime BroadcastAsync(uint64_t bytes, int from_node,
                               const std::vector<int>& to_nodes,
-                              sim::SimTime start, uint64_t chunk_bytes,
-                              int trace_query = 0);
+                              sim::SimTime start, int trace_query = 0);
+  /// Chunk size of BroadcastAsync. Every chunk is a link reservation, so a
+  /// table as large as a GPU's memory (8 GiB) goes out in 128 of them.
+  static constexpr uint64_t kBroadcastChunkBytes = 64 * sim::kMiB;
 
   /// Observation-only span recorder (owned by the Engine); null or
   /// disabled tracers make every emission site a dead branch.

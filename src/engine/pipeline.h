@@ -102,7 +102,7 @@ struct ExecStats {
   /// seconds over the schedule's total).
   std::map<int, sim::SimTime> device_busy_s;
   /// Largest number of staged-but-unconsumed transfer bytes any worker
-  /// held at once (async mode; AsyncOptions::max_staged_bytes bounds it).
+  /// held at once (async mode; the prefetch depth bounds it in packets).
   uint64_t peak_staged_bytes = 0;
 
   sim::SimTime transfer_hidden_s() const {

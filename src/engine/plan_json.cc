@@ -61,15 +61,15 @@ Result<double> GetNumber(const JsonValue& obj, const char* key,
 /// fractional numbers in a manifest are author errors, not values any
 /// writer emits; casting them would be UB (float-cast-overflow).
 constexpr double kMaxIntegerNumber = 9007199254740992.0;  // 2^53
-/// Bound for int-typed policy knobs (prefetch depth, DP join cap): keeps
-/// the int64 -> int narrowing from wrapping onto a plausible value.
+/// Bound for int-typed policy knobs (prefetch depth, serve in-flight cap):
+/// keeps the int64 -> int narrowing from wrapping onto a plausible value.
 constexpr int64_t kMaxSmallKnob = 1 << 30;
 /// Ceiling of a scan's nominal rows (table rows x pipeline scale), about
 /// 1,800x the lineitem rows of SF 100. It keeps every rows x scale cast to
 /// uint64 in range: the optimizer's est_nominal_out_rows, a built table's
 /// nominal_rows (Engine::StepPlan), Scheduler::EstimatedResidentBytes, and
-/// with ExecutionPolicy::kMaxShuffleWireAmplification the executor's wire
-/// bytes.
+/// with the engine's shuffle amplification of 2 the executor's wire bytes
+/// of packets narrower than 2^23 bytes per nominal row.
 constexpr double kMaxNominalRows = 1099511627776.0;  // 2^40
 
 Result<int64_t> GetInt(const JsonValue& obj, const char* key,
@@ -179,15 +179,6 @@ constexpr std::pair<const char*, SchedulingPolicy> kSchedulingNames[] = {
     {"fair-share", SchedulingPolicy::kFairShare},
     {"sla-tiered", SchedulingPolicy::kSlaTiered},
 };
-
-constexpr std::pair<const char*, opt::PlacementMode> kPlacementNames[] = {
-    {"policy", opt::PlacementMode::kPolicy},
-    {"cost-based", opt::PlacementMode::kCostBased},
-};
-
-const char* PlacementModeName(opt::PlacementMode m) {
-  return m == opt::PlacementMode::kPolicy ? "policy" : "cost-based";
-}
 
 constexpr std::pair<const char*, AggOp> kAggOpNames[] = {
     {"sum", AggOp::kSum},
@@ -812,18 +803,10 @@ void PlanJson::WritePolicy(JsonWriter* w, const ExecutionPolicy& policy) {
   w->Bool(policy.partitioned_gpu_join);
   w->Key("device_reserved_bytes");
   w->Uint(policy.device_reserved_bytes);
-  w->Key("build_staging_factor");
-  w->Double(policy.build_staging_factor);
-  w->Key("shuffle_wire_amplification");
-  w->Double(policy.shuffle_wire_amplification);
   w->Key("async");
   w->BeginObject();
   w->Key("prefetch_depth");
   w->Int(policy.async.prefetch_depth);
-  w->Key("broadcast_chunk_bytes");
-  w->Uint(policy.async.broadcast_chunk_bytes);
-  w->Key("max_staged_bytes");
-  w->Uint(policy.async.max_staged_bytes);
   w->EndObject();
   w->Key("scheduling");
   w->String(SchedulingPolicyName(policy.scheduling));
@@ -838,15 +821,6 @@ void PlanJson::WritePolicy(JsonWriter* w, const ExecutionPolicy& policy) {
   w->EndObject();
   w->Key("expected_device_share");
   w->Double(policy.expected_device_share);
-  w->Key("optimizer");
-  w->BeginObject();
-  w->Key("placement");
-  w->String(PlacementModeName(policy.optimizer.placement));
-  w->Key("heavy_build_threshold_bytes");
-  w->Uint(policy.optimizer.heavy_build_threshold_bytes);
-  w->Key("dp_max_joins");
-  w->Int(policy.optimizer.dp_max_joins);
-  w->EndObject();
   w->EndObject();
 }
 
@@ -874,10 +848,6 @@ Result<ExecutionPolicy> PlanJson::ReadPolicy(const JsonValue& v) {
                                  &p.partitioned_gpu_join, "policy"));
   HAPE_RETURN_NOT_OK(ReadOptUint(v, "device_reserved_bytes",
                                  &p.device_reserved_bytes, "policy"));
-  HAPE_RETURN_NOT_OK(ReadOptNumber(v, "build_staging_factor",
-                                   &p.build_staging_factor, "policy"));
-  HAPE_RETURN_NOT_OK(ReadOptNumber(v, "shuffle_wire_amplification",
-                                   &p.shuffle_wire_amplification, "policy"));
   if (const JsonValue* a = v.Find("async")) {
     if (!a->is_object()) return Bad("policy", "'async' must be an object");
     int64_t depth = p.async.prefetch_depth;
@@ -886,10 +856,6 @@ Result<ExecutionPolicy> PlanJson::ReadPolicy(const JsonValue& v) {
       return Bad("async", "'prefetch_depth' is implausibly large");
     }
     p.async.prefetch_depth = static_cast<int>(depth);
-    HAPE_RETURN_NOT_OK(ReadOptUint(*a, "broadcast_chunk_bytes",
-                                   &p.async.broadcast_chunk_bytes, "async"));
-    HAPE_RETURN_NOT_OK(ReadOptUint(*a, "max_staged_bytes",
-                                   &p.async.max_staged_bytes, "async"));
   }
   if (const JsonValue* s = v.Find("scheduling")) {
     if (s->kind() != JsonValue::Kind::kString) {
@@ -914,27 +880,6 @@ Result<ExecutionPolicy> PlanJson::ReadPolicy(const JsonValue& v) {
   }
   HAPE_RETURN_NOT_OK(ReadOptNumber(v, "expected_device_share",
                                    &p.expected_device_share, "policy"));
-  if (const JsonValue* o = v.Find("optimizer")) {
-    if (!o->is_object()) return Bad("policy", "'optimizer' must be an object");
-    opt::OptimizerOptions& opts = p.optimizer;
-    if (const JsonValue* s = o->Find("placement")) {
-      if (s->kind() != JsonValue::Kind::kString) {
-        return Bad("optimizer", "'placement' must be a string");
-      }
-      HAPE_ASSIGN_OR_RETURN(
-          opts.placement,
-          ParseEnum(s->str(), kPlacementNames, "placement mode"));
-    }
-    HAPE_RETURN_NOT_OK(ReadOptUint(*o, "heavy_build_threshold_bytes",
-                                   &opts.heavy_build_threshold_bytes,
-                                   "optimizer"));
-    int64_t dp = opts.dp_max_joins;
-    HAPE_RETURN_NOT_OK(ReadOptUint(*o, "dp_max_joins", &dp, "optimizer"));
-    if (dp > kMaxSmallKnob) {
-      return Bad("optimizer", "'dp_max_joins' is implausibly large");
-    }
-    opts.dp_max_joins = static_cast<int>(dp);
-  }
   return p;
 }
 

@@ -92,7 +92,7 @@ class PlanJson {
   /// expression column; HL004 unknown table or column; HL008 non-positive
   /// scale or chunk_rows, implausible ht_buckets; and whatever
   /// QueryPlan::Validate and ExecutionPolicy::Validate name (the policy's
-  /// devices and broadcast chunk floor).
+  /// devices and ranges).
   static Result<LoadedPlan> Load(std::string_view json,
                                  const storage::Catalog& catalog,
                                  const sim::Topology* topo = nullptr,
@@ -106,6 +106,9 @@ class PlanJson {
 
   // ---- reusable pieces (manifest drivers, tests) ----
   static void WritePolicy(JsonWriter* w, const ExecutionPolicy& policy);
+  /// Reads the members WritePolicy writes and skips any other, so a
+  /// document that still carries a retired knob loads, at any value, as
+  /// the constant that replaced it.
   static Result<ExecutionPolicy> ReadPolicy(const JsonValue& v);
   /// Writes nothing but the expression tree object; `e` must be non-null
   /// (use Null() yourself for optional expressions).

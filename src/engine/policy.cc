@@ -107,38 +107,19 @@ Status ExecutionPolicy::Validate(const sim::Topology& topo,
                         " is not a CPU (build sides are host-resident)");
     }
   }
-  if (async.broadcast_chunk_bytes < AsyncOptions::kMinBroadcastChunkBytes) {
-    return reject(lint::kRuleInvalidParameter,
-                  "async broadcast_chunk_bytes " +
-                      std::to_string(async.broadcast_chunk_bytes) +
-                      " is below the floor of " +
-                      std::to_string(AsyncOptions::kMinBroadcastChunkBytes) +
-                      " bytes");
-  }
   if (async.prefetch_depth < 0) {
     return reject(lint::kRuleInvalidParameter,
                   "async prefetch_depth must be >= 0 (got " +
                       std::to_string(async.prefetch_depth) + ")");
   }
-  // NaN fails every comparison, so each range is written to accept.
-  const auto out_of_range = [&](const char* knob, double v, const char* range) {
-    char got[32];
-    std::snprintf(got, sizeof(got), " (got %g)", v);
-    return reject(lint::kRuleInvalidParameter,
-                  std::string(knob) + " must be " + range + got);
-  };
-  if (!(std::isfinite(build_staging_factor) && build_staging_factor > 0)) {
-    return out_of_range("build_staging_factor", build_staging_factor,
-                        "a finite value > 0");
-  }
+  // NaN fails every comparison, so the range is written to accept.
   if (!(std::isfinite(expected_device_share) && expected_device_share > 0)) {
-    return out_of_range("expected_device_share", expected_device_share,
-                        "a finite value > 0");
-  }
-  if (!(shuffle_wire_amplification >= 1 &&
-        shuffle_wire_amplification <= kMaxShuffleWireAmplification)) {
-    return out_of_range("shuffle_wire_amplification",
-                        shuffle_wire_amplification, "in [1, 1024]");
+    char got[32];
+    std::snprintf(got, sizeof(got), "%g", expected_device_share);
+    return reject(lint::kRuleInvalidParameter,
+                  std::string("expected_device_share must be a finite value "
+                              "> 0 (got ") +
+                      got + ")");
   }
   return Status::OK();
 }

@@ -6,7 +6,6 @@
 
 #include "common/status.h"
 #include "engine/pipeline.h"
-#include "opt/options.h"
 #include "sim/topology.h"
 
 namespace hape::engine {
@@ -74,21 +73,6 @@ struct AsyncOptions {
   /// Per-worker mem-move prefetch depth (in-flight staged packets ahead of
   /// the one being computed). 0 = synchronous.
   int prefetch_depth = 0;
-  /// Chunk size of double-buffered hash-table broadcasts (depth >= 1).
-  /// ExecutionPolicy::Validate rejects sizes below kMinBroadcastChunkBytes.
-  uint64_t broadcast_chunk_bytes = 64 * sim::kMiB;
-  /// Floor of broadcast_chunk_bytes. Every chunk is a link reservation,
-  /// and a table is only broadcast when it fits the GPU budget (~8 GiB), so
-  /// the floor caps a broadcast at ~8192 chunks. A 1-byte chunk would turn
-  /// a nominal SF 100 build table into billions of them.
-  static constexpr uint64_t kMinBroadcastChunkBytes = sim::kMiB;
-  /// Cap on the *bytes* a worker may hold in staged-but-unconsumed packet
-  /// transfers (the prefetch window is otherwise bounded only in buffers,
-  /// i.e. packet count). 0 = unbounded (the legacy behavior). A transfer
-  /// that would exceed the cap waits until enough staged packets have been
-  /// handed to compute; a single packet larger than the cap still proceeds
-  /// alone (the cap bounds accumulation, it cannot split packets).
-  uint64_t max_staged_bytes = 0;
 
   bool enabled() const { return prefetch_depth > 0; }
 
@@ -155,20 +139,6 @@ struct ExecutionPolicy {
   /// Device memory reserved for code and packet buffers when deciding
   /// whether broadcast hash tables fit a GPU.
   uint64_t device_reserved_bytes = 256 * sim::kMiB;
-  /// Building a device-resident table needs the table plus staged build
-  /// input: capacity checks multiply table bytes by this factor.
-  double build_staging_factor = 2.0;
-  /// Interconnect amplification charged to pipelines probing heavy build
-  /// sides that were hash-partitioned across GPUs instead of co-partitioned
-  /// (§6.4: every probe packet shuffles between devices at each such join).
-  /// Validate requires [1, kMaxShuffleWireAmplification]: below 1 a packet
-  /// would put fewer bytes on the wire than it holds.
-  double shuffle_wire_amplification = 2.0;
-  /// The executor charges packet bytes x pipeline scale x amplification to
-  /// the wire as a uint64 (engine/executor.cc). PlanJson::Load caps a scan
-  /// at 2^40 nominal rows, so with at most 2^10 here the product stays below
-  /// 2^64 for packet rows up to 2^14 bytes wide.
-  static constexpr double kMaxShuffleWireAmplification = 1024;
   /// Event-driven async execution (overlap of mem-moves with compute,
   /// double-buffered broadcasts, inter-pipeline overlap). Off by default:
   /// depth 0 reproduces the synchronous cost sequences exactly.
@@ -180,14 +150,9 @@ struct ExecutionPolicy {
   ServeOptions serve;
   /// Fraction of each device's workers this query expects to hold when it
   /// runs under SchedulingPolicy::kFairShare (e.g. weight / total weight).
-  /// The cost-based placement mode costs CPU-vs-GPU alternatives at this
-  /// share, so contended offload decisions break even later. 1.0 = the
-  /// query owns the machine (every single-query path).
+  /// Engine::Optimize prices its per-pipeline cost estimates at this share.
+  /// 1.0 = the query owns the machine (every single-query path).
   double expected_device_share = 1.0;
-  /// Knobs of the cost-based plan optimizer Engine::Optimize runs. Defaults
-  /// are the compatibility configuration (decisions reproduce
-  /// well-annotated hand plans).
-  opt::OptimizerOptions optimizer;
   /// Static-analysis admission pass (see LintOptions). Not serialized.
   LintOptions lint;
 
@@ -196,10 +161,8 @@ struct ExecutionPolicy {
                                    EngineConfig config);
 
   /// The one checker of a policy's devices and ranges: device ids against
-  /// `topo` (unknown ids, empty device set, non-CPU build devices), the
-  /// broadcast chunk floor, a prefetch depth >= 0, finite
-  /// build_staging_factor and expected_device_share > 0, and
-  /// shuffle_wire_amplification in [1, kMaxShuffleWireAmplification].
+  /// `topo` (unknown ids, empty device set, non-CPU build devices), a
+  /// prefetch depth >= 0 and a finite expected_device_share > 0.
   /// Fail-fast: the first fault is an InvalidArgument, and `*rule` (when
   /// non-null, set only on failure) names the lint rule it breaks: HL005
   /// for a device fault, HL008 for a range.
@@ -213,6 +176,15 @@ struct ExecutionPolicy {
   /// when the policy uses no GPU. Scheduler admission and lint's HL006
   /// both size against it. Device ids must be valid (see Validate).
   uint64_t GpuBudget(const sim::Topology& topo) const;
+  /// Building a device-resident hash table needs the table plus its staged
+  /// build input, so GPU capacity checks count twice the table bytes.
+  static constexpr double kBuildStagingFactor = 2.0;
+  /// The GPU bytes `table_bytes` of build tables take while they are built:
+  /// the one staged-fit rule. Placement broadcasts, scheduler admission and
+  /// lint's HL006 accept tables when StagedBytes(bytes) <= GpuBudget.
+  static double StagedBytes(uint64_t table_bytes) {
+    return kBuildStagingFactor * static_cast<double>(table_bytes);
+  }
 };
 
 }  // namespace hape::engine

@@ -176,7 +176,6 @@ const char* QueryOutcomeName(QueryOutcome o) {
 }
 
 uint64_t Scheduler::EstimatedResidentBytes(const QueryPlan& plan,
-                                           const ExecutionPolicy& policy,
                                            uint64_t budget) {
   const int num = static_cast<int>(plan.num_pipelines());
   std::vector<char> probed(num, 0);
@@ -203,8 +202,7 @@ uint64_t Scheduler::EstimatedResidentBytes(const QueryPlan& plan,
   // A plan whose tables cannot fit even alone falls back to §5
   // co-processing: the largest heavy build streams through co-partitioned
   // and only the rest stays resident.
-  if (policy.build_staging_factor * static_cast<double>(total) >
-          static_cast<double>(budget) &&
+  if (ExecutionPolicy::StagedBytes(total) > static_cast<double>(budget) &&
       largest_heavy > 0) {
     total -= largest_heavy;
   }
@@ -381,7 +379,7 @@ Result<ScheduleStats> Scheduler::Run(
     s.q = queries[i];
     s.cut = CutoffOf(*s.q);
     s.fp = contended
-               ? std::min(EstimatedResidentBytes(s.q->plan, policy_, budget),
+               ? std::min(EstimatedResidentBytes(s.q->plan, budget),
                           budget)
                : 0;
     if (policy_.scheduling == SchedulingPolicy::kSlaTiered) {
@@ -476,8 +474,7 @@ Status Scheduler::RunFairShare(std::vector<Slot>* slots) {
   for (Slot* s : live) {
     const bool fits =
         !waves.empty() &&
-        policy_.build_staging_factor *
-                static_cast<double>(wave_fp.back() + s->fp) <=
+        ExecutionPolicy::StagedBytes(wave_fp.back() + s->fp) <=
             static_cast<double>(budget);
     // Open a new wave when the query does not co-fit the current one. A
     // query that does not fit even an empty wave still gets one of its
@@ -634,8 +631,7 @@ Status Scheduler::RunFairShare(std::vector<Slot>* slots) {
       sim::SimTime gate = wave_finish;
       for (sim::SimTime t : candidates) {
         const uint64_t held = held_after(t);
-        if (policy_.build_staging_factor *
-                static_cast<double>(held + next_fp) <=
+        if (ExecutionPolicy::StagedBytes(held + next_fp) <=
             static_cast<double>(budget)) {
           gate = t;
           break;
@@ -801,8 +797,7 @@ Status Scheduler::RunSlaTiered(std::vector<Slot>* slots) {
            static_cast<int>(running.size()) < max_inflight) {
       const int i = ready.front();
       const bool fits =
-          policy_.build_staging_factor *
-              static_cast<double>(held_for(clock, -1) + qs[i].fp) <=
+          ExecutionPolicy::StagedBytes(held_for(clock, -1) + qs[i].fp) <=
           static_cast<double>(budget);
       if (!fits && !running.empty()) break;
       HAPE_RETURN_NOT_OK(Admit(&qs[i], clock));

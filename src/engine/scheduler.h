@@ -224,7 +224,6 @@ class Scheduler {
   /// `budget` anyway (the §5 co-partition fallback streams it instead).
   /// Exposed for tests.
   static uint64_t EstimatedResidentBytes(const QueryPlan& plan,
-                                         const ExecutionPolicy& policy,
                                          uint64_t budget);
 
  private:

@@ -183,13 +183,11 @@ void PassGpuBudget(LintReport* r, const QueryPlan& plan,
   if (!annotated) return;
   const uint64_t budget = policy.GpuBudget(*ctx.topo);
   const uint64_t resident =
-      engine::Scheduler::EstimatedResidentBytes(plan, policy, budget);
-  const double staged =
-      policy.build_staging_factor * static_cast<double>(resident);
-  if (staged > static_cast<double>(budget)) {
+      engine::Scheduler::EstimatedResidentBytes(plan, budget);
+  if (ExecutionPolicy::StagedBytes(resident) > static_cast<double>(budget)) {
     r->Add(kRuleGpuOvercommit, "plan '" + plan.name() + "'",
            "estimated GPU-resident build tables of " + MiBString(resident) +
-               " (x" + std::to_string(policy.build_staging_factor) +
+               " (x" + std::to_string(ExecutionPolicy::kBuildStagingFactor) +
                " build staging) exceed the " + MiBString(budget) +
                " GPU admission budget",
            "mark the dominant build heavy (co-processing streams it), shrink "

@@ -20,6 +20,14 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// A build whose estimated nominal table reaches this is "heavy": its GPU
+/// probes run the partitioned/co-partitioned flavors (Fig. 9, §5).
+constexpr uint64_t kHeavyBuildThresholdBytes = 256ull << 20;
+
+/// Exhaustive ordering DP bound; pipelines with more probes fall back to
+/// greedy ordering.
+constexpr int kDpMaxJoins = 8;
+
 /// Number of base (pre-join) columns of a pipeline's packets.
 int BaseColumns(const PlanNode& node) {
   if (node.source_table != nullptr) {
@@ -68,19 +76,28 @@ uint64_t PayloadValueBytes(const PlanNode& node, int col) {
 
 // ---- CostModel --------------------------------------------------------------
 
-namespace {
-
-/// The one cost-model core both public overloads share. `cpu_scale` is
-/// the contended-share factor applied to CPU streaming/compute only
-/// (1.0 = the uncontended base model, bit-exact with its historical
-/// arithmetic since x * 1.0 == x).
-double CostModelCore(const sim::Topology& topo,
-                     const std::vector<int>& devices, uint64_t nominal_bytes,
-                     uint64_t nominal_ops, double cpu_scale) {
+double CostModel::PipelineSeconds(const sim::Topology& topo,
+                                  const std::vector<int>& devices,
+                                  uint64_t nominal_bytes,
+                                  uint64_t nominal_ops,
+                                  const engine::AsyncOptions& async,
+                                  double device_share) {
   if (devices.empty()) return kInf;
+  // CPU contributions scale with the share. CPUs are the engine's default
+  // (and therefore contended) compute pool — under fair-share scheduling
+  // every admitted query's probe work time-shares their cores, so a query
+  // effectively streams at share x the socket bandwidth. GPUs stay
+  // unscaled: they are explicit per-pipeline offload targets that sit
+  // idle unless placement sends work to them, so contention pressure is
+  // exactly what should make offloading break even earlier (the
+  // heterogeneous pool as a pressure valve). x * 1.0 == x, so share 1.0 is
+  // bit-exact with the uncontended model.
+  const double cpu_scale =
+      device_share > 0 && device_share < 1.0 ? device_share : 1.0;
   double bw = 0;        // aggregate streaming bytes/s
   double ops_rate = 0;  // aggregate simple ops/s
   double setup = 0;     // fixed cost of involving an offload device
+  bool gpu = false;
   for (int d : devices) {
     const sim::Device& dev = topo.device(d);
     if (dev.type == sim::DeviceType::kCpu) {
@@ -92,6 +109,7 @@ double CostModelCore(const sim::Topology& topo,
       // interconnect it sits behind, and involving it at all costs a
       // kernel launch plus a link round-trip. The fixed part is what makes
       // tiny pipelines (dimension scans) cheaper on a CPU subset.
+      gpu = true;
       bw += std::min(sim::GbpsToBytes(dev.gpu.dram_gbps),
                      sim::GbpsToBytes(sim::LinkSpec{}.bandwidth_gbps));
       ops_rate += dev.gpu.num_sms * dev.gpu.clock_ghz * 1e9 *
@@ -100,66 +118,13 @@ double CostModelCore(const sim::Topology& topo,
                                   sim::LinkSpec{}.latency_s);
     }
   }
-  return setup + std::max(static_cast<double>(nominal_bytes) / bw,
-                          static_cast<double>(nominal_ops) / ops_rate);
-}
-
-/// The async adjustment both overloads share: prefetched staging hides
-/// the per-pipeline link round-trip the sync model charges as setup;
-/// only the kernel launch itself stays exposed.
-double HideAsyncRoundTrip(const sim::Topology& topo,
-                          const std::vector<int>& devices, double s,
-                          const engine::AsyncOptions& async) {
-  if (!async.enabled() || !std::isfinite(s)) return s;
-  for (int d : devices) {
-    if (topo.device(d).type == sim::DeviceType::kGpu) {
-      return s - sim::LinkSpec{}.latency_s;
-    }
-  }
-  return s;
-}
-
-}  // namespace
-
-double CostModel::PipelineSeconds(const sim::Topology& topo,
-                                  const std::vector<int>& devices,
-                                  uint64_t nominal_bytes,
-                                  uint64_t nominal_ops,
-                                  const engine::AsyncOptions& async,
-                                  double device_share) {
-  if (!(device_share > 0) || device_share >= 1.0) {
-    return PipelineSeconds(topo, devices, nominal_bytes, nominal_ops, async);
-  }
-  // CPU contributions scale with the share. CPUs are the engine's default
-  // (and therefore contended) compute pool — under fair-share scheduling
-  // every admitted query's probe work time-shares their cores, so a query
-  // effectively streams at share x the socket bandwidth. GPUs stay
-  // unscaled: they are explicit per-pipeline offload targets that sit
-  // idle unless placement sends work to them, so contention pressure is
-  // exactly what should make offloading break even earlier (the
-  // heterogeneous pool as a pressure valve).
-  return HideAsyncRoundTrip(
-      topo, devices,
-      CostModelCore(topo, devices, nominal_bytes, nominal_ops, device_share),
-      async);
-}
-
-double CostModel::PipelineSeconds(const sim::Topology& topo,
-                                  const std::vector<int>& devices,
-                                  uint64_t nominal_bytes,
-                                  uint64_t nominal_ops,
-                                  const engine::AsyncOptions& async) {
-  return HideAsyncRoundTrip(
-      topo, devices,
-      PipelineSeconds(topo, devices, nominal_bytes, nominal_ops), async);
-}
-
-double CostModel::PipelineSeconds(const sim::Topology& topo,
-                                  const std::vector<int>& devices,
-                                  uint64_t nominal_bytes,
-                                  uint64_t nominal_ops) {
-  return CostModelCore(topo, devices, nominal_bytes, nominal_ops,
-                       /*cpu_scale=*/1.0);
+  const double s =
+      setup + std::max(static_cast<double>(nominal_bytes) / bw,
+                       static_cast<double>(nominal_ops) / ops_rate);
+  // Async: prefetched staging hides the per-pipeline link round-trip the
+  // sync model charges as setup; only the kernel launch stays exposed.
+  if (!async.enabled() || !gpu || !std::isfinite(s)) return s;
+  return s - sim::LinkSpec{}.latency_s;
 }
 
 // ---- op ordering ------------------------------------------------------------
@@ -167,8 +132,7 @@ double CostModel::PipelineSeconds(const sim::Topology& topo,
 std::vector<int> Optimizer::OrderOps(const std::vector<double>& factors,
                                      const std::vector<double>& weights,
                                      const std::vector<std::vector<int>>& deps,
-                                     int num_probes,
-                                     const OptimizerOptions& o) {
+                                     int num_probes) {
   const int n = static_cast<int>(factors.size());
   std::vector<int> identity(n);
   for (int i = 0; i < n; ++i) identity[i] = i;
@@ -181,7 +145,7 @@ std::vector<int> Optimizer::OrderOps(const std::vector<double>& factors,
     return true;
   };
 
-  if (num_probes > o.dp_max_joins || n > 16) {
+  if (num_probes > kDpMaxJoins || n > 16) {
     // Greedy: repeatedly apply the available op with the smallest output
     // factor (most reducing first); original order breaks ties.
     std::vector<int> order;
@@ -300,7 +264,7 @@ Status Optimizer::ReorderNode(QueryPlan* plan, int node_idx,
   }
 
   const std::vector<int> order =
-      OrderOps(factors, weights, deps, num_probes, options_);
+      OrderOps(factors, weights, deps, num_probes);
   decision->op_order = order;
   bool is_identity = true;
   for (int i = 0; i < n; ++i) is_identity &= order[i] == i;
@@ -361,11 +325,10 @@ void Optimizer::ApplyOrder(QueryPlan* plan, int node_idx,
   for (engine::AggDef& a : t.aggs) remap(&a.arg);
 }
 
-void Optimizer::ChoosePlacement(QueryPlan* plan, int node_idx,
-                                const engine::ExecutionPolicy& policy,
-                                const PlanEstimate& est,
-                                NodeDecision* decision) {
-  const PlanNode& node = plan->node(node_idx);
+double Optimizer::EstimateSeconds(const QueryPlan& plan, int node_idx,
+                                  const engine::ExecutionPolicy& policy,
+                                  const PlanEstimate& est) const {
+  const PlanNode& node = plan.node(node_idx);
   const std::vector<int>& base_set =
       node.is_build() ? policy.build_devices : policy.devices;
 
@@ -383,35 +346,10 @@ void Optimizer::ChoosePlacement(QueryPlan* plan, int node_idx,
   const uint64_t nominal_ops = static_cast<uint64_t>(ops * node.scale);
 
   // Under fair-share scheduling the query holds only a fraction of every
-  // device, which shifts where CPU-vs-GPU offload breaks even.
-  const double share = policy.expected_device_share;
-  decision->est_seconds = CostModel::PipelineSeconds(
-      *topo_, base_set, bytes, nominal_ops, policy.async, share);
-  if (options_.placement != PlacementMode::kCostBased ||
-      !node.run_on.empty()) {
-    // kPolicy, or an explicit hand placement: keep, only record the cost.
-    decision->devices = node.run_on;
-    return;
-  }
-
-  std::vector<int> cpus, gpus;
-  for (int d : base_set) {
-    (topo_->device(d).type == sim::DeviceType::kCpu ? cpus : gpus).push_back(d);
-  }
-  const double cpu_s = CostModel::PipelineSeconds(
-      *topo_, cpus, bytes, nominal_ops, policy.async, share);
-  const double gpu_s = CostModel::PipelineSeconds(
-      *topo_, gpus, bytes, nominal_ops, policy.async, share);
-  // The full policy set wins ties: the router splits work across it.
-  if (cpu_s < decision->est_seconds && cpu_s <= gpu_s) {
-    plan->mutable_node(node_idx).run_on = cpus;
-    decision->devices = cpus;
-    decision->est_seconds = cpu_s;
-  } else if (gpu_s < decision->est_seconds && gpu_s < cpu_s) {
-    plan->mutable_node(node_idx).run_on = gpus;
-    decision->devices = gpus;
-    decision->est_seconds = gpu_s;
-  }
+  // device, which the estimate prices in.
+  return CostModel::PipelineSeconds(*topo_, base_set, bytes, nominal_ops,
+                                    policy.async,
+                                    policy.expected_device_share);
 }
 
 // ---- the pass ---------------------------------------------------------------
@@ -472,11 +410,11 @@ Result<OptimizeResult> Optimizer::OptimizePlan(
       for (int c : t.payload) value_bytes += PayloadValueBytes(node, c);
       const uint64_t table_bytes = ops::ChainedHashTable::NominalBytes(
           node.est_nominal_out_rows, value_bytes);
-      t.heavy = table_bytes >= options_.heavy_build_threshold_bytes;
+      t.heavy = table_bytes >= kHeavyBuildThresholdBytes;
       d.heavy = t.heavy;
     }
 
-    ChoosePlacement(plan, idx, policy, est, &d);
+    d.est_seconds = EstimateSeconds(*plan, idx, policy, est);
     node.est_cost_seconds = d.est_seconds;
   }
   return result;

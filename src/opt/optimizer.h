@@ -9,50 +9,38 @@
 #include "engine/plan.h"
 #include "engine/policy.h"
 #include "opt/cardinality.h"
-#include "opt/options.h"
 #include "opt/stats.h"
 #include "sim/topology.h"
 
 namespace hape::opt {
 
-/// Coarse analytic cost model used for join ordering tie-breaks and device
-/// placement: aggregate streaming bandwidth and per-tuple compute rate of a
-/// device set, with GPU input throttled to the interconnect it sits behind.
+/// Coarse analytic cost model of the optimizer's per-pipeline estimates:
+/// aggregate streaming bandwidth and per-tuple compute rate of a device
+/// set, with GPU input throttled to the interconnect it sits behind.
 /// Deliberately much simpler than the executor's traffic model — it ranks
 /// alternatives, it does not predict absolute times.
 class CostModel {
  public:
   /// Seconds to stream `nominal_bytes` and retire `nominal_ops` simple
   /// per-tuple operations on `devices` (empty set: +inf).
-  static double PipelineSeconds(const sim::Topology& topo,
-                                const std::vector<int>& devices,
-                                uint64_t nominal_bytes, uint64_t nominal_ops);
-
-  /// Overlap-aware variant: under the async executor (depth >= 1),
-  /// prefetched staging hides the interconnect round-trip that the
-  /// synchronous model charges as fixed GPU setup, so offloading small
-  /// pipelines breaks even earlier. With async off this is exactly
-  /// PipelineSeconds.
-  static double PipelineSeconds(const sim::Topology& topo,
-                                const std::vector<int>& devices,
-                                uint64_t nominal_bytes, uint64_t nominal_ops,
-                                const engine::AsyncOptions& async);
-
-  /// Contended-share variant: under fair-share multi-query scheduling the
-  /// query holds only `device_share` (0, 1] of the *CPU pool* — the
-  /// engine's default compute target, which every admitted query's probe
-  /// work time-shares — so CPU streaming bandwidth and compute rate scale
-  /// down by the share. GPU throughput, link ingest, and fixed setup
-  /// (kernel launch) are deliberately NOT scaled: accelerators sit idle
-  /// unless placement offloads to them, so contention pressure is what
-  /// should make offloading break even earlier. Share 1.0 is exactly the
-  /// overlap-aware variant, so single-query placement decisions are
-  /// unchanged.
+  ///
+  /// Under the async executor (depth >= 1) prefetched staging hides the
+  /// interconnect round-trip that the synchronous model charges as fixed
+  /// GPU setup, so offloading small pipelines breaks even earlier.
+  ///
+  /// Under fair-share multi-query scheduling the query holds only
+  /// `device_share` of the *CPU pool* — the engine's default compute
+  /// target, which every admitted query's probe work time-shares — so CPU
+  /// streaming bandwidth and compute rate scale down by the share. GPU
+  /// throughput, link ingest, and fixed setup (kernel launch) are
+  /// deliberately NOT scaled: accelerators sit idle unless placement
+  /// offloads to them. A share outside (0, 1) prices as 1.0, the query
+  /// owning the machine.
   static double PipelineSeconds(const sim::Topology& topo,
                                 const std::vector<int>& devices,
                                 uint64_t nominal_bytes, uint64_t nominal_ops,
-                                const engine::AsyncOptions& async,
-                                double device_share);
+                                const engine::AsyncOptions& async = {},
+                                double device_share = 1.0);
 };
 
 /// Decisions the optimizer took for one pipeline.
@@ -67,9 +55,7 @@ struct NodeDecision {
   bool reordered = false;
   bool heavy = false;          // heavy-build mark after optimization
   uint64_t ht_buckets = 0;     // build hash-table buckets after sizing
-  /// Chosen device set; empty means "the policy's default set".
-  std::vector<int> devices;
-  double est_seconds = 0;      // cost-model estimate on the chosen devices
+  double est_seconds = 0;      // cost-model estimate on the policy's set
 };
 
 /// Result of one Engine::Optimize pass.
@@ -79,21 +65,23 @@ struct OptimizeResult {
 };
 
 /// The cost-based plan optimizer: statistics -> cardinality estimates ->
-/// join ordering / build sizing / heavy marks / device placement, applied
-/// in place to a QueryPlan before the Engine runs it. All decisions the
+/// join ordering / build sizing / heavy marks / cost estimates, applied in
+/// place to a QueryPlan before the Engine runs it. All decisions the
 /// BuildOptions annotations can hand-declare are derived here (the paper's
 /// thesis: heterogeneity decisions belong to the engine, not the plans).
+/// Placement stays the policy's device set (the paper's configurations
+/// are a placement statement), so optimized plans cost exactly what the
+/// hand-declared ones do.
 class Optimizer {
  public:
   /// `stats` is a caller-owned catalog reused across plans: tables are
   /// immutable, so the Engine collects each one there once.
-  Optimizer(const sim::Topology* topo, OptimizerOptions options,
-            StatsCatalog* stats)
-      : topo_(topo), options_(options), estimator_(stats) {}
+  Optimizer(const sim::Topology* topo, StatsCatalog* stats)
+      : topo_(topo), estimator_(stats) {}
 
   /// Optimize `plan` for execution under `policy`. Idempotent; it edits
-  /// only the plan's ops, terminal specs, placements and estimates, so
-  /// the next run of the plan uses them.
+  /// only the plan's ops, terminal specs and estimates, so the next run of
+  /// the plan uses them.
   Result<OptimizeResult> OptimizePlan(engine::QueryPlan* plan,
                                       const engine::ExecutionPolicy& policy);
 
@@ -102,25 +90,24 @@ class Optimizer {
   /// sum_i weights[i] * rows_in(i), given per-op output factors
   /// (`factors[i]` = out/in of original op `i`, order-invariant) and
   /// per-tuple processing weights. `deps[i]` lists the ops whose appended
-  /// columns op `i` references. Exact DP up to options.dp_max_joins probes
-  /// (and 16 ops), greedy beyond; cost ties reconstruct the original
-  /// declaration order. Exposed for unit tests.
+  /// columns op `i` references. Exact DP up to 8 probes (and 16 ops),
+  /// greedy beyond; cost ties reconstruct the original declaration order.
+  /// Exposed for unit tests.
   static std::vector<int> OrderOps(const std::vector<double>& factors,
                                    const std::vector<double>& weights,
                                    const std::vector<std::vector<int>>& deps,
-                                   int num_probes, const OptimizerOptions& o);
+                                   int num_probes);
 
  private:
   Status ReorderNode(engine::QueryPlan* plan, int node_idx,
                      const PlanEstimate& est, NodeDecision* decision);
   void ApplyOrder(engine::QueryPlan* plan, int node_idx,
                   const std::vector<int>& order);
-  void ChoosePlacement(engine::QueryPlan* plan, int node_idx,
-                       const engine::ExecutionPolicy& policy,
-                       const PlanEstimate& est, NodeDecision* decision);
+  double EstimateSeconds(const engine::QueryPlan& plan, int node_idx,
+                         const engine::ExecutionPolicy& policy,
+                         const PlanEstimate& est) const;
 
   const sim::Topology* topo_;
-  OptimizerOptions options_;
   CardinalityEstimator estimator_;
 };
 

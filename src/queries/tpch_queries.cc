@@ -56,8 +56,8 @@ uint64_t HashTableBytes(uint64_t rows) {
 
 /// Execute the finished plan through the Engine facade under the
 /// configuration's policy and package the result. In kOptimized mode the
-/// cost-based optimizer pass decides join order, build sizing, heavy marks
-/// and placement before the plan runs.
+/// cost-based optimizer pass decides join order, build sizing and heavy
+/// marks before the plan runs.
 QueryResult RunPlan(TpchContext* ctx, EngineConfig config, QueryPlan plan,
                     const AggHandle& agg) {
   QueryResult r;
@@ -127,6 +127,11 @@ Result<TpchSpec> ReadTpchSpec(const JsonValue& tpch) {
       return Status::InvalidArgument(
           "'tpch' needs finite 'sf_actual' and 'sf_nominal' > 0");
     }
+  }
+  if (spec.sf_actual > kMaxSfActual) {
+    return Status::InvalidArgument(
+        "'tpch.sf_actual' must be at most 1: it is the scale the driver "
+        "generates in memory ('sf_nominal' sets the costed scale)");
   }
   if (tpch.Has("seed")) {
     // Bounded before the cast: a larger or fractional seed is an author

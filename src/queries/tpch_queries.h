@@ -36,7 +36,7 @@ struct QueryResult {
 enum class PlanMode {
   /// Declare unordered, unannotated plans (no BuildOptions, probe chains in
   /// arbitrary order) and let Engine::Optimize derive join order, build
-  /// sizing, heavy marks, and placement from statistics. The default.
+  /// sizing and heavy marks from statistics. The default.
   kOptimized,
   /// The legacy hand-declared plans: good probe order and explicit
   /// BuildOptions annotations, executed without an optimizer pass. Kept as
@@ -79,10 +79,15 @@ struct TpchSpec {
   uint64_t seed = 42;
 };
 
+/// Ceiling of a manifest's `sf_actual`, the scale its driver generates in
+/// memory: SF 1 is ~6 M lineitem rows, twice the largest dataset anything
+/// in the repository generates (SF 0.5).
+inline constexpr double kMaxSfActual = 1.0;
+
 /// The one reader of a manifest's "tpch" block (manifest drivers and lint
-/// use it): `sf_actual` and `sf_nominal` must be finite numbers > 0, and
-/// the optional `seed` (default 42) an integer in [0, 2^53].
-/// InvalidArgument otherwise.
+/// use it): `sf_actual` must be a number in (0, kMaxSfActual],
+/// `sf_nominal` a finite number > 0, and the optional `seed` (default 42)
+/// an integer in [0, 2^53]. InvalidArgument otherwise.
 Result<TpchSpec> ReadTpchSpec(const JsonValue& tpch);
 
 /// Format and schema version of an experiment manifest: a "tpch" block, a

@@ -19,7 +19,6 @@
 
 #include "engine/engine.h"
 #include "engine/executor.h"
-#include "engine/stages.h"
 #include "queries/tpch_queries.h"
 #include "sim/copy_engine.h"
 #include "storage/tpch.h"
@@ -605,83 +604,58 @@ TEST_F(AsyncExec, ExplainSurfacesOverlapAccounting) {
   EXPECT_NE(json.find("\"pipelines\""), std::string::npos);
 }
 
-// ---- bounded staging memory: AsyncOptions::max_staged_bytes -----------------
+// ---- prefetch depth past every worker queue ---------------------------------
 
-// The prefetch window is bounded in *buffers* (packets) per worker; the
-// byte cap bounds the staged transfer *memory*. A transfer that would
-// overflow the cap waits until enough staged packets were handed to
-// compute.
-TEST(AsyncStaging, MaxStagedBytesCapsInFlightTransfers) {
-  sim::Topology topo = sim::Topology::PaperServer();
-  engine::Executor exec(&topo);
-  const int gpu = topo.GpuDeviceIds().front();
-  constexpr size_t kRows = 4096;
-  const uint64_t packet = kRows * 8;  // one int64 column
-  auto make_pipeline = [&] {
-    engine::Pipeline p;
-    p.name = "staging";
-    for (int i = 0; i < 16; ++i) {
-      memory::Batch b;
-      b.rows = kRows;
-      b.mem_node = 0;  // host-resident: every packet crosses PCIe
-      b.columns = {std::make_shared<storage::Column>(
-          std::vector<int64_t>(kRows, i))};
-      p.inputs.push_back(std::move(b));
-    }
-    p.stages.push_back(engine::ScanStage());
-    return p;
-  };
+// A depth past every worker's queue stages each packet up front, so the
+// prefill stops at the longest queue: a depth of 2^30 (the largest a plan
+// document accepts) runs exactly like a depth just past the largest
+// pipeline's packet count, instead of looping 2^30 slots per worker.
+TEST_F(AsyncExec, HugePrefetchDepthRunsLikeDepthPastEveryQueue) {
+  const QueryResult first =
+      RunAtDepth(RunQ5, EngineConfig::kProteusHybrid, 1);
+  ASSERT_FALSE(first.DidNotFinish());
+  uint64_t packets = 0;
+  for (const engine::PipelineRunStats& p : first.exec.pipelines) {
+    packets = std::max(packets, p.stats.packets);
+  }
+  const QueryResult past = RunAtDepth(RunQ5, EngineConfig::kProteusHybrid,
+                                      static_cast<int>(packets) + 1);
+  const QueryResult huge =
+      RunAtDepth(RunQ5, EngineConfig::kProteusHybrid, 1 << 30);
+  ASSERT_FALSE(past.DidNotFinish());
+  ASSERT_FALSE(huge.DidNotFinish());
+  ExpectBitIdenticalGroups(past, huge, "depth 2^30");
 
-  engine::RunOptions opts;
-  opts.async = engine::AsyncOptions::Depth(8);
-  topo.Reset();
-  auto p1 = make_pipeline();
-  const engine::ExecStats unlimited = exec.Run(&p1, {gpu}, opts);
-  // Without a byte cap the whole 8-deep window sits staged at once.
-  EXPECT_GT(unlimited.peak_staged_bytes, 2 * packet);
-  EXPECT_EQ(unlimited.mem_moves, 16u);
-
-  opts.async.max_staged_bytes = 2 * packet;
-  topo.Reset();
-  auto p2 = make_pipeline();
-  const engine::ExecStats capped = exec.Run(&p2, {gpu}, opts);
-  EXPECT_LE(capped.peak_staged_bytes, 2 * packet);
-  EXPECT_GT(capped.peak_staged_bytes, 0u);
-  // The cap reorders nothing: same packets, same bytes moved.
-  EXPECT_EQ(capped.packets, unlimited.packets);
-  EXPECT_EQ(capped.moved_bytes, unlimited.moved_bytes);
-  // Less staging can only delay, never accelerate.
-  EXPECT_GE(capped.finish, unlimited.finish);
-
-  // A packet larger than the cap still proceeds (alone): no deadlock.
-  opts.async.max_staged_bytes = packet / 2;
-  topo.Reset();
-  auto p3 = make_pipeline();
-  const engine::ExecStats tiny = exec.Run(&p3, {gpu}, opts);
-  EXPECT_EQ(tiny.mem_moves, 16u);
-  EXPECT_LE(tiny.peak_staged_bytes, packet);
-}
-
-TEST_F(AsyncExec, StagedByteCapHoldsOnHybridQ5AndKeepsResults) {
-  const QueryResult unlimited =
-      RunAtDepth(RunQ5, EngineConfig::kProteusHybrid, 4);
-  ASSERT_FALSE(unlimited.DidNotFinish());
-  ASSERT_GT(unlimited.exec.peak_staged_bytes, 0u);
-
-  const uint64_t cap = unlimited.exec.peak_staged_bytes * 3 / 4;
-  topo_->Reset();
-  ctx_->async = engine::AsyncOptions::Depth(4);
-  ctx_->async.max_staged_bytes = cap;
-  const QueryResult capped = RunQ5(ctx_, EngineConfig::kProteusHybrid);
-  ctx_->async = engine::AsyncOptions::Off();
-  ASSERT_FALSE(capped.DidNotFinish());
-  EXPECT_LE(capped.exec.peak_staged_bytes, cap);
-  EXPECT_LT(capped.exec.peak_staged_bytes,
-            unlimited.exec.peak_staged_bytes);
-  // Bounding staging memory changes *when*, never *what*.
-  EXPECT_EQ(capped.exec.broadcast_bytes, unlimited.exec.broadcast_bytes);
-  EXPECT_EQ(capped.exec.moved_bytes, unlimited.exec.moved_bytes);
-  ExpectBitIdenticalGroups(unlimited, capped, "staged-byte cap");
+  // Identical RunStats, compared exactly.
+  const engine::RunStats& a = past.exec;
+  const engine::RunStats& b = huge.exec;
+  EXPECT_EQ(a.finish, b.finish);
+  EXPECT_EQ(a.placement_finish, b.placement_finish);
+  EXPECT_EQ(a.broadcast_bytes, b.broadcast_bytes);
+  EXPECT_EQ(a.co_processed, b.co_processed);
+  EXPECT_EQ(a.mem_moves, b.mem_moves);
+  EXPECT_EQ(a.moved_bytes, b.moved_bytes);
+  EXPECT_EQ(a.transfer_busy_s, b.transfer_busy_s);
+  EXPECT_EQ(a.transfer_exposed_s, b.transfer_exposed_s);
+  EXPECT_EQ(a.device_busy_s, b.device_busy_s);
+  EXPECT_EQ(a.peak_staged_bytes, b.peak_staged_bytes);
+  ASSERT_EQ(a.pipelines.size(), b.pipelines.size());
+  for (size_t i = 0; i < a.pipelines.size(); ++i) {
+    const engine::ExecStats& x = a.pipelines[i].stats;
+    const engine::ExecStats& y = b.pipelines[i].stats;
+    EXPECT_EQ(a.pipelines[i].name, b.pipelines[i].name);
+    EXPECT_EQ(x.start, y.start) << i;
+    EXPECT_EQ(x.finish, y.finish) << i;
+    EXPECT_EQ(x.packets, y.packets) << i;
+    EXPECT_EQ(x.rows_in, y.rows_in) << i;
+    EXPECT_EQ(x.rows_out, y.rows_out) << i;
+    EXPECT_EQ(x.mem_moves, y.mem_moves) << i;
+    EXPECT_EQ(x.moved_bytes, y.moved_bytes) << i;
+    EXPECT_EQ(x.transfer_busy_s, y.transfer_busy_s) << i;
+    EXPECT_EQ(x.transfer_exposed_s, y.transfer_exposed_s) << i;
+    EXPECT_EQ(x.device_busy_s, y.device_busy_s) << i;
+    EXPECT_EQ(x.peak_staged_bytes, y.peak_staged_bytes) << i;
+  }
 }
 
 // ---- determinism: byte-identical results, deterministic stats ---------------

@@ -442,21 +442,94 @@ TEST_F(LintTest, ShippedManifestLintsClean) {
   ASSERT_EQ(unchecked.diagnostics().size(), 1u) << unchecked.ToJsonString();
   EXPECT_EQ(unchecked.diagnostics()[0].code, kRuleSchemaDrift);
   EXPECT_EQ(unchecked.errors(), 0u);
+}
 
-  // A manifest that still carries a retired optimizer switch lints clean,
-  // and its policy block reads: ReadPolicy skips members it does not know.
-  const std::string legacy = Edited(
-      text, {{R"("optimizer":{)", R"("optimizer":{"reorder_joins":false,)"}});
-  const LintReport old = LintManifestText(legacy, topo_, &tctx_->catalog);
-  EXPECT_TRUE(old.empty()) << old.ToJsonString();
-  auto doc = JsonParser::Parse(legacy);
-  ASSERT_TRUE(doc.ok());
-  EXPECT_TRUE(engine::PlanJson::ReadPolicy(*doc.value().Find("policy")).ok());
+/// Explain(schedule) of a manifest's queries, run as example_manifest_run
+/// runs them: the manifest's policy, each plan loaded against the test
+/// catalog and optimized, all submitted into one engine on a fresh
+/// topology. Empty when any step fails.
+std::string ManifestSchedule(const std::string& text,
+                             const storage::Catalog& catalog) {
+  auto doc = JsonParser::Parse(text);
+  if (!doc.ok() || doc.value().Find("queries") == nullptr) return "";
+  auto policy = engine::PlanJson::ReadPolicy(*doc.value().Find("policy"));
+  if (!policy.ok()) return "";
+  sim::Topology topo = sim::Topology::PaperServer();
+  engine::Engine eng(&topo);
+  for (const JsonValue& entry : doc.value().Find("queries")->items()) {
+    auto q = queries::ReadManifestQuery(entry);
+    if (!q.ok() || q.value().plan == nullptr) return "";
+    auto loaded = engine::PlanJson::Load(*q.value().plan, catalog, &topo);
+    if (!loaded.ok() ||
+        !eng.Optimize(&loaded.value().plan, policy.value()).ok()) {
+      return "";
+    }
+    eng.Submit(std::move(loaded.value().plan), q.value().submit);
+  }
+  auto schedule = eng.RunAll(policy.value());
+  return schedule.ok() ? eng.Explain(schedule.value()) : "";
+}
+
+// Seven policy knobs are constants now, and the cost-based placement mode
+// is gone. A document that still carries them, at any value, loads, lints
+// clean and runs as the constants do: ReadPolicy skips members it does not
+// know. Each value below used to be an error in at least one of them.
+TEST_F(LintTest, RetiredPolicyMembersAreIgnored) {
+  const std::string shipped = ShippedManifest();
+  const std::string schedule = ManifestSchedule(shipped, tctx_->catalog);
+  ASSERT_FALSE(schedule.empty());
+  auto shipped_doc = JsonParser::Parse(shipped);
+  ASSERT_TRUE(shipped_doc.ok());
+  JsonWriter shipped_policy;
+  engine::PlanJson::WritePolicy(
+      &shipped_policy,
+      engine::PlanJson::ReadPolicy(*shipped_doc.value().Find("policy"))
+          .value());
+
+  for (const std::string v : {"-2", "0", "1", "1e300", "1e400"}) {
+    const std::string top = R"("device_reserved_bytes":268435456,)"
+                            R"("build_staging_factor":)" +
+                            v + R"(,"shuffle_wire_amplification":)" + v;
+    const std::string async = R"("prefetch_depth":1,"broadcast_chunk_bytes":)" +
+                              v + R"(,"max_staged_bytes":)" + v;
+    const std::string optimizer =
+        R"("expected_device_share":0.33333333333333331,"optimizer":{)"
+        R"("placement":"cost-based","heavy_build_threshold_bytes":)" +
+        v + R"(,"dp_max_joins":)" + v + R"(,"reorder_joins":false})";
+    const std::string legacy =
+        Edited(shipped,
+               {{R"("device_reserved_bytes":268435456)", top.c_str()},
+                {R"("prefetch_depth":1)", async.c_str()},
+                {R"("expected_device_share":0.33333333333333331)",
+                 optimizer.c_str()}});
+    ASSERT_NE(legacy, shipped);
+
+    const LintReport r = LintManifestText(legacy, topo_, &tctx_->catalog);
+    EXPECT_TRUE(r.empty()) << v << ": " << r.ToJsonString();
+    EXPECT_EQ(ManifestSchedule(legacy, tctx_->catalog), schedule) << v;
+
+    // A plan document carrying the legacy policy loads too, and its policy
+    // is the shipped one.
+    const size_t from = legacy.find(R"("policy":{)");
+    const size_t to = legacy.find(R"(,"queries":)");
+    ASSERT_NE(from, std::string::npos);
+    ASSERT_NE(to, std::string::npos);
+    const std::string plan_doc =
+        R"({"format":"hape-plan-v1","plan":{"name":"t","pipelines":[)"
+        R"({"id":0,"name":"p","source":{"table":"nation",)"
+        R"("columns":["n_nationkey"],"chunk_rows":64},"ops":[],)"
+        R"("sink":{"kind":"collect"}}]},)" +
+        legacy.substr(from, to - from) + "}";
+    auto loaded = engine::PlanJson::Load(plan_doc, tctx_->catalog, topo_);
+    ASSERT_TRUE(loaded.ok()) << v << ": " << loaded.status().ToString();
+    JsonWriter policy;
+    engine::PlanJson::WritePolicy(&policy, loaded.value().policy);
+    EXPECT_EQ(policy.str(), shipped_policy.str()) << v;
+  }
 }
 
 // Numbers no writer emits must end in an error diagnostic, never in an
-// out-of-range float -> integer cast or a hang (a broadcast chunk below
-// the 1 MiB floor is a link reservation per byte of a nominal table).
+// out-of-range float -> integer cast or an allocation failure.
 TEST_F(LintTest, HostileManifestNumbersAreErrors) {
   const std::string shipped = ShippedManifest();
   const struct {
@@ -468,19 +541,9 @@ TEST_F(LintTest, HostileManifestNumbersAreErrors) {
       {R"("id":0)", R"("id":1e300)", kRuleSchemaDrift},
       {R"("deps":[])", R"("deps":[4294967296])", kRuleSchemaDrift},
       {R"("seed":42)", R"("seed":1e300)", kRuleInvalidParameter},
-      {R"("broadcast_chunk_bytes":67108864)", R"("broadcast_chunk_bytes":0)",
-       kRuleInvalidParameter},
-      {R"("broadcast_chunk_bytes":67108864)", R"("broadcast_chunk_bytes":1)",
-       kRuleInvalidParameter},
+      // About 6e12 lineitem rows for the driver to generate in memory.
+      {R"("sf_actual":0.01)", R"("sf_actual":1e6)", kRuleInvalidParameter},
       {R"("scale":10000)", R"("scale":1e300)", kRuleInvalidParameter},
-      {R"("shuffle_wire_amplification":2)",
-       R"("shuffle_wire_amplification":-2)", kRuleInvalidParameter},
-      {R"("shuffle_wire_amplification":2)",
-       R"("shuffle_wire_amplification":1e300)", kRuleInvalidParameter},
-      {R"("shuffle_wire_amplification":2)",
-       R"("shuffle_wire_amplification":1e400)", kRuleInvalidParameter},
-      {R"("build_staging_factor":2)", R"("build_staging_factor":1e400)",
-       kRuleInvalidParameter},
       {R"("expected_device_share":0.33333333333333331)",
        R"("expected_device_share":0)", kRuleInvalidParameter},
       // Hash-table sizes past the scanned table (q3's customer build, 1,500

@@ -351,15 +351,12 @@ TEST_F(TpchStats, PropagatesThroughFilterAndJoin) {
 
 // ---- ordering DP ------------------------------------------------------------
 
-OptimizerOptions DefaultOpts() { return OptimizerOptions{}; }
-
 TEST(OrderOps, HoistsSelectiveFilter) {
   // op0: probe (factor 1), op1: cheap filter keeping 10%.
   const std::vector<double> factors{1.0, 0.1};
   const std::vector<double> weights{16.0, 2.0};
   const std::vector<std::vector<int>> deps{{}, {}};
-  const auto order = Optimizer::OrderOps(factors, weights, deps, 1,
-                                         DefaultOpts());
+  const auto order = Optimizer::OrderOps(factors, weights, deps, 1);
   EXPECT_EQ(order, (std::vector<int>{1, 0}));
 }
 
@@ -368,8 +365,7 @@ TEST(OrderOps, RespectsDependencies) {
   const std::vector<double> factors{1.0, 0.01};
   const std::vector<double> weights{16.0, 2.0};
   const std::vector<std::vector<int>> deps{{}, {0}};
-  const auto order = Optimizer::OrderOps(factors, weights, deps, 1,
-                                         DefaultOpts());
+  const auto order = Optimizer::OrderOps(factors, weights, deps, 1);
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
@@ -377,8 +373,7 @@ TEST(OrderOps, TiesKeepDeclarationOrder) {
   const std::vector<double> factors{1.0, 1.0, 1.0};
   const std::vector<double> weights{16.0, 16.0, 16.0};
   const std::vector<std::vector<int>> deps{{}, {}, {}};
-  const auto order = Optimizer::OrderOps(factors, weights, deps, 3,
-                                         DefaultOpts());
+  const auto order = Optimizer::OrderOps(factors, weights, deps, 3);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
@@ -386,8 +381,7 @@ TEST(OrderOps, MostReducingJoinFirst) {
   const std::vector<double> factors{1.0, 0.15, 0.5};
   const std::vector<double> weights{16.0, 16.0, 16.0};
   const std::vector<std::vector<int>> deps{{}, {}, {}};
-  const auto order = Optimizer::OrderOps(factors, weights, deps, 3,
-                                         DefaultOpts());
+  const auto order = Optimizer::OrderOps(factors, weights, deps, 3);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
 }
 
@@ -399,23 +393,28 @@ TEST(OrderOps, ExpensiveProbeDoesNotJumpCheapFilter) {
   const std::vector<double> factors{1.0, 0.2, 0.04};
   const std::vector<double> weights{16.0, 16.0, 2.0};
   const std::vector<std::vector<int>> deps{{}, {}, {0}};
-  const auto order = Optimizer::OrderOps(factors, weights, deps, 2,
-                                         DefaultOpts());
+  const auto order = Optimizer::OrderOps(factors, weights, deps, 2);
   // Filter right after its dependency, before the 0.2 probe.
   EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
 }
 
 TEST(OrderOps, GreedyFallbackBeyondDpBound) {
-  OptimizerOptions o;
-  o.dp_max_joins = 1;  // force greedy
-  const std::vector<double> factors{1.0, 0.1, 0.5};
-  const std::vector<double> weights{16.0, 16.0, 16.0};
-  const std::vector<std::vector<int>> deps{{}, {}, {}};
-  const auto order = Optimizer::OrderOps(factors, weights, deps, 3, o);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
+  // A costly probe that reduces a little more than a cheap one: the DP
+  // weighs it and runs the cheap one first, greedy orders by factor alone.
+  const std::vector<double> factors{1.0, 0.5, 0.6, 1.0, 1.0,
+                                    1.0, 1.0, 1.0, 1.0};
+  const std::vector<double> weights{16.0, 100.0, 1.0, 16.0, 16.0,
+                                    16.0, 16.0, 16.0, 16.0};
+  const std::vector<std::vector<int>> deps(factors.size());
+  // Up to 8 probes the exact DP orders the pipeline...
+  EXPECT_EQ(Optimizer::OrderOps(factors, weights, deps, 8),
+            (std::vector<int>{2, 1, 0, 3, 4, 5, 6, 7, 8}));
+  // ...beyond that the greedy fallback does.
+  EXPECT_EQ(Optimizer::OrderOps(factors, weights, deps, 9),
+            (std::vector<int>{1, 2, 0, 3, 4, 5, 6, 7, 8}));
 }
 
-// ---- cost model & placement -------------------------------------------------
+// ---- cost model -------------------------------------------------------------
 
 TEST(CostModel, GpuSetupMakesTinyPipelinesCpuBound) {
   sim::Topology topo = sim::Topology::PaperServer();
@@ -432,35 +431,37 @@ TEST(CostModel, GpuSetupMakesTinyPipelinesCpuBound) {
   EXPECT_TRUE(std::isinf(CostModel::PipelineSeconds(topo, {}, 1, 1)));
 }
 
-TEST_F(TpchStats, CostBasedPlacementPinsTinyScans) {
-  topo_->Reset();
+// Placement is the policy's: Optimize pins no pipeline (a tiny probe stays
+// on the hybrid set although the CPU subset prices cheaper) and keeps a
+// hand-set run_on.
+TEST_F(TpchStats, OptimizeKeepsPolicyAndHandPlacements) {
   auto nation = ctx_->catalog.Get("nation").value();
-  engine::PlanBuilder b("placement");
-  auto build = b.Scan(nation, {"n_nationkey", "n_name"}, 1 << 10)
-                   .Scale(ctx_->scale())
-                   .HashBuild(Expr::Col(0), {1});
-  auto probe = b.Scan(nation, {"n_nationkey", "n_regionkey"}, 1 << 10)
-                   .Scale(ctx_->scale());
-  probe.Probe(build, Expr::Col(0));
-  probe.Aggregate(nullptr,
-                  {engine::AggDef{engine::AggOp::kCount, nullptr}});
-  engine::QueryPlan plan = std::move(b).Build();
-
-  engine::ExecutionPolicy policy = engine::ExecutionPolicy::ForConfig(
+  const auto tiny_join = [&](const std::vector<int>& run_on) {
+    engine::PlanBuilder b("placement");
+    auto build = b.Scan(nation, {"n_nationkey", "n_name"}, 1 << 10)
+                     .Scale(ctx_->scale())
+                     .HashBuild(Expr::Col(0), {1});
+    auto probe = b.Scan(nation, {"n_nationkey", "n_regionkey"}, 1 << 10)
+                     .Scale(ctx_->scale());
+    if (!run_on.empty()) probe.OnDevices(run_on);
+    probe.Probe(build, Expr::Col(0));
+    probe.Aggregate(nullptr,
+                    {engine::AggDef{engine::AggOp::kCount, nullptr}});
+    return std::move(b).Build();
+  };
+  const engine::ExecutionPolicy policy = engine::ExecutionPolicy::ForConfig(
       *topo_, engine::EngineConfig::kProteusHybrid);
-  policy.optimizer.placement = PlacementMode::kCostBased;
   engine::Engine eng(topo_);
-  auto result = eng.Optimize(&plan, policy);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  // The tiny probe pipeline gets pinned to the CPU subset.
-  const auto& probe_node = plan.node(1);
-  ASSERT_FALSE(probe_node.run_on.empty());
-  for (int d : probe_node.run_on) {
-    EXPECT_EQ(topo_->device(d).type, sim::DeviceType::kCpu);
+  for (const std::vector<int>& run_on :
+       {std::vector<int>{}, topo_->GpuDeviceIds()}) {
+    engine::QueryPlan plan = tiny_join(run_on);
+    auto result = eng.Optimize(&plan, policy);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(plan.node(1).run_on, run_on);
+    topo_->Reset();
+    auto run = eng.Run(&plan, policy);
+    EXPECT_TRUE(run.ok()) << run.status().ToString();
   }
-  // And the plan still runs correctly there.
-  auto run = eng.Run(&plan, policy);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
 }
 
 TEST_F(TpchStats, CollectSinkPipelinesAreNeverReordered) {

@@ -542,55 +542,12 @@ TEST_F(EngineFacadeTest, RejectsPolicyWithoutDevices) {
   EXPECT_FALSE(eng_.Run(&plan, policy).ok());
 }
 
-// Each broadcast chunk is a link reservation. This plan's build table is
-// ~GBs nominal, so a chunk of 0 bytes (clamped to 1) or 1 byte would
-// reserve billions of them; Validate rejects both before admission.
-TEST_F(EngineFacadeTest, RejectsBroadcastChunksBelowTheFloor) {
-  const auto gpu_join = [] {
-    PlanBuilder b("gpu-join");
-    auto build = b.Source("build", MakeBatches(1, 100));
-    build.Scale(1e6);
-    BuildHandle h = build.HashBuild(Expr::Col(0), {1});
-    auto probe = b.Source("probe", MakeBatches(2, 100));
-    probe.Probe(h, Expr::Col(0));
-    probe.Aggregate(nullptr, {AggDef{AggOp::kCount, nullptr}});
-    return std::move(b).Build();
-  };
-  ExecutionPolicy policy;
-  policy.devices = topo_.GpuDeviceIds();
-  policy.build_devices = topo_.CpuDeviceIds();
-  policy.async = AsyncOptions::Depth(1);
-  for (uint64_t chunk : {0, 1}) {
-    policy.async.broadcast_chunk_bytes = chunk;
-    QueryPlan plan = gpu_join();
-    const auto run = eng_.Run(&plan, policy);
-    ASSERT_FALSE(run.ok()) << chunk;
-    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(run.status().message().find("broadcast_chunk_bytes"),
-              std::string::npos)
-        << run.status().ToString();
-  }
-  // At the floor the same table goes out in a few thousand chunks.
-  policy.async.broadcast_chunk_bytes = AsyncOptions::kMinBroadcastChunkBytes;
-  QueryPlan plan = gpu_join();
-  const auto run = eng_.Run(&plan, policy);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_GT(run.value().broadcast_bytes, sim::kGiB);
-}
-
-// Validate holds every policy range, so Run refuses what lint flags. An
-// amplification of -2 or 1e300 would reach the executor's wire-byte cast.
+// Validate holds every policy range, so Run refuses what lint flags.
 TEST_F(EngineFacadeTest, RejectsOutOfRangePolicyFactors) {
   const struct {
     const char* knob;
     void (*edit)(ExecutionPolicy*);
   } cases[] = {
-      {"shuffle_wire_amplification",
-       [](ExecutionPolicy* p) { p->shuffle_wire_amplification = -2; }},
-      {"shuffle_wire_amplification",
-       [](ExecutionPolicy* p) { p->shuffle_wire_amplification = 1e300; }},
-      {"build_staging_factor",
-       [](ExecutionPolicy* p) { p->build_staging_factor = 0; }},
       {"expected_device_share",
        [](ExecutionPolicy* p) {
          p->expected_device_share = std::numeric_limits<double>::quiet_NaN();

@@ -107,11 +107,10 @@ class SchedulePins : public ::testing::Test {
     Engine eng(topo_);
     ASSERT_TRUE(eng.Optimize(&q5.value().plan, *policy).ok());
     const uint64_t fp = engine::Scheduler::EstimatedResidentBytes(
-        q5.value().plan, *policy, policy->GpuBudget(*topo_));
+        q5.value().plan, policy->GpuBudget(*topo_));
     ASSERT_GT(fp, 0u);
     const uint64_t budget = static_cast<uint64_t>(
-        policy->build_staging_factor * static_cast<double>(fp) *
-        footprints);
+        ExecutionPolicy::StagedBytes(fp) * footprints);
     const int gpu = topo_->GpuDeviceIds().front();
     const uint64_t cap =
         topo_->mem_node(topo_->device(gpu).mem_node).capacity();

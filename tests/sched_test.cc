@@ -77,8 +77,8 @@ class SchedTest : public ::testing::Test {
     p.scheduling = sched;
     if (sched == SchedulingPolicy::kFairShare) {
       // Queries submitted to a shared schedule expect a slice of the CPU
-      // pool; the optimizer estimates costs at that share (decisions are
-      // unchanged under the default kPolicy placement).
+      // pool; the optimizer estimates costs at that share (placement stays
+      // the policy's).
       p.expected_device_share = 1.0 / 3;
     }
     return p;
@@ -350,12 +350,12 @@ TEST_F(SchedTest, FairShareAdmissionWavesUnderMemoryContention) {
         topo_->mem_node(topo_->device(gpu).mem_node).capacity();
     full_budget = cap - std::min(cap, policy.device_reserved_bytes);
     const uint64_t fp = engine::Scheduler::EstimatedResidentBytes(
-        probe.value().plan, policy, full_budget);
+        probe.value().plan, full_budget);
     ASSERT_GT(fp, 0u);
-    ASSERT_LT(policy.build_staging_factor * fp, full_budget);
+    ASSERT_LT(ExecutionPolicy::StagedBytes(fp), full_budget);
     // Budget for exactly one query (1.5x its staged footprint).
-    const uint64_t budget = static_cast<uint64_t>(
-        policy.build_staging_factor * static_cast<double>(fp) * 1.5);
+    const uint64_t budget =
+        static_cast<uint64_t>(ExecutionPolicy::StagedBytes(fp) * 1.5);
     policy.device_reserved_bytes = cap - budget;
   }
 
@@ -395,12 +395,12 @@ TEST_F(SchedTest, FairShareReleasesResidencyAtQueryCompletion) {
     const uint64_t full_budget = cap - std::min(cap,
                                                 policy.device_reserved_bytes);
     const uint64_t fp = engine::Scheduler::EstimatedResidentBytes(
-        probe.value().plan, policy, full_budget);
+        probe.value().plan, full_budget);
     ASSERT_GT(fp, 0u);
     // Budget for ~2.25 footprints (with build staging): two co-fit, three
     // do not, and one released footprint re-admits the third.
-    const uint64_t budget = static_cast<uint64_t>(
-        policy.build_staging_factor * static_cast<double>(fp) * 2.25);
+    const uint64_t budget =
+        static_cast<uint64_t>(ExecutionPolicy::StagedBytes(fp) * 2.25);
     ASSERT_LT(budget, full_budget);
     policy.device_reserved_bytes = cap - budget;
   }
@@ -750,15 +750,14 @@ TEST_F(SchedTest, FairShareMidFlightCancelReleasesResidencyBeforeNextWave) {
       ASSERT_TRUE(probe_eng.Optimize(&fp.plan, policy).ok());
     }
     const uint64_t est = engine::Scheduler::EstimatedResidentBytes(
-        fp.plan, policy, full_budget);
+        fp.plan, full_budget);
     ASSERT_GT(est, 0u);
     ASSERT_LE(est, full_bytes + partial_bytes / 2)
         << "two chains must co-fit the wave budget";
     ASSERT_GT(2 * est, full_bytes + partial_bytes / 2)
         << "a third chain must overflow the wave budget";
     const uint64_t budget = static_cast<uint64_t>(
-        policy.build_staging_factor *
-        static_cast<double>(full_bytes + est + partial_bytes / 2));
+        ExecutionPolicy::StagedBytes(full_bytes + est + partial_bytes / 2));
     ASSERT_LT(budget, full_budget);
     tight.device_reserved_bytes = cap - budget;
   }
