@@ -1,12 +1,13 @@
-// Vectorized data-plane kernel microbenchmarks: measured scalar-vs-SIMD
-// throughput for every kernel class (filter select, murmur hashing,
-// chained-table probe/build, grouped accumulate), via
+// Data-plane kernel microbenchmarks: measured throughput of each batch
+// kernel against the per-row scalar reference it replaces (filter select,
+// murmur hashing, chained-table probe/build, grouped accumulate), via
 // codegen::CalibrationHarness.
 //
 // Prints a table and writes BENCH_kernels.json to the working directory:
-// per-kernel GB/s + speedup. CI gates the filter and probe speedups at
-// >= 1.0 (the SIMD plane must never lose); being host-measured, the program
-// is built but not registered with ctest.
+// per-kernel GB/s + speedup. CI floors the filter speedup at 2.0 (a
+// branchy select reads ~1x, the branch-free one ~7-9.5x) and the probe
+// speedup at 1.0; being host-measured, the program is built but not
+// registered with ctest.
 //
 // These are *wall-clock host* measurements — machine-dependent by design,
 // unlike every simulated number elsewhere in the repo. Nothing here feeds
@@ -33,9 +34,8 @@ void TableAndJson(const codegen::Calibration& cal, size_t rows) {
       {"build", &cal.build},   {"agg", &cal.agg},
   };
 
-  std::printf("== Kernel throughput: scalar reference vs dispatched plane "
-              "(avx2=%d, %zu rows) ==\n",
-              cal.avx2 ? 1 : 0, rows);
+  std::printf("== Kernel throughput: scalar reference vs batch kernels "
+              "(%zu rows) ==\n", rows);
   std::printf("%-8s %14s %14s %10s\n", "", "scalar GB/s", "simd GB/s",
               "speedup");
   for (const Row& r : rows_out) {
@@ -47,8 +47,6 @@ void TableAndJson(const codegen::Calibration& cal, size_t rows) {
   w.BeginObject();
   w.Key("bench");
   w.String("kernels");
-  w.Key("avx2");
-  w.Bool(cal.avx2);
   w.Key("rows");
   w.Uint(rows);
   w.Key("results");

@@ -62,7 +62,6 @@ Calibration CalibrationHarness::Measure(const Options& options) {
   const size_t n = options.rows;
   const int reps = options.reps;
   Calibration c;
-  c.avx2 = Avx2Available();
   uint64_t sink = 0;
 
   // -- filter: column >= literal, ~50% selectivity -------------------------

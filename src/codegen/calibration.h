@@ -10,8 +10,8 @@
 
 namespace hape::codegen {
 
-/// One kernel class: scalar reference vs dispatched (SIMD) throughput in
-/// GB/s of input column bytes.
+/// One kernel class: scalar reference vs batch-kernel throughput in GB/s of
+/// input column bytes.
 struct KernelRate {
   double scalar_gbps = 0;
   double simd_gbps = 0;
@@ -21,12 +21,11 @@ struct KernelRate {
 };
 
 struct Calibration {
-  bool avx2 = false;    ///< dispatched kernels used AVX2 paths
-  KernelRate filter;    ///< fused compare+select over f64 columns
-  KernelRate hash;      ///< HashMurmur64 over i64 keys
-  KernelRate probe;     ///< chained-table probe (prefetched bulk vs per-row)
-  KernelRate build;     ///< chained-table build (reserved bulk vs per-row)
-  KernelRate agg;       ///< grouped accumulate (GroupIndex vs std::map)
+  KernelRate filter;  ///< fused compare+select over f64 columns
+  KernelRate hash;    ///< HashMurmur64 over i64 keys
+  KernelRate probe;   ///< chained-table probe (prefetched bulk vs per-row)
+  KernelRate build;   ///< chained-table build (reserved bulk vs per-row)
+  KernelRate agg;     ///< grouped accumulate (GroupIndex vs std::map)
 };
 
 /// Times each kernel class on synthetic data (deterministic LCG inputs,

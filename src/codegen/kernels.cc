@@ -7,7 +7,6 @@
 #include <string>
 #include <thread>
 
-#include "codegen/kernels_internal.h"
 #include "common/hash.h"
 #include "common/logging.h"
 
@@ -62,8 +61,7 @@ void SetDataPlane(const DataPlaneConfig& config) {
 
 bool Avx2Available() {
 #if defined(__x86_64__) || defined(__i386__)
-  static const bool ok =
-      kernels::avx2::kCompiled && __builtin_cpu_supports("avx2");
+  static const bool ok = __builtin_cpu_supports("avx2");
   return ok;
 #else
   return false;
@@ -86,104 +84,6 @@ void BumpParallelPackets(uint64_t n) {
 }
 
 namespace kernels {
-
-// ---- portable baselines (autovectorized at -O3) ----------------------------
-
-namespace portable {
-
-size_t SelectNonZero(const double* v, size_t n, uint32_t* out) {
-  size_t m = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (v[i] != 0) out[m++] = static_cast<uint32_t>(i);
-  }
-  return m;
-}
-
-// One branch-free loop per comparison so the compiler vectorizes the
-// compare; the conditional append stays scalar but cheap.
-#define HAPE_SELECT_LOOP(cond)                        \
-  do {                                                \
-    size_t m = 0;                                     \
-    for (size_t i = 0; i < n; ++i) {                  \
-      if (cond) out[m++] = static_cast<uint32_t>(i);  \
-    }                                                 \
-    return m;                                         \
-  } while (0)
-
-size_t SelectCmpF64(const double* v, BinOp op, double lit, size_t n,
-                    uint32_t* out) {
-  switch (op) {
-    case BinOp::kEq:
-      HAPE_SELECT_LOOP(v[i] == lit);
-    case BinOp::kNe:
-      HAPE_SELECT_LOOP(v[i] != lit);
-    case BinOp::kLt:
-      HAPE_SELECT_LOOP(v[i] < lit);
-    case BinOp::kLe:
-      HAPE_SELECT_LOOP(v[i] <= lit);
-    case BinOp::kGt:
-      HAPE_SELECT_LOOP(v[i] > lit);
-    case BinOp::kGe:
-      HAPE_SELECT_LOOP(v[i] >= lit);
-    default:
-      HAPE_CHECK(false) << "SelectCmp requires a comparison op";
-      return 0;
-  }
-}
-
-size_t SelectCmpI32(const int32_t* v, BinOp op, double lit, size_t n,
-                    uint32_t* out) {
-  switch (op) {
-    case BinOp::kEq:
-      HAPE_SELECT_LOOP(static_cast<double>(v[i]) == lit);
-    case BinOp::kNe:
-      HAPE_SELECT_LOOP(static_cast<double>(v[i]) != lit);
-    case BinOp::kLt:
-      HAPE_SELECT_LOOP(static_cast<double>(v[i]) < lit);
-    case BinOp::kLe:
-      HAPE_SELECT_LOOP(static_cast<double>(v[i]) <= lit);
-    case BinOp::kGt:
-      HAPE_SELECT_LOOP(static_cast<double>(v[i]) > lit);
-    case BinOp::kGe:
-      HAPE_SELECT_LOOP(static_cast<double>(v[i]) >= lit);
-    default:
-      HAPE_CHECK(false) << "SelectCmp requires a comparison op";
-      return 0;
-  }
-}
-
-void HashKeys(const int64_t* keys, size_t n, uint64_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = HashMurmur64(static_cast<uint64_t>(keys[i]));
-  }
-}
-
-}  // namespace portable
-
-// ---- runtime dispatch ------------------------------------------------------
-
-namespace {
-
-struct Dispatch {
-  size_t (*select_nonzero)(const double*, size_t, uint32_t*);
-  size_t (*select_cmp_f64)(const double*, BinOp, double, size_t, uint32_t*);
-  size_t (*select_cmp_i32)(const int32_t*, BinOp, double, size_t, uint32_t*);
-  void (*hash_keys)(const int64_t*, size_t, uint64_t*);
-};
-
-const Dispatch& Impl() {
-  static const Dispatch d = [] {
-    if (Avx2Available()) {
-      return Dispatch{avx2::SelectNonZero, avx2::SelectCmpF64,
-                      avx2::SelectCmpI32, avx2::HashKeys};
-    }
-    return Dispatch{portable::SelectNonZero, portable::SelectCmpF64,
-                    portable::SelectCmpI32, portable::HashKeys};
-  }();
-  return d;
-}
-
-}  // namespace
 
 // ---- casts -----------------------------------------------------------------
 
@@ -246,54 +146,74 @@ void BinaryOpF64(BinOp op, const double* l, const double* r, size_t n,
 
 // ---- selection vectors -----------------------------------------------------
 
-size_t SelectNonZero(const double* v, size_t n, uint32_t* out) {
-  Bump(GlobalCounters().filter_rows, n);
-  return Impl().select_nonzero(v, n, out);
+namespace {
+
+/// Branch-free select: every row stores its index at out[m] and only the
+/// predicate advances m, so an unpredictable filter costs no mispredicted
+/// branches. m <= i < n at each store, so every write stays inside the
+/// caller's n-entry buffer. Rows reach `keep` as doubles: integer columns
+/// widen first, the scalar reference's rule.
+template <typename T, typename Keep>
+size_t SelectWhere(const T* v, size_t n, uint32_t* out, Keep keep) {
+  size_t m = 0;
+  for (size_t i = 0; i < n; ++i) {
+    out[m] = static_cast<uint32_t>(i);
+    m += keep(static_cast<double>(v[i]));
+  }
+  return m;
 }
 
-size_t SelectCmpF64(const double* v, BinOp op, double lit, size_t n,
-                    uint32_t* out) {
-  Bump(GlobalCounters().filter_rows, n);
-  return Impl().select_cmp_f64(v, op, lit, n, out);
-}
-
-size_t SelectCmpI64(const int64_t* v, BinOp op, double lit, size_t n,
-                    uint32_t* out) {
-  // No AVX2 path: there is no 4-lane i64 -> f64 convert below AVX-512, and
-  // the widen-then-compare loop below already autovectorizes the compare.
+template <typename T>
+size_t SelectCmp(const T* v, BinOp op, double lit, size_t n, uint32_t* out) {
   Bump(GlobalCounters().filter_rows, n);
   switch (op) {
     case BinOp::kEq:
-      HAPE_SELECT_LOOP(static_cast<double>(v[i]) == lit);
+      return SelectWhere(v, n, out, [lit](double x) { return x == lit; });
     case BinOp::kNe:
-      HAPE_SELECT_LOOP(static_cast<double>(v[i]) != lit);
+      return SelectWhere(v, n, out, [lit](double x) { return x != lit; });
     case BinOp::kLt:
-      HAPE_SELECT_LOOP(static_cast<double>(v[i]) < lit);
+      return SelectWhere(v, n, out, [lit](double x) { return x < lit; });
     case BinOp::kLe:
-      HAPE_SELECT_LOOP(static_cast<double>(v[i]) <= lit);
+      return SelectWhere(v, n, out, [lit](double x) { return x <= lit; });
     case BinOp::kGt:
-      HAPE_SELECT_LOOP(static_cast<double>(v[i]) > lit);
+      return SelectWhere(v, n, out, [lit](double x) { return x > lit; });
     case BinOp::kGe:
-      HAPE_SELECT_LOOP(static_cast<double>(v[i]) >= lit);
+      return SelectWhere(v, n, out, [lit](double x) { return x >= lit; });
     default:
       HAPE_CHECK(false) << "SelectCmp requires a comparison op";
       return 0;
   }
 }
 
-#undef HAPE_SELECT_LOOP
+}  // namespace
+
+size_t SelectNonZero(const double* v, size_t n, uint32_t* out) {
+  Bump(GlobalCounters().filter_rows, n);
+  return SelectWhere(v, n, out, [](double x) { return x != 0; });
+}
+
+size_t SelectCmpF64(const double* v, BinOp op, double lit, size_t n,
+                    uint32_t* out) {
+  return SelectCmp(v, op, lit, n, out);
+}
+
+size_t SelectCmpI64(const int64_t* v, BinOp op, double lit, size_t n,
+                    uint32_t* out) {
+  return SelectCmp(v, op, lit, n, out);
+}
 
 size_t SelectCmpI32(const int32_t* v, BinOp op, double lit, size_t n,
                     uint32_t* out) {
-  Bump(GlobalCounters().filter_rows, n);
-  return Impl().select_cmp_i32(v, op, lit, n, out);
+  return SelectCmp(v, op, lit, n, out);
 }
 
 // ---- hashing ---------------------------------------------------------------
 
 void HashKeys(const int64_t* keys, size_t n, uint64_t* out) {
   Bump(GlobalCounters().hashed_keys, n);
-  Impl().hash_keys(keys, n, out);
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = HashMurmur64(static_cast<uint64_t>(keys[i]));
+  }
 }
 
 // ---- chained hash table: bulk probe / bulk build ---------------------------

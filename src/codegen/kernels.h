@@ -12,10 +12,9 @@
 /// engine. Everything in here executes real data on the host; simulated
 /// time is charged separately by the stages from TrafficStats, so every
 /// kernel must be *bit-identical* to the scalar reference path it replaces
-/// (same result bytes, same visit counts). Two implementations back each
-/// kernel: a portable autovectorized baseline (built at -O3) and guarded
-/// AVX2 paths (kernels_avx2.cc, built with -mavx2) selected once at startup
-/// when the CPU supports them.
+/// (same result bytes, same visit counts). Each kernel has one portable
+/// implementation (kernels.cc, built at -O3 with no target-specific flags),
+/// so every host runs the same code.
 
 namespace hape::codegen {
 
@@ -40,8 +39,8 @@ inline bool VectorizedPlane() {
   return DataPlane().mode == KernelMode::kVectorized;
 }
 
-/// True when the host CPU supports AVX2 *and* this binary was built with
-/// the AVX2 translation unit enabled.
+/// True when the host CPU supports AVX2. No kernel depends on it; benchmarks
+/// record it with their host environment.
 bool Avx2Available();
 
 /// Monotonic process-wide kernel counters, for tests and benchmarks that
@@ -98,15 +97,17 @@ void BinaryOpF64(BinOp op, const double* l, const double* r, size_t n,
 
 // ---- selection vectors -----------------------------------------------------
 
-/// Append indices i with v[i] != 0 to out (caller sized out to >= n).
-/// Returns the selection count. NaN counts as selected, like the scalar
-/// `v != 0` test.
+/// Write the indices i with v[i] != 0, ascending, to out and return their
+/// count. out must hold n entries whatever the selectivity: the kernel is
+/// branch-free and stores every row's index before it knows whether the
+/// row is kept. NaN counts as selected, like the scalar `v != 0` test.
 size_t SelectNonZero(const double* v, size_t n, uint32_t* out);
 
-/// Fused compare+select fast paths for the dominant predicate shape
+/// Fused compare+select for the dominant predicate shape
 /// `column <op> literal`: no intermediate 0/1 buffer is materialized.
 /// Integer inputs are compared *as doubles* to preserve the scalar
-/// reference's widening semantics. op must be a comparison.
+/// reference's widening semantics. op must be a comparison. As in
+/// SelectNonZero, out must hold n entries whatever the selectivity.
 size_t SelectCmpF64(const double* v, BinOp op, double lit, size_t n,
                     uint32_t* out);
 size_t SelectCmpI64(const int64_t* v, BinOp op, double lit, size_t n,

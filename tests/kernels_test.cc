@@ -18,7 +18,6 @@
 
 #include "codegen/calibration.h"
 #include "codegen/kernels.h"
-#include "codegen/kernels_internal.h"
 #include "common/hash.h"
 #include "ops/hash_table.h"
 
@@ -69,10 +68,14 @@ constexpr BinOp kCmpOps[] = {BinOp::kEq, BinOp::kNe, BinOp::kLt,
                              BinOp::kLe, BinOp::kGt, BinOp::kGe};
 
 TEST(SelectKernels, CmpF64MatchesScalarReferenceIncludingNaN) {
-  // 1003 = 4*250 + 3: exercises the 3-lane vector remainder.
+  // 1003 = 4*250 + 3 leaves a remainder after any 4-wide loop. The
+  // infinite literals drive the branch-free store to its extremes (e.g.
+  // `<= +inf` keeps every non-NaN row, `> +inf` none) in a buffer of
+  // exactly n.
+  const double inf = std::numeric_limits<double>::infinity();
   const std::vector<double> v = NoisyDoubles(1003, 7);
   for (BinOp op : kCmpOps) {
-    for (double lit : {-3.5, 0.0, 42.0}) {
+    for (double lit : {-3.5, 0.0, 42.0, inf, -inf}) {
       std::vector<uint32_t> got(v.size());
       const size_t m =
           kernels::SelectCmpF64(v.data(), op, lit, v.size(), got.data());
@@ -128,29 +131,19 @@ TEST(SelectKernels, NonZeroSelectsNaNAndRejectsBothZeros) {
   // NaN != 0 is true, so NaN lanes are selected, exactly like the scalar
   // `v != 0` filter test.
   EXPECT_EQ(out, (std::vector<uint32_t>{0, 3, 4, 6}));
-}
 
-TEST(SelectKernels, PortableAndAvx2Agree) {
-  if (!Avx2Available()) GTEST_SKIP() << "no AVX2 on this host/build";
-  const std::vector<double> v = NoisyDoubles(2050, 23);
-  for (BinOp op : kCmpOps) {
-    std::vector<uint32_t> a(v.size()), b(v.size());
-    const size_t ma =
-        kernels::portable::SelectCmpF64(v.data(), op, 1.5, v.size(), a.data());
-    const size_t mb =
-        kernels::avx2::SelectCmpF64(v.data(), op, 1.5, v.size(), b.data());
-    a.resize(ma);
-    b.resize(mb);
-    ASSERT_EQ(a, b) << "op " << static_cast<int>(op);
-  }
-  std::vector<uint64_t> ha(v.size()), hb(v.size());
-  std::vector<int64_t> keys(v.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    keys[i] = static_cast<int64_t>(i * 2654435761u) - 1000;
-  }
-  kernels::portable::HashKeys(keys.data(), keys.size(), ha.data());
-  kernels::avx2::HashKeys(keys.data(), keys.size(), hb.data());
-  ASSERT_EQ(ha, hb);
+  // The branch-free store's extremes at an odd length, each into a buffer
+  // of exactly n: every row kept, then none (both signed zeros).
+  const std::vector<double> all(1001, -1.5);
+  std::vector<uint32_t> kept(all.size());
+  ASSERT_EQ(kernels::SelectNonZero(all.data(), all.size(), kept.data()),
+            all.size());
+  for (size_t i = 0; i < kept.size(); ++i) ASSERT_EQ(kept[i], i);
+  std::vector<double> zeros(1001, 0.0);
+  for (size_t i = 1; i < zeros.size(); i += 2) zeros[i] = -0.0;
+  std::vector<uint32_t> none(zeros.size());
+  EXPECT_EQ(kernels::SelectNonZero(zeros.data(), zeros.size(), none.data()),
+            0u);
 }
 
 TEST(HashKernels, HashKeysMatchesMurmurPerKey) {
