@@ -18,20 +18,28 @@ int main() {
   sim::Topology topo = sim::Topology::PaperServer();
   engine::Engine eng(&topo);
 
-  // 2. Some data: 1M rows of (value, amount), CPU-resident (node 0).
+  // 2. Some data: a table of 1M rows of (value, amount), CPU-resident
+  //    (node 0).
   const size_t n = 1 << 20;
-  auto value = std::make_shared<storage::Column>(
-      storage::DataGen::UniformInt(n, 0, 99, /*seed=*/1));
-  auto amount = std::make_shared<storage::Column>(
-      storage::DataGen::UniformDouble(n, 0.0, 10.0, /*seed=*/2));
+  auto schema = std::make_shared<storage::Schema>(std::vector<storage::Field>{
+      {"value", storage::DataType::kInt64},
+      {"amount", storage::DataType::kFloat64}});
+  auto table = std::make_shared<storage::Table>(
+      "data", schema,
+      std::vector<storage::ColumnPtr>{
+          std::make_shared<storage::Column>(
+              storage::DataGen::UniformInt(n, 0, 99, /*seed=*/1)),
+          std::make_shared<storage::Column>(
+              storage::DataGen::UniformDouble(n, 0.0, 10.0, /*seed=*/2))},
+      /*home_node=*/0);
 
-  // 3. A declarative plan: scan -> filter(value < 10) -> sum(amount).
-  //    Scale(100) lets the cost model treat the 1M rows as 100M. Device
-  //    placement lives in the ExecutionPolicy, not in the plan.
+  // 3. A declarative plan: scan (packets of 16K rows) -> filter(value < 10)
+  //    -> sum(amount). Scale(100) lets the cost model treat the 1M rows as
+  //    100M. Device placement lives in the ExecutionPolicy, not in the
+  //    plan.
   auto run = [&](const char* name, std::vector<int> devices) {
     engine::PlanBuilder b("quickstart");
-    auto pipe =
-        b.Source("scan", memory::ChunkColumns({value, amount}, n, 1 << 14, 0));
+    auto pipe = b.Scan(table, {"value", "amount"}, 1 << 14);
     pipe.Scale(100.0).Filter(
         expr::Expr::Lt(expr::Expr::Col(0), expr::Expr::Int(10)));
     engine::AggHandle agg = pipe.Aggregate(

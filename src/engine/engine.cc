@@ -34,21 +34,26 @@ std::string GiBString(uint64_t bytes) {
 }
 
 /// One run's executor pipeline for pipeline `i` of `plan` under `policy`:
-/// its packet list, the stages its ops generate (probes against `tables`,
-/// by build index) and a fresh sink for its terminal, which fills
-/// `tables[i]` or the terminal's result cell (emptied first).
+/// its scan packets (read-only views of the table's columns, cut for this
+/// run only), the stages its ops generate (probes against `tables`, by
+/// build index) and a fresh sink for its terminal, which fills `tables[i]`
+/// or the terminal's result cell (emptied first).
 Pipeline Compile(const QueryPlan& plan, int i, const ExecutionPolicy& policy,
                  const std::vector<JoinStatePtr>& tables) {
   const PlanNode& node = plan.node(i);
+  const storage::Table& table = *node.source_table;
+  std::vector<storage::ColumnPtr> columns;
+  columns.reserve(node.source_columns.size());
+  for (const auto& c : node.source_columns) columns.push_back(table.column(c));
   Pipeline p;
   p.name = node.name;
-  p.inputs = node.inputs;
+  p.inputs = memory::ChunkColumns(columns, table.num_rows(),
+                                  node.source_chunk_rows, table.home_node());
   p.scale = node.scale;
-  p.charge_source_read = node.charge_source_read;
   p.policy = policy.routing;
   p.vector_at_a_time = policy.model == ExecutionModel::kVectorAtATime;
   p.operator_at_a_time = policy.model == ExecutionModel::kOperatorAtATime;
-  if (node.charge_source_read) p.stages.push_back(ScanStage());
+  p.stages.push_back(ScanStage());
   for (const LogicalOp& op : node.ops) {
     switch (op.kind) {
       case LogicalOp::Kind::kFilter:
@@ -233,7 +238,7 @@ Status Engine::PlaceJoinStates(PlanExec* ex, sim::SimTime* t) {
       const PlanNode& node = plan.node(i);
       const std::vector<int> builds = node.ProbedBuilds();
       if (std::find(builds.begin(), builds.end(), big) != builds.end()) {
-        probe_tuples += static_cast<uint64_t>(node.source_rows * node.scale);
+        probe_tuples += static_cast<uint64_t>(node.source_rows() * node.scale);
       }
     }
     const uint64_t copart_bytes =

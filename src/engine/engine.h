@@ -149,7 +149,6 @@ class Engine {
   /// Serialize `plan` (and optionally the policy it should run under) to a
   /// self-contained JSON document Engine::LoadPlan reconstructs exactly —
   /// the load half of plan serialization that Explain (dump-only) lacks.
-  /// Fails for plans with Source() pipelines.
   Result<std::string> DumpPlan(const QueryPlan& plan) const;
   Result<std::string> DumpPlan(const QueryPlan& plan,
                                const ExecutionPolicy& policy) const;
@@ -212,7 +211,7 @@ class Engine {
     const QueryPlan* plan = nullptr;
     const ExecutionPolicy* policy = nullptr;
     /// The run state BeginPlan compiles: one executor pipeline per plan
-    /// node (stages, a fresh sink, a copy of the packet list) and a fresh
+    /// node (the scan packets it cuts, stages and a fresh sink) and a fresh
     /// hash table per build (null for other nodes), both by node index.
     std::vector<Pipeline> pipelines;
     std::vector<JoinStatePtr> tables;

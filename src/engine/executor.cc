@@ -110,8 +110,7 @@ std::vector<PreparedPacket> PrepareInputs(Pipeline* p,
     PreparedPacket& pp = prep[i];
     pp.batch = std::move(p->inputs[i]);
     pp.rows_in = pp.batch.rows;
-    pp.meta = PacketMeta{pp.batch.byte_size(), pp.batch.mem_node,
-                         pp.batch.partition_id};
+    pp.meta = PacketMeta{pp.batch.byte_size(), pp.batch.mem_node};
   }
   const int threads = codegen::DataPlane().packet_threads;
   if (threads > 1 && prep.size() > 1 && HomogeneousDeviceType(workers)) {
@@ -196,14 +195,9 @@ int Executor::Route(const Pipeline& p, const PacketMeta& m,
                     const std::vector<Worker>& workers, size_t packet_index,
                     const LinkAvailFn& link_avail) const {
   switch (p.policy) {
-    case RoutingPolicy::kHashBased: {
-      // Route on the packet's partition id without touching its contents
-      // (the data-packing trait): all tuples of the packet share it.
-      const uint64_t h = m.partition_id >= 0
-                             ? static_cast<uint64_t>(m.partition_id)
-                             : packet_index;
-      return static_cast<int>(h % workers.size());
-    }
+    case RoutingPolicy::kHashBased:
+      // A fixed packet-to-worker map that reads no packet contents.
+      return static_cast<int>(packet_index % workers.size());
     case RoutingPolicy::kLocalityAware: {
       // Prefer the least-loaded worker co-located with the packet; ship to
       // the globally least-loaded worker only when it finishes earlier

@@ -63,9 +63,8 @@ class EventQueue {
 /// decision) is identical whether the packet body was already transformed
 /// by a worker thread or is still raw.
 struct PacketMeta {
-  uint64_t bytes = 0;       ///< byte_size() of the untransformed packet
-  int mem_node = 0;         ///< node holding the packet at admission
-  int32_t partition_id = -1;
+  uint64_t bytes = 0;  ///< byte_size() of the untransformed packet
+  int mem_node = 0;    ///< node holding the packet at admission
 };
 
 /// One logical consumer instance of a pipeline: a CPU core or a whole GPU.

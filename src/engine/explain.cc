@@ -275,17 +275,15 @@ std::string Engine::Explain(const QueryPlan& plan) const {
     w.Uint(i);
     w.Key("name");
     w.String(n.name);
-    if (n.source_table != nullptr) {
-      w.Key("source");
-      w.BeginObject();
-      w.Key("table");
-      w.String(n.source_table->name());
-      w.Key("columns");
-      w.BeginArray();
-      for (const auto& c : n.source_columns) w.String(c);
-      w.EndArray();
-      w.EndObject();
-    }
+    w.Key("source");
+    w.BeginObject();
+    w.Key("table");
+    w.String(n.source_table->name());
+    w.Key("columns");
+    w.BeginArray();
+    for (const auto& c : n.source_columns) w.String(c);
+    w.EndArray();
+    w.EndObject();
     w.Key("deps");
     IntArray(&w, n.deps);
     w.Key("run_on");
@@ -309,7 +307,7 @@ std::string Engine::Explain(const QueryPlan& plan) const {
     w.Key("declared");
     w.BeginObject();
     w.Key("source_rows");
-    w.Uint(n.source_rows);
+    w.Uint(n.source_rows());
     if (n.terminal.declared_rows > 0) {
       w.Key("build_rows");
       w.Uint(n.terminal.declared_rows);

@@ -27,7 +27,7 @@ using Stage = std::function<void(memory::Batch* batch,
 enum class RoutingPolicy {
   kLoadAware,      // earliest-finishing consumer, transfer-aware
   kLocalityAware,  // prefer consumers local to the packet's memory node
-  kHashBased,      // partition_id modulo consumer count
+  kHashBased,      // packet index modulo consumer count
 };
 
 const char* RoutingPolicyName(RoutingPolicy p);
@@ -54,9 +54,6 @@ struct Pipeline {
   /// nominal/actual data ratio: all recorded traffic is multiplied by this
   /// before costing, so paper-scale experiments can run on sampled data.
   double scale = 1.0;
-  /// Charge the sequential read of each source packet (table scans do;
-  /// pipelines over just-produced intermediates may not).
-  bool charge_source_read = true;
   std::vector<Stage> stages;
   std::unique_ptr<Sink> sink;
   RoutingPolicy policy = RoutingPolicy::kLoadAware;

@@ -120,30 +120,17 @@ CollectHandle PipelineBuilder::Collect() {
 PipelineBuilder PlanBuilder::Scan(const storage::TablePtr& table,
                                   const std::vector<std::string>& columns,
                                   size_t chunk_rows) {
-  std::vector<storage::ColumnPtr> selected;
-  selected.reserve(columns.size());
-  for (const auto& name : columns) selected.push_back(table->column(name));
+  for (const auto& name : columns) {
+    HAPE_CHECK(table->schema().IndexOf(name) >= 0)
+        << "no column " << name << " in table " << table->name();
+  }
+  HAPE_CHECK(chunk_rows > 0) << "scan of " << table->name()
+                             << " with zero rows per packet";
   PlanNode node;
   node.name = table->name();
-  node.inputs = memory::ChunkColumns(selected, table->num_rows(), chunk_rows,
-                                     table->home_node());
-  node.source_rows = table->num_rows();
   node.source_table = table;
   node.source_columns = columns;
   node.source_chunk_rows = chunk_rows;
-  nodes_.push_back(std::move(node));
-  return PipelineBuilder(this, static_cast<int>(nodes_.size()) - 1);
-}
-
-PipelineBuilder PlanBuilder::Source(std::string name,
-                                    std::vector<memory::Batch> inputs,
-                                    const SourceOptions& opts) {
-  PlanNode node;
-  node.name = std::move(name);
-  node.source_rows = TotalRows(inputs);
-  node.inputs = std::move(inputs);
-  node.scale = opts.scale;
-  node.charge_source_read = opts.charge_source_read;
   nodes_.push_back(std::move(node));
   return PipelineBuilder(this, static_cast<int>(nodes_.size()) - 1);
 }
@@ -169,8 +156,8 @@ QueryPlan PlanBuilder::Build() && {
 size_t PlanNode::BuildSizingRows() const {
   return terminal.declared_rows > 0
              ? static_cast<size_t>(
-                   std::min<uint64_t>(terminal.declared_rows, source_rows))
-             : source_rows;
+                   std::min<uint64_t>(terminal.declared_rows, source_rows()))
+             : source_rows();
 }
 
 std::vector<int> PlanNode::ProbedBuilds() const {
@@ -210,7 +197,6 @@ Status CheckWidth(const expr::ExprPtr& e, int width, const std::string& id,
 /// so an out-of-layout reference must be rejected before anything runs.
 Status CheckPacketWidths(const QueryPlan& plan, const PlanNode& node,
                          const std::string& id) {
-  if (node.source_table == nullptr) return Status::OK();
   int width = static_cast<int>(node.source_columns.size());
   for (const LogicalOp& op : node.ops) {
     switch (op.kind) {
@@ -266,10 +252,6 @@ Status QueryPlan::Validate(const sim::Topology* topo, const char** rule) const {
     if (node.terminal.kind == TerminalSpec::Kind::kNone) {
       return Reject(rule, lint::kRuleDanglingEdge, id + " has no sink");
     }
-    if (!node.charge_source_read && node.ops.empty()) {
-      return Reject(rule, lint::kRuleDanglingEdge,
-                    id + " has an empty stage chain");
-    }
     for (int d : node.deps) {
       if (d < 0 || d >= n) {
         return Reject(rule, lint::kRuleDanglingEdge,
@@ -296,12 +278,12 @@ Status QueryPlan::Validate(const sim::Topology* topo, const char** rule) const {
     if (Status st = CheckPacketWidths(*this, node, id); !st.ok()) {
       return Reject(rule, lint::kRuleColumnOutOfRange, st.message());
     }
-    if (node.terminal.declared_rows > node.source_rows) {
+    if (node.terminal.declared_rows > node.source_rows()) {
       return Reject(rule, lint::kRuleInvalidParameter,
                     id + " declares " +
                         std::to_string(node.terminal.declared_rows) +
                         " build rows but its source has " +
-                        std::to_string(node.source_rows));
+                        std::to_string(node.source_rows()));
     }
   }
   auto order = TopologicalOrder();

@@ -124,38 +124,29 @@ struct TerminalSpec {
   std::shared_ptr<std::vector<memory::Batch>> batches;
 };
 
-/// One node of a QueryPlan: a pipeline described as data — its source, its
-/// op chain and its terminal — plus the plan edges it depends on and the
-/// optimizer's estimates. Engine::BeginPlan compiles it into an executor
-/// Pipeline for every run.
+/// One node of a QueryPlan: a pipeline described as data — the table scan
+/// that feeds it, its op chain and its terminal — plus the plan edges it
+/// depends on and the optimizer's estimates. Engine::BeginPlan compiles it
+/// into an executor Pipeline for every run.
 struct PlanNode {
   std::string name;
   /// Nominal/actual data ratio (Pipeline::scale).
   double scale = 1.0;
-  /// Charge the sequential read of each source packet
-  /// (Pipeline::charge_source_read).
-  bool charge_source_read = true;
 
-  // ---- source ----
-  /// Scanned table (null for Source() pipelines) and the scanned columns,
-  /// in packet-column order. The optimizer binds per-column statistics
-  /// through these.
+  // ---- source: a table scan ----
+  /// Scanned table and the scanned columns, in packet-column order. The
+  /// optimizer binds per-column statistics through these.
   storage::TablePtr source_table;
   std::vector<std::string> source_columns;
-  /// Packet granularity the scan was declared with (actual rows per chunk;
-  /// 0 for Source() pipelines), so plan serialization (engine/plan_json.h)
-  /// can re-chunk the scan identically on load.
+  /// Actual rows per packet. Each run cuts its own packets, read-only views
+  /// of the scanned columns homed on the table's memory node; the plan
+  /// holds none.
   size_t source_chunk_rows = 0;
-  /// Source packets: read-only views of the scanned columns, or the
-  /// packets a Source() pipeline was given. A run copies the list.
-  std::vector<memory::Batch> inputs;
-  /// Rows feeding this pipeline.
-  size_t source_rows = 0;
 
   /// The fused op chain, in stage order.
   std::vector<LogicalOp> ops;
-  /// Pipelines that must finish before this one starts (build -> probe,
-  /// collect -> rescan, or explicit After()).
+  /// Pipelines that must finish before this one starts (build -> probe, or
+  /// explicit After()).
   std::vector<int> deps;
   /// Explicit device override; empty means "use the policy's device set".
   std::vector<int> run_on;
@@ -169,6 +160,8 @@ struct PlanNode {
   double est_cost_seconds = 0.0;
 
   bool is_build() const { return terminal.kind == TerminalSpec::Kind::kBuild; }
+  /// Rows feeding this pipeline: the scanned table's.
+  size_t source_rows() const { return source_table->num_rows(); }
   /// Rows a build's table is sized for: the declared rows, capped at the
   /// source, or the whole source when none are declared.
   size_t BuildSizingRows() const;
@@ -207,18 +200,16 @@ class QueryPlan {
 
   /// The one structural checker (PlanJson::Load, Engine::Optimize, Run and
   /// RunAll and the lint structure pass all call it). Every pipeline has a
-  /// terminal and a non-empty stage chain, dependency edges are in range
-  /// and acyclic, every probe names a build pipeline of this plan, every
-  /// expression and build payload column lies inside the packet layout at
-  /// its position (scanned columns, plus each probe's payload, replaced by
-  /// each projection; Source() pipelines have no declared width and are
-  /// skipped), (when `topo` is given) device overrides name known devices,
-  /// and no build declares more rows than its source has. Fail-fast: the
-  /// first fault is an InvalidArgument, and `*rule` (when non-null, set
-  /// only on failure) names the lint rule it breaks: HL001 missing
-  /// terminal/stages, dangling edge or foreign build, HL002 cycle, HL003
-  /// column outside the layout, HL005 unknown device, HL008 declared build
-  /// rows.
+  /// terminal, dependency edges are in range and acyclic, every probe names
+  /// a build pipeline of this plan, every expression and build payload
+  /// column lies inside the packet layout at its position (scanned columns,
+  /// plus each probe's payload, replaced by each projection), (when `topo`
+  /// is given) device overrides name known devices, and no build declares
+  /// more rows than its source has. Fail-fast: the first fault is an
+  /// InvalidArgument, and `*rule` (when non-null, set only on failure)
+  /// names the lint rule it breaks: HL001 missing terminal, dangling edge
+  /// or foreign build, HL002 cycle, HL003 column outside the layout, HL005
+  /// unknown device, HL008 declared build rows.
   Status Validate(const sim::Topology* topo = nullptr,
                   const char** rule = nullptr) const;
 
@@ -281,30 +272,18 @@ class PipelineBuilder {
   int node_;
 };
 
-/// Options of a Source pipeline head.
-struct SourceOptions {
-  double scale = 1.0;
-  /// Charge the sequential read of each source packet (table scans do;
-  /// pipelines over just-produced intermediates may not — they then have
-  /// an empty stage chain until ops are appended).
-  bool charge_source_read = true;
-};
-
-/// Constructs a QueryPlan: declare pipeline heads with Scan()/Source(),
-/// chain fused stages, terminate each pipeline with a sink, then Build().
+/// Constructs a QueryPlan: declare pipeline heads with Scan(), chain fused
+/// stages, terminate each pipeline with a sink, then Build().
 class PlanBuilder {
  public:
   explicit PlanBuilder(std::string name) : name_(std::move(name)) {}
 
   /// Table-scan pipeline over `columns` of `table`, chunked into packets of
-  /// `chunk_rows` actual rows homed on the table's memory node.
+  /// `chunk_rows` actual rows homed on the table's memory node. Records the
+  /// scan only; each run cuts its own packets.
   PipelineBuilder Scan(const storage::TablePtr& table,
                        const std::vector<std::string>& columns,
                        size_t chunk_rows);
-
-  /// Pipeline over pre-chunked packets.
-  PipelineBuilder Source(std::string name, std::vector<memory::Batch> inputs,
-                         const SourceOptions& opts = {});
 
   /// Declare the operator-at-a-time materialization footprint (see
   /// QueryPlan::declared_intermediate_bytes).

@@ -349,12 +349,6 @@ Status WritePlanObject(JsonWriter* w, const QueryPlan& plan) {
   w->BeginArray();
   for (size_t i = 0; i < plan.num_pipelines(); ++i) {
     const PlanNode& n = plan.node(static_cast<int>(i));
-    if (n.source_table == nullptr) {
-      return Status::NotSupported(
-          "plan '" + plan.name() + "' pipeline '" + n.name +
-          "' is a Source() pipeline over in-memory packets; only table-scan "
-          "plans are serializable");
-    }
     w->BeginObject();
     w->Key("id");
     w->Uint(i);

@@ -62,9 +62,9 @@ struct LoadedPlan {
 /// QueryPlan::Validate, so everything a hand-edited manifest can get wrong
 /// (unknown tables/columns/devices, dangling or cyclic probe edges, column
 /// references outside the packet layout, malformed expressions) becomes a
-/// Status error — never a crash. Only table-scan plans are serializable:
-/// Source() pipelines over in-memory packets have no stable external name
-/// and Dump rejects them.
+/// Status error — never a crash. Every pipeline is a table scan, so every
+/// plan has a document: a scan is named by its table, columns and chunk
+/// rows.
 class PlanJson {
  public:
   /// Document format tag ("format" key) accepted by Load.

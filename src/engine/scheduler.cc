@@ -192,7 +192,7 @@ uint64_t Scheduler::EstimatedResidentBytes(const QueryPlan& plan,
     const uint64_t rows =
         n.est_nominal_out_rows > 0
             ? n.est_nominal_out_rows
-            : static_cast<uint64_t>(n.source_rows * n.scale);
+            : static_cast<uint64_t>(n.source_rows() * n.scale);
     const uint64_t payload_bytes = 8 * n.terminal.payload.size();
     const uint64_t bytes = ops::ChainedHashTable::NominalBytes(rows,
                                                                payload_bytes);

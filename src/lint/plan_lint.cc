@@ -79,8 +79,7 @@ void PassColumns(LintReport* r, const QueryPlan& plan,
   for (int i = 0; i < n; ++i) {
     const PlanNode& node = plan.node(i);
     const std::string path = PipePath(plan, i);
-    if (catalog != nullptr && node.source_table != nullptr &&
-        !catalog->Contains(node.source_table->name())) {
+    if (catalog != nullptr && !catalog->Contains(node.source_table->name())) {
       r->Add(kRuleUnknownTableOrColumn, path,
              "table '" + node.source_table->name() +
                  "' is not in the catalog");

@@ -11,17 +11,13 @@ namespace hape::memory {
 /// A packet: the unit of data flow between operators and devices (§3,
 /// "data packing" trait). A Batch holds chunk-sized columns. A scan
 /// packet's columns are read-only views of the table's (see ChunkColumns);
-/// stages that make new data replace a column, never write into one.
-/// Metadata lets the router take routing decisions without touching the
-/// data:
-///   - `mem_node`     : which simulated memory currently holds the packet;
-///   - `partition_id` : if >= 0, every tuple in the packet shares this
-///                      hash-partition id (the paper's packing property).
+/// stages that make new data replace a column, never write into one. The
+/// router decides on metadata alone, without touching the data: the
+/// packet's size and `mem_node`, the simulated memory that holds it.
 struct Batch {
   std::vector<storage::ColumnPtr> columns;
   size_t rows = 0;
   int mem_node = 0;
-  int32_t partition_id = -1;
 
   uint64_t byte_size() const {
     uint64_t total = 0;

@@ -13,17 +13,9 @@ using engine::QueryPlan;
 namespace {
 
 /// Binding of a scan pipeline's base layout: per-column stats looked up by
-/// the scanned column names (all null for Source() pipelines).
+/// the scanned column names.
 StatsBinding BaseBinding(const PlanNode& node, const StatsCatalog& stats) {
   StatsBinding binding;
-  if (node.source_table == nullptr) {
-    // Pre-chunked Source(): no schema information; column count from the
-    // first input packet, if any.
-    const size_t cols =
-        node.inputs.empty() ? 0 : node.inputs[0].columns.size();
-    binding.assign(cols, nullptr);
-    return binding;
-  }
   const TableStats* ts = stats.Get(node.source_table->name());
   binding.reserve(node.source_columns.size());
   for (const auto& name : node.source_columns) {
@@ -39,18 +31,16 @@ Status CardinalityEstimator::EstimateNode(const QueryPlan& plan, int node_idx,
   const PlanNode& node = plan.node(node_idx);
   NodeEstimate& ne = est->nodes[node_idx];
 
-  if (node.source_table != nullptr) {
-    // Statistics describe the stored rows, whatever scale a plan runs the
-    // table at: collect on first sight, and again only if the table's row
-    // count changed (shared catalogs outlive single plans).
-    const TableStats* cached = stats_->Get(node.source_table->name());
-    if (cached == nullptr ||
-        cached->actual_rows != node.source_table->num_rows()) {
-      stats_->Collect(*node.source_table);
-    }
+  // Statistics describe the stored rows, whatever scale a plan runs the
+  // table at: collect on first sight, and again only if the table's row
+  // count changed (shared catalogs outlive single plans).
+  const TableStats* cached = stats_->Get(node.source_table->name());
+  if (cached == nullptr ||
+      cached->actual_rows != node.source_table->num_rows()) {
+    stats_->Collect(*node.source_table);
   }
 
-  ne.source_rows = static_cast<double>(node.source_rows);
+  ne.source_rows = static_cast<double>(node.source_rows());
   ne.binding = BaseBinding(node, *stats_);
 
   double rows = ne.source_rows;

@@ -28,15 +28,6 @@ constexpr uint64_t kHeavyBuildThresholdBytes = 256ull << 20;
 /// greedy ordering.
 constexpr int kDpMaxJoins = 8;
 
-/// Number of base (pre-join) columns of a pipeline's packets.
-int BaseColumns(const PlanNode& node) {
-  if (node.source_table != nullptr) {
-    return static_cast<int>(node.source_columns.size());
-  }
-  return node.inputs.empty() ? 0
-                             : static_cast<int>(node.inputs[0].columns.size());
-}
-
 /// Per-tuple processing weight of an op for the ordering DP. A probe
 /// dereferences the hash table (typically a cache-missing random access,
 /// worth on the order of a dozen simple ops) on top of evaluating its key;
@@ -59,17 +50,18 @@ double OpWeight(const LogicalOp& op) {
   return 1.0;
 }
 
-/// Bytes of one build-payload value of `node` (falls back to 8 for columns
-/// whose type the schema cannot resolve, e.g. join-appended ones).
+/// Bytes of scanned column `col` of `node`.
+uint64_t ScannedValueBytes(const PlanNode& node, int col) {
+  return storage::TypeSize(
+      node.source_table->column(node.source_columns[col])->type());
+}
+
+/// Bytes of one build-payload value of `node` (8 for join-appended
+/// columns, whose type the plan does not record).
 uint64_t PayloadValueBytes(const PlanNode& node, int col) {
-  if (node.source_table != nullptr &&
-      col < static_cast<int>(node.source_columns.size())) {
-    const int f = node.source_table->schema().IndexOf(node.source_columns[col]);
-    if (f >= 0) {
-      return storage::TypeSize(node.source_table->schema().field(f).type);
-    }
-  }
-  return 8;
+  return col < static_cast<int>(node.source_columns.size())
+             ? ScannedValueBytes(node, col)
+             : 8;
 }
 
 }  // namespace
@@ -231,7 +223,7 @@ Status Optimizer::ReorderNode(QueryPlan* plan, int node_idx,
   }
 
   // Producer map: which op appends each column of the final layout.
-  const int base = BaseColumns(node);
+  const int base = static_cast<int>(node.source_columns.size());
   int total = base;
   for (const LogicalOp& op : node.ops) total += plan->AppendedColumns(op);
   std::vector<int> producer(total, -1);
@@ -278,7 +270,7 @@ void Optimizer::ApplyOrder(QueryPlan* plan, int node_idx,
                            const std::vector<int>& order) {
   PlanNode& node = plan->mutable_node(node_idx);
   const int n = static_cast<int>(node.ops.size());
-  const int base = BaseColumns(node);
+  const int base = static_cast<int>(node.source_columns.size());
 
   // Column remapping: probe payloads move to their position in the new
   // probe order; base columns stay put.
@@ -332,10 +324,14 @@ double Optimizer::EstimateSeconds(const QueryPlan& plan, int node_idx,
   const std::vector<int>& base_set =
       node.is_build() ? policy.build_devices : policy.devices;
 
-  // Nominal input footprint and a coarse per-tuple op count.
-  uint64_t bytes = 0;
-  for (const memory::Batch& b : node.inputs) bytes += b.byte_size();
-  bytes = static_cast<uint64_t>(bytes * node.scale);
+  // Nominal input footprint (scanned rows x scanned row width) and a
+  // coarse per-tuple op count.
+  uint64_t row_bytes = 0;
+  for (int c = 0; c < static_cast<int>(node.source_columns.size()); ++c) {
+    row_bytes += ScannedValueBytes(node, c);
+  }
+  const uint64_t bytes =
+      static_cast<uint64_t>(node.source_rows() * row_bytes * node.scale);
   double ops = est.nodes[node_idx].source_rows;
   for (size_t i = 0; i < node.ops.size(); ++i) {
     const LogicalOp& op = node.ops[i];
@@ -402,7 +398,7 @@ Result<OptimizeResult> Optimizer::OptimizePlan(
         t.ht_buckets = NextPow2(
             static_cast<uint64_t>(std::min(
                 est.nodes[idx].out_rows,
-                static_cast<double>(node.source_rows))) +
+                static_cast<double>(node.source_rows()))) +
             16);
       }
       d.ht_buckets = t.ht_buckets;

@@ -53,7 +53,6 @@ class Table {
   const ColumnPtr& column(const std::string& name) const;
   uint64_t byte_size() const;
   int home_node() const { return home_node_; }
-  void set_home_node(int node) { home_node_ = node; }
 
  private:
   std::string name_;

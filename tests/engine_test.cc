@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "engine/executor.h"
 #include "engine/sinks.h"
 #include "engine/stages.h"
@@ -285,22 +287,42 @@ TEST_F(ExecutorTest, ScaleMultipliesTraffic) {
             ts.traffic.dram_seq_read_bytes * 500);
 }
 
-TEST_F(ExecutorTest, HashPolicyHonorsPartitionId) {
+/// Records which worker consumed each packet, keyed by the packet's rows.
+class WorkerRecordingSink : public Sink {
+ public:
+  void Consume(int worker, memory::Batch&& batch, sim::TrafficStats*,
+               const codegen::Backend&) override {
+    worker_of_rows[batch.rows] = worker;
+  }
+  std::map<size_t, int> worker_of_rows;
+};
+
+TEST_F(ExecutorTest, HashPolicyRoutesPacketIToWorkerIModN) {
+  // Hybrid: one worker per CPU core, then one per GPU.
+  std::vector<int> devices = topo_.CpuDeviceIds();
+  for (int g : topo_.GpuDeviceIds()) devices.push_back(g);
+  int workers = 0;
+  for (int d : devices) {
+    const sim::Device& dev = topo_.device(d);
+    workers += dev.type == sim::DeviceType::kCpu ? dev.cpu.cores : 1;
+  }
+  ASSERT_GT(workers, 2);
   Pipeline p;
   p.policy = RoutingPolicy::kHashBased;
-  for (int i = 0; i < 4; ++i) {
-    auto b = MakeBatch({1}, {1});
-    b.partition_id = 7;  // same partition -> same worker
-    p.inputs.push_back(std::move(b));
+  const int packets = 2 * workers + 3;
+  for (int i = 0; i < packets; ++i) {  // packet i holds i + 1 rows
+    p.inputs.push_back(MakeBatch(std::vector<int64_t>(i + 1, 1),
+                                 std::vector<double>(i + 1, 1), i % 2));
   }
-  auto st = ex_.Run(&p, topo_.CpuDeviceIds());
-  EXPECT_EQ(st.packets, 4u);
-  // All four packets serialized on one worker: finish ~ 4x one packet.
-  Pipeline q;
-  q.policy = RoutingPolicy::kLoadAware;
-  for (int i = 0; i < 4; ++i) q.inputs.push_back(MakeBatch({1}, {1}));
-  auto st2 = ex_.Run(&q, topo_.CpuDeviceIds());
-  EXPECT_GE(st.seconds(), st2.seconds());
+  auto owned = std::make_unique<WorkerRecordingSink>();
+  const WorkerRecordingSink* sink = owned.get();
+  p.sink = std::move(owned);
+  EXPECT_EQ(ex_.Run(&p, devices).packets, static_cast<uint64_t>(packets));
+  ASSERT_EQ(sink->worker_of_rows.size(), static_cast<size_t>(packets));
+  for (const auto& [rows, worker] : sink->worker_of_rows) {
+    EXPECT_EQ(worker, static_cast<int>(rows - 1) % workers)
+        << "packet " << rows - 1;
+  }
 }
 
 TEST_F(ExecutorTest, BroadcastMulticastBeatsRepeatedUnicast) {

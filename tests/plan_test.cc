@@ -9,6 +9,7 @@
 #include "engine/engine.h"
 #include "engine/plan.h"
 #include "engine/policy.h"
+#include "engine/scheduler.h"
 #include "lint/diagnostic.h"
 #include "sim/topology.h"
 #include "storage/column.h"
@@ -19,43 +20,35 @@ namespace {
 
 using expr::Expr;
 
-std::vector<memory::Batch> MakeBatches(int packets, size_t rows_per_packet) {
-  std::vector<memory::Batch> out;
-  for (int p = 0; p < packets; ++p) {
-    memory::Batch b;
-    b.rows = rows_per_packet;
-    std::vector<int64_t> keys(rows_per_packet);
-    std::vector<double> vals(rows_per_packet);
-    for (size_t i = 0; i < rows_per_packet; ++i) {
-      keys[i] = static_cast<int64_t>(i % 10);
-      vals[i] = 1.0;
-    }
-    b.columns = {std::make_shared<storage::Column>(std::move(keys)),
-                 std::make_shared<storage::Column>(std::move(vals))};
-    out.push_back(std::move(b));
-  }
-  return out;
-}
-
-/// Two-column table (k int64, v float64) for Scan pipelines, whose packet
-/// width Validate checks.
-storage::TablePtr TinyTable() {
+/// Two-column table `name` (k int64 = row % 10, v float64 = 1.0) of `rows`
+/// rows.
+storage::TablePtr KvTable(const std::string& name, size_t rows) {
   auto schema = std::make_shared<storage::Schema>(std::vector<storage::Field>{
       {"k", storage::DataType::kInt64}, {"v", storage::DataType::kFloat64}});
+  std::vector<int64_t> keys(rows);
+  for (size_t i = 0; i < rows; ++i) keys[i] = static_cast<int64_t>(i % 10);
   return std::make_shared<storage::Table>(
-      "tiny", schema,
+      name, schema,
       std::vector<storage::ColumnPtr>{
-          std::make_shared<storage::Column>(std::vector<int64_t>{1, 2, 3}),
-          std::make_shared<storage::Column>(
-              std::vector<double>{0.5, 1.5, 2.5})});
+          std::make_shared<storage::Column>(std::move(keys)),
+          std::make_shared<storage::Column>(std::vector<double>(rows, 1.0))});
+}
+
+/// A scan of both columns of KvTable(name, packets x rows_per_packet), in
+/// packets of `rows_per_packet` rows.
+PipelineBuilder ScanKv(PlanBuilder* b, const std::string& name, int packets,
+                       size_t rows_per_packet) {
+  return b->Scan(KvTable(name, packets * rows_per_packet), {"k", "v"},
+                 rows_per_packet);
 }
 
 // ---- builder round-trip ------------------------------------------------------
 
 TEST(PlanBuilder, RoundTripStructure) {
   PlanBuilder b("round-trip");
-  auto pipe = b.Source("scan", MakeBatches(2, 64));
-  pipe.Filter(Expr::Gt(Expr::Col(0), Expr::Int(3)));
+  const storage::TablePtr table = KvTable("scan", 128);
+  auto pipe = b.Scan(table, {"v", "k"}, 64);
+  pipe.Filter(Expr::Gt(Expr::Col(1), Expr::Int(3)));
   AggHandle agg = pipe.Aggregate(nullptr,
                                  {AggDef{AggOp::kCount, nullptr}});
   QueryPlan plan = std::move(b).Build();
@@ -64,8 +57,12 @@ TEST(PlanBuilder, RoundTripStructure) {
   ASSERT_EQ(plan.num_pipelines(), 1u);
   const PlanNode& node = plan.node(0);
   EXPECT_EQ(node.name, "scan");
-  EXPECT_TRUE(node.charge_source_read);  // scan stage ...
-  EXPECT_EQ(node.ops.size(), 1u);        // ... + filter
+  // The node records the scan, not its packets.
+  EXPECT_EQ(node.source_table, table);
+  EXPECT_EQ(node.source_columns, (std::vector<std::string>{"v", "k"}));
+  EXPECT_EQ(node.source_chunk_rows, 64u);
+  EXPECT_EQ(node.source_rows(), 128u);
+  EXPECT_EQ(node.ops.size(), 1u);
   EXPECT_EQ(node.terminal.kind, TerminalSpec::Kind::kAggregate);
   EXPECT_TRUE(node.deps.empty());
   EXPECT_EQ(agg.pipeline(), 0);
@@ -75,8 +72,8 @@ TEST(PlanBuilder, RoundTripStructure) {
 TEST(PlanBuilder, BuildProbeCreatesDependencyEdge) {
   PlanBuilder b("join");
   BuildHandle build =
-      b.Source("build-side", MakeBatches(1, 32)).HashBuild(Expr::Col(0), {1});
-  auto probe = b.Source("probe-side", MakeBatches(1, 32));
+      ScanKv(&b, "build-side", 1, 32).HashBuild(Expr::Col(0), {1});
+  auto probe = ScanKv(&b, "probe-side", 1, 32);
   probe.Probe(build, Expr::Col(0));
   probe.Aggregate(nullptr, {AggDef{AggOp::kCount, nullptr}});
   QueryPlan plan = std::move(b).Build();
@@ -98,7 +95,7 @@ TEST(PlanBuilder, BuildProbeCreatesDependencyEdge) {
 
 TEST(QueryPlan, ValidateRejectsMissingSink) {
   PlanBuilder b("no-sink");
-  b.Source("scan", MakeBatches(1, 8));  // no terminal
+  ScanKv(&b, "scan", 1, 8);  // no terminal
   QueryPlan plan = std::move(b).Build();
   const char* rule = nullptr;
   const Status st = plan.Validate(nullptr, &rule);
@@ -108,23 +105,10 @@ TEST(QueryPlan, ValidateRejectsMissingSink) {
   EXPECT_STREQ(rule, lint::kRuleDanglingEdge);
 }
 
-TEST(QueryPlan, ValidateRejectsEmptyStageChain) {
-  PlanBuilder b("no-stages");
-  auto pipe = b.Source("intermediates", MakeBatches(1, 8),
-                       SourceOptions{1.0, /*charge_source_read=*/false});
-  pipe.Collect();
-  QueryPlan plan = std::move(b).Build();
-  const char* rule = nullptr;
-  const Status st = plan.Validate(nullptr, &rule);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("empty stage chain"), std::string::npos);
-  EXPECT_STREQ(rule, lint::kRuleDanglingEdge);
-}
-
 TEST(QueryPlan, ValidateRejectsDependencyCycle) {
   PlanBuilder b("cycle");
-  auto a = b.Source("a", MakeBatches(1, 8));
-  auto c = b.Source("c", MakeBatches(1, 8));
+  auto a = ScanKv(&b, "a", 1, 8);
+  auto c = ScanKv(&b, "c", 1, 8);
   a.After(c.id()).Collect();
   c.After(a.id()).Collect();
   QueryPlan plan = std::move(b).Build();
@@ -139,7 +123,7 @@ TEST(QueryPlan, ValidateRejectsDependencyCycle) {
 TEST(QueryPlan, ValidateRejectsUnknownDeviceId) {
   sim::Topology topo = sim::Topology::PaperServer();
   PlanBuilder b("bad-device");
-  auto pipe = b.Source("scan", MakeBatches(1, 8));
+  auto pipe = ScanKv(&b, "scan", 1, 8);
   pipe.OnDevices({42});
   pipe.Collect();
   QueryPlan plan = std::move(b).Build();
@@ -155,11 +139,11 @@ TEST(QueryPlan, ValidateRejectsUnknownDeviceId) {
 TEST(QueryPlan, ValidateRejectsForeignJoinState) {
   PlanBuilder other("other");
   BuildHandle foreign =
-      other.Source("build", MakeBatches(1, 8)).HashBuild(Expr::Col(0), {1});
+      ScanKv(&other, "build", 1, 8).HashBuild(Expr::Col(0), {1});
   QueryPlan other_plan = std::move(other).Build();
 
   PlanBuilder b("probing");
-  auto probe = b.Source("probe", MakeBatches(1, 8));
+  auto probe = ScanKv(&b, "probe", 1, 8);
   probe.Probe(foreign, Expr::Col(0));
   probe.Collect();
   QueryPlan plan = std::move(b).Build();
@@ -174,7 +158,7 @@ TEST(QueryPlan, ValidateRejectsForeignJoinState) {
 // position: scanned columns, plus each probe's payload, replaced by each
 // projection.
 TEST(QueryPlan, ValidateRejectsColumnsPastThePacketWidth) {
-  const storage::TablePtr tiny = TinyTable();
+  const storage::TablePtr tiny = KvTable("tiny", 3);
   const auto count = std::vector<AggDef>{AggDef{AggOp::kCount, nullptr}};
   struct Case {
     const char* what;
@@ -266,13 +250,6 @@ TEST(QueryPlan, ValidateRejectsColumnsPastThePacketWidth) {
     EXPECT_FALSE(plan.Validate(nullptr, &rule).ok()) << what;
     EXPECT_STREQ(rule, lint::kRuleColumnOutOfRange) << what;
   }
-
-  // Source() pipelines have no declared width: their references pass.
-  PlanBuilder src("source");
-  auto pipe = src.Source("packets", MakeBatches(1, 8));
-  pipe.Filter(Expr::Gt(Expr::Col(7), Expr::Int(0)));
-  pipe.Aggregate(nullptr, count);
-  EXPECT_TRUE(std::move(src).Build().Validate().ok());
 }
 
 // ---- policy ------------------------------------------------------------------
@@ -322,7 +299,7 @@ class EngineFacadeTest : public ::testing::Test {
 
 TEST_F(EngineFacadeTest, RunsAggPlanAndReportsPerPipelineStats) {
   PlanBuilder b("mini-agg");
-  auto pipe = b.Source("scan", MakeBatches(4, 100));
+  auto pipe = ScanKv(&b, "scan", 4, 100);
   AggHandle agg = pipe.Aggregate(Expr::Col(0),
                                  {AggDef{AggOp::kSum, Expr::Col(1)},
                                   AggDef{AggOp::kCount, nullptr}});
@@ -346,7 +323,7 @@ TEST_F(EngineFacadeTest, RunsAggPlanAndReportsPerPipelineStats) {
 // unchecked column access; Validate rejects it before any admission work.
 TEST_F(EngineFacadeTest, RunRejectsColumnPastThePacketWidth) {
   PlanBuilder b("too-wide");
-  auto pipe = b.Scan(TinyTable(), {"k"}, 2);
+  auto pipe = b.Scan(KvTable("tiny", 3), {"k"}, 2);
   pipe.Filter(Expr::Gt(Expr::Col(5), Expr::Int(0)));
   pipe.Aggregate(nullptr, {AggDef{AggOp::kCount, nullptr}});
   QueryPlan plan = std::move(b).Build();
@@ -363,8 +340,8 @@ TEST_F(EngineFacadeTest, RunRejectsColumnPastThePacketWidth) {
 TEST_F(EngineFacadeTest, ProbeStartsAfterBuildFinishes) {
   PlanBuilder b("ordered");
   BuildHandle build =
-      b.Source("build", MakeBatches(2, 200)).HashBuild(Expr::Col(0), {1});
-  auto probe = b.Source("probe", MakeBatches(2, 200));
+      ScanKv(&b, "build", 2, 200).HashBuild(Expr::Col(0), {1});
+  auto probe = ScanKv(&b, "probe", 2, 200);
   probe.Probe(build, Expr::Col(0));
   probe.Aggregate(nullptr, {AggDef{AggOp::kCount, nullptr}});
   QueryPlan plan = std::move(b).Build();
@@ -384,8 +361,8 @@ TEST_F(EngineFacadeTest, ProbeStartsAfterBuildFinishes) {
 TEST_F(EngineFacadeTest, GpuProbePlacementBroadcastsTables) {
   PlanBuilder b("gpu-placed");
   BuildHandle build =
-      b.Source("build", MakeBatches(1, 100)).HashBuild(Expr::Col(0), {1});
-  auto probe = b.Source("probe", MakeBatches(2, 100));
+      ScanKv(&b, "build", 1, 100).HashBuild(Expr::Col(0), {1});
+  auto probe = ScanKv(&b, "probe", 2, 100);
   probe.Probe(build, Expr::Col(0));
   probe.Aggregate(nullptr, {AggDef{AggOp::kCount, nullptr}});
   QueryPlan plan = std::move(b).Build();
@@ -409,11 +386,11 @@ TEST_F(EngineFacadeTest, MultiLevelJoinDagPlacesTablesPerLevel) {
   // expecting every build to precede the first probe.
   PlanBuilder b("two-level");
   BuildHandle a =
-      b.Source("build-a", MakeBatches(1, 50)).HashBuild(Expr::Col(0), {1});
-  auto mid = b.Source("mid", MakeBatches(1, 50));
+      ScanKv(&b, "build-a", 1, 50).HashBuild(Expr::Col(0), {1});
+  auto mid = ScanKv(&b, "mid", 1, 50);
   mid.Probe(a, Expr::Col(0));
   BuildHandle bh = mid.HashBuild(Expr::Col(0), {1});
-  auto probe = b.Source("probe", MakeBatches(1, 50));
+  auto probe = ScanKv(&b, "probe", 1, 50);
   probe.Probe(bh, Expr::Col(0));
   probe.Aggregate(nullptr, {AggDef{AggOp::kCount, nullptr}});
   QueryPlan plan = std::move(b).Build();
@@ -430,7 +407,7 @@ TEST_F(EngineFacadeTest, MultiLevelJoinDagPlacesTablesPerLevel) {
 
 TEST_F(EngineFacadeTest, OperatorAtATimeAdmissionRejectsBigIntermediates) {
   PlanBuilder b("too-big");
-  auto pipe = b.Source("scan", MakeBatches(1, 8));
+  auto pipe = ScanKv(&b, "scan", 1, 8);
   pipe.Aggregate(nullptr, {AggDef{AggOp::kCount, nullptr}});
   b.DeclareMaterializedIntermediate(64ull * sim::kGiB, "materialized scan");
   QueryPlan plan = std::move(b).Build();
@@ -490,10 +467,10 @@ std::string CostRecord(const RunStats& rs) {
 // from the first run would price the second run's build differently.
 TEST_F(EngineFacadeTest, PlansRunAgainOnAnyEngine) {
   PlanBuilder b("again");
-  auto build = b.Source("build", MakeBatches(2, 50));
+  auto build = ScanKv(&b, "build", 2, 50);
   build.Scale(1e6);
   BuildHandle h = build.HashBuild(Expr::Col(0), {1});
-  auto probe = b.Source("probe", MakeBatches(4, 100));
+  auto probe = ScanKv(&b, "probe", 4, 100);
   probe.Scale(1e6);
   probe.Probe(h, Expr::Col(0));
   AggHandle agg = probe.Aggregate(Expr::Col(0),
@@ -533,9 +510,62 @@ TEST_F(EngineFacadeTest, PlansRunAgainOnAnyEngine) {
   }
 }
 
+// A plan records its scans and holds no packets: declaring, dumping,
+// loading, optimizing and submitting it take no reference to a scanned
+// column, and the views a run cuts are gone once Run or RunAll returns.
+TEST_F(EngineFacadeTest, PlansHoldNoScanViews) {
+  const storage::TablePtr build_table = KvTable("build", 100);
+  const storage::TablePtr probe_table = KvTable("probe", 400);
+  storage::Catalog catalog;
+  ASSERT_TRUE(catalog.Register(build_table).ok());
+  ASSERT_TRUE(catalog.Register(probe_table).ok());
+  const auto use_counts = [&] {
+    std::vector<long> counts;
+    for (const storage::TablePtr& t : {build_table, probe_table}) {
+      for (int c = 0; c < t->num_columns(); ++c) {
+        counts.push_back(t->column(c).use_count());
+      }
+    }
+    return counts;
+  };
+  const std::vector<long> start = use_counts();
+
+  PlanBuilder b("views");
+  BuildHandle h =
+      b.Scan(build_table, {"k", "v"}, 30).HashBuild(Expr::Col(0), {1});
+  auto probe = b.Scan(probe_table, {"k", "v"}, 64);
+  probe.Probe(h, Expr::Col(0));
+  AggHandle agg = probe.Aggregate(Expr::Col(0),
+                                  {AggDef{AggOp::kSum, Expr::Col(2)}});
+  QueryPlan plan = std::move(b).Build();
+  EXPECT_EQ(use_counts(), start) << "Scan";
+
+  const ExecutionPolicy policy =
+      ExecutionPolicy::ForConfig(topo_, EngineConfig::kProteusHybrid);
+  auto dumped = eng_.DumpPlan(plan);
+  ASSERT_TRUE(dumped.ok()) << dumped.status().ToString();
+  auto loaded = eng_.LoadPlan(dumped.value(), catalog);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(use_counts(), start) << "DumpPlan/LoadPlan";
+  ASSERT_TRUE(eng_.Optimize(&plan, policy).ok());
+  EXPECT_EQ(use_counts(), start) << "Optimize";
+
+  ASSERT_TRUE(eng_.Run(&plan, policy).ok());
+  EXPECT_EQ(agg.result().size(), 10u);
+  EXPECT_EQ(use_counts(), start) << "Run";
+
+  eng_.Submit(std::move(plan));
+  eng_.Submit(std::move(loaded.value().plan));
+  EXPECT_EQ(use_counts(), start) << "Submit";
+  topo_.Reset();
+  ASSERT_TRUE(eng_.RunAll(policy).ok());
+  EXPECT_EQ(agg.result().size(), 10u);
+  EXPECT_EQ(use_counts(), start) << "RunAll";
+}
+
 TEST_F(EngineFacadeTest, RejectsPolicyWithoutDevices) {
   PlanBuilder b("no-devices");
-  auto pipe = b.Source("scan", MakeBatches(1, 8));
+  auto pipe = ScanKv(&b, "scan", 1, 8);
   pipe.Aggregate(nullptr, {AggDef{AggOp::kCount, nullptr}});
   QueryPlan plan = std::move(b).Build();
   ExecutionPolicy policy;  // empty device set
@@ -557,7 +587,7 @@ TEST_F(EngineFacadeTest, RejectsOutOfRangePolicyFactors) {
   };
   for (const auto& c : cases) {
     PlanBuilder b("ranges");
-    auto pipe = b.Source("scan", MakeBatches(1, 8));
+    auto pipe = ScanKv(&b, "scan", 1, 8);
     pipe.Aggregate(nullptr, {AggDef{AggOp::kCount, nullptr}});
     QueryPlan plan = std::move(b).Build();
     ExecutionPolicy policy;
