@@ -85,20 +85,6 @@ void BumpParallelPackets(uint64_t n) {
 
 namespace kernels {
 
-// ---- casts -----------------------------------------------------------------
-
-void CastI32ToF64(const int32_t* in, size_t n, double* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = static_cast<double>(in[i]);
-}
-
-void CastI64ToF64(const int64_t* in, size_t n, double* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = static_cast<double>(in[i]);
-}
-
-void CastF64ToI64(const double* in, size_t n, int64_t* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = static_cast<int64_t>(in[i]);
-}
-
 // ---- elementwise arithmetic ------------------------------------------------
 
 void BinaryOpF64(BinOp op, const double* l, const double* r, size_t n,
@@ -151,60 +137,73 @@ namespace {
 /// Branch-free select: every row stores its index at out[m] and only the
 /// predicate advances m, so an unpredictable filter costs no mispredicted
 /// branches. m <= i < n at each store, so every write stays inside the
-/// caller's n-entry buffer. Rows reach `keep` as doubles: integer columns
-/// widen first, the scalar reference's rule.
-template <typename T, typename Keep>
-size_t SelectWhere(const T* v, size_t n, uint32_t* out, Keep keep) {
+/// caller's n-entry buffer. `row(i)` reads row i as a double: integer
+/// columns widen first, the scalar reference's rule.
+template <typename Row, typename Keep>
+size_t SelectWhere(Row row, size_t n, uint32_t* out, Keep keep) {
   size_t m = 0;
   for (size_t i = 0; i < n; ++i) {
     out[m] = static_cast<uint32_t>(i);
-    m += keep(static_cast<double>(v[i]));
+    m += keep(row(i));
   }
   return m;
 }
 
-template <typename T>
-size_t SelectCmp(const T* v, BinOp op, double lit, size_t n, uint32_t* out) {
-  Bump(GlobalCounters().filter_rows, n);
+template <typename Row>
+size_t SelectCmp(Row row, BinOp op, double lit, size_t n, uint32_t* out) {
   switch (op) {
     case BinOp::kEq:
-      return SelectWhere(v, n, out, [lit](double x) { return x == lit; });
+      return SelectWhere(row, n, out, [lit](double x) { return x == lit; });
     case BinOp::kNe:
-      return SelectWhere(v, n, out, [lit](double x) { return x != lit; });
+      return SelectWhere(row, n, out, [lit](double x) { return x != lit; });
     case BinOp::kLt:
-      return SelectWhere(v, n, out, [lit](double x) { return x < lit; });
+      return SelectWhere(row, n, out, [lit](double x) { return x < lit; });
     case BinOp::kLe:
-      return SelectWhere(v, n, out, [lit](double x) { return x <= lit; });
+      return SelectWhere(row, n, out, [lit](double x) { return x <= lit; });
     case BinOp::kGt:
-      return SelectWhere(v, n, out, [lit](double x) { return x > lit; });
+      return SelectWhere(row, n, out, [lit](double x) { return x > lit; });
     case BinOp::kGe:
-      return SelectWhere(v, n, out, [lit](double x) { return x >= lit; });
+      return SelectWhere(row, n, out, [lit](double x) { return x >= lit; });
     default:
       HAPE_CHECK(false) << "SelectCmp requires a comparison op";
       return 0;
   }
 }
 
+template <typename T>
+size_t SelectCmpColumn(const T* v, const uint32_t* rows, BinOp op, double lit,
+                       size_t n, uint32_t* out) {
+  Bump(GlobalCounters().filter_rows, n);
+  if (rows == nullptr) {
+    return SelectCmp([v](size_t i) { return static_cast<double>(v[i]); }, op,
+                     lit, n, out);
+  }
+  return SelectCmp(
+      [v, rows](size_t i) { return static_cast<double>(v[rows[i]]); }, op,
+      lit, n, out);
+}
+
 }  // namespace
 
 size_t SelectNonZero(const double* v, size_t n, uint32_t* out) {
   Bump(GlobalCounters().filter_rows, n);
-  return SelectWhere(v, n, out, [](double x) { return x != 0; });
+  return SelectWhere([v](size_t i) { return v[i]; }, n, out,
+                     [](double x) { return x != 0; });
 }
 
 size_t SelectCmpF64(const double* v, BinOp op, double lit, size_t n,
-                    uint32_t* out) {
-  return SelectCmp(v, op, lit, n, out);
+                    uint32_t* out, const uint32_t* rows) {
+  return SelectCmpColumn(v, rows, op, lit, n, out);
 }
 
 size_t SelectCmpI64(const int64_t* v, BinOp op, double lit, size_t n,
-                    uint32_t* out) {
-  return SelectCmp(v, op, lit, n, out);
+                    uint32_t* out, const uint32_t* rows) {
+  return SelectCmpColumn(v, rows, op, lit, n, out);
 }
 
 size_t SelectCmpI32(const int32_t* v, BinOp op, double lit, size_t n,
-                    uint32_t* out) {
-  return SelectCmp(v, op, lit, n, out);
+                    uint32_t* out, const uint32_t* rows) {
+  return SelectCmpColumn(v, rows, op, lit, n, out);
 }
 
 // ---- hashing ---------------------------------------------------------------

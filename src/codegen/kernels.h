@@ -81,12 +81,6 @@ enum class BinOp {
   kOr,
 };
 
-// ---- column casts ----------------------------------------------------------
-
-void CastI32ToF64(const int32_t* in, size_t n, double* out);
-void CastI64ToF64(const int64_t* in, size_t n, double* out);
-void CastF64ToI64(const double* in, size_t n, int64_t* out);
-
 // ---- elementwise arithmetic ------------------------------------------------
 
 /// out[i] = l[i] op r[i]. One operation per call (expression trees issue one
@@ -107,13 +101,14 @@ size_t SelectNonZero(const double* v, size_t n, uint32_t* out);
 /// `column <op> literal`: no intermediate 0/1 buffer is materialized.
 /// Integer inputs are compared *as doubles* to preserve the scalar
 /// reference's widening semantics. op must be a comparison. As in
-/// SelectNonZero, out must hold n entries whatever the selectivity.
+/// SelectNonZero, out must hold n entries whatever the selectivity. Row i
+/// reads v[i], or v[rows[i]] when `rows` (a column's selection) is given.
 size_t SelectCmpF64(const double* v, BinOp op, double lit, size_t n,
-                    uint32_t* out);
+                    uint32_t* out, const uint32_t* rows = nullptr);
 size_t SelectCmpI64(const int64_t* v, BinOp op, double lit, size_t n,
-                    uint32_t* out);
+                    uint32_t* out, const uint32_t* rows = nullptr);
 size_t SelectCmpI32(const int32_t* v, BinOp op, double lit, size_t n,
-                    uint32_t* out);
+                    uint32_t* out, const uint32_t* rows = nullptr);
 
 // ---- hashing ---------------------------------------------------------------
 

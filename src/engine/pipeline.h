@@ -13,12 +13,12 @@
 namespace hape::engine {
 
 /// One fused pipeline stage produced by code generation: transforms a
-/// packet in place (filter compacts, probe expands, project rewrites) and
-/// records the *logical* traffic the generated code would cause on the
-/// executing backend. Intermediate results stay "in registers": only
-/// operator-specific structure accesses and pipeline endpoints touch memory
-/// — the JIT property that distinguishes the engine from the vector-at-a-
-/// time baseline.
+/// packet in place (filter and probe narrow its selections, a probe also
+/// appends payload, project rewrites) and records the *logical* traffic
+/// the generated code would cause on the executing backend. Intermediate
+/// results stay "in registers": only operator-specific structure accesses
+/// and pipeline endpoints touch memory — the JIT property that
+/// distinguishes the engine from the vector-at-a-time baseline.
 using Stage = std::function<void(memory::Batch* batch,
                                  sim::TrafficStats* traffic,
                                  const codegen::Backend& backend)>;

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "expr/eval.h"
+#include "memory/gather.h"
 
 namespace hape::engine {
 
@@ -16,6 +17,13 @@ void CollectSink::Consume(int worker, memory::Batch&& batch,
   (void)worker;
   (void)backend;
   traffic->dram_seq_write_bytes += batch.byte_size();
+  // Result packets are stored dense: gather each selected column once.
+  for (int c = 0; c < batch.num_columns(); ++c) {
+    if (const memory::Selection* sel = batch.selection(c)) {
+      batch.columns[c] = memory::Take(*batch.columns[c], *sel);
+    }
+  }
+  batch.selections.clear();
   batches_->push_back(std::move(batch));
 }
 
@@ -59,7 +67,7 @@ void BuildSink::Consume(int worker, memory::Batch&& batch,
                                 batch.rows, base);
     for (size_t c = 0; c < payload_cols_.size(); ++c) {
       state_->payload.columns[c]->AppendColumn(
-          *batch.columns[payload_cols_[c]]);
+          *batch.columns[payload_cols_[c]], batch.selection(payload_cols_[c]));
     }
   } else {
     for (size_t i = 0; i < batch.rows; ++i) {
@@ -67,12 +75,13 @@ void BuildSink::Consume(int worker, memory::Batch&& batch,
     }
     for (size_t c = 0; c < payload_cols_.size(); ++c) {
       const storage::Column& src = *batch.columns[payload_cols_[c]];
+      const memory::Selection* sel = batch.selection(payload_cols_[c]);
       storage::Column& dst = *state_->payload.columns[c];
       for (size_t i = 0; i < batch.rows; ++i) {
         if (src.type() == storage::DataType::kFloat64) {
-          dst.AppendDouble(src.GetDouble(i));
+          dst.AppendDouble(src.GetDouble(memory::Row(sel, i)));
         } else {
-          dst.AppendInt(src.GetInt(i));
+          dst.AppendInt(src.GetInt(memory::Row(sel, i)));
         }
       }
     }

@@ -18,7 +18,8 @@ uint64_t TotalRows(const std::vector<memory::Batch>& batches);
 
 /// Materializes result packets (the mem-move / device-crossing boundary of
 /// a broken plan, or the query result itself) into `out`, a result cell a
-/// plan's CollectHandle may share.
+/// plan's CollectHandle may share. It gathers each column that arrives
+/// through a selection, so the stored packets are dense.
 class CollectSink final : public Sink {
  public:
   explicit CollectSink(std::shared_ptr<std::vector<memory::Batch>> out =

@@ -24,7 +24,7 @@ Stage FilterStage(expr::ExprPtr pred) {
     (void)backend;
     t->tuple_ops += b->rows * (pred->OpCount() + 1);
     auto sel = expr::Eval::SelectedRows(*pred, *b);
-    if (sel.size() != b->rows) memory::TakeBatch(b, sel);
+    if (sel.size() != b->rows) memory::SelectRows(b, std::move(sel));
   };
 }
 
@@ -42,6 +42,7 @@ Stage ProjectStage(std::vector<expr::ExprPtr> exprs) {
     }
     t->tuple_ops += b->rows * (ops + 1);
     b->columns = std::move(out);
+    b->selections.clear();
   };
 }
 
@@ -98,10 +99,20 @@ Stage ProbeStage(JoinStatePtr state, expr::ExprPtr key_expr) {
       }
     }
 
-    // ---- output: probe columns gathered + build payload appended ----
-    memory::TakeBatch(b, probe_rows);
+    // ---- output: the packet narrowed to the matched probe rows, unless
+    // every key matched exactly once, in order; then the build payload,
+    // read through one shared selection of the matched build rows ----
+    bool every_row_once = probe_rows.size() == b->rows;
+    for (size_t i = 0; every_row_once && i < probe_rows.size(); ++i) {
+      every_row_once = probe_rows[i] == i;
+    }
+    if (!every_row_once) memory::SelectRows(b, std::move(probe_rows));
+    b->selections.resize(b->columns.size());
+    const auto payload_rows =
+        std::make_shared<const memory::Selection>(std::move(build_rows));
     for (const auto& c : state->payload.columns) {
-      b->columns.push_back(memory::Take(*c, build_rows));
+      b->columns.push_back(c);
+      b->selections.push_back(payload_rows);
     }
   };
 }

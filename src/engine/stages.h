@@ -14,7 +14,8 @@ namespace hape::engine {
 /// executor's mem-move before the pipeline runs.)
 Stage ScanStage();
 
-/// Fused selection: evaluates `pred` per tuple and compacts the packet.
+/// Fused selection: evaluates `pred` per tuple and narrows the packet's
+/// selections to the survivors (memory::SelectRows); no column is copied.
 /// Costs predicate ops only — survivors stay in registers (JIT fusion).
 Stage FilterStage(expr::ExprPtr pred);
 
@@ -24,8 +25,9 @@ Stage ProjectStage(std::vector<expr::ExprPtr> exprs);
 
 /// Fused hash-join probe against `state`. The probe key is
 /// `key_expr` (often a plain column, sometimes a composite such as
-/// partkey * S + suppkey). Matching build-payload columns are appended to
-/// the packet; non-matching tuples are dropped (inner join).
+/// partkey * S + suppkey). Non-matching tuples are dropped (inner join) by
+/// narrowing the packet's selections; the build's payload columns are
+/// appended uncopied, read through one selection of the matched build rows.
 Stage ProbeStage(JoinStatePtr state, expr::ExprPtr key_expr);
 
 }  // namespace hape::engine

@@ -1,7 +1,6 @@
 #include "expr/eval.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "codegen/kernels.h"
 #include "common/logging.h"
@@ -110,15 +109,18 @@ bool LiteralValue(const Expr& e, double* out) {
 }
 
 // ---- scalar reference plane -------------------------------------------------
-// The original per-row implementation, kept verbatim as the differential
-// oracle for the kernel plane (kScalar mode runs only this).
+// The original per-row implementation, kept as the differential oracle for
+// the kernel plane (kScalar mode runs only this).
 
 std::vector<double> ScalarDoubles(const Expr& e, const memory::Batch& b) {
   std::vector<double> out(b.rows);
   switch (e.kind()) {
     case ExprKind::kColRef: {
       const auto& col = *b.columns[e.col_index()];
-      for (size_t i = 0; i < b.rows; ++i) out[i] = col.GetDouble(i);
+      const memory::Selection* sel = b.selection(e.col_index());
+      for (size_t i = 0; i < b.rows; ++i) {
+        out[i] = col.GetDouble(memory::Row(sel, i));
+      }
       return out;
     }
     case ExprKind::kLitInt:
@@ -143,24 +145,37 @@ std::vector<double> ScalarDoubles(const Expr& e, const memory::Batch& b) {
 }
 
 // ---- vectorized plane -------------------------------------------------------
-// Same tree walk, but each node issues one batch kernel: column reads are
+// Same tree walk, but each node issues one batch loop: column reads are
 // type-specialized bulk casts instead of per-row GetDouble switches, and
 // arithmetic runs one hoisted-op loop per node (codegen/kernels.h). Every
-// kernel is elementwise with one operation per row — no reassociation, no
+// loop is elementwise with one operation per row — no reassociation, no
 // FMA contraction — so results are bit-identical to ScalarDoubles.
 
-void VecColumnToF64(const storage::Column& col, size_t rows, double* out) {
+/// out[i] = packet row i of `v` (through `sel` unless null), cast to Out.
+template <typename Out, typename T>
+void CastRows(const T* v, const memory::Selection* sel, size_t rows,
+              Out* out) {
+  if (sel == nullptr) {
+    for (size_t i = 0; i < rows; ++i) out[i] = static_cast<Out>(v[i]);
+    return;
+  }
+  const uint32_t* r = sel->data();
+  for (size_t i = 0; i < rows; ++i) out[i] = static_cast<Out>(v[r[i]]);
+}
+
+/// Column `c` of `b`, read through its selection and cast to Out.
+template <typename Out>
+void CastColumn(const memory::Batch& b, int c, Out* out) {
+  const storage::Column& col = *b.columns[c];
+  const memory::Selection* sel = b.selection(c);
   using storage::DataType;
   switch (col.type()) {
     case DataType::kInt32:
-      codegen::kernels::CastI32ToF64(col.i32().data(), rows, out);
-      return;
+      return CastRows(col.i32().data(), sel, b.rows, out);
     case DataType::kInt64:
-      codegen::kernels::CastI64ToF64(col.i64().data(), rows, out);
-      return;
+      return CastRows(col.i64().data(), sel, b.rows, out);
     case DataType::kFloat64:
-      std::memcpy(out, col.f64().data(), rows * sizeof(double));
-      return;
+      return CastRows(col.f64().data(), sel, b.rows, out);
   }
 }
 
@@ -168,7 +183,7 @@ void VecInto(const Expr& e, const memory::Batch& b, double* out) {
   const size_t rows = b.rows;
   switch (e.kind()) {
     case ExprKind::kColRef:
-      VecColumnToF64(*b.columns[e.col_index()], rows, out);
+      CastColumn(b, e.col_index(), out);
       return;
     case ExprKind::kLitInt:
       std::fill(out, out + rows, static_cast<double>(e.int_value()));
@@ -212,21 +227,23 @@ bool TrySelectCmp(const Expr& e, const memory::Batch& b,
     return false;
   }
   const storage::Column& col = *b.columns[lhs->col_index()];
+  const memory::Selection* col_sel = b.selection(lhs->col_index());
+  const uint32_t* rows = col_sel == nullptr ? nullptr : col_sel->data();
   sel->resize(b.rows);
   size_t m = 0;
   using storage::DataType;
   switch (col.type()) {
     case DataType::kInt32:
       m = codegen::kernels::SelectCmpI32(col.i32().data(), op, lit, b.rows,
-                                         sel->data());
+                                         sel->data(), rows);
       break;
     case DataType::kInt64:
       m = codegen::kernels::SelectCmpI64(col.i64().data(), op, lit, b.rows,
-                                         sel->data());
+                                         sel->data(), rows);
       break;
     case DataType::kFloat64:
       m = codegen::kernels::SelectCmpF64(col.f64().data(), op, lit, b.rows,
-                                         sel->data());
+                                         sel->data(), rows);
       break;
   }
   sel->resize(m);
@@ -238,7 +255,8 @@ bool TrySelectCmp(const Expr& e, const memory::Batch& b,
 double Eval::ScalarDouble(const Expr& e, const memory::Batch& b, size_t i) {
   switch (e.kind()) {
     case ExprKind::kColRef:
-      return b.columns[e.col_index()]->GetDouble(i);
+      return b.columns[e.col_index()]->GetDouble(
+          memory::Row(b.selection(e.col_index()), i));
     case ExprKind::kLitInt:
       return static_cast<double>(e.int_value());
     case ExprKind::kLitDouble:
@@ -266,27 +284,16 @@ std::vector<double> Eval::Doubles(const Expr& e, const memory::Batch& b) {
 std::vector<int64_t> Eval::Ints(const Expr& e, const memory::Batch& b) {
   if (b.rows == 0) return {};  // see Doubles: the column may not exist yet
   if (e.kind() == ExprKind::kColRef) {
-    const auto& col = *b.columns[e.col_index()];
     std::vector<int64_t> out(b.rows);
     if (codegen::VectorizedPlane()) {
-      using storage::DataType;
-      switch (col.type()) {
-        case DataType::kInt32: {
-          const auto s = col.i32();
-          for (size_t i = 0; i < b.rows; ++i) out[i] = s[i];
-          return out;
-        }
-        case DataType::kInt64:
-          std::memcpy(out.data(), col.i64().data(),
-                      b.rows * sizeof(int64_t));
-          return out;
-        case DataType::kFloat64:
-          codegen::kernels::CastF64ToI64(col.f64().data(), b.rows,
-                                         out.data());
-          return out;
-      }
+      CastColumn(b, e.col_index(), out.data());
+      return out;
     }
-    for (size_t i = 0; i < b.rows; ++i) out[i] = col.GetInt(i);
+    const auto& col = *b.columns[e.col_index()];
+    const memory::Selection* sel = b.selection(e.col_index());
+    for (size_t i = 0; i < b.rows; ++i) {
+      out[i] = col.GetInt(memory::Row(sel, i));
+    }
     return out;
   }
   auto d = Doubles(e, b);

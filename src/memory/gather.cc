@@ -1,5 +1,8 @@
 #include "memory/gather.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace hape::memory {
 
 storage::ColumnPtr Take(const storage::Column& col,
@@ -28,9 +31,27 @@ storage::ColumnPtr Take(const storage::Column& col,
   return nullptr;
 }
 
-void TakeBatch(Batch* b, std::span<const uint32_t> rows) {
-  for (auto& c : b->columns) c = Take(*c, rows);
-  b->rows = rows.size();
+void SelectRows(Batch* b, Selection rows) {
+  const auto fresh = std::make_shared<const Selection>(std::move(rows));
+  // (old, composed) pairs; keeping `old` alive keeps its address unique.
+  std::vector<std::pair<SelectionPtr, SelectionPtr>> composed;
+  b->selections.resize(b->columns.size());
+  for (SelectionPtr& s : b->selections) {
+    if (s == nullptr) {
+      s = fresh;
+      continue;
+    }
+    auto it = std::find_if(composed.begin(), composed.end(),
+                           [&](const auto& p) { return p.first == s; });
+    if (it == composed.end()) {
+      Selection c(fresh->size());
+      for (size_t i = 0; i < c.size(); ++i) c[i] = (*s)[(*fresh)[i]];
+      composed.emplace_back(s, std::make_shared<const Selection>(std::move(c)));
+      it = composed.end() - 1;
+    }
+    s = it->second;
+  }
+  b->rows = fresh->size();
 }
 
 }  // namespace hape::memory

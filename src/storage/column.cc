@@ -5,8 +5,15 @@ namespace hape::storage {
 namespace {
 
 template <typename T>
-void Extend(std::vector<T>& dst, std::span<const T> src) {
-  dst.insert(dst.end(), src.begin(), src.end());
+void Extend(std::vector<T>& dst, std::span<const T> src,
+            const std::vector<uint32_t>* rows) {
+  if (rows == nullptr) {
+    dst.insert(dst.end(), src.begin(), src.end());
+    return;
+  }
+  const size_t base = dst.size();
+  dst.resize(base + rows->size());
+  for (size_t i = 0; i < rows->size(); ++i) dst[base + i] = src[(*rows)[i]];
 }
 
 }  // namespace
@@ -98,26 +105,30 @@ void Column::AppendDouble(double v) {
   }
 }
 
-void Column::AppendColumn(const Column& src) {
+void Column::AppendColumn(const Column& src,
+                          const std::vector<uint32_t>* rows) {
   CheckOwned();
   if (type_ == src.type_) {
     switch (type_) {
       case DataType::kInt32:
-        Extend(mutable_i32(), src.i32());
+        Extend(mutable_i32(), src.i32(), rows);
         return;
       case DataType::kInt64:
-        Extend(mutable_i64(), src.i64());
+        Extend(mutable_i64(), src.i64(), rows);
         return;
       case DataType::kFloat64:
-        Extend(mutable_f64(), src.f64());
+        Extend(mutable_f64(), src.f64(), rows);
         return;
     }
   }
-  const size_t n = src.size();
-  if (src.type_ == DataType::kFloat64) {
-    for (size_t i = 0; i < n; ++i) AppendDouble(src.GetDouble(i));
-  } else {
-    for (size_t i = 0; i < n; ++i) AppendInt(src.GetInt(i));
+  const size_t n = rows == nullptr ? src.size() : rows->size();
+  for (size_t i = 0; i < n; ++i) {
+    const size_t r = rows == nullptr ? i : (*rows)[i];
+    if (src.type_ == DataType::kFloat64) {
+      AppendDouble(src.GetDouble(r));
+    } else {
+      AppendInt(src.GetInt(r));
+    }
   }
 }
 

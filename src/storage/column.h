@@ -73,11 +73,13 @@ class Column {
   double GetDouble(size_t i) const;
   void AppendInt(int64_t v);
   void AppendDouble(double v);
-  /// Append every value of `src` (an owning column or a view). Same-type
-  /// appends are a bulk vector insert; mixed types fall back to the
+  /// Append every value of `src` (an owning column or a view), or, given
+  /// `rows`, the values at those rows of `src`, in order (a gather-append).
+  /// Same-type appends are one bulk pass; mixed types fall back to the
   /// per-row widening appends above (bit-identical to a GetInt/GetDouble +
   /// Append loop).
-  void AppendColumn(const Column& src);
+  void AppendColumn(const Column& src,
+                    const std::vector<uint32_t>* rows = nullptr);
   void Reserve(size_t n);
 
   const void* raw_data() const;

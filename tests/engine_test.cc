@@ -22,6 +22,11 @@ memory::Batch MakeBatch(std::vector<int64_t> keys, std::vector<double> vals,
   return b;
 }
 
+/// Packet row `i` of column `c`, read through the column's selection.
+double At(const memory::Batch& b, int c, size_t i) {
+  return b.columns[c]->GetDouble(memory::Row(b.selection(c), i));
+}
+
 // ---- batch & gather ----------------------------------------------------------
 
 TEST(Batch, ChunkColumnsSplitsEvenly) {
@@ -60,13 +65,44 @@ TEST(Gather, TakeReordersAndRepeats) {
   EXPECT_EQ(out->i32()[2], 7);
 }
 
-TEST(Gather, TakeBatchAppliesToAllColumns) {
+TEST(Gather, SelectRowsAppliesToAllColumns) {
   auto b = MakeBatch({10, 20, 30}, {1, 2, 3});
-  std::vector<uint32_t> rows{1};
-  memory::TakeBatch(&b, rows);
+  const auto before = b.columns;
+  memory::SelectRows(&b, {1});
   EXPECT_EQ(b.rows, 1u);
-  EXPECT_EQ(b.columns[0]->i64()[0], 20);
-  EXPECT_DOUBLE_EQ(b.columns[1]->f64()[0], 2.0);
+  EXPECT_EQ(b.columns, before);  // narrowed, not copied
+  EXPECT_EQ(At(b, 0, 0), 20);
+  EXPECT_DOUBLE_EQ(At(b, 1, 0), 2.0);
+  EXPECT_EQ(b.byte_size(), 8u + 8u);  // logical: rows x width
+}
+
+TEST(Gather, SelectRowsComposesEachSharedSelectionOnce) {
+  // Columns 0/1 were narrowed together; 2/3 arrived through their own
+  // shared selection (a probe's payload).
+  auto b = MakeBatch({10, 20, 30, 40}, {1, 2, 3, 4});
+  memory::SelectRows(&b, {3, 1, 0});
+  ASSERT_EQ(b.selections[0], b.selections[1]);
+  const auto payload = std::make_shared<const memory::Selection>(
+      memory::Selection{2, 2, 0});
+  b.columns.push_back(std::make_shared<storage::Column>(
+      std::vector<int32_t>{7, 8, 9}));
+  b.columns.push_back(std::make_shared<storage::Column>(
+      std::vector<double>{0.5, 1.5, 2.5}));
+  b.selections.push_back(payload);
+  b.selections.push_back(payload);
+
+  memory::SelectRows(&b, {2, 0});
+  ASSERT_EQ(b.rows, 2u);
+  ASSERT_EQ(b.selections.size(), 4u);
+  EXPECT_EQ(b.selections[0], b.selections[1]);
+  EXPECT_EQ(b.selections[2], b.selections[3]);
+  EXPECT_NE(b.selections[0], b.selections[2]);
+  EXPECT_EQ(*b.selections[0], (memory::Selection{0, 3}));
+  EXPECT_EQ(*b.selections[2], (memory::Selection{0, 2}));
+  EXPECT_EQ(At(b, 0, 0), 10);
+  EXPECT_EQ(At(b, 0, 1), 40);
+  EXPECT_EQ(At(b, 2, 0), 7);
+  EXPECT_DOUBLE_EQ(At(b, 3, 1), 2.5);
 }
 
 // ---- stages -------------------------------------------------------------------
@@ -85,8 +121,20 @@ TEST(Stages, FilterCompactsAndCharges) {
   codegen::CpuBackend be{sim::CpuSpec{}};
   FilterStage(Expr::Gt(Expr::Col(0), Expr::Int(2)))(&b, &t, be);
   EXPECT_EQ(b.rows, 2u);
-  EXPECT_EQ(b.columns[0]->i64()[0], 3);
+  EXPECT_EQ(At(b, 0, 0), 3);
+  EXPECT_DOUBLE_EQ(At(b, 1, 1), 4.0);
   EXPECT_GT(t.tuple_ops, 0u);
+}
+
+TEST(Stages, FilterKeepsEveryColumnPtr) {
+  auto b = MakeBatch({1, 2, 3, 4}, {1, 2, 3, 4});
+  const auto before = b.columns;
+  sim::TrafficStats t;
+  codegen::CpuBackend be{sim::CpuSpec{}};
+  FilterStage(Expr::Lt(Expr::Col(1), Expr::Double(2.5)))(&b, &t, be);
+  ASSERT_EQ(b.rows, 2u);
+  EXPECT_EQ(b.columns, before);
+  EXPECT_EQ(b.selections[0], b.selections[1]);
 }
 
 TEST(Stages, ProjectReplacesColumns) {
@@ -119,10 +167,50 @@ TEST(Stages, ProbeInnerJoinAppendsPayload) {
   ProbeStage(state, Expr::Col(0))(&b, &t, be);
   ASSERT_EQ(b.rows, 2u);  // 300 dropped
   ASSERT_EQ(b.num_columns(), 3);
-  EXPECT_EQ(b.columns[0]->i64()[0], 200);
-  EXPECT_DOUBLE_EQ(b.columns[2]->f64()[0], 2.5);  // matched build payload
-  EXPECT_EQ(b.columns[0]->i64()[1], 100);
-  EXPECT_DOUBLE_EQ(b.columns[2]->f64()[1], 1.5);
+  EXPECT_EQ(At(b, 0, 0), 200);
+  EXPECT_DOUBLE_EQ(At(b, 1, 0), 7.0);
+  EXPECT_DOUBLE_EQ(At(b, 2, 0), 2.5);  // matched build payload
+  EXPECT_EQ(At(b, 0, 1), 100);
+  EXPECT_DOUBLE_EQ(At(b, 1, 1), 9.0);
+  EXPECT_DOUBLE_EQ(At(b, 2, 1), 1.5);
+}
+
+TEST(Stages, ProbeMatchingEveryRowOnceInOrderLeavesThePacket) {
+  auto state = MakeJoinState({3, 1, 2}, {30, 10, 20});
+  auto b = MakeBatch({1, 2, 3}, {7, 8, 9});
+  memory::SelectRows(&b, {0, 1, 2});  // a selection the probe must keep
+  const auto columns = b.columns;
+  const auto selections = b.selections;
+  sim::TrafficStats t;
+  codegen::CpuBackend be{sim::CpuSpec{}};
+  ProbeStage(state, Expr::Col(0))(&b, &t, be);
+  ASSERT_EQ(b.rows, 3u);
+  ASSERT_EQ(b.num_columns(), 3);
+  EXPECT_EQ(b.columns[0], columns[0]);
+  EXPECT_EQ(b.columns[1], columns[1]);
+  EXPECT_EQ(b.selections[0], selections[0]);
+  EXPECT_EQ(b.selections[1], selections[1]);
+  EXPECT_DOUBLE_EQ(At(b, 2, 0), 10.0);
+  EXPECT_DOUBLE_EQ(At(b, 2, 2), 30.0);
+}
+
+TEST(Stages, ProbePayloadColumnsShareOneSelection) {
+  auto state = MakeJoinState({100, 200}, {1.5, 2.5});
+  state->payload.columns.push_back(
+      std::make_shared<storage::Column>(std::vector<int32_t>{-1, -2}));
+  auto b = MakeBatch({200, 300, 200}, {7, 8, 9});
+  sim::TrafficStats t;
+  codegen::CpuBackend be{sim::CpuSpec{}};
+  ProbeStage(state, Expr::Col(0))(&b, &t, be);
+  ASSERT_EQ(b.rows, 2u);
+  ASSERT_EQ(b.num_columns(), 4);
+  EXPECT_EQ(b.columns[2], state->payload.columns[0]);  // not copied
+  EXPECT_EQ(b.columns[3], state->payload.columns[1]);
+  EXPECT_EQ(b.selections[2], b.selections[3]);
+  EXPECT_NE(b.selections[0], b.selections[2]);
+  EXPECT_DOUBLE_EQ(At(b, 2, 1), 2.5);
+  EXPECT_EQ(At(b, 3, 1), -2);
+  EXPECT_DOUBLE_EQ(At(b, 1, 1), 9.0);
 }
 
 TEST(Stages, ProbeDuplicateBuildKeysExpand) {
@@ -132,6 +220,20 @@ TEST(Stages, ProbeDuplicateBuildKeysExpand) {
   codegen::CpuBackend be{sim::CpuSpec{}};
   ProbeStage(state, Expr::Col(0))(&b, &t, be);
   EXPECT_EQ(b.rows, 2u);
+}
+
+TEST(Stages, ProbeKeepingTheRowCountStillNarrows) {
+  // Row 0 matches twice and row 1 not at all: as many rows as before, but
+  // not each row once.
+  auto state = MakeJoinState({5, 5}, {1.0, 2.0});
+  auto b = MakeBatch({5, 6}, {0.25, 0.5});
+  sim::TrafficStats t;
+  codegen::CpuBackend be{sim::CpuSpec{}};
+  ProbeStage(state, Expr::Col(0))(&b, &t, be);
+  ASSERT_EQ(b.rows, 2u);
+  EXPECT_EQ(At(b, 0, 1), 5);
+  EXPECT_DOUBLE_EQ(At(b, 1, 1), 0.25);
+  EXPECT_DOUBLE_EQ(At(b, 2, 0) + At(b, 2, 1), 3.0);
 }
 
 TEST(Stages, ProbeGpuPartitionedAvoidsRandomTraffic) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "codegen/kernels.h"
 #include "expr/eval.h"
 #include "expr/expr.h"
 #include "memory/batch.h"
+#include "memory/gather.h"
 
 namespace hape::expr {
 namespace {
@@ -131,6 +133,33 @@ TEST(Expr, VectorizedMatchesScalar) {
   for (size_t i = 0; i < b.rows; ++i) {
     EXPECT_DOUBLE_EQ(vec[i], Eval::ScalarDouble(*e, b, i));
   }
+}
+
+TEST(Expr, ReadsColumnsThroughTheirSelections) {
+  const codegen::DataPlaneConfig saved = codegen::DataPlane();
+  for (const auto mode :
+       {codegen::KernelMode::kScalar, codegen::KernelMode::kVectorized}) {
+    codegen::SetDataPlane({mode, 1});
+    auto b = MakeBatch();
+    memory::SelectRows(&b, {3, 1, 1});  // logical rows: 4, 2, 2
+    EXPECT_EQ(Eval::Doubles(*Expr::Col(1), b),
+              (std::vector<double>{3.5, 1.5, 1.5}));
+    EXPECT_EQ(Eval::Ints(*Expr::Col(2), b),
+              (std::vector<int64_t>{40, 20, 20}));
+    EXPECT_EQ(Eval::Ints(*Expr::Col(0), b), (std::vector<int64_t>{4, 2, 2}));
+    EXPECT_DOUBLE_EQ(Eval::ScalarDouble(*Expr::Col(2), b, 0), 40.0);
+    // The fused compare+select, both operand orders, and the generic path.
+    EXPECT_EQ(Eval::SelectedRows(*Expr::Lt(Expr::Col(1), Expr::Int(2)), b),
+              (std::vector<uint32_t>{1, 2}));
+    EXPECT_EQ(Eval::SelectedRows(*Expr::Lt(Expr::Int(30), Expr::Col(2)), b),
+              (std::vector<uint32_t>{0}));
+    EXPECT_EQ(Eval::SelectedRows(
+                  *Expr::And(Expr::Ge(Expr::Col(0), Expr::Int(2)),
+                             Expr::Lt(Expr::Col(2), Expr::Int(25))),
+                  b),
+              (std::vector<uint32_t>{1, 2}));
+  }
+  codegen::SetDataPlane(saved);
 }
 
 TEST(Expr, EmptyBatch) {

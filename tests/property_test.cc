@@ -5,13 +5,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
+#include <numeric>
+#include <random>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "codegen/kernels.h"
 #include "common/hash.h"
 #include "coproc/coproc_join.h"
+#include "engine/executor.h"
+#include "engine/sinks.h"
+#include "engine/stages.h"
+#include "expr/eval.h"
+#include "memory/gather.h"
 #include "ops/join_kernels.h"
 #include "sim/topology.h"
 #include "storage/datagen.h"
@@ -343,6 +353,445 @@ INSTANTIATE_TEST_SUITE_P(
                       PlaneWorkload{8192, 8192, 0, 4},    // mostly unique
                       PlaneWorkload{5000, 512, 0.75, 5},  // zipf skew
                       PlaneWorkload{4097, 64, 1.1, 6}));  // hot chains
+
+// ---- late materialization: stage chains against an eager gather -----------
+//
+// Property: filters and probes that narrow packets by composing selections
+// (memory::SelectRows), and sinks that gather only the columns they store,
+// give byte-identical sink results and equal traffic to an eager reference
+// that gathers every column after every filter and probe (the data plane
+// before selections), on both data planes. Packets are views of generated
+// i32/i64/f64 columns holding NaN, ±0 and ±inf; chains mix every predicate
+// shape, projections, and probes of unique (each row matches once, in
+// order), duplicate, partly missing and all-missing build keys.
+
+using engine::JoinState;
+using engine::JoinStatePtr;
+using engine::Stage;
+using expr::Expr;
+using expr::ExprKind;
+using expr::ExprPtr;
+
+constexpr int kKeys = 48;  // integer columns hold keys in [-8, kKeys)
+
+enum class StepKind { kFilter, kProject, kProbe };
+
+/// One operation of a generated chain.
+struct Step {
+  StepKind kind;
+  ExprPtr expr;                // filter predicate or probe key
+  std::vector<ExprPtr> exprs;  // projection
+  JoinStatePtr state;          // probed table
+};
+
+Stage LateStage(const Step& s) {
+  switch (s.kind) {
+    case StepKind::kFilter:
+      return engine::FilterStage(s.expr);
+    case StepKind::kProject:
+      return engine::ProjectStage(s.exprs);
+    case StepKind::kProbe:
+      return engine::ProbeStage(s.state, s.expr);
+  }
+  return nullptr;
+}
+
+/// The reference: the engine's stage charges the traffic (on a copy of the
+/// dense packet, whose output is dropped); a filter or probe then gathers
+/// every column of the packet itself, as the data plane did before
+/// selections, and a probe gathers the payload it appends.
+Stage EagerStage(const Step& s) {
+  if (s.kind == StepKind::kProject) return LateStage(s);
+  return [s, charge = LateStage(s)](memory::Batch* b, sim::TrafficStats* t,
+                                    const codegen::Backend& backend) {
+    memory::Batch copy = *b;
+    charge(&copy, t, backend);
+    std::vector<uint32_t> rows;
+    std::vector<uint32_t> build_rows;
+    if (s.kind == StepKind::kFilter) {
+      rows = expr::Eval::SelectedRows(*s.expr, *b);
+    } else {
+      const std::vector<int64_t> keys = expr::Eval::Ints(*s.expr, *b);
+      for (size_t i = 0; i < b->rows; ++i) {
+        s.state->ht.ForEachMatch(keys[i], [&](uint32_t r) {
+          rows.push_back(static_cast<uint32_t>(i));
+          build_rows.push_back(r);
+        });
+      }
+    }
+    ASSERT_TRUE(b->selections.empty());
+    for (auto& c : b->columns) c = memory::Take(*c, rows);
+    b->rows = rows.size();
+    if (s.kind == StepKind::kProbe) {
+      for (const auto& c : s.state->payload.columns) {
+        b->columns.push_back(memory::Take(*c, build_rows));
+      }
+    }
+  };
+}
+
+template <typename T>
+void Put(std::string* out, const T& v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+/// The type and value bytes of a dense column of `rows` rows.
+void PutColumn(std::string* out, const storage::Column& c, size_t rows) {
+  EXPECT_EQ(c.size(), rows) << "a stored column is not dense";
+  Put(out, static_cast<int>(c.type()));
+  Put(out, rows);
+  out->append(static_cast<const char*>(c.raw_data()),
+              rows * storage::TypeSize(c.type()));
+}
+
+void PutBatches(std::string* out, const std::vector<memory::Batch>& bs) {
+  for (const memory::Batch& b : bs) {
+    EXPECT_TRUE(b.selections.empty()) << "a collected packet kept selections";
+    Put(out, b.num_columns());
+    for (const auto& c : b.columns) PutColumn(out, *c, b.rows);
+  }
+}
+
+/// Every field of a pipeline run that the cost model and the caller read.
+std::string StatsBytes(const engine::ExecStats& s) {
+  std::string out;
+  const sim::TrafficStats& t = s.traffic;
+  for (uint64_t v : {t.dram_seq_read_bytes, t.dram_seq_write_bytes,
+                     t.dram_rand_accesses, t.scratchpad_accesses,
+                     t.l1_line_accesses, t.tuple_ops, t.atomics, s.packets,
+                     s.rows_in, s.rows_out, s.mem_moves, s.moved_bytes}) {
+    Put(&out, v);
+  }
+  for (double v : {t.write_coalescing, t.l1_miss_rate, s.start, s.finish,
+                   s.transfer_busy_s, s.transfer_exposed_s}) {
+    Put(&out, v);
+  }
+  return out;
+}
+
+struct ColKind {
+  storage::DataType type;
+  bool integral;  // finite integers of small magnitude: usable as a key
+};
+
+enum class SinkKind { kCollect, kBuildThenProbe, kAggregate };
+
+/// One generated chain: a table, the stages over its packets and a sink.
+struct StageChain {
+  std::vector<storage::ColumnPtr> table;
+  size_t rows = 0;
+  size_t chunk_rows = 1;
+  std::vector<Step> steps;
+  std::vector<ColKind> layout;  // the packet layout after every step
+  bool vector_at_a_time = false;
+  bool operator_at_a_time = false;
+  double scale = 1;
+  int devices = 0;  // 0 CPUs, 1 GPUs, 2 both
+  SinkKind sink = SinkKind::kCollect;
+  ExprPtr key;                       // build or group key (may be null)
+  std::vector<int> payload;          // build payload columns
+  std::vector<engine::AggDef> aggs;  // aggregate
+  std::vector<storage::ColumnPtr> probe_table;  // probes the chain's build
+};
+
+class ChainGen {
+ public:
+  explicit ChainGen(uint64_t seed) : rng_(seed) {}
+
+  StageChain Make() {
+    StageChain c;
+    c.rows = Int(0, 700);
+    // Packets of a few rows make probes whose matches keep the row count
+    // without matching each row once, in order.
+    c.chunk_rows = Coin() ? Int(1, 4) : Int(5, 256);
+    const int cols = Int(2, 4);
+    for (int i = 0; i < cols; ++i) {
+      const auto t = Type();
+      c.table.push_back(Column(t, c.rows));
+      c.layout.push_back({t, t != storage::DataType::kFloat64});
+    }
+    const int steps = Int(1, 6);
+    for (int i = 0; i < steps; ++i) {
+      const int op = Int(0, 4);
+      if (op >= 3 && !Keys(c.layout).empty()) {
+        c.steps.push_back(Probe(&c.layout));
+      } else if (op == 2) {
+        c.steps.push_back(Project(&c.layout));
+      } else {
+        c.steps.push_back({StepKind::kFilter,
+                           Predicate(c.layout), {}, nullptr});
+      }
+    }
+    const int model = Int(0, 3);
+    c.vector_at_a_time = model == 1;
+    c.operator_at_a_time = model == 2;
+    c.scale = Coin() ? 1.0 : 250.0;
+    c.devices = Int(0, 2);
+    c.sink = static_cast<SinkKind>(Int(0, 2));
+    const std::vector<int> keys = Keys(c.layout);
+    if (c.sink == SinkKind::kBuildThenProbe) {
+      if (keys.empty()) {
+        c.sink = SinkKind::kCollect;
+      } else {
+        c.key = Expr::Col(Pick(keys));
+        for (int i = 0; i < static_cast<int>(c.layout.size()); ++i) {
+          if (Coin()) c.payload.push_back(i);
+        }
+        const size_t probe_rows = Int(1, 300);
+        c.probe_table = {Column(storage::DataType::kInt64, probe_rows),
+                         Column(storage::DataType::kFloat64, probe_rows)};
+      }
+    }
+    if (c.sink == SinkKind::kAggregate) {
+      if (!keys.empty() && Coin()) {
+        c.key = Expr::Col(Pick(keys));
+      }
+      const int aggs = Int(1, 3);
+      for (int i = 0; i < aggs; ++i) {
+        const auto op = static_cast<engine::AggOp>(Int(0, 3));
+        c.aggs.push_back({op, op == engine::AggOp::kCount
+                                  ? nullptr
+                                  : Expr::Col(AnyColumn(c.layout))});
+      }
+    }
+    return c;
+  }
+
+ private:
+  int Int(int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng_);
+  }
+  bool Coin() { return Int(0, 1) == 1; }
+  storage::DataType Type() { return static_cast<storage::DataType>(Int(0, 2)); }
+
+  double AnyDouble() {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const double special[] = {std::nan(""), 0.0, -0.0, kInf, -kInf};
+    if (Int(0, 6) == 0) return special[Int(0, 4)];
+    return Int(-2 * kKeys, 2 * kKeys) * 0.5;
+  }
+
+  storage::ColumnPtr Column(storage::DataType t, size_t n) {
+    switch (t) {
+      case storage::DataType::kInt32: {
+        std::vector<int32_t> v(n);
+        for (auto& x : v) x = Int(-8, kKeys - 1);
+        return std::make_shared<storage::Column>(std::move(v));
+      }
+      case storage::DataType::kInt64: {
+        std::vector<int64_t> v(n);
+        for (auto& x : v) x = Int(-8, kKeys - 1);
+        return std::make_shared<storage::Column>(std::move(v));
+      }
+      case storage::DataType::kFloat64: {
+        std::vector<double> v(n);
+        for (auto& x : v) x = AnyDouble();
+        return std::make_shared<storage::Column>(std::move(v));
+      }
+    }
+    return nullptr;
+  }
+
+  static std::vector<int> Keys(const std::vector<ColKind>& layout) {
+    std::vector<int> keys;
+    for (int i = 0; i < static_cast<int>(layout.size()); ++i) {
+      if (layout[i].integral) keys.push_back(i);
+    }
+    return keys;
+  }
+  int Pick(const std::vector<int>& v) {
+    return v[Int(0, static_cast<int>(v.size()) - 1)];
+  }
+  int AnyColumn(const std::vector<ColKind>& layout) {
+    return Int(0, static_cast<int>(layout.size()) - 1);
+  }
+
+  ExprPtr Literal() {
+    return Coin() ? Expr::Int(Int(-2, kKeys + 2)) : Expr::Double(AnyDouble());
+  }
+  ExprPtr Compare(ExprPtr l, ExprPtr r) {
+    constexpr ExprKind kCmp[] = {ExprKind::kEq, ExprKind::kNe, ExprKind::kLt,
+                                 ExprKind::kLe, ExprKind::kGt, ExprKind::kGe};
+    return Expr::Binary(kCmp[Int(0, 5)], std::move(l), std::move(r));
+  }
+  /// `col <cmp> literal` in either operand order: the fused select.
+  ExprPtr ColumnCompare(const std::vector<ColKind>& layout) {
+    ExprPtr col = Expr::Col(AnyColumn(layout));
+    return Coin() ? Compare(col, Literal()) : Compare(Literal(), col);
+  }
+  ExprPtr Predicate(const std::vector<ColKind>& layout) {
+    switch (Int(0, 4)) {
+      case 0:
+      case 1:
+        return ColumnCompare(layout);
+      case 2:
+        return Expr::Binary(Coin() ? ExprKind::kAnd : ExprKind::kOr,
+                            ColumnCompare(layout), ColumnCompare(layout));
+      case 3:
+        return Expr::Not(ColumnCompare(layout));
+      default:
+        return Compare(Expr::Add(Expr::Col(AnyColumn(layout)),
+                                 Expr::Col(AnyColumn(layout))),
+                       Literal());
+    }
+  }
+
+  Step Project(std::vector<ColKind>* layout) {
+    std::vector<ExprPtr> exprs;
+    std::vector<ColKind> out;
+    const int n = Int(1, 4);
+    for (int i = 0; i < n; ++i) {
+      const int a = AnyColumn(*layout);
+      const int b = AnyColumn(*layout);
+      switch (Int(0, 3)) {
+        case 0:
+        case 1:
+          exprs.push_back(Expr::Col(a));
+          out.push_back({storage::DataType::kFloat64, (*layout)[a].integral});
+          break;
+        case 2:  // integral inputs at most double: keys stay small
+          exprs.push_back(Expr::Add(Expr::Col(a), Expr::Col(b)));
+          out.push_back({storage::DataType::kFloat64,
+                         (*layout)[a].integral && (*layout)[b].integral});
+          break;
+        default:
+          exprs.push_back(Expr::Mul(Expr::Col(a), Expr::Double(AnyDouble())));
+          out.push_back({storage::DataType::kFloat64, false});
+          break;
+      }
+    }
+    *layout = std::move(out);
+    return {StepKind::kProject, nullptr, std::move(exprs),
+            nullptr};
+  }
+
+  Step Probe(std::vector<ColKind>* layout) {
+    const std::vector<int> keys = Keys(*layout);
+    const ExprPtr key = Expr::Col(Pick(keys));
+    std::vector<int64_t> build;
+    switch (Int(0, 2)) {
+      case 0:  // unique, covering [0, kKeys): rows with such keys match once
+        build.resize(kKeys);
+        std::iota(build.begin(), build.end(), 0);
+        std::shuffle(build.begin(), build.end(), rng_);
+        break;
+      case 1:  // duplicates, and some keys missing
+        for (int i = Int(1, 2 * kKeys); i > 0; --i) {
+          build.push_back(Int(0, kKeys + 8));
+        }
+        break;
+      default:  // no probe key matches
+        for (int i = Int(1, kKeys); i > 0; --i) {
+          build.push_back(Int(10 * kKeys, 11 * kKeys));
+        }
+        break;
+    }
+    auto state = std::make_shared<JoinState>(build.size());
+    for (size_t r = 0; r < build.size(); ++r) {
+      state->ht.Insert(build[r], static_cast<uint32_t>(r));
+    }
+    for (int i = Int(0, 2); i > 0; --i) {
+      const auto t = Type();
+      state->payload.columns.push_back(Column(t, build.size()));
+      layout->push_back({t, t != storage::DataType::kFloat64});
+    }
+    state->payload.rows = build.size();
+    state->nominal_rows = Coin() ? build.size() : 100'000'000;
+    state->hardware_conscious = Coin();
+    return {StepKind::kProbe, key, {}, state};
+  }
+
+  std::mt19937_64 rng_;
+};
+
+/// Run `c` on the current data plane, late or eager; returns the sink's
+/// result bytes followed by every pipeline's stats bytes.
+std::string RunChain(const StageChain& c, bool eager) {
+  sim::Topology topo = sim::Topology::PaperServer();
+  engine::Executor ex(&topo);
+  std::vector<int> devices = c.devices == 1 ? topo.GpuDeviceIds()
+                                            : topo.CpuDeviceIds();
+  if (c.devices == 2) {
+    for (int g : topo.GpuDeviceIds()) devices.push_back(g);
+  }
+  engine::Pipeline p;
+  p.inputs = memory::ChunkColumns(c.table, c.rows, c.chunk_rows, 0);
+  p.scale = c.scale;
+  p.vector_at_a_time = c.vector_at_a_time;
+  p.operator_at_a_time = c.operator_at_a_time;
+  for (const Step& s : c.steps) {
+    p.stages.push_back(eager ? EagerStage(s) : LateStage(s));
+  }
+  std::string out;
+  auto batches = std::make_shared<std::vector<memory::Batch>>();
+  auto groups = std::make_shared<engine::AggGroups>();
+  auto built = std::make_shared<JoinState>(c.rows);
+  switch (c.sink) {
+    case SinkKind::kCollect:
+      p.sink = std::make_unique<engine::CollectSink>(batches);
+      break;
+    case SinkKind::kBuildThenProbe:
+      p.sink = std::make_unique<engine::BuildSink>(built, c.key, c.payload);
+      break;
+    case SinkKind::kAggregate:
+      p.sink = std::make_unique<engine::HashAggSink>(c.key, c.aggs, groups);
+      break;
+  }
+  const std::string stats = StatsBytes(ex.Run(&p, devices));
+  PutBatches(&out, *batches);
+  for (const auto& [k, vals] : *groups) {
+    Put(&out, k);
+    for (double v : vals) Put(&out, v);
+  }
+  if (c.sink == SinkKind::kBuildThenProbe) {
+    for (const auto& col : built->payload.columns) {
+      PutColumn(&out, *col, built->payload.rows);
+    }
+    for (int32_t v : built->ht.heads()) Put(&out, v);
+    for (int64_t v : built->ht.entry_keys()) Put(&out, v);
+    for (uint32_t v : built->ht.entry_rows()) Put(&out, v);
+    for (int32_t v : built->ht.entry_next()) Put(&out, v);
+    built->nominal_rows = built->payload.rows;
+    engine::Pipeline probe;
+    probe.inputs = memory::ChunkColumns(c.probe_table,
+                                        c.probe_table[0]->size(), 64, 0);
+    probe.stages.push_back(engine::ProbeStage(built, Expr::Col(0)));
+    auto probed = std::make_shared<std::vector<memory::Batch>>();
+    probe.sink = std::make_unique<engine::CollectSink>(probed);
+    out += StatsBytes(ex.Run(&probe, devices));
+    PutBatches(&out, *probed);
+  }
+  return out + stats;
+}
+
+class StageChains : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(StageChains, LateMaterializationMatchesEagerGather) {
+  const StageChain c = ChainGen(GetParam()).Make();
+  const codegen::DataPlaneConfig saved = codegen::DataPlane();
+  std::string first_plane;
+  for (const auto mode :
+       {codegen::KernelMode::kScalar, codegen::KernelMode::kVectorized}) {
+    codegen::SetDataPlane({mode, saved.packet_threads});
+    const std::string late = RunChain(c, /*eager=*/false);
+    const std::string eager = RunChain(c, /*eager=*/true);
+    EXPECT_EQ(late, eager) << "seed " << GetParam() << ", "
+                           << (mode == codegen::KernelMode::kScalar
+                                   ? "scalar"
+                                   : "vectorized")
+                           << " plane";
+    if (first_plane.empty()) {
+      first_plane = late;
+    } else {
+      EXPECT_EQ(late, first_plane) << "seed " << GetParam()
+                                   << ": the data planes disagree";
+    }
+  }
+  codegen::SetDataPlane(saved);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StageChains,
+                         ::testing::Range<uint64_t>(1, 41));
 
 }  // namespace
 }  // namespace hape
