@@ -1,22 +1,30 @@
 // Data-plane kernel microbenchmarks: measured throughput of each batch
 // kernel against the per-row scalar reference it replaces (filter select,
-// murmur hashing, chained-table probe/build, grouped accumulate), via
-// codegen::CalibrationHarness.
+// murmur hashing, join-table probe and build, grouped accumulate), via
+// codegen::CalibrationHarness, and the fused select's cost per row across
+// selectivities.
 //
-// Prints a table and writes BENCH_kernels.json to the working directory:
-// per-kernel GB/s + speedup. CI floors the filter speedup at 2.0 (a
-// branchy select reads ~1x, the branch-free one ~7-9.5x) and the probe
-// speedup at 1.0; being host-measured, the program is built but not
-// registered with ctest.
+// Prints two tables and writes BENCH_kernels.json to the working
+// directory: per-kernel GB/s + speedup under "results", and ns per row of
+// SelectCmpF64 at 0, 1, 2, 15, 50 and 85% of rows kept under
+// "filter_sweep". CI floors the filter speedup at 2.0 (a branchy select
+// reads ~1x, the branch-free one ~7-9.5x) and the probe speedup at 1.0;
+// being host-measured, the program is built but not registered with
+// ctest.
 //
 // These are *wall-clock host* measurements — machine-dependent by design,
 // unlike every simulated number elsewhere in the repo. Nothing here feeds
 // back into placement or simulated time.
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 #include "codegen/calibration.h"
+#include "codegen/kernels.h"
 #include "common/json.h"
 
 namespace {
@@ -28,7 +36,40 @@ struct Row {
   const codegen::KernelRate* rate;
 };
 
-void TableAndJson(const codegen::Calibration& cal, size_t rows) {
+/// The fused select's cost at one share of rows kept.
+struct SweepPoint {
+  int kept_pct;
+  double ns_per_row;
+};
+
+/// Best-of-`reps` ns per row of `column < p` over `rows` doubles spread
+/// uniformly over [0, 1) in an LCG order, so about p of the rows are kept
+/// at positions no branch predictor can learn.
+std::vector<SweepPoint> FilterSweep(size_t rows, int reps) {
+  std::vector<double> col(rows);
+  uint64_t state = 31;
+  for (double& x : col) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    x = static_cast<double>(state >> 11) * 0x1p-53;
+  }
+  std::vector<uint32_t> sel(rows);
+  std::vector<SweepPoint> sweep;
+  for (int pct : {0, 1, 2, 15, 50, 85}) {
+    double best = 1e30;
+    for (int r = 0; r < reps; ++r) {
+      const auto t0 = std::chrono::steady_clock::now();
+      codegen::kernels::SelectCmpF64(col.data(), codegen::kernels::BinOp::kLt,
+                                     pct / 100.0, rows, sel.data());
+      const auto t1 = std::chrono::steady_clock::now();
+      best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+    }
+    sweep.push_back({pct, best * 1e9 / static_cast<double>(rows)});
+  }
+  return sweep;
+}
+
+void TableAndJson(const codegen::Calibration& cal,
+                  const std::vector<SweepPoint>& sweep, size_t rows) {
   const Row rows_out[] = {
       {"filter", &cal.filter}, {"hash", &cal.hash},   {"probe", &cal.probe},
       {"build", &cal.build},   {"agg", &cal.agg},
@@ -41,6 +82,12 @@ void TableAndJson(const codegen::Calibration& cal, size_t rows) {
   for (const Row& r : rows_out) {
     std::printf("%-8s %14.3f %14.3f %9.2fx\n", r.kernel,
                 r.rate->scalar_gbps, r.rate->simd_gbps, r.rate->speedup());
+  }
+
+  std::printf("\n== Fused select (SelectCmpF64) by share of rows kept ==\n");
+  std::printf("%-8s %14s\n", "kept", "ns/row");
+  for (const SweepPoint& p : sweep) {
+    std::printf("%7d%% %14.3f\n", p.kept_pct, p.ns_per_row);
   }
 
   JsonWriter w;
@@ -64,6 +111,17 @@ void TableAndJson(const codegen::Calibration& cal, size_t rows) {
     w.EndObject();
   }
   w.EndArray();
+  w.Key("filter_sweep");
+  w.BeginArray();
+  for (const SweepPoint& p : sweep) {
+    w.BeginObject();
+    w.Key("kept_pct");
+    w.Int(p.kept_pct);
+    w.Key("ns_per_row");
+    w.Double(p.ns_per_row);
+    w.EndObject();
+  }
+  w.EndArray();
   w.EndObject();
 
   std::ofstream out("BENCH_kernels.json");
@@ -79,6 +137,6 @@ int main() {
   opts.reps = 5;
   const codegen::Calibration cal =
       codegen::CalibrationHarness::Measure(opts);
-  TableAndJson(cal, opts.rows);
+  TableAndJson(cal, FilterSweep(opts.rows, opts.reps), opts.rows);
   return 0;
 }

@@ -117,10 +117,7 @@ Calibration CalibrationHarness::Measure(const Options& options) {
         MakeKeys(build_n, 13, static_cast<int64_t>(build_n));
     const std::vector<int64_t> probe_keys =
         MakeKeys(n, 17, static_cast<int64_t>(build_n));
-    ops::ChainedHashTable ht(build_n);
-    for (size_t i = 0; i < build_n; ++i) {
-      ht.Insert(build_keys[i], static_cast<uint32_t>(i));
-    }
+    const ops::ChainedHashTable ht(build_n, build_keys);
     std::vector<uint64_t> hashes(n);
     kernels::HashKeys(probe_keys.data(), n, hashes.data());
     std::vector<uint32_t> probe_rows, build_rows;
@@ -146,24 +143,19 @@ Calibration CalibrationHarness::Measure(const Options& options) {
     c.probe.simd_gbps = Gbps(n * sizeof(int64_t), simd_s);
   }
 
-  // -- build: per-row insert into a fresh table vs reserved bulk -----------
+  // -- build: per-key hashing vs a build from HashKeys' hashes -------------
   {
     const size_t build_n = n / 4;
     const std::vector<int64_t> keys =
         MakeKeys(build_n, 19, static_cast<int64_t>(build_n));
     std::vector<uint64_t> hashes(build_n);
-    kernels::HashKeys(keys.data(), build_n, hashes.data());
     const double scalar_s = BestOf(reps, &sink, [&] {
-      ops::ChainedHashTable ht(0);  // unsized: grows incrementally
-      for (size_t i = 0; i < build_n; ++i) {
-        ht.Insert(keys[i], static_cast<uint32_t>(i));
-      }
-      return ht.size();
+      return ops::ChainedHashTable(build_n, keys).size();
     });
     const double simd_s = BestOf(reps, &sink, [&] {
-      ops::ChainedHashTable ht(build_n);
-      kernels::BuildBulk(&ht, keys.data(), hashes.data(), build_n, 0);
-      return ht.size();
+      kernels::HashKeys(keys.data(), build_n, hashes.data());
+      return kernels::BuildBulk(build_n, keys.data(), hashes.data(), build_n)
+          .size();
     });
     c.build.scalar_gbps = Gbps(build_n * sizeof(int64_t), scalar_s);
     c.build.simd_gbps = Gbps(build_n * sizeof(int64_t), simd_s);

@@ -23,8 +23,9 @@ struct KernelRate {
 struct Calibration {
   KernelRate filter;  ///< fused compare+select over f64 columns
   KernelRate hash;    ///< HashMurmur64 over i64 keys
-  KernelRate probe;   ///< chained-table probe (prefetched bulk vs per-row)
-  KernelRate build;   ///< chained-table build (reserved bulk vs per-row)
+  KernelRate probe;   ///< join-table probe (prefetched bulk vs per-row)
+  KernelRate build;   ///< join-table build (HashKeys + BuildBulk vs per-key
+                      ///< hashing)
   KernelRate agg;     ///< grouped accumulate (GroupIndex vs std::map)
 };
 

@@ -87,123 +87,169 @@ namespace kernels {
 
 // ---- elementwise arithmetic ------------------------------------------------
 
-void BinaryOpF64(BinOp op, const double* l, const double* r, size_t n,
-                 double* out) {
+namespace {
+
+/// out[i] = l(i) op r(i) over operand accessors (a vector or a scalar).
+template <typename L, typename R>
+void BinaryOp(BinOp op, L l, R r, size_t n, double* out) {
   switch (op) {
     case BinOp::kAdd:
-      for (size_t i = 0; i < n; ++i) out[i] = l[i] + r[i];
+      for (size_t i = 0; i < n; ++i) out[i] = l(i) + r(i);
       return;
     case BinOp::kSub:
-      for (size_t i = 0; i < n; ++i) out[i] = l[i] - r[i];
+      for (size_t i = 0; i < n; ++i) out[i] = l(i) - r(i);
       return;
     case BinOp::kMul:
-      for (size_t i = 0; i < n; ++i) out[i] = l[i] * r[i];
+      for (size_t i = 0; i < n; ++i) out[i] = l(i) * r(i);
       return;
     case BinOp::kDiv:
-      for (size_t i = 0; i < n; ++i) out[i] = l[i] / r[i];
+      for (size_t i = 0; i < n; ++i) out[i] = l(i) / r(i);
       return;
     case BinOp::kEq:
-      for (size_t i = 0; i < n; ++i) out[i] = l[i] == r[i];
+      for (size_t i = 0; i < n; ++i) out[i] = l(i) == r(i);
       return;
     case BinOp::kNe:
-      for (size_t i = 0; i < n; ++i) out[i] = l[i] != r[i];
+      for (size_t i = 0; i < n; ++i) out[i] = l(i) != r(i);
       return;
     case BinOp::kLt:
-      for (size_t i = 0; i < n; ++i) out[i] = l[i] < r[i];
+      for (size_t i = 0; i < n; ++i) out[i] = l(i) < r(i);
       return;
     case BinOp::kLe:
-      for (size_t i = 0; i < n; ++i) out[i] = l[i] <= r[i];
+      for (size_t i = 0; i < n; ++i) out[i] = l(i) <= r(i);
       return;
     case BinOp::kGt:
-      for (size_t i = 0; i < n; ++i) out[i] = l[i] > r[i];
+      for (size_t i = 0; i < n; ++i) out[i] = l(i) > r(i);
       return;
     case BinOp::kGe:
-      for (size_t i = 0; i < n; ++i) out[i] = l[i] >= r[i];
+      for (size_t i = 0; i < n; ++i) out[i] = l(i) >= r(i);
       return;
     case BinOp::kAnd:
-      for (size_t i = 0; i < n; ++i) out[i] = (l[i] != 0) && (r[i] != 0);
+      for (size_t i = 0; i < n; ++i) out[i] = (l(i) != 0) && (r(i) != 0);
       return;
     case BinOp::kOr:
-      for (size_t i = 0; i < n; ++i) out[i] = (l[i] != 0) || (r[i] != 0);
+      for (size_t i = 0; i < n; ++i) out[i] = (l(i) != 0) || (r(i) != 0);
       return;
   }
   HAPE_CHECK(false) << "unknown BinOp";
+}
+
+auto Vec(const double* v) {
+  return [v](size_t i) { return v[i]; };
+}
+
+auto Scalar(double x) {
+  return [x](size_t) { return x; };
+}
+
+}  // namespace
+
+void BinaryOpF64(BinOp op, const double* l, const double* r, size_t n,
+                 double* out) {
+  BinaryOp(op, Vec(l), Vec(r), n, out);
+}
+
+void BinaryOpF64(BinOp op, double l, const double* r, size_t n, double* out) {
+  BinaryOp(op, Scalar(l), Vec(r), n, out);
+}
+
+void BinaryOpF64(BinOp op, const double* l, double r, size_t n, double* out) {
+  BinaryOp(op, Vec(l), Scalar(r), n, out);
 }
 
 // ---- selection vectors -----------------------------------------------------
 
 namespace {
 
-/// Branch-free select: every row stores its index at out[m] and only the
-/// predicate advances m, so an unpredictable filter costs no mispredicted
-/// branches. m <= i < n at each store, so every write stays inside the
-/// caller's n-entry buffer. `row(i)` reads row i as a double: integer
-/// columns widen first, the scalar reference's rule.
-template <typename Row, typename Keep>
-size_t SelectWhere(Row row, size_t n, uint32_t* out, Keep keep) {
+/// Branch-free select: every candidate stores its packet row `id(i)` at
+/// out[m] and only the predicate advances m, so an unpredictable filter
+/// costs no mispredicted branches. m <= i < n at each store: every write
+/// stays in the n-entry buffer, and one into the candidates lands on an
+/// entry already read. `row(i)` reads candidate i as a double (integer
+/// columns widen first, the scalar reference's rule).
+template <typename Row, typename Id, typename Keep>
+size_t SelectWhere(Row row, Id id, size_t n, uint32_t* out, Keep keep) {
   size_t m = 0;
   for (size_t i = 0; i < n; ++i) {
-    out[m] = static_cast<uint32_t>(i);
-    m += keep(row(i));
+    const uint32_t p = id(i);
+    const bool kept = keep(row(i));
+    out[m] = p;
+    m += kept;
   }
   return m;
 }
 
-template <typename Row>
-size_t SelectCmp(Row row, BinOp op, double lit, size_t n, uint32_t* out) {
+template <typename Row, typename Id>
+size_t SelectCmp(Row row, Id id, BinOp op, double lit, size_t n,
+                 uint32_t* out) {
   switch (op) {
     case BinOp::kEq:
-      return SelectWhere(row, n, out, [lit](double x) { return x == lit; });
+      return SelectWhere(row, id, n, out, [lit](double x) { return x == lit; });
     case BinOp::kNe:
-      return SelectWhere(row, n, out, [lit](double x) { return x != lit; });
+      return SelectWhere(row, id, n, out, [lit](double x) { return x != lit; });
     case BinOp::kLt:
-      return SelectWhere(row, n, out, [lit](double x) { return x < lit; });
+      return SelectWhere(row, id, n, out, [lit](double x) { return x < lit; });
     case BinOp::kLe:
-      return SelectWhere(row, n, out, [lit](double x) { return x <= lit; });
+      return SelectWhere(row, id, n, out, [lit](double x) { return x <= lit; });
     case BinOp::kGt:
-      return SelectWhere(row, n, out, [lit](double x) { return x > lit; });
+      return SelectWhere(row, id, n, out, [lit](double x) { return x > lit; });
     case BinOp::kGe:
-      return SelectWhere(row, n, out, [lit](double x) { return x >= lit; });
+      return SelectWhere(row, id, n, out, [lit](double x) { return x >= lit; });
     default:
       HAPE_CHECK(false) << "SelectCmp requires a comparison op";
       return 0;
   }
 }
 
+uint32_t Identity(size_t i) { return static_cast<uint32_t>(i); }
+
 template <typename T>
-size_t SelectCmpColumn(const T* v, const uint32_t* rows, BinOp op, double lit,
-                       size_t n, uint32_t* out) {
+size_t SelectCmpColumn(const T* v, const uint32_t* rows, const uint32_t* cand,
+                       BinOp op, double lit, size_t n, uint32_t* out) {
   Bump(GlobalCounters().filter_rows, n);
-  if (rows == nullptr) {
-    return SelectCmp([v](size_t i) { return static_cast<double>(v[i]); }, op,
-                     lit, n, out);
+  const auto at = [v](size_t e) { return static_cast<double>(v[e]); };
+  const auto of = [cand](size_t i) { return cand[i]; };
+  if (cand == nullptr && rows == nullptr) {
+    return SelectCmp(at, Identity, op, lit, n, out);
   }
-  return SelectCmp(
-      [v, rows](size_t i) { return static_cast<double>(v[rows[i]]); }, op,
-      lit, n, out);
+  if (cand == nullptr) {
+    return SelectCmp([=](size_t i) { return at(rows[i]); }, Identity, op, lit,
+                     n, out);
+  }
+  if (rows == nullptr) {
+    return SelectCmp([=](size_t i) { return at(cand[i]); }, of, op, lit, n,
+                     out);
+  }
+  return SelectCmp([=](size_t i) { return at(rows[cand[i]]); }, of, op, lit,
+                   n, out);
 }
 
 }  // namespace
 
-size_t SelectNonZero(const double* v, size_t n, uint32_t* out) {
+size_t SelectNonZero(const double* v, size_t n, uint32_t* out,
+                     const uint32_t* cand) {
   Bump(GlobalCounters().filter_rows, n);
-  return SelectWhere([v](size_t i) { return v[i]; }, n, out,
-                     [](double x) { return x != 0; });
+  const auto nonzero = [](double x) { return x != 0; };
+  if (cand == nullptr) return SelectWhere(Vec(v), Identity, n, out, nonzero);
+  return SelectWhere(Vec(v), [cand](size_t i) { return cand[i]; }, n, out,
+                     nonzero);
 }
 
 size_t SelectCmpF64(const double* v, BinOp op, double lit, size_t n,
-                    uint32_t* out, const uint32_t* rows) {
-  return SelectCmpColumn(v, rows, op, lit, n, out);
+                    uint32_t* out, const uint32_t* rows,
+                    const uint32_t* cand) {
+  return SelectCmpColumn(v, rows, cand, op, lit, n, out);
 }
 
 size_t SelectCmpI64(const int64_t* v, BinOp op, double lit, size_t n,
-                    uint32_t* out, const uint32_t* rows) {
-  return SelectCmpColumn(v, rows, op, lit, n, out);
+                    uint32_t* out, const uint32_t* rows,
+                    const uint32_t* cand) {
+  return SelectCmpColumn(v, rows, cand, op, lit, n, out);
 }
 
 size_t SelectCmpI32(const int32_t* v, BinOp op, double lit, size_t n,
-                    uint32_t* out, const uint32_t* rows) {
-  return SelectCmpColumn(v, rows, op, lit, n, out);
+                    uint32_t* out, const uint32_t* rows,
+                    const uint32_t* cand) {
+  return SelectCmpColumn(v, rows, cand, op, lit, n, out);
 }
 
 // ---- hashing ---------------------------------------------------------------
@@ -222,29 +268,26 @@ uint64_t ProbeBulk(const ops::ChainedHashTable& ht, const int64_t* keys,
                    std::vector<uint32_t>* probe_rows,
                    std::vector<uint32_t>* build_rows) {
   Bump(GlobalCounters().probed_keys, n);
-  const std::span<const int32_t> heads = ht.heads();
-  const std::span<const int64_t> ekeys = ht.entry_keys();
-  const std::span<const uint32_t> erows = ht.entry_rows();
-  const std::span<const int32_t> enext = ht.entry_next();
+  if (ht.size() == 0) return 0;
+  const uint32_t* offsets = ht.offsets().data();
+  const ops::ChainedHashTable::Slot* slots = ht.slots().data();
   const uint32_t log_buckets = ht.log_buckets();
 
-  // Two-stage software pipeline over a ring buffer: the chain-head line of
-  // key j+D is prefetched D keys ahead (stage 1), the head itself is read —
-  // now cached — and its first entry's key/next/row lines prefetched D/2
-  // keys ahead (stage 2), and the walk at key j finds everything resident.
-  // The distance is deliberately short: with a long lead (block-at-a-time
-  // passes over hundreds of keys) the walk's own random traffic evicts the
-  // prefetched lines before they are used and the speedup collapses.
-  // Matched pairs are staged in a fixed local buffer and spilled in bulk so
-  // the hot walk loop does no vector push_back bookkeeping. Keys are walked
-  // in ascending order with chain order preserved and the buffer spills
-  // in-order, so the output pairs and the visit count stay bit-identical to
-  // the scalar ForEachMatch loop.
+  // Two-stage software pipeline over a ring buffer: key j+D's offsets line
+  // is prefetched D keys ahead (stage 1), its bucket's range read — now
+  // cached — and first slot prefetched D/2 keys ahead (stage 2). A longer
+  // lead lets the scan's own random traffic evict the prefetched lines.
+  // Every slot of a range is staged in a local buffer and kept only if its
+  // key matches, with no branch; the first is staged even for an empty
+  // bucket (the table ends in a sentinel slot), so buckets of zero and one
+  // slot take the same path. The buffer spills in bulk and in order, so
+  // pairs and visits equal the ForEachMatch loop's.
   constexpr size_t kDistance = 16;
   constexpr size_t kHalf = kDistance / 2;
   constexpr size_t kBuf = 2048;
-  uint32_t ring[kDistance];
-  int32_t entry_ring[kDistance];
+  uint32_t bucket_ring[kDistance];
+  uint32_t begin_ring[kDistance];
+  uint32_t end_ring[kDistance];
   uint32_t buf_probe[kBuf];
   uint32_t buf_build[kBuf];
   size_t buffered = 0;
@@ -256,56 +299,51 @@ uint64_t ProbeBulk(const ops::ChainedHashTable& ht, const int64_t* keys,
   };
   const auto stage1 = [&](size_t j) {
     const uint32_t b = BucketOfHash(hashes[j], log_buckets);
-    ring[j % kDistance] = b;
-    __builtin_prefetch(&heads[b], 0, 3);
+    bucket_ring[j % kDistance] = b;
+    __builtin_prefetch(&offsets[b], 0, 3);
   };
   const auto stage2 = [&](size_t j) {
-    const int32_t e = heads[ring[j % kDistance]];
-    entry_ring[j % kDistance] = e;
-    if (e >= 0) {
-      __builtin_prefetch(&ekeys[e], 0, 3);
-      __builtin_prefetch(&enext[e], 0, 3);
-      __builtin_prefetch(&erows[e], 0, 3);
-    }
+    const uint32_t b = bucket_ring[j % kDistance];
+    begin_ring[j % kDistance] = offsets[b];
+    end_ring[j % kDistance] = offsets[b + 1];
+    __builtin_prefetch(&slots[offsets[b]], 0, 3);
   };
   const size_t lead1 = std::min(kDistance, n);
   for (size_t j = 0; j < lead1; ++j) stage1(j);
   const size_t lead2 = std::min(kHalf, n);
   for (size_t j = 0; j < lead2; ++j) stage2(j);
   for (size_t j = 0; j < n; ++j) {
-    const int32_t e0 = entry_ring[j % kDistance];  // read before slot reuse
+    // Read before stage 1 reuses the ring entry.
+    const uint32_t begin = begin_ring[j % kDistance];
+    const uint32_t end = end_ring[j % kDistance];
     if (j + kDistance < n) stage1(j + kDistance);
     if (j + kHalf < n) stage2(j + kHalf);
     const int64_t key = keys[j];
     const uint32_t i = static_cast<uint32_t>(j);
-    for (int32_t e = e0; e >= 0; e = enext[e]) {
-      ++visits;
-      if (ekeys[e] == key) {
-        if (buffered == kBuf) flush();
-        buf_probe[buffered] = i;
-        buf_build[buffered] = erows[e];
-        ++buffered;
-      }
-    }
+    visits += end - begin;
+    uint32_t s = begin;
+    do {
+      if (buffered == kBuf) flush();
+      buf_probe[buffered] = i;
+      buf_build[buffered] = slots[s].row;
+      buffered += (s < end) & (slots[s].key == key);
+    } while (++s < end);
   }
   flush();
   return visits;
 }
 
-void BuildBulk(ops::ChainedHashTable* ht, const int64_t* keys,
-               const uint64_t* hashes, size_t n, uint32_t base_row) {
+ops::ChainedHashTable BuildBulk(size_t buckets, const int64_t* keys,
+                                const uint64_t* hashes, size_t n) {
   Bump(GlobalCounters().bulk_inserts, n);
-  ht->Reserve(ht->size() + n);
-  for (size_t i = 0; i < n; ++i) {
-    ht->InsertHashed(keys[i], hashes[i], base_row + static_cast<uint32_t>(i));
-  }
+  return ops::ChainedHashTable(buckets, {keys, n}, hashes);
 }
 
 // ---- grouped accumulation --------------------------------------------------
 
 GroupIndex::GroupIndex(size_t expected_groups) {
-  uint64_t cap = 16;
-  while (cap < expected_groups * 2) cap <<= 1;
+  uint64_t cap = 64;
+  while (cap < expected_groups * 8) cap <<= 1;
   table_.assign(cap, -1);
   mask_ = cap - 1;
   dense_keys_.reserve(expected_groups);
@@ -322,7 +360,7 @@ uint32_t GroupIndex::SlotOf(int64_t key) {
   const uint32_t slot = static_cast<uint32_t>(dense_keys_.size());
   dense_keys_.push_back(key);
   table_[idx] = static_cast<int32_t>(slot);
-  if (dense_keys_.size() * 4 > table_.size() * 3) Grow();
+  if (dense_keys_.size() * 8 > table_.size()) Grow();
   return slot;
 }
 

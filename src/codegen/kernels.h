@@ -46,10 +46,10 @@ bool Avx2Available();
 /// Monotonic process-wide kernel counters, for tests and benchmarks that
 /// assert a fast path actually ran.
 struct KernelCounterSnapshot {
-  uint64_t filter_rows = 0;       ///< rows pushed through select kernels
+  uint64_t filter_rows = 0;       ///< rows the select kernels read
   uint64_t hashed_keys = 0;       ///< keys hashed by HashKeys
   uint64_t probed_keys = 0;       ///< keys probed by ProbeBulk
-  uint64_t bulk_inserts = 0;      ///< entries inserted by BuildBulk
+  uint64_t bulk_inserts = 0;      ///< entries BuildBulk built tables from
   /// Always 0: no stage hands a sink its keys' hashes. bench/e2e reads
   /// both fields for its `kernels.hash_cache_hit_rate` metric; they retire
   /// with that metric in the next change to the benchmark.
@@ -83,32 +83,41 @@ enum class BinOp {
 
 // ---- elementwise arithmetic ------------------------------------------------
 
-/// out[i] = l[i] op r[i]. One operation per call (expression trees issue one
-/// kernel per node) so the compiler can never contract a*b+c into an FMA —
-/// results stay bit-identical to the scalar reference on any build.
+/// out[i] = l[i] op r[i]; a scalar operand stands for every row. One
+/// operation per call (expression trees issue one kernel per node) so the
+/// compiler can never contract a*b+c into an FMA — results stay
+/// bit-identical to the scalar reference on any build.
 void BinaryOpF64(BinOp op, const double* l, const double* r, size_t n,
                  double* out);
+void BinaryOpF64(BinOp op, double l, const double* r, size_t n, double* out);
+void BinaryOpF64(BinOp op, const double* l, double r, size_t n, double* out);
 
 // ---- selection vectors -----------------------------------------------------
 
-/// Write the indices i with v[i] != 0, ascending, to out and return their
-/// count. out must hold n entries whatever the selectivity: the kernel is
-/// branch-free and stores every row's index before it knows whether the
-/// row is kept. NaN counts as selected, like the scalar `v != 0` test.
-size_t SelectNonZero(const double* v, size_t n, uint32_t* out);
+// The select kernels read n candidate packet rows, cand[0..n) (0..n-1 when
+// `cand` is null), write the kept ones to out in order and return their
+// count. out must hold n entries whatever the selectivity (the kernels are
+// branch-free: every row is stored before it is known to be kept); it may
+// be cand.
+
+/// Keeps candidate i when v[i] != 0, NaN included (the scalar `v != 0`).
+size_t SelectNonZero(const double* v, size_t n, uint32_t* out,
+                     const uint32_t* cand = nullptr);
 
 /// Fused compare+select for the dominant predicate shape
 /// `column <op> literal`: no intermediate 0/1 buffer is materialized.
 /// Integer inputs are compared *as doubles* to preserve the scalar
-/// reference's widening semantics. op must be a comparison. As in
-/// SelectNonZero, out must hold n entries whatever the selectivity. Row i
-/// reads v[i], or v[rows[i]] when `rows` (a column's selection) is given.
+/// reference's widening semantics. op must be a comparison. Packet row p
+/// reads v[p], or v[rows[p]] when `rows` (a column's selection) is given.
 size_t SelectCmpF64(const double* v, BinOp op, double lit, size_t n,
-                    uint32_t* out, const uint32_t* rows = nullptr);
+                    uint32_t* out, const uint32_t* rows = nullptr,
+                    const uint32_t* cand = nullptr);
 size_t SelectCmpI64(const int64_t* v, BinOp op, double lit, size_t n,
-                    uint32_t* out, const uint32_t* rows = nullptr);
+                    uint32_t* out, const uint32_t* rows = nullptr,
+                    const uint32_t* cand = nullptr);
 size_t SelectCmpI32(const int32_t* v, BinOp op, double lit, size_t n,
-                    uint32_t* out, const uint32_t* rows = nullptr);
+                    uint32_t* out, const uint32_t* rows = nullptr,
+                    const uint32_t* cand = nullptr);
 
 // ---- hashing ---------------------------------------------------------------
 
@@ -119,29 +128,30 @@ void HashKeys(const int64_t* keys, size_t n, uint64_t* out);
 
 // ---- chained hash table: bulk probe / bulk build ---------------------------
 
-/// Batch probe: for each key (in ascending i, matches within a chain in
-/// chain order) append matching (probe=i, build=row) pairs. `hashes` must be
-/// HashKeys(keys). Buckets are computed up front and chain heads
-/// software-prefetched a fixed distance ahead, which is where the speedup
-/// over the pointer-chasing scalar loop comes from. Returns total chain
-/// nodes visited, bit-identical to summing ChainedHashTable::ForEachMatch.
+/// Batch probe: for each key (in ascending i, matches within a bucket in
+/// slot order, which is chain order) append matching (probe=i, build=row)
+/// pairs. `hashes` must be HashKeys(keys). Each key's offsets and first
+/// slot are software-prefetched a fixed distance ahead, and its bucket's
+/// slot range scanned with a branch-free emission. Returns the slots
+/// visited, equal to summing ChainedHashTable::ForEachMatch.
 uint64_t ProbeBulk(const ops::ChainedHashTable& ht, const int64_t* keys,
                    const uint64_t* hashes, size_t n,
                    std::vector<uint32_t>* probe_rows,
                    std::vector<uint32_t>* build_rows);
 
-/// Batch build: insert keys[i] -> base_row + i for all i, reserving up
-/// front. `hashes` as in ProbeBulk. Table state is identical to n calls of
-/// Insert().
-void BuildBulk(ops::ChainedHashTable* ht, const int64_t* keys,
-               const uint64_t* hashes, size_t n, uint32_t base_row);
+/// Batch build: the table of keys[i] -> row i over NextPow2(`buckets`)
+/// buckets from `hashes` (as in ProbeBulk); identical to the scalar build
+/// ChainedHashTable(buckets, keys), which hashes each key itself.
+ops::ChainedHashTable BuildBulk(size_t buckets, const int64_t* keys,
+                                const uint64_t* hashes, size_t n);
 
 // ---- grouped accumulation --------------------------------------------------
 
 /// Open-addressing key -> dense-slot index for the hash-agg sink's grouped
 /// accumulate. Slots are assigned in first-seen order, so slot ids (and the
 /// accumulator layout keyed by them) are a pure function of the key
-/// sequence — deterministic across runs and machines.
+/// sequence, whatever the table size. The table stays at most 1/8 full (at
+/// least 64 entries), so a lookup almost always ends at its first probe.
 class GroupIndex {
  public:
   explicit GroupIndex(size_t expected_groups = 0);

@@ -337,15 +337,11 @@ Status Engine::BeginPlan(const QueryPlan& plan, const ExecutionPolicy& policy,
   ex->order = std::move(order.value());
   ex->pos = 0;
   const int n = static_cast<int>(plan.num_pipelines());
-  // A table reserves entries for every row its source may deliver: the
-  // bulk build then never reallocates, however far the estimate that sized
-  // its buckets is off.
   ex->tables.assign(n, nullptr);
   for (int i = 0; i < n; ++i) {
     const PlanNode& node = plan.node(i);
     if (node.is_build()) {
-      ex->tables[i] = std::make_shared<JoinState>(
-          node.terminal.ht_buckets, node.BuildSizingRows() + 16);
+      ex->tables[i] = std::make_shared<JoinState>(node.terminal.ht_buckets);
     }
   }
   ex->pipelines.clear();

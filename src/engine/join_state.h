@@ -16,8 +16,8 @@ namespace hape::engine {
 /// model of §4.1 instead of the random-access non-partitioned one — the
 /// switch behind Fig. 9.
 struct JoinState {
-  explicit JoinState(size_t expected) : ht(expected) {}
-  JoinState(size_t buckets, size_t reserve_rows) : ht(buckets, reserve_rows) {}
+  /// An empty table of NextPow2(`buckets`) buckets, until its BuildSink.
+  explicit JoinState(size_t buckets) : ht(buckets) {}
 
   ops::ChainedHashTable ht;
   memory::Batch payload;          // one row per build tuple, gather-indexed

@@ -56,23 +56,16 @@ void BuildSink::Consume(int worker, memory::Batch&& batch,
     }
     payload_initialized_ = true;
   }
-  const uint32_t base = static_cast<uint32_t>(state_->payload.rows);
-  const std::vector<int64_t> keys = expr::Eval::Ints(*key_expr_, batch);
+  std::vector<int64_t> scratch;
+  const std::span<const int64_t> keys =
+      expr::Eval::IntsInPlace(*key_expr_, batch, &scratch);
+  keys_.insert(keys_.end(), keys.begin(), keys.end());
   if (codegen::VectorizedPlane()) {
-    // Bulk build: keys hashed in one pass; the table reserves once and
-    // never reallocates mid-insert.
-    std::vector<uint64_t> hashes(batch.rows);
-    codegen::kernels::HashKeys(keys.data(), batch.rows, hashes.data());
-    codegen::kernels::BuildBulk(&state_->ht, keys.data(), hashes.data(),
-                                batch.rows, base);
     for (size_t c = 0; c < payload_cols_.size(); ++c) {
       state_->payload.columns[c]->AppendColumn(
           *batch.columns[payload_cols_[c]], batch.selection(payload_cols_[c]));
     }
   } else {
-    for (size_t i = 0; i < batch.rows; ++i) {
-      state_->ht.Insert(keys[i], base + static_cast<uint32_t>(i));
-    }
     for (size_t c = 0; c < payload_cols_.size(); ++c) {
       const storage::Column& src = *batch.columns[payload_cols_[c]];
       const memory::Selection* sel = batch.selection(payload_cols_[c]);
@@ -98,6 +91,21 @@ void BuildSink::Consume(int worker, memory::Batch&& batch,
   }
 }
 
+void BuildSink::Finish(sim::TrafficStats* traffic) {
+  (void)traffic;
+  const size_t buckets = state_->ht.num_buckets();
+  if (codegen::VectorizedPlane()) {
+    const size_t n = keys_.size();
+    const auto hashes = std::make_unique_for_overwrite<uint64_t[]>(n);
+    codegen::kernels::HashKeys(keys_.data(), n, hashes.get());
+    state_->ht =
+        codegen::kernels::BuildBulk(buckets, keys_.data(), hashes.get(), n);
+  } else {
+    state_->ht = ops::ChainedHashTable(buckets, keys_);
+  }
+  keys_ = {};
+}
+
 // ---- HashAggSink ------------------------------------------------------------
 
 HashAggSink::HashAggSink(expr::ExprPtr key_expr, std::vector<AggDef> aggs,
@@ -113,9 +121,10 @@ void HashAggSink::Consume(int worker, memory::Batch&& batch,
                           const codegen::Backend& backend) {
   (void)backend;
   // Empty for the single global group (and for an empty packet).
-  std::vector<int64_t> keys;
+  std::vector<int64_t> scratch;
+  std::span<const int64_t> keys;
   if (key_expr_ != nullptr && batch.rows > 0) {
-    keys = expr::Eval::Ints(*key_expr_, batch);
+    keys = expr::Eval::IntsInPlace(*key_expr_, batch, &scratch);
   }
   // Evaluate aggregate arguments vectorized once per packet.
   std::vector<std::vector<double>> args(aggs_.size());

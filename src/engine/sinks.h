@@ -34,8 +34,11 @@ class CollectSink final : public Sink {
   std::shared_ptr<std::vector<memory::Batch>> batches_;
 };
 
-/// Builds a shared JoinState (HyPer-style: all workers insert into one
-/// table; the engine charges the atomics that guarantees correctness).
+/// Builds a shared JoinState, charged as HyPer's build: all workers insert
+/// into one chained table, paying a node write and a chain-head atomic per
+/// tuple. The host appends each packet's payload rows and keys in commit
+/// order; Finish, after the last packet, builds the immutable table from
+/// the keys (row i is the i-th key) and charges nothing.
 class BuildSink final : public Sink {
  public:
   /// `key_expr` yields the build key; `payload_cols` index the consumed
@@ -45,12 +48,14 @@ class BuildSink final : public Sink {
 
   void Consume(int worker, memory::Batch&& batch, sim::TrafficStats* traffic,
                const codegen::Backend& backend) override;
+  void Finish(sim::TrafficStats* traffic) override;
 
  private:
   JoinStatePtr state_;
   expr::ExprPtr key_expr_;
   std::vector<int> payload_cols_;
   bool payload_initialized_ = false;
+  std::vector<int64_t> keys_;
 };
 
 enum class AggOp { kSum, kCount, kMin, kMax };

@@ -54,15 +54,17 @@ Stage ProbeStage(JoinStatePtr state, expr::ExprPtr key_expr) {
     probe_rows.reserve(b->rows);
     build_rows.reserve(b->rows);
     uint64_t visits = 0;
-    const std::vector<int64_t> keys = expr::Eval::Ints(*key_expr, *b);
+    std::vector<int64_t> scratch;
+    const std::span<const int64_t> keys =
+        expr::Eval::IntsInPlace(*key_expr, *b, &scratch);
     if (codegen::VectorizedPlane()) {
       // Bulk probe: bucket resolution + software prefetch, selection-vector
       // output. Pair order and visit count are bit-identical to the scalar
-      // chain walk below.
-      std::vector<uint64_t> hashes(b->rows);
-      codegen::kernels::HashKeys(keys.data(), b->rows, hashes.data());
+      // bucket walk below.
+      const auto hashes = std::make_unique_for_overwrite<uint64_t[]>(b->rows);
+      codegen::kernels::HashKeys(keys.data(), b->rows, hashes.get());
       visits = codegen::kernels::ProbeBulk(state->ht, keys.data(),
-                                           hashes.data(), b->rows,
+                                           hashes.get(), b->rows,
                                            &probe_rows, &build_rows);
     } else {
       for (size_t i = 0; i < b->rows; ++i) {

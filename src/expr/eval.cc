@@ -1,9 +1,11 @@
 #include "expr/eval.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "codegen/kernels.h"
 #include "common/logging.h"
+#include "memory/gather.h"
 
 namespace hape::expr {
 
@@ -151,16 +153,22 @@ std::vector<double> ScalarDoubles(const Expr& e, const memory::Batch& b) {
 // loop is elementwise with one operation per row — no reassociation, no
 // FMA contraction — so results are bit-identical to ScalarDoubles.
 
+/// `v` as an Out; a double becomes an int64 by storage::DoubleToInt64.
+template <typename Out, typename T>
+Out Cast(T v) { return static_cast<Out>(v); }
+template <>
+int64_t Cast(double v) { return storage::DoubleToInt64(v); }
+
 /// out[i] = packet row i of `v` (through `sel` unless null), cast to Out.
 template <typename Out, typename T>
 void CastRows(const T* v, const memory::Selection* sel, size_t rows,
               Out* out) {
   if (sel == nullptr) {
-    for (size_t i = 0; i < rows; ++i) out[i] = static_cast<Out>(v[i]);
+    for (size_t i = 0; i < rows; ++i) out[i] = Cast<Out>(v[i]);
     return;
   }
   const uint32_t* r = sel->data();
-  for (size_t i = 0; i < rows; ++i) out[i] = static_cast<Out>(v[r[i]]);
+  for (size_t i = 0; i < rows; ++i) out[i] = Cast<Out>(v[r[i]]);
 }
 
 /// Column `c` of `b`, read through its selection and cast to Out.
@@ -178,6 +186,39 @@ void CastColumn(const memory::Batch& b, int c, Out* out) {
       return CastRows(col.f64().data(), sel, b.rows, out);
   }
 }
+
+void VecInto(const Expr& e, const memory::Batch& b, double* out);
+
+/// The column `e` names when it is a dense column of `type`, else null.
+const storage::Column* DenseColumn(const Expr& e, const memory::Batch& b,
+                                   storage::DataType type) {
+  if (e.kind() != ExprKind::kColRef || b.selection(e.col_index()) != nullptr ||
+      b.columns[e.col_index()]->type() != type) {
+    return nullptr;
+  }
+  return b.columns[e.col_index()].get();
+}
+
+/// One operand of a binary node, read where it already is: a literal as a
+/// scalar (`v` null) when `scalar_ok` (so at most one side is a scalar), a
+/// dense f64 column in place, else evaluated into a temporary that is not
+/// zero-filled.
+struct Operand {
+  const double* v = nullptr;
+  double scalar = 0;
+  std::unique_ptr<double[]> tmp;
+
+  Operand(const Expr& e, const memory::Batch& b, bool scalar_ok) {
+    if (scalar_ok && LiteralValue(e, &scalar)) return;
+    if (const auto* col = DenseColumn(e, b, storage::DataType::kFloat64)) {
+      v = col->f64().data();
+      return;
+    }
+    tmp = std::make_unique_for_overwrite<double[]>(b.rows);
+    VecInto(e, b, tmp.get());
+    v = tmp.get();
+  }
+};
 
 void VecInto(const Expr& e, const memory::Batch& b, double* out) {
   const size_t rows = b.rows;
@@ -197,12 +238,16 @@ void VecInto(const Expr& e, const memory::Batch& b, double* out) {
       return;
     }
     default: {
-      std::vector<double> l(rows);
-      std::vector<double> r(rows);
-      VecInto(*e.children()[0], b, l.data());
-      VecInto(*e.children()[1], b, r.data());
-      codegen::kernels::BinaryOpF64(ToBinOp(e.kind()), l.data(), r.data(),
-                                    rows, out);
+      const Operand l(*e.children()[0], b, true);
+      const Operand r(*e.children()[1], b, l.v != nullptr);
+      const BinOp op = ToBinOp(e.kind());
+      if (l.v == nullptr) {
+        codegen::kernels::BinaryOpF64(op, l.scalar, r.v, rows, out);
+      } else if (r.v == nullptr) {
+        codegen::kernels::BinaryOpF64(op, l.v, r.scalar, rows, out);
+      } else {
+        codegen::kernels::BinaryOpF64(op, l.v, r.v, rows, out);
+      }
       return;
     }
   }
@@ -211,8 +256,8 @@ void VecInto(const Expr& e, const memory::Batch& b, double* out) {
 /// The fused filter fast path: `col <cmp> literal` (either operand order)
 /// selects straight off the typed column span with no intermediate buffer.
 /// Returns false when the predicate doesn't have that shape.
-bool TrySelectCmp(const Expr& e, const memory::Batch& b,
-                  std::vector<uint32_t>* sel) {
+bool TrySelectCmp(const Expr& e, const memory::Batch& b, const uint32_t* cand,
+                  size_t n, uint32_t* out, size_t* kept) {
   if (!IsComparison(e.kind())) return false;
   const Expr* lhs = e.children()[0].get();
   const Expr* rhs = e.children()[1].get();
@@ -229,25 +274,43 @@ bool TrySelectCmp(const Expr& e, const memory::Batch& b,
   const storage::Column& col = *b.columns[lhs->col_index()];
   const memory::Selection* col_sel = b.selection(lhs->col_index());
   const uint32_t* rows = col_sel == nullptr ? nullptr : col_sel->data();
-  sel->resize(b.rows);
-  size_t m = 0;
   using storage::DataType;
   switch (col.type()) {
     case DataType::kInt32:
-      m = codegen::kernels::SelectCmpI32(col.i32().data(), op, lit, b.rows,
-                                         sel->data(), rows);
+      *kept = codegen::kernels::SelectCmpI32(col.i32().data(), op, lit, n, out,
+                                             rows, cand);
       break;
     case DataType::kInt64:
-      m = codegen::kernels::SelectCmpI64(col.i64().data(), op, lit, b.rows,
-                                         sel->data(), rows);
+      *kept = codegen::kernels::SelectCmpI64(col.i64().data(), op, lit, n, out,
+                                             rows, cand);
       break;
     case DataType::kFloat64:
-      m = codegen::kernels::SelectCmpF64(col.f64().data(), op, lit, b.rows,
-                                         sel->data(), rows);
+      *kept = codegen::kernels::SelectCmpF64(col.f64().data(), op, lit, n, out,
+                                             rows, cand);
       break;
   }
-  sel->resize(m);
   return true;
+}
+
+/// Writes the candidates (as in the select kernels) at which `e` is nonzero
+/// to out, in order, and returns their count. An `And` selects on its left
+/// conjunct, then evaluates its right one on the survivors only; any other
+/// non-fused predicate is evaluated on the candidates (NaN is kept).
+size_t SelectInto(const Expr& e, const memory::Batch& b, const uint32_t* cand,
+                  size_t n, uint32_t* out) {
+  if (n == 0) return 0;
+  if (e.kind() == ExprKind::kAnd) {
+    const size_t m = SelectInto(*e.children()[0], b, cand, n, out);
+    return SelectInto(*e.children()[1], b, out, m, out);
+  }
+  size_t kept = 0;
+  if (TrySelectCmp(e, b, cand, n, out, &kept)) return kept;
+  memory::Batch survivors = b;
+  if (cand != nullptr) {
+    memory::SelectRows(&survivors, memory::Selection(cand, cand + n));
+  }
+  const std::vector<double> v = Eval::Doubles(e, survivors);
+  return codegen::kernels::SelectNonZero(v.data(), n, out, cand);
 }
 
 }  // namespace
@@ -298,20 +361,26 @@ std::vector<int64_t> Eval::Ints(const Expr& e, const memory::Batch& b) {
   }
   auto d = Doubles(e, b);
   std::vector<int64_t> out(b.rows);
-  for (size_t i = 0; i < b.rows; ++i) out[i] = static_cast<int64_t>(d[i]);
+  for (size_t i = 0; i < b.rows; ++i) out[i] = storage::DoubleToInt64(d[i]);
   return out;
+}
+
+std::span<const int64_t> Eval::IntsInPlace(const Expr& e,
+                                           const memory::Batch& b,
+                                           std::vector<int64_t>* scratch) {
+  if (b.rows == 0) return {};  // see Doubles: the column may not exist yet
+  if (const auto* col = DenseColumn(e, b, storage::DataType::kInt64)) {
+    return col->i64().first(b.rows);
+  }
+  *scratch = Ints(e, b);
+  return *scratch;
 }
 
 std::vector<uint32_t> Eval::SelectedRows(const Expr& e,
                                          const memory::Batch& b) {
   if (codegen::VectorizedPlane() && b.rows > 0) {
-    std::vector<uint32_t> sel;
-    if (TrySelectCmp(e, b, &sel)) return sel;
-    const std::vector<double> v = Doubles(e, b);
-    sel.resize(b.rows);
-    const size_t m =
-        codegen::kernels::SelectNonZero(v.data(), b.rows, sel.data());
-    sel.resize(m);
+    std::vector<uint32_t> sel(b.rows);
+    sel.resize(SelectInto(e, b, nullptr, b.rows, sel.data()));
     return sel;
   }
   auto v = Doubles(e, b);

@@ -2,6 +2,7 @@
 #define HAPE_EXPR_EVAL_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "expr/expr.h"
@@ -16,9 +17,17 @@ class Eval {
  public:
   /// Evaluate to a double per row.
   static std::vector<double> Doubles(const Expr& e, const memory::Batch& b);
-  /// Evaluate to an int64 per row (comparisons/booleans yield 0/1).
+  /// Evaluate to an int64 per row (comparisons/booleans yield 0/1; a
+  /// double converts by storage::DoubleToInt64).
   static std::vector<int64_t> Ints(const Expr& e, const memory::Batch& b);
-  /// Row indices for which the predicate is non-zero.
+  /// Ints(e, b): a dense int64 column read in place, else evaluated into
+  /// `*scratch`.
+  static std::span<const int64_t> IntsInPlace(const Expr& e,
+                                              const memory::Batch& b,
+                                              std::vector<int64_t>* scratch);
+  /// Row indices for which the predicate is non-zero. The vectorized plane
+  /// evaluates each conjunct of an `And` only on the rows the ones before
+  /// it kept.
   static std::vector<uint32_t> SelectedRows(const Expr& e,
                                             const memory::Batch& b);
   /// Scalar evaluation of row `i` (reference implementations and tests).

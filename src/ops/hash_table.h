@@ -2,6 +2,7 @@
 #define HAPE_OPS_HASH_TABLE_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -10,77 +11,79 @@
 
 namespace hape::ops {
 
-/// Chained hash table mapping int64 keys to build-side row ids — the
-/// structure of Fig. 3 (chain heads + linked nodes). One array of heads and
-/// parallel key/row/next arrays; this layout is shared by every join variant
-/// in the engine and is what the SM / L1 / SM+L1 placement options of Fig. 5
-/// place in the different GPU memories.
+/// Hash table mapping int64 keys to build-side row ids. The simulated
+/// costs model the structure of Fig. 3 — a chain head per bucket and a
+/// linked node per entry (NominalBytes) — which the SM / L1 / SM+L1
+/// placement options of Fig. 5 place in the different GPU memories. The
+/// host holds the same chains as contiguous buckets (Balkesen et al.,
+/// ICDE 2013): `offsets` (buckets + 1) delimit each bucket's run in one
+/// array of {key, row} slots, newest insert first, the order a chain walk
+/// visits its nodes. A probe touches the offsets line and a slot line
+/// where a chain walk touched a head and three arrays per node; matches
+/// and visit counts are the chained table's. The table is immutable,
+/// built once from all its keys by a counting sort.
 class ChainedHashTable {
  public:
-  explicit ChainedHashTable(size_t expected_rows)
-      : ChainedHashTable(expected_rows, expected_rows) {}
+  struct Slot {
+    int64_t key;
+    uint32_t row;
+    friend bool operator==(const Slot&, const Slot&) = default;
+  };
 
-  /// NextPow2(`expected_rows`) buckets, with the entry arrays reserved for
-  /// `reserve_rows` inserts. A plan's build table takes its bucket count
-  /// from the plan and reserves for every row its source may deliver.
-  ChainedHashTable(size_t expected_rows, size_t reserve_rows) {
-    const uint64_t buckets = NextPow2(expected_rows == 0 ? 1 : expected_rows);
-    log_buckets_ = Log2Floor(buckets);
-    heads_.assign(buckets, -1);
-    Reserve(reserve_rows);
-  }
+  /// An empty table of NextPow2(`buckets`) buckets.
+  explicit ChainedHashTable(size_t buckets = 0)
+      : log_buckets_(Log2Floor(NextPow2(buckets))) {}
 
-  /// Preallocate the entry arrays for `expected_rows` inserts so bulk
-  /// builds never reallocate mid-insert; inserting beyond the reservation
-  /// stays correct (the vectors grow), just slower.
-  void Reserve(size_t expected_rows) {
-    keys_.reserve(expected_rows);
-    rows_.reserve(expected_rows);
-    next_.reserve(expected_rows);
-  }
-
-  /// Entry capacity currently reserved (bulk build never reallocates while
-  /// size() stays within it).
-  size_t capacity() const { return keys_.capacity(); }
-
-  void Insert(int64_t key, uint32_t row) {
-    InsertHashed(key, HashMurmur64(static_cast<uint64_t>(key)), row);
-  }
-
-  /// Insert with a precomputed `hash` == HashMurmur64(key). The bulk-build
-  /// kernels hash whole key vectors up front instead of per row.
-  void InsertHashed(int64_t key, uint64_t hash, uint32_t row) {
-    const uint32_t b = BucketOfHash(hash, log_buckets_);
-    keys_.push_back(key);
-    rows_.push_back(row);
-    next_.push_back(heads_[b]);
-    heads_[b] = static_cast<int32_t>(keys_.size() - 1);
+  /// The table of keys[i] -> row i over NextPow2(`buckets`) buckets, by a
+  /// counting sort: count per bucket, turn the counts into bucket ends,
+  /// then fill each bucket from its end, first key first, so the newest
+  /// insert comes first. `hashes`, when given, must be HashMurmur64(keys);
+  /// the scalar reference build passes none and hashes each key itself.
+  ChainedHashTable(size_t buckets, std::span<const int64_t> keys,
+                   const uint64_t* hashes = nullptr)
+      : ChainedHashTable(buckets) {
+    size_ = keys.size();
+    if (size_ == 0) return;
+    const auto bucket = [&](size_t i) {
+      return BucketOfHash(hashes != nullptr
+                              ? hashes[i]
+                              : HashMurmur64(static_cast<uint64_t>(keys[i])),
+                          log_buckets_);
+    };
+    offsets_.assign(num_buckets() + 1, 0);
+    for (size_t i = 0; i < size_; ++i) ++offsets_[bucket(i)];
+    for (size_t b = 1; b < offsets_.size(); ++b) offsets_[b] += offsets_[b - 1];
+    // One zeroed slot past the end, so a probe may read a bucket's first
+    // slot before it knows the bucket is not empty.
+    slots_ = std::make_unique_for_overwrite<Slot[]>(size_ + 1);
+    slots_[size_] = Slot{0, 0};
+    for (size_t i = 0; i < size_; ++i) {
+      slots_[--offsets_[bucket(i)]] = Slot{keys[i], static_cast<uint32_t>(i)};
+    }
   }
 
   /// Calls fn(build_row) for every entry matching `key`. Returns the number
-  /// of chain nodes visited (the traffic models charge one node access per
-  /// visit, matching the probe loop of the generated code).
+  /// of chain nodes visited, the size of the key's bucket (the traffic
+  /// models charge one node access per visit, matching the probe loop of
+  /// the generated code).
   template <typename Fn>
   uint64_t ForEachMatch(int64_t key, Fn&& fn) const {
-    uint64_t visits = 0;
+    if (size_ == 0) return 0;
     const uint32_t b = BucketOf(static_cast<uint64_t>(key), log_buckets_);
-    for (int32_t e = heads_[b]; e >= 0; e = next_[e]) {
-      ++visits;
-      if (keys_[e] == key) fn(rows_[e]);
+    for (uint32_t s = offsets_[b]; s < offsets_[b + 1]; ++s) {
+      if (slots_[s].key == key) fn(slots_[s].row);
     }
-    return visits;
+    return offsets_[b + 1] - offsets_[b];
   }
 
-  size_t size() const { return keys_.size(); }
-  uint64_t num_buckets() const { return heads_.size(); }
+  size_t size() const { return size_; }
+  uint64_t num_buckets() const { return uint64_t{1} << log_buckets_; }
   uint32_t log_buckets() const { return log_buckets_; }
 
-  // Raw table layout, exposed for the batch-at-a-time probe kernels
-  // (codegen/kernels.h): chain heads plus the parallel entry arrays.
-  std::span<const int32_t> heads() const { return heads_; }
-  std::span<const int64_t> entry_keys() const { return keys_; }
-  std::span<const uint32_t> entry_rows() const { return rows_; }
-  std::span<const int32_t> entry_next() const { return next_; }
+  // Raw layout, for the batch probe kernel (codegen/kernels.h): bucket b
+  // holds slots [offsets()[b], offsets()[b + 1]); both empty when size 0.
+  std::span<const uint32_t> offsets() const { return offsets_; }
+  std::span<const Slot> slots() const { return {slots_.get(), size_}; }
 
   /// Bytes this table would occupy at `rows` entries with `payload_bytes`
   /// carried per entry (key + next + payload + one 4-byte head per bucket).
@@ -92,10 +95,9 @@ class ChainedHashTable {
 
  private:
   uint32_t log_buckets_;
-  std::vector<int32_t> heads_;
-  std::vector<int64_t> keys_;
-  std::vector<uint32_t> rows_;
-  std::vector<int32_t> next_;
+  std::vector<uint32_t> offsets_;
+  std::unique_ptr<Slot[]> slots_;
+  size_t size_ = 0;
 };
 
 }  // namespace hape::ops

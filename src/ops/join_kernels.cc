@@ -70,14 +70,15 @@ HostJoinCounts HostPartitionedJoin(const JoinInput& in, int bits) {
     const uint32_t rb = r_hist[p], re = r_hist[p + 1];
     const uint32_t sb = s_hist[p], se = s_hist[p + 1];
     if (rb == re || sb == se) continue;
-    ChainedHashTable ht(re - rb);
-    for (uint32_t i = rb; i < re; ++i) {
-      ht.Insert(in.r_key[r_rows[i]], r_rows[i]);
-    }
+    // Table row j is the partition's j-th R row, r_rows[rb + j].
+    std::vector<int64_t> part_keys(re - rb);
+    for (uint32_t i = rb; i < re; ++i) part_keys[i - rb] = in.r_key[r_rows[i]];
+    const ChainedHashTable ht(re - rb, part_keys);
     for (uint32_t i = sb; i < se; ++i) {
       const uint32_t srow = s_rows[i];
       const int64_t key = in.s_key[srow];
-      out.probe_visits += ht.ForEachMatch(key, [&](uint32_t rrow) {
+      out.probe_visits += ht.ForEachMatch(key, [&](uint32_t j) {
+        const uint32_t rrow = r_rows[rb + j];
         ++out.matches;
         out.sum_r += in.r_pay[rrow];
         out.sum_s += in.s_pay[srow];

@@ -184,7 +184,10 @@ Result<ManifestQuery> ReadManifestQuery(const JsonValue& entry) {
     const JsonValue* v = entry.Find(key);
     if (v == nullptr) continue;
     if (v->kind() != JsonValue::Kind::kNumber) {
-      q.faults.push_back("'" + std::string(key) + "' must be a number");
+      // Not "'" + std::string(key): GCC 12's -Wrestrict misfires on it.
+      std::string fault = "'";
+      fault.append(key).append("' must be a number");
+      q.faults.push_back(std::move(fault));
       continue;
     }
     engine::SubmitOptions alone;

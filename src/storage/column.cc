@@ -60,7 +60,7 @@ int64_t Column::GetInt(size_t i) const {
     case DataType::kInt64:
       return i64()[i];
     case DataType::kFloat64:
-      return static_cast<int64_t>(f64()[i]);
+      return DoubleToInt64(f64()[i]);
   }
   return 0;
 }

@@ -28,6 +28,13 @@ constexpr size_t TypeSize(DataType t) {
   return 0;
 }
 
+/// A double as an int64, defined for every input: truncated toward zero
+/// inside [-2^63, 2^63), INT64_MIN for NaN and everything outside — what
+/// x86-64's cvttsd2si returns, so results match the plain cast there.
+constexpr int64_t DoubleToInt64(double v) {
+  return v >= -0x1p63 && v < 0x1p63 ? static_cast<int64_t>(v) : INT64_MIN;
+}
+
 constexpr const char* TypeName(DataType t) {
   switch (t) {
     case DataType::kInt32:

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 
 #include "engine/executor.h"
 #include "engine/sinks.h"
 #include "engine/stages.h"
+#include "expr/eval.h"
 #include "memory/gather.h"
 
 namespace hape::engine {
@@ -152,9 +154,7 @@ JoinStatePtr MakeJoinState(std::vector<int64_t> keys,
   state->payload.columns = {
       std::make_shared<storage::Column>(std::move(payload))};
   state->payload.rows = keys.size();
-  for (size_t i = 0; i < keys.size(); ++i) {
-    state->ht.Insert(keys[i], static_cast<uint32_t>(i));
-  }
+  state->ht = ops::ChainedHashTable(keys.size(), keys);
   state->nominal_rows = keys.size();
   return state;
 }
@@ -315,6 +315,65 @@ TEST(Sinks, HashAggNullKeyIsGlobalGroup) {
   sink.Finish(&t);
   ASSERT_EQ(sink.num_groups(), 1u);
   EXPECT_DOUBLE_EQ(sink.result().at(0)[0], 6.0);
+}
+
+// `x / 0` is +inf, -inf or NaN, which no int64 holds: every double -> key
+// conversion (Eval::Ints of an expression or of a double column, and
+// Column::GetInt) maps it to INT64_MIN, so an aggregate and a probe keyed
+// on it agree on both planes, and the sanitizer build's float-cast-overflow
+// check stays quiet.
+TEST(Sinks, KeysOfDivisionByZeroAgreeOnBothPlanes) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const storage::Column doubles(
+      std::vector<double>{inf, -inf, nan, 1e19, -1e19, -0x1p63, 2.9});
+  const std::vector<int64_t> want = {kMin, kMin, kMin, kMin, kMin, kMin, 2};
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(doubles.GetInt(i), want[i]) << "row " << i;
+  }
+
+  const codegen::DataPlaneConfig saved = codegen::DataPlane();
+  const auto key = Expr::Div(Expr::Col(1), Expr::Int(0));
+  const auto values = [&] {
+    return MakeBatch({1, 2, 3, 4}, {2.5, -1.0, 0.0, nan});
+  };
+  std::vector<AggGroups> groups;
+  std::vector<std::vector<double>> probed;
+  for (const auto mode :
+       {codegen::KernelMode::kScalar, codegen::KernelMode::kVectorized}) {
+    codegen::SetDataPlane({mode, 1});
+    EXPECT_EQ(expr::Eval::Ints(*key, values()),
+              std::vector<int64_t>(4, kMin));
+    EXPECT_EQ(expr::Eval::Ints(*Expr::Col(1),
+                               MakeBatch({0, 0, 0}, {-inf, nan, 3.5})),
+              (std::vector<int64_t>{kMin, kMin, 3}));
+
+    sim::TrafficStats t;
+    codegen::CpuBackend be{sim::CpuSpec{}};
+    HashAggSink agg(key, {AggDef{AggOp::kSum, Expr::Col(0)},
+                          AggDef{AggOp::kCount, nullptr}});
+    agg.Consume(0, values(), &t, be);
+    agg.Finish(&t);
+    groups.push_back(agg.result());
+
+    auto state = std::make_shared<JoinState>(4);
+    BuildSink build(state, Expr::Col(0), {1});
+    build.Consume(0, MakeBatch({kMin, 7}, {0.5, 1.5}), &t, be);
+    build.Finish(&t);
+    memory::Batch b = values();
+    ProbeStage(state, key)(&b, &t, be);
+    probed.emplace_back();
+    for (size_t i = 0; i < b.rows; ++i) {
+      probed.back().push_back(At(b, 0, i));
+      probed.back().push_back(At(b, 2, i));
+    }
+  }
+  codegen::SetDataPlane(saved);
+  EXPECT_EQ(groups[0], (AggGroups{{kMin, {10.0, 4.0}}}));
+  EXPECT_EQ(groups[1], groups[0]);
+  EXPECT_EQ(probed[0], (std::vector<double>{1, 0.5, 2, 0.5, 3, 0.5, 4, 0.5}));
+  EXPECT_EQ(probed[1], probed[0]);
 }
 
 // ---- executor -------------------------------------------------------------------

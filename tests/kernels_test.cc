@@ -162,10 +162,9 @@ TEST(HashKernels, HashKeysMatchesMurmurPerKey) {
 
 TEST(ProbeKernels, ProbeBulkIdenticalToForEachMatch) {
   std::mt19937_64 rng(31);
-  ops::ChainedHashTable ht(/*expected_rows=*/256);
-  for (uint32_t r = 0; r < 900; ++r) {
-    ht.Insert(static_cast<int64_t>(rng() % 300), r);  // heavy chains + dups
-  }
+  std::vector<int64_t> build(900);
+  for (auto& k : build) k = static_cast<int64_t>(rng() % 300);  // dups
+  const ops::ChainedHashTable ht(/*buckets=*/256, build);  // long buckets
   std::vector<int64_t> probe(1001);
   for (auto& k : probe) k = static_cast<int64_t>(rng() % 400);  // misses too
   std::vector<uint64_t> hashes(probe.size());
@@ -188,6 +187,9 @@ TEST(ProbeKernels, ProbeBulkIdenticalToForEachMatch) {
   EXPECT_EQ(br, want_br);
 }
 
+// Both data planes build the same table: the scalar build, which hashes
+// each key itself, and BuildBulk from HashKeys' hashes give equal offsets
+// and slots.
 TEST(BuildKernels, BuildBulkMatchesPerRowInsert) {
   std::mt19937_64 rng(41);
   std::vector<int64_t> keys(513);
@@ -195,37 +197,25 @@ TEST(BuildKernels, BuildBulkMatchesPerRowInsert) {
   std::vector<uint64_t> hashes(keys.size());
   kernels::HashKeys(keys.data(), keys.size(), hashes.data());
 
-  ops::ChainedHashTable scalar_ht(keys.size());
-  for (uint32_t i = 0; i < keys.size(); ++i) scalar_ht.Insert(keys[i], 7 + i);
-  ops::ChainedHashTable bulk_ht(keys.size());
-  kernels::BuildBulk(&bulk_ht, keys.data(), hashes.data(), keys.size(),
-                     /*base_row=*/7);
+  const ops::ChainedHashTable scalar_ht(keys.size(), keys);
+  const ops::ChainedHashTable bulk_ht =
+      kernels::BuildBulk(keys.size(), keys.data(), hashes.data(), keys.size());
 
   ASSERT_EQ(bulk_ht.num_buckets(), scalar_ht.num_buckets());
-  ASSERT_TRUE(std::ranges::equal(bulk_ht.heads(), scalar_ht.heads()));
-  ASSERT_TRUE(std::ranges::equal(bulk_ht.entry_keys(),
-                                 scalar_ht.entry_keys()));
-  ASSERT_TRUE(std::ranges::equal(bulk_ht.entry_rows(),
-                                 scalar_ht.entry_rows()));
-  ASSERT_TRUE(std::ranges::equal(bulk_ht.entry_next(),
-                                 scalar_ht.entry_next()));
-}
-
-TEST(BuildKernels, ReservePreallocatesEntryArrays) {
-  ops::ChainedHashTable ht(/*expected_rows=*/1000);
-  EXPECT_GE(ht.capacity(), 1000u);
-  const size_t cap = ht.capacity();
-  for (uint32_t i = 0; i < 1000; ++i) ht.Insert(i, i);
-  EXPECT_EQ(ht.capacity(), cap) << "bulk inserts must not reallocate";
+  ASSERT_EQ(scalar_ht.offsets().size(), scalar_ht.num_buckets() + 1);
+  ASSERT_TRUE(std::ranges::equal(bulk_ht.offsets(), scalar_ht.offsets()));
+  ASSERT_TRUE(std::ranges::equal(bulk_ht.slots(), scalar_ht.slots()));
 }
 
 // ---- grouped accumulation ---------------------------------------------------
 
 TEST(GroupKernels, GroupIndexAssignsSlotsInFirstSeenOrder) {
+  // ~12k groups from a 64-entry start: the table grows eleven times, and
+  // slots must hold across every growth.
   std::mt19937_64 rng(53);
-  kernels::GroupIndex index(/*expected_groups=*/4);  // force growth
-  std::vector<int64_t> keys(5000);
-  for (auto& k : keys) k = static_cast<int64_t>(rng() % 700) - 350;
+  kernels::GroupIndex index(/*expected_groups=*/4);
+  std::vector<int64_t> keys(60000);
+  for (auto& k : keys) k = static_cast<int64_t>(rng() % 12000) - 6000;
 
   std::map<int64_t, uint32_t> seen;
   std::vector<int64_t> first_seen;
@@ -240,6 +230,7 @@ TEST(GroupKernels, GroupIndexAssignsSlotsInFirstSeenOrder) {
       ASSERT_EQ(slot, it->second) << "slot must be stable across growth";
     }
   }
+  ASSERT_GE(index.num_groups(), 10000u);
   ASSERT_EQ(index.num_groups(), first_seen.size());
   EXPECT_EQ(index.keys(), first_seen);
 }

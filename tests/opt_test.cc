@@ -269,8 +269,9 @@ TEST(StatsCollect, TypedPassMatchesSetPassOnGeneratedColumns) {
               }));
       }
     };
+    // Not "t" + std::to_string(trial): GCC 12's -Wrestrict misfires on it.
     const storage::Table table(
-        "t" + std::to_string(trial),
+        std::string("t").append(std::to_string(trial)),
         std::make_shared<storage::Schema>(std::vector<storage::Field>{
             {"a", storage::DataType::kInt32},
             {"b", storage::DataType::kInt64},

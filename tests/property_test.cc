@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "codegen/kernels.h"
+#include "common/bits.h"
 #include "common/hash.h"
 #include "coproc/coproc_join.h"
 #include "engine/executor.h"
@@ -257,8 +259,7 @@ TEST_P(DataPlaneEquivalence, BulkProbeMatchesScalarChainWalk) {
   const std::vector<int64_t> build = Keys(w, 0);
   const std::vector<int64_t> probe = Keys(w, 1);
 
-  ops::ChainedHashTable ht(build.size());
-  for (uint32_t r = 0; r < build.size(); ++r) ht.Insert(build[r], r);
+  const ops::ChainedHashTable ht(build.size(), build);
 
   std::vector<uint64_t> hashes(probe.size());
   codegen::kernels::HashKeys(probe.data(), probe.size(), hashes.data());
@@ -279,26 +280,21 @@ TEST_P(DataPlaneEquivalence, BulkProbeMatchesScalarChainWalk) {
   EXPECT_EQ(br, want_br);
 }
 
+// Both data planes build the same table: the scalar build hashes each key
+// itself, BuildBulk takes HashKeys' hashes.
 TEST_P(DataPlaneEquivalence, BulkBuildMatchesPerRowInsert) {
   const PlaneWorkload w = GetParam();
   const std::vector<int64_t> keys = Keys(w, 2);
   std::vector<uint64_t> hashes(keys.size());
   codegen::kernels::HashKeys(keys.data(), keys.size(), hashes.data());
 
-  ops::ChainedHashTable scalar_ht(keys.size());
-  for (uint32_t r = 0; r < keys.size(); ++r) scalar_ht.Insert(keys[r], r);
-  ops::ChainedHashTable bulk_ht(keys.size());
-  codegen::kernels::BuildBulk(&bulk_ht, keys.data(), hashes.data(),
-                              keys.size(), /*base_row=*/0);
+  const ops::ChainedHashTable scalar_ht(keys.size(), keys);
+  const ops::ChainedHashTable bulk_ht = codegen::kernels::BuildBulk(
+      keys.size(), keys.data(), hashes.data(), keys.size());
 
   ASSERT_EQ(bulk_ht.num_buckets(), scalar_ht.num_buckets());
-  EXPECT_TRUE(std::ranges::equal(bulk_ht.heads(), scalar_ht.heads()));
-  EXPECT_TRUE(std::ranges::equal(bulk_ht.entry_keys(),
-                                 scalar_ht.entry_keys()));
-  EXPECT_TRUE(std::ranges::equal(bulk_ht.entry_rows(),
-                                 scalar_ht.entry_rows()));
-  EXPECT_TRUE(std::ranges::equal(bulk_ht.entry_next(),
-                                 scalar_ht.entry_next()));
+  EXPECT_TRUE(std::ranges::equal(bulk_ht.offsets(), scalar_ht.offsets()));
+  EXPECT_TRUE(std::ranges::equal(bulk_ht.slots(), scalar_ht.slots()));
 }
 
 TEST_P(DataPlaneEquivalence, GroupedAccumulateMatchesOrderedMap) {
@@ -354,6 +350,256 @@ INSTANTIATE_TEST_SUITE_P(
                       PlaneWorkload{5000, 512, 0.75, 5},  // zipf skew
                       PlaneWorkload{4097, 64, 1.1, 6}));  // hot chains
 
+// ---- join table: contiguous buckets against Fig. 3's chains ---------------
+//
+// Property: the contiguous-bucket table answers every probe exactly as the
+// chained table it replaced — a head per bucket, a node per insert, the
+// newest insert first — would: same (probe, build) pairs in the same
+// order and the same visit counts, through ProbeBulk and ForEachMatch.
+
+/// The chained table as it was: Insert pushes a node on its bucket's
+/// chain; a walk visits every node of the chain.
+class ReferenceChainedTable {
+ public:
+  explicit ReferenceChainedTable(size_t buckets)
+      : log_buckets_(Log2Floor(NextPow2(buckets))),
+        heads_(NextPow2(buckets), -1) {}
+
+  void Insert(int64_t key, uint32_t row) {
+    const uint32_t b = BucketOf(static_cast<uint64_t>(key), log_buckets_);
+    keys_.push_back(key);
+    rows_.push_back(row);
+    next_.push_back(heads_[b]);
+    heads_[b] = static_cast<int32_t>(keys_.size() - 1);
+  }
+
+  template <typename Fn>
+  uint64_t ForEachMatch(int64_t key, Fn&& fn) const {
+    uint64_t visits = 0;
+    const uint32_t b = BucketOf(static_cast<uint64_t>(key), log_buckets_);
+    for (int32_t e = heads_[b]; e >= 0; e = next_[e]) {
+      ++visits;
+      if (keys_[e] == key) fn(rows_[e]);
+    }
+    return visits;
+  }
+
+ private:
+  uint32_t log_buckets_;
+  std::vector<int32_t> heads_;
+  std::vector<int64_t> keys_;
+  std::vector<uint32_t> rows_;
+  std::vector<int32_t> next_;
+};
+
+struct KeySet {
+  const char* name;
+  size_t buckets;
+  std::vector<int64_t> build;
+  std::vector<int64_t> probe;
+};
+
+std::vector<KeySet> JoinKeySets() {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::mt19937_64 rng(97);
+  const auto uniform = [&](size_t n, int64_t lo, int64_t hi) {
+    std::vector<int64_t> v(n);
+    for (auto& k : v) {
+      k = std::uniform_int_distribution<int64_t>(lo, hi)(rng);
+    }
+    return v;
+  };
+  std::vector<KeySet> sets;
+  sets.push_back({"duplicates and misses", 512, uniform(700, 0, 299),
+                  uniform(1001, 0, 399)});
+  sets.push_back({"unique", 4096, uniform(3000, 0, 1 << 30),
+                  uniform(2000, 0, 1 << 30)});
+  sets.push_back({"every key missing", 256, uniform(300, 0, 99),
+                  uniform(500, 1000, 1999)});
+  sets.push_back({"empty build", 16, {}, uniform(100, 0, 9)});
+  sets.push_back({"empty probe", 16, uniform(100, 0, 9), {}});
+  // One bucket holding every key, a few of them more than a staging
+  // buffer's worth of times (ProbeBulk spills mid-bucket).
+  sets.push_back({"one bucket", 1, uniform(7000, 0, 2), uniform(40, 0, 4)});
+  std::vector<int64_t> extremes = {kMin, kMax, 0, -1, kMin, kMax, kMin + 1,
+                                   kMax - 1};
+  sets.push_back({"extreme keys", 8, extremes,
+                  {kMax, kMin, 1, kMin + 1, 0, kMax - 1, -1, kMin, 2}});
+  return sets;
+}
+
+TEST(JoinTable, ProbesMatchTheChainedTable) {
+  for (const KeySet& set : JoinKeySets()) {
+    SCOPED_TRACE(set.name);
+    ReferenceChainedTable ref(set.buckets);
+    for (size_t r = 0; r < set.build.size(); ++r) {
+      ref.Insert(set.build[r], static_cast<uint32_t>(r));
+    }
+    const ops::ChainedHashTable ht(set.buckets, set.build);
+    ASSERT_EQ(ht.size(), set.build.size());
+
+    std::vector<uint32_t> want_pr, want_br, walk_pr, walk_br;
+    uint64_t want_visits = 0, walk_visits = 0;
+    for (size_t i = 0; i < set.probe.size(); ++i) {
+      const auto row = static_cast<uint32_t>(i);
+      want_visits += ref.ForEachMatch(set.probe[i], [&](uint32_t r) {
+        want_pr.push_back(row);
+        want_br.push_back(r);
+      });
+      walk_visits += ht.ForEachMatch(set.probe[i], [&](uint32_t r) {
+        walk_pr.push_back(row);
+        walk_br.push_back(r);
+      });
+    }
+    EXPECT_EQ(walk_visits, want_visits);
+    EXPECT_EQ(walk_pr, want_pr);
+    EXPECT_EQ(walk_br, want_br);
+
+    std::vector<uint64_t> hashes(set.probe.size());
+    codegen::kernels::HashKeys(set.probe.data(), set.probe.size(),
+                               hashes.data());
+    std::vector<uint32_t> pr, br;
+    const uint64_t visits = codegen::kernels::ProbeBulk(
+        ht, set.probe.data(), hashes.data(), set.probe.size(), &pr, &br);
+    EXPECT_EQ(visits, want_visits);
+    EXPECT_EQ(pr, want_pr);
+    EXPECT_EQ(br, want_br);
+  }
+}
+
+// ---- expressions: the vectorized plane against the scalar one -------------
+//
+// Property: over generated expression trees — literals on the left, the
+// right or both sides of a node; dense and selected i32/i64/f64 columns
+// holding NaN, ±0 and ±inf; nested And/Or/Not — the vectorized plane's
+// Doubles equal the scalar plane's bit for bit, and its SelectedRows (which
+// narrows conjunctions) are exactly the rows whose scalar value is nonzero.
+
+using expr::Expr;
+using expr::ExprKind;
+using expr::ExprPtr;
+
+class ExprGen {
+ public:
+  explicit ExprGen(uint64_t seed) : rng_(seed) {}
+
+  /// A packet of rows over dense columns 0-2 (i32, i64, f64) and columns
+  /// 3-5 of the same types read through one shared selection.
+  memory::Batch Packet() {
+    memory::Batch b;
+    b.rows = Int(1, 300);
+    const size_t owned = b.rows + Int(0, 50);
+    for (size_t n : {b.rows, owned}) {
+      b.columns.push_back(Ints32(n));
+      b.columns.push_back(Ints64(n));
+      b.columns.push_back(Doubles(n));
+    }
+    auto sel = std::make_shared<memory::Selection>(b.rows);
+    for (auto& r : *sel) r = static_cast<uint32_t>(Int(0, owned - 1));
+    b.selections = {nullptr, nullptr, nullptr, sel, sel, sel};
+    return b;
+  }
+
+  ExprPtr Tree(int depth) {
+    if (depth == 0 || Int(0, 3) == 0) return Leaf();
+    switch (Int(0, 5)) {
+      case 0: {
+        constexpr ExprKind kArith[] = {ExprKind::kAdd, ExprKind::kSub,
+                                       ExprKind::kMul, ExprKind::kDiv};
+        return Expr::Binary(kArith[Int(0, 3)], Tree(depth - 1),
+                            Tree(depth - 1));
+      }
+      case 1: {
+        constexpr ExprKind kCmp[] = {ExprKind::kEq, ExprKind::kNe,
+                                     ExprKind::kLt, ExprKind::kLe,
+                                     ExprKind::kGt, ExprKind::kGe};
+        return Expr::Binary(kCmp[Int(0, 5)], Tree(depth - 1),
+                            Tree(depth - 1));
+      }
+      case 2:
+        return Expr::Binary(Coin() ? ExprKind::kAnd : ExprKind::kOr,
+                            Tree(depth - 1), Tree(depth - 1));
+      case 3:
+        return Expr::Not(Tree(depth - 1));
+      case 4: {  // a literal on one side or both
+        const int side = Int(0, 2);
+        return Expr::Binary(
+            ExprKind::kMul, side == 1 ? Tree(depth - 1) : Literal(),
+            side == 0 ? Tree(depth - 1) : Literal());
+      }
+      default: {  // a fused `col <cmp> literal` conjunct
+        ExprPtr cmp = Expr::Binary(Coin() ? ExprKind::kGe : ExprKind::kNe,
+                                   Expr::Col(Int(0, 5)), Literal());
+        return Expr::And(std::move(cmp), Tree(depth - 1));
+      }
+    }
+  }
+
+ private:
+  int Int(int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng_);
+  }
+  bool Coin() { return Int(0, 1) == 1; }
+  double AnyDouble() {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const double special[] = {std::nan(""), 0.0, -0.0, kInf, -kInf};
+    if (Int(0, 4) == 0) return special[Int(0, 4)];
+    return Int(-8, 8) * 0.5;
+  }
+  ExprPtr Literal() {
+    return Coin() ? Expr::Int(Int(-3, 3)) : Expr::Double(AnyDouble());
+  }
+  ExprPtr Leaf() { return Int(0, 2) == 0 ? Literal() : Expr::Col(Int(0, 5)); }
+  storage::ColumnPtr Ints32(size_t n) {
+    std::vector<int32_t> v(n);
+    for (auto& x : v) x = Int(-3, 3);
+    return std::make_shared<storage::Column>(std::move(v));
+  }
+  storage::ColumnPtr Ints64(size_t n) {
+    std::vector<int64_t> v(n);
+    for (auto& x : v) x = Int(-3, 3);
+    return std::make_shared<storage::Column>(std::move(v));
+  }
+  storage::ColumnPtr Doubles(size_t n) {
+    std::vector<double> v(n);
+    for (auto& x : v) x = AnyDouble();
+    return std::make_shared<storage::Column>(std::move(v));
+  }
+
+  std::mt19937_64 rng_;
+};
+
+TEST(ExprPlanes, VectorizedEvaluationMatchesScalarPlane) {
+  const codegen::DataPlaneConfig saved = codegen::DataPlane();
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    ExprGen gen(seed);
+    const memory::Batch b = gen.Packet();
+    const ExprPtr e = gen.Tree(4);
+    SCOPED_TRACE("seed " + std::to_string(seed) + ": " + e->ToString());
+
+    codegen::SetDataPlane({codegen::KernelMode::kScalar, 1});
+    const std::vector<double> scalar = expr::Eval::Doubles(*e, b);
+    codegen::SetDataPlane({codegen::KernelMode::kVectorized, 1});
+    const std::vector<double> vec = expr::Eval::Doubles(*e, b);
+    ASSERT_EQ(vec.size(), scalar.size());
+    for (size_t i = 0; i < b.rows; ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(vec[i]),
+                std::bit_cast<uint64_t>(scalar[i]))
+          << "row " << i << ": " << vec[i] << " vs " << scalar[i];
+    }
+
+    std::vector<uint32_t> want;
+    for (size_t i = 0; i < b.rows; ++i) {
+      if (expr::Eval::ScalarDouble(*e, b, i) != 0) {
+        want.push_back(static_cast<uint32_t>(i));
+      }
+    }
+    ASSERT_EQ(expr::Eval::SelectedRows(*e, b), want);
+  }
+  codegen::SetDataPlane(saved);
+}
+
 // ---- late materialization: stage chains against an eager gather -----------
 //
 // Property: filters and probes that narrow packets by composing selections
@@ -368,9 +614,6 @@ INSTANTIATE_TEST_SUITE_P(
 using engine::JoinState;
 using engine::JoinStatePtr;
 using engine::Stage;
-using expr::Expr;
-using expr::ExprKind;
-using expr::ExprPtr;
 
 constexpr int kKeys = 48;  // integer columns hold keys in [-8, kKeys)
 
@@ -687,9 +930,7 @@ class ChainGen {
         break;
     }
     auto state = std::make_shared<JoinState>(build.size());
-    for (size_t r = 0; r < build.size(); ++r) {
-      state->ht.Insert(build[r], static_cast<uint32_t>(r));
-    }
+    state->ht = ops::ChainedHashTable(build.size(), build);
     for (int i = Int(0, 2); i > 0; --i) {
       const auto t = Type();
       state->payload.columns.push_back(Column(t, build.size()));
@@ -747,10 +988,11 @@ std::string RunChain(const StageChain& c, bool eager) {
     for (const auto& col : built->payload.columns) {
       PutColumn(&out, *col, built->payload.rows);
     }
-    for (int32_t v : built->ht.heads()) Put(&out, v);
-    for (int64_t v : built->ht.entry_keys()) Put(&out, v);
-    for (uint32_t v : built->ht.entry_rows()) Put(&out, v);
-    for (int32_t v : built->ht.entry_next()) Put(&out, v);
+    for (uint32_t v : built->ht.offsets()) Put(&out, v);
+    for (const ops::ChainedHashTable::Slot& v : built->ht.slots()) {
+      Put(&out, v.key);
+      Put(&out, v.row);
+    }
     built->nominal_rows = built->payload.rows;
     engine::Pipeline probe;
     probe.inputs = memory::ChunkColumns(c.probe_table,

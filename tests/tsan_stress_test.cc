@@ -63,17 +63,17 @@ TEST(TsanStress, ConcurrentProbeBulkOverSharedTable) {
   constexpr size_t kBlocks = 64;
   constexpr size_t kBlockKeys = 512;
 
-  ops::ChainedHashTable ht(kBuildRows);
+  ops::ChainedHashTable ht;
   {
     std::vector<int64_t> keys(kBuildRows);
-    // Duplicate keys (mod) so probe chains are longer than one node.
+    // Duplicate keys (mod) so probe buckets hold more than one slot.
     for (size_t i = 0; i < kBuildRows; ++i) {
       keys[i] = static_cast<int64_t>(i % (kBuildRows / 2));
     }
     std::vector<uint64_t> hashes(kBuildRows);
     kernels::HashKeys(keys.data(), kBuildRows, hashes.data());
-    kernels::BuildBulk(&ht, keys.data(), hashes.data(), kBuildRows,
-                       /*base_row=*/0);
+    ht = kernels::BuildBulk(kBuildRows, keys.data(), hashes.data(),
+                            kBuildRows);
   }
 
   std::vector<uint64_t> visits(kBlocks, 0);
