@@ -8,9 +8,9 @@
 // directory: per-kernel GB/s + speedup under "results", and ns per row of
 // SelectCmpF64 at 0, 1, 2, 15, 50 and 85% of rows kept under
 // "filter_sweep". CI floors the filter speedup at 2.0 (a branchy select
-// reads ~1x, the branch-free one ~7-9.5x) and the probe speedup at 1.0;
-// being host-measured, the program is built but not registered with
-// ctest.
+// reads ~1x, the branch-free one ~7-9.5x) and the probe and build
+// speedups at 1.0; being host-measured, the program is built but not
+// registered with ctest.
 //
 // These are *wall-clock host* measurements — machine-dependent by design,
 // unlike every simulated number elsewhere in the repo. Nothing here feeds

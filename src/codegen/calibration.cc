@@ -143,19 +143,16 @@ Calibration CalibrationHarness::Measure(const Options& options) {
     c.probe.simd_gbps = Gbps(n * sizeof(int64_t), simd_s);
   }
 
-  // -- build: per-key hashing vs a build from HashKeys' hashes -------------
+  // -- build: per-key hashing vs bucket ids and a prefetched fill ----------
   {
     const size_t build_n = n / 4;
     const std::vector<int64_t> keys =
         MakeKeys(build_n, 19, static_cast<int64_t>(build_n));
-    std::vector<uint64_t> hashes(build_n);
     const double scalar_s = BestOf(reps, &sink, [&] {
       return ops::ChainedHashTable(build_n, keys).size();
     });
     const double simd_s = BestOf(reps, &sink, [&] {
-      kernels::HashKeys(keys.data(), build_n, hashes.data());
-      return kernels::BuildBulk(build_n, keys.data(), hashes.data(), build_n)
-          .size();
+      return kernels::BuildBulk(build_n, keys.data(), build_n).size();
     });
     c.build.scalar_gbps = Gbps(build_n * sizeof(int64_t), scalar_s);
     c.build.simd_gbps = Gbps(build_n * sizeof(int64_t), simd_s);

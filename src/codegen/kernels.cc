@@ -4,9 +4,11 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 
+#include "common/bits.h"
 #include "common/hash.h"
 #include "common/logging.h"
 
@@ -334,9 +336,15 @@ uint64_t ProbeBulk(const ops::ChainedHashTable& ht, const int64_t* keys,
 }
 
 ops::ChainedHashTable BuildBulk(size_t buckets, const int64_t* keys,
-                                const uint64_t* hashes, size_t n) {
+                                size_t n) {
+  Bump(GlobalCounters().hashed_keys, n);
   Bump(GlobalCounters().bulk_inserts, n);
-  return ops::ChainedHashTable(buckets, {keys, n}, hashes);
+  const uint32_t log_buckets = Log2Floor(NextPow2(buckets));
+  const auto bucket_of = std::make_unique_for_overwrite<uint32_t[]>(n);
+  for (size_t i = 0; i < n; ++i) {
+    bucket_of[i] = BucketOf(static_cast<uint64_t>(keys[i]), log_buckets);
+  }
+  return ops::ChainedHashTable(buckets, {keys, n}, bucket_of.get());
 }
 
 // ---- grouped accumulation --------------------------------------------------

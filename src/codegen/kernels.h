@@ -47,7 +47,7 @@ bool Avx2Available();
 /// assert a fast path actually ran.
 struct KernelCounterSnapshot {
   uint64_t filter_rows = 0;       ///< rows the select kernels read
-  uint64_t hashed_keys = 0;       ///< keys hashed by HashKeys
+  uint64_t hashed_keys = 0;       ///< keys hashed by HashKeys and BuildBulk
   uint64_t probed_keys = 0;       ///< keys probed by ProbeBulk
   uint64_t bulk_inserts = 0;      ///< entries BuildBulk built tables from
   /// Always 0: no stage hands a sink its keys' hashes. bench/e2e reads
@@ -140,10 +140,11 @@ uint64_t ProbeBulk(const ops::ChainedHashTable& ht, const int64_t* keys,
                    std::vector<uint32_t>* build_rows);
 
 /// Batch build: the table of keys[i] -> row i over NextPow2(`buckets`)
-/// buckets from `hashes` (as in ProbeBulk); identical to the scalar build
-/// ChainedHashTable(buckets, keys), which hashes each key itself.
+/// buckets, identical to the scalar build ChainedHashTable(buckets, keys).
+/// Hashes each key once into a 4-byte bucket id (counted as hashed keys),
+/// then counts and fills the buckets from those ids with prefetching.
 ops::ChainedHashTable BuildBulk(size_t buckets, const int64_t* keys,
-                                const uint64_t* hashes, size_t n);
+                                size_t n);
 
 // ---- grouped accumulation --------------------------------------------------
 

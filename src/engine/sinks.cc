@@ -95,11 +95,8 @@ void BuildSink::Finish(sim::TrafficStats* traffic) {
   (void)traffic;
   const size_t buckets = state_->ht.num_buckets();
   if (codegen::VectorizedPlane()) {
-    const size_t n = keys_.size();
-    const auto hashes = std::make_unique_for_overwrite<uint64_t[]>(n);
-    codegen::kernels::HashKeys(keys_.data(), n, hashes.get());
     state_->ht =
-        codegen::kernels::BuildBulk(buckets, keys_.data(), hashes.get(), n);
+        codegen::kernels::BuildBulk(buckets, keys_.data(), keys_.size());
   } else {
     state_->ht = ops::ChainedHashTable(buckets, keys_);
   }

@@ -37,18 +37,19 @@ class ChainedHashTable {
   /// The table of keys[i] -> row i over NextPow2(`buckets`) buckets, by a
   /// counting sort: count per bucket, turn the counts into bucket ends,
   /// then fill each bucket from its end, first key first, so the newest
-  /// insert comes first. `hashes`, when given, must be HashMurmur64(keys);
-  /// the scalar reference build passes none and hashes each key itself.
+  /// insert comes first. The scalar reference build hashes each key itself.
+  /// The batch build (kernels::BuildBulk) passes each key's bucket,
+  /// `bucket_of[i]` = BucketOf(keys[i], log_buckets()), and the fill then
+  /// prefetches a key's bucket end and target slot a fixed distance ahead.
   ChainedHashTable(size_t buckets, std::span<const int64_t> keys,
-                   const uint64_t* hashes = nullptr)
+                   const uint32_t* bucket_of = nullptr)
       : ChainedHashTable(buckets) {
     size_ = keys.size();
     if (size_ == 0) return;
     const auto bucket = [&](size_t i) {
-      return BucketOfHash(hashes != nullptr
-                              ? hashes[i]
-                              : HashMurmur64(static_cast<uint64_t>(keys[i])),
-                          log_buckets_);
+      return bucket_of != nullptr
+                 ? bucket_of[i]
+                 : BucketOf(static_cast<uint64_t>(keys[i]), log_buckets_);
     };
     offsets_.assign(num_buckets() + 1, 0);
     for (size_t i = 0; i < size_; ++i) ++offsets_[bucket(i)];
@@ -57,7 +58,15 @@ class ChainedHashTable {
     // slot before it knows the bucket is not empty.
     slots_ = std::make_unique_for_overwrite<Slot[]>(size_ + 1);
     slots_[size_] = Slot{0, 0};
+    constexpr size_t kAhead = 16;
     for (size_t i = 0; i < size_; ++i) {
+      if (bucket_of != nullptr && i + kAhead < size_) {
+        __builtin_prefetch(&offsets_[bucket_of[i + kAhead]], 1);
+        // Key i + kAhead / 2's slot: its bucket end (cached kAhead / 2
+        // keys ago) is >= 1, as that key is still to be placed.
+        __builtin_prefetch(&slots_[offsets_[bucket_of[i + kAhead / 2]] - 1],
+                           1);
+      }
       slots_[--offsets_[bucket(i)]] = Slot{keys[i], static_cast<uint32_t>(i)};
     }
   }

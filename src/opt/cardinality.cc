@@ -1,6 +1,7 @@
 #include "opt/cardinality.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/logging.h"
 
@@ -10,38 +11,19 @@ using engine::LogicalOp;
 using engine::PlanNode;
 using engine::QueryPlan;
 
-namespace {
-
-/// Binding of a scan pipeline's base layout: per-column stats looked up by
-/// the scanned column names.
-StatsBinding BaseBinding(const PlanNode& node, const StatsCatalog& stats) {
-  StatsBinding binding;
-  const TableStats* ts = stats.Get(node.source_table->name());
-  binding.reserve(node.source_columns.size());
-  for (const auto& name : node.source_columns) {
-    binding.push_back(ts == nullptr ? nullptr : ts->Column(name));
-  }
-  return binding;
-}
-
-}  // namespace
-
 Status CardinalityEstimator::EstimateNode(const QueryPlan& plan, int node_idx,
                                           PlanEstimate* est) {
   const PlanNode& node = plan.node(node_idx);
   NodeEstimate& ne = est->nodes[node_idx];
 
   // Statistics describe the stored rows, whatever scale a plan runs the
-  // table at: collect on first sight, and again only if the table's row
-  // count changed (shared catalogs outlive single plans).
-  const TableStats* cached = stats_->Get(node.source_table->name());
-  if (cached == nullptr ||
-      cached->actual_rows != node.source_table->num_rows()) {
-    stats_->Collect(*node.source_table);
-  }
+  // table at (shared catalogs outlive single plans). Binding names the
+  // scanned columns; an estimate that reads one scans it.
+  const std::shared_ptr<const TableStats> table =
+      stats_->Entry(node.source_table);
 
   ne.source_rows = static_cast<double>(node.source_rows());
-  ne.binding = BaseBinding(node, *stats_);
+  ne.binding = BindColumns(table, node.source_columns);
 
   double rows = ne.source_rows;
   ne.ops.clear();
@@ -55,7 +37,7 @@ Status CardinalityEstimator::EstimateNode(const QueryPlan& plan, int node_idx,
         break;
       case LogicalOp::Kind::kProject:
         oe.factor = 1.0;
-        ne.binding.assign(op.exprs.size(), nullptr);
+        ne.binding.assign(op.exprs.size(), StatsRef{});
         break;
       case LogicalOp::Kind::kProbe: {
         const int build = op.build;
@@ -78,7 +60,7 @@ Status CardinalityEstimator::EstimateNode(const QueryPlan& plan, int node_idx,
           const StatsBinding& bb = be.binding;
           ne.binding.push_back(
               payload_col < static_cast<int>(bb.size()) ? bb[payload_col]
-                                                        : nullptr);
+                                                        : StatsRef{});
         }
         break;
       }
@@ -94,9 +76,8 @@ Status CardinalityEstimator::EstimateNode(const QueryPlan& plan, int node_idx,
   if (node.is_build() && node.terminal.key != nullptr) {
     // The key's domain size comes from the *unfiltered* source binding:
     // probes reference the full domain even when the build filtered it.
-    const StatsBinding base = BaseBinding(node, *stats_);
     ne.key_domain_ndv = static_cast<double>(EstimateKeyNdv(
-        *node.terminal.key, base,
+        *node.terminal.key, BindColumns(table, node.source_columns),
         std::max<uint64_t>(1, static_cast<uint64_t>(ne.source_rows))));
   }
   return Status::OK();

@@ -39,9 +39,11 @@ struct PlanEstimate {
 };
 
 /// Propagates cardinality estimates through the filter/probe/aggregate
-/// chains of a QueryPlan, bottom-up in dependency order. Collects a scanned
-/// table's statistics into `stats` on first sight, and again only when its
-/// row count changed; the scale a scan runs at does not enter them.
+/// chains of a QueryPlan, bottom-up in dependency order. A scanned table
+/// gets its entry in `stats` on first sight (anew only when its row count
+/// changed), and a column of it is scanned only when an estimate reads it:
+/// a filter's column, a build key's column. The scale a scan runs at does
+/// not enter statistics.
 class CardinalityEstimator {
  public:
   explicit CardinalityEstimator(StatsCatalog* stats) : stats_(stats) {}

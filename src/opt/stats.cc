@@ -32,7 +32,7 @@ const ColumnStats* BoundColumn(const expr::Expr& e,
   if (e.kind() != expr::ExprKind::kColRef) return nullptr;
   const int c = e.col_index();
   if (c < 0 || c >= static_cast<int>(binding.size())) return nullptr;
-  return binding[c];
+  return binding[c].Read();
 }
 
 /// sel(col <= v) by linear interpolation over the column's [min, max].
@@ -197,12 +197,26 @@ class DistinctBits {
   bool has_zero_ = false;
 };
 
-/// One pass over a column's typed values. Each value is widened to double
-/// as Column::GetDouble does; a run of equal neighbours inserts once.
+/// The one scan of a column for statistics. Values are widened to double
+/// as Column::GetDouble does. A column whose widened values strictly
+/// increase (every primary key) is exact after one compare pass: NDV = rows,
+/// min = first, max = last. Any other column is read again from the start
+/// into a set of bit patterns, where a run of equal neighbours inserts once.
 template <typename T>
 void ScanValues(std::span<const T> values, ColumnStats* cs) {
   cs->row_count = values.size();
   if (values.empty()) return;
+  cs->has_range = true;
+  const auto no_rise = [](T a, T b) {
+    return !(static_cast<double>(b) > static_cast<double>(a));
+  };
+  if (std::adjacent_find(values.begin(), values.end(), no_rise) ==
+      values.end()) {
+    cs->min_value = static_cast<double>(values.front());
+    cs->max_value = static_cast<double>(values.back());
+    cs->ndv = values.size();
+    return;
+  }
   DistinctBits distinct;
   double lo = static_cast<double>(values[0]);
   double hi = lo;
@@ -218,40 +232,67 @@ void ScanValues(std::span<const T> values, ColumnStats* cs) {
   }
   cs->min_value = lo;
   cs->max_value = hi;
-  cs->has_range = true;
   cs->ndv = distinct.size();
 }
 
 }  // namespace
 
-const TableStats& StatsCatalog::Collect(const storage::Table& table) {
-  TableStats ts;
-  ts.table = table.name();
-  ts.actual_rows = table.num_rows();
-  for (int c = 0; c < table.num_columns(); ++c) {
-    const storage::Column& col = *table.column(c);
-    ColumnStats cs;
-    cs.name = table.schema().field(c).name;
-    switch (col.type()) {
-      case storage::DataType::kInt32:
-        ScanValues(col.i32(), &cs);
-        break;
-      case storage::DataType::kInt64:
-        ScanValues(col.i64(), &cs);
-        break;
-      case storage::DataType::kFloat64:
-        ScanValues(col.f64(), &cs);
-        break;
-    }
-    ts.columns.emplace(cs.name, std::move(cs));
+TableStats::TableStats(storage::TablePtr table)
+    : table_(std::move(table)), columns_(table_->num_columns()) {}
+
+const ColumnStats& TableStats::Column(int c) const {
+  std::optional<ColumnStats>& cs = columns_[c];
+  if (cs.has_value()) return *cs;
+  cs.emplace();
+  cs->name = table_->schema().field(c).name;
+  const storage::Column& col = *table_->column(c);
+  switch (col.type()) {
+    case storage::DataType::kInt32:
+      ScanValues(col.i32(), &*cs);
+      break;
+    case storage::DataType::kInt64:
+      ScanValues(col.i64(), &*cs);
+      break;
+    case storage::DataType::kFloat64:
+      ScanValues(col.f64(), &*cs);
+      break;
   }
-  auto [it, _] = tables_.insert_or_assign(ts.table, std::move(ts));
-  return it->second;
+  return *cs;
+}
+
+const ColumnStats* TableStats::Column(const std::string& name) const {
+  const int c = ColumnIndex(name);
+  return c < 0 ? nullptr : &Column(c);
+}
+
+const ColumnStats* TableStats::Scanned(const std::string& name) const {
+  const int c = ColumnIndex(name);
+  return c < 0 || !columns_[c].has_value() ? nullptr : &*columns_[c];
+}
+
+std::shared_ptr<const TableStats> StatsCatalog::Entry(
+    const storage::TablePtr& table) {
+  std::shared_ptr<const TableStats>& entry = tables_[table->name()];
+  if (entry == nullptr || entry->actual_rows() != table->num_rows()) {
+    entry = std::make_shared<const TableStats>(table);
+  }
+  return entry;
 }
 
 const TableStats* StatsCatalog::Get(const std::string& table) const {
   auto it = tables_.find(table);
-  return it == tables_.end() ? nullptr : &it->second;
+  return it == tables_.end() ? nullptr : it->second.get();
+}
+
+StatsBinding BindColumns(const std::shared_ptr<const TableStats>& table,
+                         const std::vector<std::string>& columns) {
+  StatsBinding binding;
+  binding.reserve(columns.size());
+  for (const std::string& name : columns) {
+    const int c = table->ColumnIndex(name);
+    binding.push_back(c < 0 ? StatsRef{} : StatsRef{table, c});
+  }
+  return binding;
 }
 
 double EstimateSelectivity(const expr::Expr& pred,
@@ -313,8 +354,9 @@ uint64_t EstimateKeyNdv(const expr::Expr& key, const StatsBinding& binding,
   double product = 1.0;
   bool any = false;
   for (int col : key.ReferencedColumns()) {
-    const ColumnStats* c =
-        col < static_cast<int>(binding.size()) ? binding[col] : nullptr;
+    const ColumnStats* c = col < static_cast<int>(binding.size())
+                               ? binding[col].Read()
+                               : nullptr;
     if (c == nullptr || c->ndv == 0) continue;
     product *= static_cast<double>(c->ndv);
     any = true;

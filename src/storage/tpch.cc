@@ -53,10 +53,6 @@ constexpr int64_t kEpochDay = DaysFromCivil(1992, 1, 1);
 // Order dates span 1992-01-01 .. 1998-08-02 per the TPC-H spec.
 constexpr int64_t kOrderDateSpan = DaysFromCivil(1998, 8, 2) - kEpochDay + 1;
 
-int32_t EncodeDate(int64_t day_index) {
-  const Ymd ymd = CivilFromDays(kEpochDay + day_index);
-  return Date(ymd.y, ymd.m, ymd.d);
-}
 
 // Official dbgen supplier-for-part formula, so that every (l_partkey,
 // l_suppkey) pair generated for lineitem exists in partsupp.
@@ -65,6 +61,18 @@ int64_t PartSupp(int64_t partkey, int i, int64_t s /*supplier count*/) {
 }
 
 }  // namespace
+
+// Built at compile time, so generation looks dates up instead of dividing.
+constexpr std::array<int32_t, kGeneratedDays> kGeneratedDates = [] {
+  std::array<int32_t, kGeneratedDays> dates{};
+  for (int64_t day = 0; day < kGeneratedDays; ++day) {
+    const Ymd ymd = CivilFromDays(kEpochDay + day);
+    dates[day] = Date(ymd.y, ymd.m, ymd.d);
+  }
+  return dates;
+}();
+static_assert(kGeneratedDays == kOrderDateSpan + 121 + 30);
+static_assert(kGeneratedDates.back() == Date(1998, 12, 31));
 
 Status TpchGenerator::GenerateAll(Catalog* catalog) {
   HAPE_RETURN_NOT_OK(catalog->Register(Region()));
@@ -215,7 +223,7 @@ TablePtr TpchGenerator::Orders() {
     custkey[i] = static_cast<int64_t>(rng.Below(customers)) + 1;
     const int64_t day = static_cast<int64_t>(rng.Below(kOrderDateSpan));
     o_orderdate_[i] = static_cast<int32_t>(day);  // day index, cached
-    orderdate[i] = EncodeDate(day);
+    orderdate[i] = kGeneratedDates[day];
   }
   auto schema = std::make_shared<Schema>(std::vector<Field>{
       {"o_orderkey", DataType::kInt64},
@@ -241,6 +249,7 @@ TablePtr TpchGenerator::Lineitem() {
   const uint64_t parts = NumPart();
   const int64_t suppliers = static_cast<int64_t>(NumSupplier());
   constexpr int32_t kCutoff = Date(1995, 6, 17);
+  constexpr int64_t kCutoffDay = DaysFromCivil(1995, 6, 17) - kEpochDay;
   for (uint64_t i = 0; i < n; ++i) {
     // ~4 lines per order, clustered like dbgen output (lines of one order
     // are adjacent), which preserves FK integrity and date correlation.
@@ -256,13 +265,14 @@ TablePtr TpchGenerator::Lineitem() {
     // shipdate = orderdate + 1..121 days; receiptdate = shipdate + 1..30.
     const int64_t ship_day = o_orderdate_[o] + 1 +
                              static_cast<int64_t>(rng.Below(121));
-    shipdate[i] = EncodeDate(ship_day);
-    const int32_t receipt =
-        EncodeDate(ship_day + 1 + static_cast<int64_t>(rng.Below(30)));
+    shipdate[i] = kGeneratedDates[ship_day];
+    const int64_t receipt_day =
+        ship_day + 1 + static_cast<int64_t>(rng.Below(30));
     // dbgen rules: returnflag from receiptdate vs 1995-06-17, linestatus
     // from shipdate — the straddle creates the small (N, F) group of Q1.
-    returnflag[i] =
-        receipt > kCutoff ? kFlagN : (rng.Below(2) ? kFlagR : kFlagA);
+    returnflag[i] = receipt_day > kCutoffDay
+                        ? kFlagN
+                        : (rng.Below(2) ? kFlagR : kFlagA);
     linestatus[i] = shipdate[i] > kCutoff ? kStatusO : kStatusF;
   }
   auto schema = std::make_shared<Schema>(std::vector<Field>{

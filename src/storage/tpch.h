@@ -1,6 +1,7 @@
 #ifndef HAPE_STORAGE_TPCH_H_
 #define HAPE_STORAGE_TPCH_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -29,6 +30,12 @@ constexpr int32_t kSegBuilding = 0;
 
 /// Encode a date as int32 yyyymmdd (numeric order == date order).
 constexpr int32_t Date(int y, int m, int d) { return y * 10000 + m * 100 + d; }
+
+/// Days from 1992-01-01 that generated dates span: the order dates through
+/// 1998-08-02, then up to 121 ship days and 30 receipt days after them.
+constexpr int64_t kGeneratedDays = 2406 + 121 + 30;
+/// yyyymmdd of each of those days: the generator's date table.
+extern const std::array<int32_t, kGeneratedDays> kGeneratedDates;
 
 /// Base (scale factor 1) row counts, per the TPC-H specification.
 constexpr uint64_t kLineitemSf1 = 6001215;

@@ -188,23 +188,32 @@ TEST(ProbeKernels, ProbeBulkIdenticalToForEachMatch) {
 }
 
 // Both data planes build the same table: the scalar build, which hashes
-// each key itself, and BuildBulk from HashKeys' hashes give equal offsets
-// and slots.
+// each key itself, and BuildBulk, which fills from bucket ids with
+// prefetching, give equal offsets and slots, at sizes around the prefetch
+// distance too. BuildBulk counts every key as hashed and inserted.
 TEST(BuildKernels, BuildBulkMatchesPerRowInsert) {
   std::mt19937_64 rng(41);
-  std::vector<int64_t> keys(513);
-  for (auto& k : keys) k = static_cast<int64_t>(rng() % 128);
-  std::vector<uint64_t> hashes(keys.size());
-  kernels::HashKeys(keys.data(), keys.size(), hashes.data());
+  for (const size_t n : {0, 1, 8, 15, 16, 17, 513}) {
+    for (const size_t buckets : {size_t{1}, n}) {
+      SCOPED_TRACE(std::to_string(n) + " keys, " + std::to_string(buckets) +
+                   " buckets");
+      std::vector<int64_t> keys(n);
+      for (auto& k : keys) k = static_cast<int64_t>(rng() % 128);
+      const ops::ChainedHashTable scalar_ht(buckets, keys);
+      const KernelCounterSnapshot before = KernelCounters();
+      const ops::ChainedHashTable bulk_ht =
+          kernels::BuildBulk(buckets, keys.data(), n);
+      const KernelCounterSnapshot after = KernelCounters();
+      EXPECT_EQ(after.hashed_keys - before.hashed_keys, n);
+      EXPECT_EQ(after.bulk_inserts - before.bulk_inserts, n);
 
-  const ops::ChainedHashTable scalar_ht(keys.size(), keys);
-  const ops::ChainedHashTable bulk_ht =
-      kernels::BuildBulk(keys.size(), keys.data(), hashes.data(), keys.size());
-
-  ASSERT_EQ(bulk_ht.num_buckets(), scalar_ht.num_buckets());
-  ASSERT_EQ(scalar_ht.offsets().size(), scalar_ht.num_buckets() + 1);
-  ASSERT_TRUE(std::ranges::equal(bulk_ht.offsets(), scalar_ht.offsets()));
-  ASSERT_TRUE(std::ranges::equal(bulk_ht.slots(), scalar_ht.slots()));
+      ASSERT_EQ(bulk_ht.num_buckets(), scalar_ht.num_buckets());
+      ASSERT_EQ(scalar_ht.offsets().size(),
+                n == 0 ? 0 : scalar_ht.num_buckets() + 1);
+      ASSERT_TRUE(std::ranges::equal(bulk_ht.offsets(), scalar_ht.offsets()));
+      ASSERT_TRUE(std::ranges::equal(bulk_ht.slots(), scalar_ht.slots()));
+    }
+  }
 }
 
 // ---- grouped accumulation ---------------------------------------------------

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <random>
+#include <set>
+#include <type_traits>
 #include <unordered_set>
 
 #include "engine/engine.h"
@@ -33,18 +35,23 @@ class TpchStats : public ::testing::Test {
     ctx_->sf_nominal = 1.0;
     ASSERT_TRUE(queries::PrepareTpch(ctx_).ok());
     stats_ = new StatsCatalog();
-    for (const char* t : {"lineitem", "orders", "customer", "supplier",
-                          "nation", "partsupp"}) {
-      stats_->Collect(*ctx_->catalog.Get(t).value());
-    }
+  }
+
+  /// The fixture catalog's entry of a generated table; reading a column
+  /// of it scans that column.
+  static std::shared_ptr<const TableStats> Entry(const char* table) {
+    return stats_->Entry(ctx_->catalog.Get(table).value());
   }
 
   static const ColumnStats& Col(const char* table, const char* column) {
-    const TableStats* ts = stats_->Get(table);
-    EXPECT_NE(ts, nullptr);
-    const ColumnStats* cs = ts->Column(column);
+    const ColumnStats* cs = Entry(table)->Column(column);
     EXPECT_NE(cs, nullptr);
     return *cs;
+  }
+
+  static StatsBinding Bind(const char* table,
+                           const std::vector<std::string>& columns) {
+    return BindColumns(Entry(table), columns);
   }
 
   static sim::Topology* topo_;
@@ -57,9 +64,9 @@ StatsCatalog* TpchStats::stats_ = nullptr;
 
 TEST_F(TpchStats, RowCountsScaleToNominal) {
   // Stats hold the stored rows; the nominal view is rows x a plan's scale.
-  EXPECT_EQ(stats_->Get("lineitem")->actual_rows, 120024u);
-  EXPECT_EQ(stats_->Get("orders")->actual_rows, 30000u);
-  EXPECT_EQ(stats_->Get("customer")->actual_rows, 3000u);
+  EXPECT_EQ(Entry("lineitem")->actual_rows(), 120024u);
+  EXPECT_EQ(Entry("orders")->actual_rows(), 30000u);
+  EXPECT_EQ(Entry("customer")->actual_rows(), 3000u);
 }
 
 TEST_F(TpchStats, KeyNdvsAreExact) {
@@ -86,10 +93,8 @@ TEST_F(TpchStats, DomainNdvsAreNarrow) {
 }
 
 TEST_F(TpchStats, DateRangeSelectivity) {
-  const TableStats* orders = stats_->Get("orders");
-  StatsBinding binding{orders->Column("o_orderkey"),
-                       orders->Column("o_custkey"),
-                       orders->Column("o_orderdate")};
+  const StatsBinding binding =
+      Bind("orders", {"o_orderkey", "o_custkey", "o_orderdate"});
   auto pred = Expr::And(Expr::Ge(Expr::Col(2), Expr::Int(19940101)),
                         Expr::Lt(Expr::Col(2), Expr::Int(19950101)));
   // One of seven generated years; the yyyymmdd interpolation lands close.
@@ -101,9 +106,8 @@ TEST_F(TpchStats, DateRangeSelectivity) {
 }
 
 TEST_F(TpchStats, Q6PredicateSelectivity) {
-  const TableStats* l = stats_->Get("lineitem");
-  StatsBinding binding{l->Column("l_shipdate"), l->Column("l_discount"),
-                       l->Column("l_quantity")};
+  const StatsBinding binding =
+      Bind("lineitem", {"l_shipdate", "l_discount", "l_quantity"});
   auto pred = Expr::And(
       Expr::And(Expr::Ge(Expr::Col(0), Expr::Int(19940101)),
                 Expr::Lt(Expr::Col(0), Expr::Int(19950101))),
@@ -115,8 +119,7 @@ TEST_F(TpchStats, Q6PredicateSelectivity) {
 }
 
 TEST_F(TpchStats, EqualityAndBooleanRules) {
-  const TableStats* n = stats_->Get("nation");
-  StatsBinding binding{n->Column("n_nationkey"), n->Column("n_regionkey")};
+  const StatsBinding binding = Bind("nation", {"n_nationkey", "n_regionkey"});
   // 1/NDV equality.
   EXPECT_DOUBLE_EQ(
       EstimateSelectivity(*Expr::Eq(Expr::Col(1), Expr::Int(2)), binding),
@@ -131,20 +134,18 @@ TEST_F(TpchStats, EqualityAndBooleanRules) {
                          Expr::Eq(Expr::Col(1), Expr::Int(3)));
   EXPECT_NEAR(EstimateSelectivity(*either, binding), 0.2 + 0.2 - 0.04, 1e-12);
   // Column-column equality: 1/max(ndv).
-  StatsBinding two{n->Column("n_nationkey"), n->Column("n_regionkey")};
   EXPECT_DOUBLE_EQ(
-      EstimateSelectivity(*Expr::Eq(Expr::Col(0), Expr::Col(1)), two),
+      EstimateSelectivity(*Expr::Eq(Expr::Col(0), Expr::Col(1)), binding),
       1.0 / 25);
   // Unbound columns fall back to the default.
-  StatsBinding unbound{nullptr};
+  const StatsBinding unbound(1);
   EXPECT_DOUBLE_EQ(
       EstimateSelectivity(*Expr::Eq(Expr::Col(0), Expr::Int(1)), unbound),
       kDefaultSelectivity);
 }
 
 TEST_F(TpchStats, CompositeKeyNdv) {
-  const TableStats* ps = stats_->Get("partsupp");
-  StatsBinding binding{ps->Column("ps_partkey"), ps->Column("ps_suppkey")};
+  const StatsBinding binding = Bind("partsupp", {"ps_partkey", "ps_suppkey"});
   auto key = Expr::Add(Expr::Mul(Expr::Col(0), Expr::Int(100000000)),
                        Expr::Col(1));
   // 4000 parts x 200 suppliers, capped by the 16000 rows.
@@ -153,56 +154,58 @@ TEST_F(TpchStats, CompositeKeyNdv) {
   EXPECT_EQ(EstimateKeyNdv(*Expr::Int(7), binding, 16000), 1u);
 }
 
-// ---- the typed collection pass against the set-based reference -------------
+// ---- the typed column scan against the set-based reference -----------------
 
-/// The row-at-a-time pass Collect replaced: every value read through
-/// GetDouble into an unordered_set of its bit pattern, min/max folded in
-/// row order.
-TableStats ReferenceCollect(const storage::Table& table) {
-  TableStats ts;
-  ts.table = table.name();
-  ts.actual_rows = table.num_rows();
-  for (int c = 0; c < table.num_columns(); ++c) {
-    const storage::Column& col = *table.column(c);
-    ColumnStats cs;
-    cs.name = table.schema().field(c).name;
-    cs.row_count = col.size();
-    std::unordered_set<uint64_t> distinct;
-    distinct.reserve(col.size());
-    for (size_t i = 0; i < col.size(); ++i) {
-      const double v = col.GetDouble(i);
-      if (!cs.has_range) {
-        cs.min_value = cs.max_value = v;
-        cs.has_range = true;
-      } else {
-        cs.min_value = std::min(cs.min_value, v);
-        cs.max_value = std::max(cs.max_value, v);
-      }
-      distinct.insert(std::bit_cast<uint64_t>(v));
+/// The row-at-a-time pass the typed scan replaced: every value of column
+/// `c` read through GetDouble into an unordered_set of its bit pattern,
+/// min/max folded in row order.
+ColumnStats ReferenceCollect(const storage::Table& table, int c) {
+  const storage::Column& col = *table.column(c);
+  ColumnStats cs;
+  cs.name = table.schema().field(c).name;
+  cs.row_count = col.size();
+  std::unordered_set<uint64_t> distinct;
+  distinct.reserve(col.size());
+  for (size_t i = 0; i < col.size(); ++i) {
+    const double v = col.GetDouble(i);
+    if (!cs.has_range) {
+      cs.min_value = cs.max_value = v;
+      cs.has_range = true;
+    } else {
+      cs.min_value = std::min(cs.min_value, v);
+      cs.max_value = std::max(cs.max_value, v);
     }
-    cs.ndv = distinct.size();
-    ts.columns.emplace(cs.name, std::move(cs));
+    distinct.insert(std::bit_cast<uint64_t>(v));
   }
-  return ts;
+  cs.ndv = distinct.size();
+  return cs;
 }
 
 /// Field by field, min/max compared as bit patterns (NaN, -0.0).
-void ExpectSameStats(const TableStats& want, const TableStats& got) {
-  EXPECT_EQ(got.table, want.table);
-  EXPECT_EQ(got.actual_rows, want.actual_rows);
-  ASSERT_EQ(got.columns.size(), want.columns.size());
-  for (const auto& [name, w] : want.columns) {
-    SCOPED_TRACE(want.table + "." + name);
-    const ColumnStats* g = got.Column(name);
-    ASSERT_NE(g, nullptr);
-    EXPECT_EQ(g->name, w.name);
-    EXPECT_EQ(g->row_count, w.row_count);
-    EXPECT_EQ(g->ndv, w.ndv);
-    EXPECT_EQ(g->has_range, w.has_range);
-    EXPECT_EQ(std::bit_cast<uint64_t>(g->min_value),
-              std::bit_cast<uint64_t>(w.min_value));
-    EXPECT_EQ(std::bit_cast<uint64_t>(g->max_value),
-              std::bit_cast<uint64_t>(w.max_value));
+void ExpectSameStats(const ColumnStats& want, const ColumnStats& got) {
+  SCOPED_TRACE(want.name);
+  EXPECT_EQ(got.name, want.name);
+  EXPECT_EQ(got.row_count, want.row_count);
+  EXPECT_EQ(got.ndv, want.ndv);
+  EXPECT_EQ(got.has_range, want.has_range);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.min_value),
+            std::bit_cast<uint64_t>(want.min_value));
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.max_value),
+            std::bit_cast<uint64_t>(want.max_value));
+}
+
+/// Reads `table`'s columns one at a time from a fresh catalog entry, each
+/// against the reference; a read scans its column and no later one.
+void ExpectColumnReadsMatchReference(const storage::TablePtr& table) {
+  SCOPED_TRACE(table->name());
+  StatsCatalog stats;
+  const std::shared_ptr<const TableStats> entry = stats.Entry(table);
+  EXPECT_EQ(entry->actual_rows(), table->num_rows());
+  for (int c = 0; c < table->num_columns(); ++c) {
+    const std::string& name = table->schema().field(c).name;
+    EXPECT_EQ(entry->Scanned(name), nullptr);
+    ExpectSameStats(ReferenceCollect(*table, c), entry->Column(c));
+    EXPECT_EQ(entry->Scanned(name), &entry->Column(c));
   }
 }
 
@@ -270,24 +273,95 @@ TEST(StatsCollect, TypedPassMatchesSetPassOnGeneratedColumns) {
       }
     };
     // Not "t" + std::to_string(trial): GCC 12's -Wrestrict misfires on it.
-    const storage::Table table(
+    const auto table = std::make_shared<storage::Table>(
         std::string("t").append(std::to_string(trial)),
         std::make_shared<storage::Schema>(std::vector<storage::Field>{
             {"a", storage::DataType::kInt32},
             {"b", storage::DataType::kInt64},
             {"c", storage::DataType::kFloat64}}),
-        {col(0), col(1), col(2)});
-    StatsCatalog stats;
-    ExpectSameStats(ReferenceCollect(table), stats.Collect(table));
+        std::vector<storage::ColumnPtr>{col(0), col(1), col(2)});
+    ExpectColumnReadsMatchReference(table);
     if (HasFailure()) return;  // one failing trial is enough to read
+  }
+}
+
+/// A one-column table "t" of `values`.
+template <typename T>
+storage::TablePtr OneColumnTable(std::vector<T> values) {
+  const storage::DataType type =
+      std::is_same_v<T, int32_t>   ? storage::DataType::kInt32
+      : std::is_same_v<T, int64_t> ? storage::DataType::kInt64
+                                   : storage::DataType::kFloat64;
+  return std::make_shared<storage::Table>(
+      "t",
+      std::make_shared<storage::Schema>(
+          std::vector<storage::Field>{{"a", type}}),
+      std::vector<storage::ColumnPtr>{
+          std::make_shared<storage::Column>(std::move(values))});
+}
+
+TEST(StatsCollect, IncreasingColumnsMatchSetPass) {
+  // Strictly increasing columns take the one-compare-pass shortcut; the
+  // near misses (a repeat or a NaN in the middle, -0.0 before 0.0, int64
+  // neighbours that widen to one double) must fall through to the set.
+  std::mt19937_64 rng(20261020);
+  const auto f64 = [](uint64_t bits) { return std::bit_cast<double>(bits); };
+  const double inf = std::numeric_limits<double>::infinity();
+  const int64_t two53 = int64_t{1} << 53;
+  /// `n` distinct draws in increasing order, between `lo` and `hi`.
+  const auto rising = [](size_t n, auto lo, auto hi, auto draw) {
+    std::set<decltype(draw())> set{lo, hi};
+    while (set.size() < n) set.insert(draw());
+    return std::vector<decltype(draw())>(set.begin(), set.end());
+  };
+  const std::vector<int32_t> i32 = rising(
+      2000, std::numeric_limits<int32_t>::min(),
+      std::numeric_limits<int32_t>::max(),
+      [&] { return static_cast<int32_t>(rng()); });
+  const std::vector<int64_t> i64 = rising(
+      2000, std::numeric_limits<int64_t>::min(),
+      std::numeric_limits<int64_t>::max(),
+      [&] { return static_cast<int64_t>(rng()); });
+  // Finite draws between -inf and +inf.
+  const std::vector<double> f64s = rising(2000, -inf, inf, [&] {
+    const double v = f64(rng());
+    return std::isfinite(v) ? v : 0.0;
+  });
+  std::vector<int64_t> across53;  // every int64 around 2^53
+  for (int64_t v = two53 - 300; v < two53 + 300; ++v) across53.push_back(v);
+  const auto with_repeat = [](auto v) {
+    v.insert(v.begin() + v.size() / 2, v[v.size() / 2]);
+    return v;
+  };
+  std::vector<double> with_nan = f64s;
+  with_nan.insert(with_nan.begin() + 1000, f64(0x7ff8000000000000ULL));
+
+  for (const storage::TablePtr& table : {
+           OneColumnTable(i32),
+           OneColumnTable(i64),
+           OneColumnTable(f64s),
+           OneColumnTable(across53),
+           OneColumnTable(std::vector<int64_t>{two53 - 1, two53, two53 + 1}),
+           OneColumnTable(with_repeat(i32)),
+           OneColumnTable(with_repeat(i64)),
+           OneColumnTable(with_repeat(f64s)),
+           OneColumnTable(with_nan),
+           OneColumnTable(std::vector<double>{-1.0, -0.0, 0.0, 1.0}),
+           OneColumnTable(std::vector<int32_t>{7}),
+           OneColumnTable(std::vector<int64_t>{two53 + 1}),
+           OneColumnTable(std::vector<double>{f64(0xfff8000000000000ULL)}),
+           OneColumnTable(std::vector<int32_t>{}),
+           OneColumnTable(std::vector<int64_t>{}),
+           OneColumnTable(std::vector<double>{}),
+       }) {
+    ExpectColumnReadsMatchReference(table);
+    if (HasFailure()) return;
   }
 }
 
 TEST_F(TpchStats, TypedPassMatchesSetPassOnEveryTable) {
   for (const std::string& name : ctx_->catalog.TableNames()) {
-    const storage::Table& table = *ctx_->catalog.Get(name).value();
-    StatsCatalog stats;
-    ExpectSameStats(ReferenceCollect(table), stats.Collect(table));
+    ExpectColumnReadsMatchReference(ctx_->catalog.Get(name).value());
   }
 }
 
@@ -315,6 +389,76 @@ TEST_F(TpchStats, ScanAtAnotherScaleKeepsTheFirstCollection) {
   }
   ASSERT_EQ(stats.num_tables(), 1u);
   EXPECT_EQ(stats.Get("orders")->Column("o_orderkey")->ndv, 1u);
+}
+
+TEST_F(TpchStats, EstimatesReadTheTableFirstSeenUnderAName) {
+  // As above, but no estimate reads the stand-in's key until a later plan
+  // builds on the real orders' key: that read scans the entry's table, the
+  // stand-in, not the table the current scan names.
+  const storage::TablePtr orders = ctx_->catalog.Get("orders").value();
+  const auto standin = std::make_shared<storage::Table>(
+      "orders",
+      std::make_shared<storage::Schema>(std::vector<storage::Field>{
+          {"o_orderkey", storage::DataType::kInt64}}),
+      std::vector<storage::ColumnPtr>{std::make_shared<storage::Column>(
+          std::vector<int64_t>(orders->num_rows(), 7))});
+  const engine::AggDef count{engine::AggOp::kCount, nullptr};
+  StatsCatalog stats;
+  CardinalityEstimator est(&stats);
+  engine::PlanBuilder first("count");
+  first.Scan(standin, {"o_orderkey"}, 1 << 16).Aggregate(nullptr, {count});
+  ASSERT_TRUE(est.EstimatePlan(std::move(first).Build()).ok());
+  ASSERT_EQ(stats.Get("orders")->Scanned("o_orderkey"), nullptr);
+
+  engine::PlanBuilder second("join");
+  auto build = second.Scan(orders, {"o_orderkey"}, 1 << 16)
+                   .Scale(ctx_->scale())
+                   .HashBuild(Expr::Col(0), {});
+  auto probe = second.Scan(orders, {"o_orderkey"}, 1 << 16)
+                   .Scale(ctx_->scale());
+  probe.Probe(build, Expr::Col(0));
+  probe.Aggregate(nullptr, {count});
+  auto pe = est.EstimatePlan(std::move(second).Build());
+  ASSERT_TRUE(pe.ok()) << pe.status().ToString();
+  EXPECT_DOUBLE_EQ(pe.value().nodes[0].key_domain_ndv, 1.0);
+  const ColumnStats* key = stats.Get("orders")->Scanned("o_orderkey");
+  ASSERT_NE(key, nullptr);
+  EXPECT_EQ(key->ndv, 1u);
+}
+
+TEST_F(TpchStats, OptimizingTheSuiteScansOnlyTheColumnsEstimatesRead) {
+  // Filters and build keys read 14 columns of the suite's tables; no other
+  // column (l_extendedprice, the costliest, among them) is ever scanned.
+  StatsCatalog stats;
+  Optimizer optimizer(topo_, &stats);
+  const engine::ExecutionPolicy policy = engine::ExecutionPolicy::ForConfig(
+      *topo_, engine::EngineConfig::kProteusHybrid);
+  for (const queries::BuildFn build :
+       {queries::BuildQ1Plan, queries::BuildQ3Plan, queries::BuildQ5Plan,
+        queries::BuildQ6Plan, queries::BuildQ9Plan}) {
+    Result<queries::BuiltQuery> q = build(ctx_);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    auto result = optimizer.OptimizePlan(&q.value().plan, policy);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  std::set<std::pair<std::string, std::string>> scanned;
+  for (const std::string& name : ctx_->catalog.TableNames()) {
+    const TableStats* ts = stats.Get(name);
+    if (ts == nullptr) continue;
+    for (const storage::Field& f :
+         ctx_->catalog.Get(name).value()->schema().fields()) {
+      if (ts->Scanned(f.name) != nullptr) scanned.emplace(name, f.name);
+    }
+  }
+  const std::set<std::pair<std::string, std::string>> read{
+      {"customer", "c_custkey"},   {"customer", "c_mktsegment"},
+      {"customer", "c_nationkey"}, {"lineitem", "l_discount"},
+      {"lineitem", "l_quantity"},  {"lineitem", "l_shipdate"},
+      {"nation", "n_nationkey"},   {"nation", "n_regionkey"},
+      {"orders", "o_orderdate"},   {"orders", "o_orderkey"},
+      {"partsupp", "ps_partkey"},  {"partsupp", "ps_suppkey"},
+      {"supplier", "s_nationkey"}, {"supplier", "s_suppkey"}};
+  EXPECT_EQ(scanned, read);
 }
 
 // ---- cardinality propagation ------------------------------------------------

@@ -281,16 +281,14 @@ TEST_P(DataPlaneEquivalence, BulkProbeMatchesScalarChainWalk) {
 }
 
 // Both data planes build the same table: the scalar build hashes each key
-// itself, BuildBulk takes HashKeys' hashes.
+// itself, BuildBulk fills from bucket ids with prefetching.
 TEST_P(DataPlaneEquivalence, BulkBuildMatchesPerRowInsert) {
   const PlaneWorkload w = GetParam();
   const std::vector<int64_t> keys = Keys(w, 2);
-  std::vector<uint64_t> hashes(keys.size());
-  codegen::kernels::HashKeys(keys.data(), keys.size(), hashes.data());
 
   const ops::ChainedHashTable scalar_ht(keys.size(), keys);
-  const ops::ChainedHashTable bulk_ht = codegen::kernels::BuildBulk(
-      keys.size(), keys.data(), hashes.data(), keys.size());
+  const ops::ChainedHashTable bulk_ht =
+      codegen::kernels::BuildBulk(keys.size(), keys.data(), keys.size());
 
   ASSERT_EQ(bulk_ht.num_buckets(), scalar_ht.num_buckets());
   EXPECT_TRUE(std::ranges::equal(bulk_ht.offsets(), scalar_ht.offsets()));

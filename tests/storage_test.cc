@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <set>
@@ -338,6 +339,23 @@ TEST_F(TpchGen, PartsuppCoversEveryLineitemPair) {
     ASSERT_TRUE(pairs.count(lpk[i] * 1'000'000 + lsk[i]))
         << "lineitem row " << i << " has no partsupp entry";
   }
+}
+
+TEST(TpchDates, TableMatchesTheCivilCalendarOnEveryDay) {
+  // Every day the generator can emit, against the standard library's
+  // calendar (independent of the civil-from-days arithmetic the table is
+  // built from).
+  using namespace std::chrono;
+  const sys_days epoch = year{1992} / January / 1;
+  for (int64_t day = 0; day < tpch::kGeneratedDays; ++day) {
+    const year_month_day ymd{epoch + days{day}};
+    ASSERT_EQ(tpch::kGeneratedDates[day],
+              tpch::Date(static_cast<int>(ymd.year()),
+                         static_cast<int>(static_cast<unsigned>(ymd.month())),
+                         static_cast<int>(static_cast<unsigned>(ymd.day()))))
+        << "day " << day;
+  }
+  EXPECT_EQ(tpch::kGeneratedDates[2405], tpch::Date(1998, 8, 2));
 }
 
 TEST_F(TpchGen, ShipdateFollowsOrderdate) {

@@ -70,10 +70,7 @@ TEST(TsanStress, ConcurrentProbeBulkOverSharedTable) {
     for (size_t i = 0; i < kBuildRows; ++i) {
       keys[i] = static_cast<int64_t>(i % (kBuildRows / 2));
     }
-    std::vector<uint64_t> hashes(kBuildRows);
-    kernels::HashKeys(keys.data(), kBuildRows, hashes.data());
-    ht = kernels::BuildBulk(kBuildRows, keys.data(), hashes.data(),
-                            kBuildRows);
+    ht = kernels::BuildBulk(kBuildRows, keys.data(), kBuildRows);
   }
 
   std::vector<uint64_t> visits(kBlocks, 0);
