@@ -130,40 +130,6 @@ Replay Run(const WorkloadOptions& wo, bool untiered, bool traced = false) {
   return r;
 }
 
-void WriteTiers(JsonWriter* w, const engine::ScheduleStats& s) {
-  w->Key("tiers");
-  w->BeginArray();
-  for (const engine::TierPercentiles& t : s.tiers) {
-    w->BeginObject();
-    w->Key("tier");
-    w->Int(t.tier);
-    w->Key("queries");
-    w->Uint(t.queries);
-    w->Key("completed");
-    w->Uint(t.completed);
-    w->Key("cancelled");
-    w->Uint(t.cancelled);
-    w->Key("deadline_exceeded");
-    w->Uint(t.deadline_exceeded);
-    w->Key("shed");
-    w->Uint(t.shed);
-    w->Key("queue_p50_s");
-    w->Double(t.queue_p50);
-    w->Key("queue_p95_s");
-    w->Double(t.queue_p95);
-    w->Key("queue_p99_s");
-    w->Double(t.queue_p99);
-    w->Key("makespan_p50_s");
-    w->Double(t.makespan_p50);
-    w->Key("makespan_p95_s");
-    w->Double(t.makespan_p95);
-    w->Key("makespan_p99_s");
-    w->Double(t.makespan_p99);
-    w->EndObject();
-  }
-  w->EndArray();
-}
-
 bool SchedulesIdentical(const engine::ScheduleStats& a,
                         const engine::ScheduleStats& b) {
   if (a.makespan != b.makespan || a.queries.size() != b.queries.size() ||
@@ -340,11 +306,11 @@ void ReplayTableAndJson() {
   w.Raw(tiered.metrics_json);
   w.Key("tiered");
   w.BeginObject();
-  WriteTiers(&w, tiered.stats);
+  engine::WriteTiers(&w, tiered.stats);
   w.EndObject();
   w.Key("untiered");
   w.BeginObject();
-  WriteTiers(&w, untiered.stats);
+  engine::WriteTiers(&w, untiered.stats);
   w.EndObject();
   HAPE_CHECK(!tiered.stats.tiers.empty());
   w.Key("high_tier_queue_p95_s");

@@ -39,7 +39,6 @@ class CpuBackend final : public Backend {
   }
   const std::string& name() const override { return name_; }
   sim::SimTime PacketTime(const sim::TrafficStats& t) const override;
-  const sim::CpuSpec& per_worker_spec() const { return per_worker_; }
 
  private:
   sim::CpuSpec per_worker_;  // 1 core, 1/cores of the socket bandwidth

@@ -125,21 +125,20 @@ class Engine {
   /// statistics from the plan's source tables, estimates cardinalities,
   /// reorders join probes, sizes build hash tables, derives heavy-build
   /// marks, and records each pipeline's cost estimate on the policy's
-  /// device set (a hand-set run_on is kept).
+  /// device set (a hand-set run_on is kept). Every decision is written
+  /// into the plan; the result adds only the op order each pipeline was
+  /// permuted by.
   Result<opt::OptimizeResult> Optimize(QueryPlan* plan,
                                        const ExecutionPolicy& policy);
 
-  /// Serialize the (optimized) plan DAG to JSON: pipelines, dependency and
-  /// build/probe edges, chosen devices, and estimated vs declared
-  /// cardinalities — the repeatable-experiment manifest half of plan
-  /// serialization.
-  std::string Explain(const QueryPlan& plan) const;
-
-  /// Explain plus the execution record of a finished run: per-pipeline
+  /// Execution record of a finished run of `plan`: the plan as DumpPlan
+  /// writes it (the "plan" member, which LoadPlan reloads), per-pipeline
   /// start/finish and the mem-move overlap accounting (transfer time
   /// hidden behind compute vs exposed on the critical path) the async
-  /// executor reports.
-  std::string Explain(const QueryPlan& plan, const RunStats& run) const;
+  /// executor reports. Fails with DumpPlan's Status for a plan DumpPlan
+  /// refuses.
+  Result<std::string> Explain(const QueryPlan& plan,
+                              const RunStats& run) const;
 
   /// Execution record of a finished RunAll: the scheduling policy, global
   /// makespan, and per-query admission time, queueing delay, makespan,
@@ -147,8 +146,10 @@ class Engine {
   std::string Explain(const ScheduleStats& schedule) const;
 
   /// Serialize `plan` (and optionally the policy it should run under) to a
-  /// self-contained JSON document Engine::LoadPlan reconstructs exactly —
-  /// the load half of plan serialization that Explain (dump-only) lacks.
+  /// self-contained JSON document Engine::LoadPlan reconstructs exactly:
+  /// pipelines, dependency and build/probe edges, chosen devices, and the
+  /// optimizer's decisions (bucket counts, heavy marks, estimates). The
+  /// only serialized form of a plan.
   Result<std::string> DumpPlan(const QueryPlan& plan) const;
   Result<std::string> DumpPlan(const QueryPlan& plan,
                                const ExecutionPolicy& policy) const;

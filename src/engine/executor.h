@@ -236,9 +236,6 @@ class Executor {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   sim::Topology* topology() { return topo_; }
-  const codegen::Backend& backend_for(int device_id) const {
-    return *backends_.at(device_id);
-  }
 
  private:
   /// Callback yielding a link's next-available time; lets the router run

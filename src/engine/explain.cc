@@ -6,38 +6,6 @@ namespace hape::engine {
 
 namespace {
 
-const char* OpKindName(LogicalOp::Kind k) {
-  switch (k) {
-    case LogicalOp::Kind::kFilter:
-      return "filter";
-    case LogicalOp::Kind::kProject:
-      return "project";
-    case LogicalOp::Kind::kProbe:
-      return "probe";
-  }
-  return "?";
-}
-
-const char* TerminalKindName(TerminalSpec::Kind kind) {
-  switch (kind) {
-    case TerminalSpec::Kind::kBuild:
-      return "hash_build";
-    case TerminalSpec::Kind::kAggregate:
-      return "hash_agg";
-    case TerminalSpec::Kind::kCollect:
-      return "collect";
-    case TerminalSpec::Kind::kNone:
-      break;
-  }
-  return "none";
-}
-
-void IntArray(JsonWriter* w, const std::vector<int>& v) {
-  w->BeginArray();
-  for (int x : v) w->Int(x);
-  w->EndArray();
-}
-
 void DeviceBusyArray(JsonWriter* w,
                      const std::map<int, sim::SimTime>& busy,
                      const std::map<int, sim::SimTime>* totals) {
@@ -122,20 +90,53 @@ void RunObject(JsonWriter* w, const RunStats& run) {
 
 }  // namespace
 
-std::string Engine::Explain(const QueryPlan& plan,
-                            const RunStats& run) const {
+void WriteTiers(JsonWriter* w, const ScheduleStats& schedule) {
+  w->Key("tiers");
+  w->BeginArray();
+  for (const TierPercentiles& t : schedule.tiers) {
+    w->BeginObject();
+    w->Key("tier");
+    w->Int(t.tier);
+    w->Key("queries");
+    w->Uint(t.queries);
+    w->Key("completed");
+    w->Uint(t.completed);
+    w->Key("cancelled");
+    w->Uint(t.cancelled);
+    w->Key("deadline_exceeded");
+    w->Uint(t.deadline_exceeded);
+    w->Key("shed");
+    w->Uint(t.shed);
+    w->Key("queue_p50_s");
+    w->Double(t.queue_p50);
+    w->Key("queue_p95_s");
+    w->Double(t.queue_p95);
+    w->Key("queue_p99_s");
+    w->Double(t.queue_p99);
+    w->Key("makespan_p50_s");
+    w->Double(t.makespan_p50);
+    w->Key("makespan_p95_s");
+    w->Double(t.makespan_p95);
+    w->Key("makespan_p99_s");
+    w->Double(t.makespan_p99);
+    w->EndObject();
+  }
+  w->EndArray();
+}
+
+Result<std::string> Engine::Explain(const QueryPlan& plan,
+                                    const RunStats& run) const {
+  HAPE_ASSIGN_OR_RETURN(std::string plan_doc, DumpPlan(plan));
   JsonWriter w;
   w.BeginObject();
   w.Key("plan");
-  w.String(plan.name());
+  w.Raw(plan_doc);
   w.Key("run");
   RunObject(&w, run);
   // Engine-wide instrument snapshot at explain time (counters cover every
   // run this Engine executed, not just `run`).
   w.Key("metrics");
   metrics_.WriteJson(&w);
-  w.Key("explain");
-  w.Raw(Explain(plan));
   w.EndObject();
   return w.str();
 }
@@ -169,37 +170,7 @@ std::string Engine::Explain(const ScheduleStats& schedule) const {
   // Per-SLA-tier latency distributions (nearest-rank percentiles).
   // Non-tiered policies report one tier-0 row over all queries, so tiered
   // and untiered runs of the same trace are directly comparable.
-  w.Key("tiers");
-  w.BeginArray();
-  for (const TierPercentiles& t : schedule.tiers) {
-    w.BeginObject();
-    w.Key("tier");
-    w.Int(t.tier);
-    w.Key("queries");
-    w.Uint(t.queries);
-    w.Key("completed");
-    w.Uint(t.completed);
-    w.Key("cancelled");
-    w.Uint(t.cancelled);
-    w.Key("deadline_exceeded");
-    w.Uint(t.deadline_exceeded);
-    w.Key("shed");
-    w.Uint(t.shed);
-    w.Key("queue_p50_s");
-    w.Double(t.queue_p50);
-    w.Key("queue_p95_s");
-    w.Double(t.queue_p95);
-    w.Key("queue_p99_s");
-    w.Double(t.queue_p99);
-    w.Key("makespan_p50_s");
-    w.Double(t.makespan_p50);
-    w.Key("makespan_p95_s");
-    w.Double(t.makespan_p95);
-    w.Key("makespan_p99_s");
-    w.Double(t.makespan_p99);
-    w.EndObject();
-  }
-  w.EndArray();
+  WriteTiers(&w, schedule);
   w.Key("queries");
   w.BeginArray();
   for (const QueryRunStats& q : schedule.queries) {
@@ -249,103 +220,6 @@ std::string Engine::Explain(const ScheduleStats& schedule) const {
   w.EndObject();
   w.Key("metrics");
   metrics_.WriteJson(&w);
-  w.EndObject();
-  return w.str();
-}
-
-std::string Engine::Explain(const QueryPlan& plan) const {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("plan");
-  w.String(plan.name());
-  w.Key("num_pipelines");
-  w.Uint(plan.num_pipelines());
-  if (plan.declared_intermediate_bytes() > 0) {
-    w.Key("declared_intermediate_bytes");
-    w.Uint(plan.declared_intermediate_bytes());
-    w.Key("declared_intermediate_label");
-    w.String(plan.declared_intermediate_label());
-  }
-  w.Key("pipelines");
-  w.BeginArray();
-  for (size_t i = 0; i < plan.num_pipelines(); ++i) {
-    const PlanNode& n = plan.node(static_cast<int>(i));
-    w.BeginObject();
-    w.Key("id");
-    w.Uint(i);
-    w.Key("name");
-    w.String(n.name);
-    w.Key("source");
-    w.BeginObject();
-    w.Key("table");
-    w.String(n.source_table->name());
-    w.Key("columns");
-    w.BeginArray();
-    for (const auto& c : n.source_columns) w.String(c);
-    w.EndArray();
-    w.EndObject();
-    w.Key("deps");
-    IntArray(&w, n.deps);
-    w.Key("run_on");
-    IntArray(&w, n.run_on);
-    w.Key("build");
-    w.Bool(n.is_build());
-    if (n.is_build()) {
-      w.Key("heavy");
-      w.Bool(n.terminal.heavy);
-      if (n.terminal.key != nullptr) {
-        w.Key("build_key");
-        w.String(n.terminal.key->ToString());
-      }
-      w.Key("ht_buckets");
-      w.Uint(n.terminal.ht_buckets);
-    }
-    w.Key("scale");
-    w.Double(n.scale);
-    // Declared vs estimated cardinalities: what the plan said vs what the
-    // optimizer derived (estimates are zero until Engine::Optimize ran).
-    w.Key("declared");
-    w.BeginObject();
-    w.Key("source_rows");
-    w.Uint(n.source_rows());
-    if (n.terminal.declared_rows > 0) {
-      w.Key("build_rows");
-      w.Uint(n.terminal.declared_rows);
-    }
-    w.EndObject();
-    w.Key("estimated");
-    w.BeginObject();
-    w.Key("out_rows");
-    w.Uint(n.est_out_rows);
-    w.Key("nominal_out_rows");
-    w.Uint(n.est_nominal_out_rows);
-    w.Key("cost_seconds");
-    w.Double(n.est_cost_seconds);
-    w.EndObject();
-    w.Key("ops");
-    w.BeginArray();
-    for (const LogicalOp& op : n.ops) {
-      w.BeginObject();
-      w.Key("kind");
-      w.String(OpKindName(op.kind));
-      if (op.expr != nullptr) {
-        w.Key("expr");
-        w.String(op.expr->ToString());
-      }
-      if (op.kind == LogicalOp::Kind::kProbe) {
-        w.Key("build_pipeline");
-        w.Int(op.build);
-        w.Key("appended_cols");
-        w.Int(plan.AppendedColumns(op));
-      }
-      w.EndObject();
-    }
-    w.EndArray();
-    w.Key("sink");
-    w.String(TerminalKindName(n.terminal.kind));
-    w.EndObject();
-  }
-  w.EndArray();
   w.EndObject();
   return w.str();
 }

@@ -42,11 +42,12 @@ struct LoadedPlan {
   }
 };
 
-/// The load half of plan serialization (the dump half grew out of
-/// Engine::Explain): QueryPlans and ExecutionPolicies round-trip through a
-/// self-contained JSON document so experiments — plan shape x execution
+/// Plan serialization: QueryPlans and ExecutionPolicies round-trip through
+/// a self-contained JSON document so experiments — plan shape x execution
 /// policy x topology — are reproducible from checked-in manifests instead
-/// of C++ that rebuilds the plans.
+/// of C++ that rebuilds the plans. Dump is the only writer of a plan
+/// (Engine::Explain embeds its document in a run record) and Load the
+/// only reader.
 ///
 /// Dump serializes the plan in pipeline declaration order (which fixes
 /// the stable topological order): per pipeline the scan source (table /

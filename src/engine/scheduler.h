@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/status.h"
 #include "engine/engine.h"
 #include "engine/plan.h"
@@ -135,6 +136,10 @@ struct TierPercentiles {
   double makespan_p95 = 0;
   double makespan_p99 = 0;
 };
+
+/// Writes `schedule`'s per-tier table as the "tiers" member: the one tier
+/// writer, shared by Explain(schedule) and the serving bench's document.
+void WriteTiers(JsonWriter* w, const ScheduleStats& schedule);
 
 /// Outcome of Engine::RunAll: the global makespan plus per-query makespan,
 /// queueing delay, and device-share accounting.

@@ -199,11 +199,11 @@ std::vector<int> Optimizer::OrderOps(const std::vector<double>& factors,
 
 Status Optimizer::ReorderNode(QueryPlan* plan, int node_idx,
                               const PlanEstimate& est,
-                              NodeDecision* decision) {
+                              std::vector<int>* order) {
   const PlanNode& node = plan->node(node_idx);
   const int n = static_cast<int>(node.ops.size());
-  decision->op_order.resize(n);
-  for (int i = 0; i < n; ++i) decision->op_order[i] = i;
+  order->resize(n);
+  for (int i = 0; i < n; ++i) (*order)[i] = i;
   if (n < 2) return Status::OK();
 
   if (node.terminal.kind == TerminalSpec::Kind::kCollect) {
@@ -255,14 +255,10 @@ Status Optimizer::ReorderNode(QueryPlan* plan, int node_idx,
     }
   }
 
-  const std::vector<int> order =
-      OrderOps(factors, weights, deps, num_probes);
-  decision->op_order = order;
+  *order = OrderOps(factors, weights, deps, num_probes);
   bool is_identity = true;
-  for (int i = 0; i < n; ++i) is_identity &= order[i] == i;
-  if (is_identity) return Status::OK();
-  decision->reordered = true;
-  ApplyOrder(plan, node_idx, order);
+  for (int i = 0; i < n; ++i) is_identity &= (*order)[i] == i;
+  if (!is_identity) ApplyOrder(plan, node_idx, *order);
   return Status::OK();
 }
 
@@ -353,7 +349,7 @@ double Optimizer::EstimateSeconds(const QueryPlan& plan, int node_idx,
 Result<OptimizeResult> Optimizer::OptimizePlan(
     QueryPlan* plan, const engine::ExecutionPolicy& policy) {
   OptimizeResult result;
-  result.nodes.resize(plan->num_pipelines());
+  result.op_order.resize(plan->num_pipelines());
   if (Status st = plan->Validate(topo_); !st.ok()) return st;
   if (Status st = policy.Validate(*topo_); !st.ok()) return st;
 
@@ -363,13 +359,8 @@ Result<OptimizeResult> Optimizer::OptimizePlan(
   auto topo_order = plan->TopologicalOrder();
   HAPE_CHECK(topo_order.ok());
   for (int idx : topo_order.value()) {
-    NodeDecision& d = result.nodes[idx];
-    d.pipeline = idx;
-    d.name = plan->node(idx).name;
-    if (Status st = ReorderNode(plan, idx, pre.value(), &d); !st.ok()) {
-      return st;
-    }
-    if (d.reordered) ++result.num_reordered_pipelines;
+    HAPE_RETURN_NOT_OK(
+        ReorderNode(plan, idx, pre.value(), &result.op_order[idx]));
   }
 
   // Estimates over the final op order (per-op input cardinalities shift
@@ -380,12 +371,9 @@ Result<OptimizeResult> Optimizer::OptimizePlan(
 
   for (int idx : topo_order.value()) {
     PlanNode& node = plan->mutable_node(idx);
-    NodeDecision& d = result.nodes[idx];
     node.est_out_rows = static_cast<uint64_t>(est.nodes[idx].out_rows);
     node.est_nominal_out_rows = static_cast<uint64_t>(
         est.nodes[idx].out_rows * node.scale);
-    d.est_out_rows = node.est_out_rows;
-    d.est_nominal_out_rows = node.est_nominal_out_rows;
 
     if (node.is_build()) {
       TerminalSpec& t = node.terminal;
@@ -401,17 +389,14 @@ Result<OptimizeResult> Optimizer::OptimizePlan(
                 static_cast<double>(node.source_rows()))) +
             16);
       }
-      d.ht_buckets = t.ht_buckets;
       uint64_t value_bytes = 0;
       for (int c : t.payload) value_bytes += PayloadValueBytes(node, c);
       const uint64_t table_bytes = ops::ChainedHashTable::NominalBytes(
           node.est_nominal_out_rows, value_bytes);
       t.heavy = table_bytes >= kHeavyBuildThresholdBytes;
-      d.heavy = t.heavy;
     }
 
-    d.est_seconds = EstimateSeconds(*plan, idx, policy, est);
-    node.est_cost_seconds = d.est_seconds;
+    node.est_cost_seconds = EstimateSeconds(*plan, idx, policy, est);
   }
   return result;
 }

@@ -2,7 +2,6 @@
 #define HAPE_OPT_OPTIMIZER_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -43,25 +42,14 @@ class CostModel {
                                 double device_share = 1.0);
 };
 
-/// Decisions the optimizer took for one pipeline.
-struct NodeDecision {
-  int pipeline = -1;
-  std::string name;
-  uint64_t est_out_rows = 0;          // actual scale
-  uint64_t est_nominal_out_rows = 0;  // nominal scale
-  /// Execution order of the pipeline's logical ops, as original op indices
-  /// (identity when nothing was reordered).
-  std::vector<int> op_order;
-  bool reordered = false;
-  bool heavy = false;          // heavy-build mark after optimization
-  uint64_t ht_buckets = 0;     // build hash-table buckets after sizing
-  double est_seconds = 0;      // cost-model estimate on the policy's set
-};
-
-/// Result of one Engine::Optimize pass.
+/// Result of one Engine::Optimize pass. Every decision (estimates, bucket
+/// counts, heavy marks, the permuted op chains) is written into the plan;
+/// this keeps only what the permuted plan no longer shows.
 struct OptimizeResult {
-  std::vector<NodeDecision> nodes;  // indexed like the plan's pipelines
-  int num_reordered_pipelines = 0;
+  /// Per pipeline (indexed like the plan's pipelines), the execution order
+  /// of its logical ops as original op indices (identity when nothing was
+  /// reordered).
+  std::vector<std::vector<int>> op_order;
 };
 
 /// The cost-based plan optimizer: statistics -> cardinality estimates ->
@@ -100,7 +88,7 @@ class Optimizer {
 
  private:
   Status ReorderNode(engine::QueryPlan* plan, int node_idx,
-                     const PlanEstimate& est, NodeDecision* decision);
+                     const PlanEstimate& est, std::vector<int>* order);
   void ApplyOrder(engine::QueryPlan* plan, int node_idx,
                   const std::vector<int>& order);
   double EstimateSeconds(const engine::QueryPlan& plan, int node_idx,

@@ -66,12 +66,10 @@ QueryResult RunPlan(TpchContext* ctx, EngineConfig config, QueryPlan plan,
   policy.async = ctx->async;
   Engine& eng = EngineFor(ctx);
   if (ctx->plan_mode == PlanMode::kOptimized) {
-    auto opt = eng.Optimize(&plan, policy);
-    if (!opt.ok()) {
+    if (auto opt = eng.Optimize(&plan, policy); !opt.ok()) {
       r.status = opt.status();
       return r;
     }
-    r.optimize = std::move(opt.value());
   }
   auto run = eng.Run(&plan, policy);
   if (!run.ok()) {

@@ -27,8 +27,6 @@ struct QueryResult {
   std::map<int64_t, std::vector<double>> groups;
   /// Per-pipeline execution record reported by the Engine facade.
   engine::RunStats exec;
-  /// Optimizer decisions (kOptimized runs only).
-  opt::OptimizeResult optimize;
   bool DidNotFinish() const { return !status.ok(); }
 };
 

@@ -6,23 +6,6 @@
 
 namespace hape::sim {
 
-Status MemNode::Alloc(uint64_t bytes) {
-  if (used_ + bytes > capacity_) {
-    return Status::OutOfMemory(name_ + ": allocation of " +
-                               std::to_string(bytes) + " bytes exceeds " +
-                               std::to_string(capacity_ - used_) +
-                               " free bytes");
-  }
-  used_ += bytes;
-  peak_used_ = std::max(peak_used_, used_);
-  return Status::OK();
-}
-
-void MemNode::Free(uint64_t bytes) {
-  HAPE_CHECK(bytes <= used_) << "double free on " << name_;
-  used_ -= bytes;
-}
-
 int Topology::AddMemNode(std::string name, uint64_t capacity) {
   const int id = static_cast<int>(mem_nodes_.size());
   mem_nodes_.push_back(std::make_unique<MemNode>(id, std::move(name),
@@ -154,7 +137,6 @@ SimTime Topology::DmaTransferFinish(int from_node, int to_node,
 
 void Topology::Reset() {
   for (auto& l : links_) l->Reset();
-  for (auto& m : mem_nodes_) m->ResetUsage();
   for (auto& c : copy_engines_) c->Reset();
 }
 

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/status.h"
 #include "sim/copy_engine.h"
 #include "sim/interconnect.h"
 #include "sim/spec.h"
@@ -17,33 +16,24 @@ namespace hape::sim {
 enum class DeviceType { kCpu, kGpu };
 
 /// A physical memory node: a socket's DRAM or one GPU's device memory.
-/// Capacity accounting uses *nominal* byte counts so that paper-scale
-/// capacity decisions (e.g. "co-partition must fit in 8 GB") are made even
-/// when the benchmark runs on scaled-down data.
+/// Its capacity is in *nominal* bytes, so paper-scale capacity decisions
+/// (e.g. "co-partition must fit in 8 GB") are made even when the benchmark
+/// runs on scaled-down data. The node keeps no allocation ledger:
+/// placement and admission size tables against the policy's GPU budget
+/// (ExecutionPolicy::GpuBudget, StagedBytes).
 class MemNode {
  public:
   MemNode(int id, std::string name, uint64_t capacity)
       : id_(id), name_(std::move(name)), capacity_(capacity) {}
 
-  Status Alloc(uint64_t bytes);
-  void Free(uint64_t bytes);
-
   int id() const { return id_; }
   const std::string& name() const { return name_; }
   uint64_t capacity() const { return capacity_; }
-  uint64_t used() const { return used_; }
-  uint64_t peak_used() const { return peak_used_; }
-  void ResetUsage() {
-    used_ = 0;
-    peak_used_ = 0;
-  }
 
  private:
   int id_;
   std::string name_;
   uint64_t capacity_;
-  uint64_t used_ = 0;
-  uint64_t peak_used_ = 0;
 };
 
 /// One compute device: a CPU socket (12 cores in the paper's server) or one
@@ -110,7 +100,8 @@ class Topology {
                             int lane_quota = 0,
                             CopyEngine::IssueInfo* info = nullptr);
 
-  /// Reset all link reservations and memory usage statistics.
+  /// Reset all link and copy-engine reservations. Memory nodes hold no
+  /// usage to reset.
   void Reset();
 
  private:

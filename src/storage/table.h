@@ -45,7 +45,6 @@ class Table {
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return *schema_; }
-  SchemaPtr schema_ptr() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
   int num_columns() const { return static_cast<int>(columns_.size()); }
   const ColumnPtr& column(int i) const { return columns_[i]; }

@@ -86,7 +86,6 @@ class TpchGenerator {
   int home_node_;
   // Orders' dates are re-derived for lineitem generation, so cache them.
   std::vector<int32_t> o_orderdate_;
-  std::vector<int64_t> l_orderkey_of_row_;
 };
 
 }  // namespace hape::storage::tpch

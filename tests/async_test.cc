@@ -597,7 +597,9 @@ TEST_F(AsyncExec, ExplainSurfacesOverlapAccounting) {
                                                      nullptr}});
   (void)agg;
   engine::QueryPlan plan = std::move(b).Build();
-  const std::string json = ctx_->engine->Explain(plan, r.exec);
+  const auto explained = ctx_->engine->Explain(plan, r.exec);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  const std::string& json = explained.value();
   EXPECT_NE(json.find("\"transfer_hidden_s\""), std::string::npos);
   EXPECT_NE(json.find("\"transfer_exposed_s\""), std::string::npos);
   EXPECT_NE(json.find("\"async\":true"), std::string::npos);

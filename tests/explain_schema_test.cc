@@ -1,6 +1,7 @@
-// Schema tests for every Engine::Explain variant: each document is parsed
-// back through common/json.h and validated structurally (required keys,
-// kinds, cross-field consistency) instead of with brittle string goldens.
+// Schema tests for the engine's JSON documents (the plan document DumpPlan
+// writes, Engine::Explain's run and schedule records, the trace): each is
+// parsed back through common/json.h and validated structurally (required
+// keys, kinds, cross-field consistency) instead of with string goldens.
 // Also unit-tests the JSON parser itself against the writer.
 
 #include <gtest/gtest.h>
@@ -193,32 +194,40 @@ TEST_F(ExplainSchema, PlanDocumentHasRequiredStructure) {
       ExecutionPolicy::ForConfig(*topo_, EngineConfig::kProteusHybrid);
   ASSERT_TRUE(eng.Optimize(&bq.value().plan, policy).ok());
 
-  auto parsed = JsonParser::Parse(eng.Explain(bq.value().plan));
+  auto dumped = eng.DumpPlan(bq.value().plan);
+  ASSERT_TRUE(dumped.ok()) << dumped.status().ToString();
+  auto parsed = JsonParser::Parse(dumped.value());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const JsonValue& doc = parsed.value();
-  ExpectKeys(doc, {"plan", "num_pipelines", "pipelines"}, "plan doc");
-  const JsonValue& pipelines = *doc.Find("pipelines");
+  ExpectKeys(doc, {"format", "version", "plan"}, "plan doc");
+  EXPECT_EQ(doc.Find("format")->str(), engine::PlanJson::kFormat);
+  EXPECT_EQ(doc.Find("version")->number(), engine::PlanJson::kVersion);
+  ExpectKeys(*doc.Find("plan"), {"name", "pipelines"}, "plan");
+  const JsonValue& pipelines = *doc.Find("plan")->Find("pipelines");
   ASSERT_TRUE(pipelines.is_array());
-  ASSERT_EQ(pipelines.items().size(),
-            static_cast<size_t>(doc.Find("num_pipelines")->number()));
+  ASSERT_EQ(pipelines.items().size(), bq.value().plan.num_pipelines());
   bool saw_build = false, saw_probe_op = false;
   for (const JsonValue& p : pipelines.items()) {
     ExpectKeys(p,
-               {"id", "name", "deps", "run_on", "build", "scale", "declared",
-                "estimated", "ops", "sink"},
+               {"id", "name", "source", "scale", "deps", "run_on", "ops",
+                "sink", "estimated"},
                "pipeline");
-    ExpectKeys(*p.Find("declared"), {"source_rows"}, "declared");
+    ExpectKeys(*p.Find("source"), {"table", "columns", "chunk_rows"},
+               "source");
     ExpectKeys(*p.Find("estimated"),
                {"out_rows", "nominal_out_rows", "cost_seconds"}, "estimated");
-    if (p.Find("build")->bool_value()) {
+    const JsonValue& sink = *p.Find("sink");
+    ExpectKeys(sink, {"kind"}, "sink");
+    if (sink.Find("kind")->str() == "hash_build") {
       saw_build = true;
-      ExpectKeys(p, {"heavy", "ht_buckets"}, "build pipeline");
+      ExpectKeys(sink, {"key", "payload_cols", "heavy", "ht_buckets"},
+                 "build sink");
     }
     for (const JsonValue& op : p.Find("ops")->items()) {
       ASSERT_TRUE(op.Has("kind"));
       if (op.Find("kind")->str() == "probe") {
         saw_probe_op = true;
-        ExpectKeys(op, {"build_pipeline", "appended_cols"}, "probe op");
+        ExpectKeys(op, {"build_pipeline", "key"}, "probe op");
       }
     }
   }
@@ -251,22 +260,64 @@ void ExpectMetricsObject(const JsonValue& m, const std::string& where) {
 }
 
 TEST_F(ExplainSchema, RunDocumentCarriesOverlapAccounting) {
-  ctx_->async = engine::AsyncOptions::Depth(2);
-  const QueryResult r = RunQ5(ctx_, EngineConfig::kProteusHybrid);
-  ASSERT_FALSE(r.DidNotFinish());
-  auto bq = BuildQ5Plan(ctx_);  // a fresh shape to serialize against
+  ExecutionPolicy policy =
+      ExecutionPolicy::ForConfig(*topo_, EngineConfig::kProteusHybrid);
+  policy.async = engine::AsyncOptions::Depth(2);
+  auto bq = BuildQ5Plan(ctx_);
   ASSERT_TRUE(bq.ok());
   Engine& eng = EngineFor(ctx_);
-  auto parsed = JsonParser::Parse(eng.Explain(bq.value().plan, r.exec));
+  engine::QueryPlan& plan = bq.value().plan;
+  ASSERT_TRUE(eng.Optimize(&plan, policy).ok());
+  auto run = eng.Run(&plan, policy);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+  auto explained = eng.Explain(plan, run.value());
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  auto parsed = JsonParser::Parse(explained.value());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const JsonValue& doc = parsed.value();
-  ExpectKeys(doc, {"plan", "run", "metrics", "explain"}, "run doc");
+  ExpectKeys(doc, {"plan", "run", "metrics"}, "run doc");
+  EXPECT_EQ(doc.members().size(), 3u);
   ExpectRunObject(*doc.Find("run"), "run");
   ExpectMetricsObject(*doc.Find("metrics"), "run doc metrics");
   EXPECT_TRUE(doc.Find("run")->Find("async")->bool_value());
-  // The nested explain is itself a full plan document.
-  ExpectKeys(*doc.Find("explain"), {"plan", "num_pipelines", "pipelines"},
-             "nested explain");
+
+  // The "plan" member is DumpPlan's document, byte for byte, and it
+  // reloads into a plan that dumps to the same bytes.
+  auto dumped = eng.DumpPlan(plan);
+  ASSERT_TRUE(dumped.ok()) << dumped.status().ToString();
+  const std::string head = "{\"plan\":" + dumped.value() + ",\"run\":";
+  EXPECT_EQ(explained.value().substr(0, head.size()), head);
+  auto loaded = eng.LoadPlan(dumped.value(), ctx_->catalog);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto redumped = eng.DumpPlan(loaded.value().plan);
+  ASSERT_TRUE(redumped.ok()) << redumped.status().ToString();
+  EXPECT_EQ(redumped.value(), dumped.value());
+}
+
+TEST_F(ExplainSchema, RunDocumentFailsWithDumpPlansStatus) {
+  // A probe through another plan's BuildHandle names no build of this
+  // plan, so the plan has no document: Explain returns DumpPlan's Status.
+  engine::PlanBuilder other("other");
+  engine::BuildHandle foreign =
+      other.Scan(ctx_->catalog.Get("customer").value(), {"c_custkey"}, 1024)
+          .HashBuild(expr::Expr::Col(0), {0});
+  engine::QueryPlan other_plan = std::move(other).Build();
+  engine::PlanBuilder b("foreign-probe");
+  auto probe =
+      b.Scan(ctx_->catalog.Get("orders").value(), {"o_custkey"}, 1024);
+  probe.Probe(foreign, expr::Expr::Col(0));
+  probe.Aggregate(nullptr, {engine::AggDef{engine::AggOp::kCount, nullptr}});
+  engine::QueryPlan plan = std::move(b).Build();
+
+  Engine& eng = EngineFor(ctx_);
+  const auto dumped = eng.DumpPlan(plan);
+  ASSERT_FALSE(dumped.ok());
+  EXPECT_EQ(dumped.status().code(), StatusCode::kNotSupported);
+  const auto explained = eng.Explain(plan, engine::RunStats{});
+  ASSERT_FALSE(explained.ok());
+  EXPECT_EQ(explained.status().code(), dumped.status().code());
+  EXPECT_EQ(explained.status().ToString(), dumped.status().ToString());
 }
 
 TEST_F(ExplainSchema, ScheduleDocumentCarriesPerQueryFields) {

@@ -21,6 +21,23 @@ namespace {
 
 using expr::Expr;
 
+bool IsIdentity(const std::vector<int>& order) {
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (order[i] != static_cast<int>(i)) return false;
+  }
+  return true;
+}
+
+/// Index of the pipeline named `name`, -1 when there is none.
+int NodeNamed(const engine::QueryPlan& plan, const std::string& name) {
+  for (size_t i = 0; i < plan.num_pipelines(); ++i) {
+    if (plan.node(static_cast<int>(i)).name == name) {
+      return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
 // ---- statistics layer: golden values on TPC-H (SF 1 nominal) ---------------
 
 /// One generated TPC-H instance: actual SF 0.02 costed as SF 1, shared by
@@ -642,9 +659,12 @@ TEST_F(TpchStats, CollectSinkPipelinesAreNeverReordered) {
       *topo_, engine::EngineConfig::kProteusCpu);
   auto result = eng.Optimize(&plan, policy);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  for (const auto& d : result.value().nodes) {
-    EXPECT_FALSE(d.reordered) << d.name;
+  for (size_t i = 0; i < plan.num_pipelines(); ++i) {
+    EXPECT_TRUE(IsIdentity(result.value().op_order[i]))
+        << plan.node(static_cast<int>(i)).name;
   }
+  // The plan still probes supplier (pipeline 1) first.
+  EXPECT_EQ(plan.node(2).ops.front().build, 1);
   ASSERT_TRUE(eng.Run(&plan, policy).ok());
   // Declared layout: s_nationkey at column 2, o_custkey at column 3.
   ASSERT_FALSE(collect.batches().empty());
@@ -674,39 +694,55 @@ sim::Topology* OptimizerQ5::topo_ = nullptr;
 queries::TpchContext* OptimizerQ5::ctx_ = nullptr;
 
 TEST_F(OptimizerQ5, ReordersTheScrambledProbeChain) {
-  const auto r = queries::RunQ5(ctx_, queries::EngineConfig::kProteusCpu);
-  ASSERT_FALSE(r.DidNotFinish()) << r.status.ToString();
-  const NodeDecision* probe = nullptr;
-  for (const auto& d : r.optimize.nodes) {
-    if (d.name == "q5-probe") probe = &d;
-  }
-  ASSERT_NE(probe, nullptr);
-  EXPECT_TRUE(probe->reordered);
-  ASSERT_EQ(probe->op_order.size(), 5u);
+  auto bq = queries::BuildQ5Plan(ctx_);
+  ASSERT_TRUE(bq.ok()) << bq.status().ToString();
+  engine::QueryPlan& plan = bq.value().plan;
+  engine::Engine eng(topo_);
+  const engine::ExecutionPolicy policy = engine::ExecutionPolicy::ForConfig(
+      *topo_, engine::EngineConfig::kProteusCpu);
+  const auto r = eng.Optimize(&plan, policy);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const int probe = NodeNamed(plan, "q5-probe");
+  ASSERT_GE(probe, 0);
+  const std::vector<int>& order = r.value().op_order[probe];
+  ASSERT_EQ(order.size(), 5u);
   // Declared: supp(0), ords(1), cust(2), asia(3), filter(4). The DP puts
   // the selective orders join first and the tiny ASIA probe after the
   // nation-equality filter.
-  EXPECT_EQ(probe->op_order.front(), 1);
-  EXPECT_EQ(probe->op_order[3], 4);
-  EXPECT_EQ(probe->op_order.back(), 3);
+  EXPECT_EQ(order.front(), 1);
+  EXPECT_EQ(order[3], 4);
+  EXPECT_EQ(order.back(), 3);
+  // The plan holds the chain in that order.
+  const std::vector<engine::LogicalOp>& ops = plan.node(probe).ops;
+  EXPECT_EQ(ops.front().build, NodeNamed(plan, "orders"));
+  EXPECT_EQ(ops[3].kind, engine::LogicalOp::Kind::kFilter);
+  EXPECT_EQ(ops.back().build, NodeNamed(plan, "nation"));
 }
 
 TEST_F(OptimizerQ5, DerivesHeavyMarksAndSizing) {
-  const auto r = queries::RunQ5(ctx_, queries::EngineConfig::kProteusHybrid);
-  ASSERT_FALSE(r.DidNotFinish()) << r.status.ToString();
-  std::map<std::string, const NodeDecision*> by_name;
-  for (const auto& d : r.optimize.nodes) by_name[d.name] = &d;
+  auto bq = queries::BuildQ5Plan(ctx_);
+  ASSERT_TRUE(bq.ok()) << bq.status().ToString();
+  engine::QueryPlan& plan = bq.value().plan;
+  engine::Engine eng(topo_);
+  const engine::ExecutionPolicy policy = engine::ExecutionPolicy::ForConfig(
+      *topo_, engine::EngineConfig::kProteusHybrid);
+  ASSERT_TRUE(eng.Optimize(&plan, policy).ok());
+  const auto build = [&plan](const char* name) -> const auto& {
+    const int i = NodeNamed(plan, name);
+    HAPE_CHECK(i >= 0) << name;
+    return plan.node(i).terminal;
+  };
   // Heavy: customer (~15M rows) and filtered orders (~25M); light:
   // supplier (1M) and the ASIA nations.
-  EXPECT_TRUE(by_name.at("customer")->heavy);
-  EXPECT_TRUE(by_name.at("orders")->heavy);
-  EXPECT_FALSE(by_name.at("supplier")->heavy);
-  EXPECT_FALSE(by_name.at("nation")->heavy);
+  EXPECT_TRUE(build("customer").heavy);
+  EXPECT_TRUE(build("orders").heavy);
+  EXPECT_FALSE(build("supplier").heavy);
+  EXPECT_FALSE(build("nation").heavy);
   // Bucket counts reproduce the hand-declared sizing brackets.
-  EXPECT_EQ(by_name.at("nation")->ht_buckets, 32u);
-  EXPECT_EQ(by_name.at("supplier")->ht_buckets, 128u);
-  EXPECT_EQ(by_name.at("customer")->ht_buckets, 2048u);
-  EXPECT_EQ(by_name.at("orders")->ht_buckets, 4096u);
+  EXPECT_EQ(build("nation").ht_buckets, 32u);
+  EXPECT_EQ(build("supplier").ht_buckets, 128u);
+  EXPECT_EQ(build("customer").ht_buckets, 2048u);
+  EXPECT_EQ(build("orders").ht_buckets, 4096u);
 }
 
 TEST_F(OptimizerQ5, ExplainReportsDecisions) {
@@ -728,18 +764,39 @@ TEST_F(OptimizerQ5, ExplainReportsDecisions) {
   engine::ExecutionPolicy policy = engine::ExecutionPolicy::ForConfig(
       *topo_, engine::EngineConfig::kProteusCpu);
   ASSERT_TRUE(eng.Optimize(&plan, policy).ok());
-  const std::string json = eng.Explain(plan);
-  EXPECT_NE(json.find("\"plan\":\"explain-me\""), std::string::npos);
-  EXPECT_NE(json.find("\"sink\":\"hash_build\""), std::string::npos);
-  EXPECT_NE(json.find("\"sink\":\"hash_agg\""), std::string::npos);
-  EXPECT_NE(json.find("\"build_pipeline\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"estimated\""), std::string::npos);
-  EXPECT_NE(json.find("\"table\":\"orders\""), std::string::npos);
-  // Balanced braces / brackets (the writer CHECKs this, belt and braces).
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-            std::count(json.begin(), json.end(), ']'));
+  auto run = eng.Run(&plan, policy);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+  // The run document's plan is the optimized plan's document: every
+  // decision Optimize wrote into the plan reads back from it.
+  auto explained = eng.Explain(plan, run.value());
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  auto parsed = JsonParser::Parse(explained.value());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue& doc = *parsed.value().Find("plan")->Find("plan");
+  EXPECT_EQ(doc.Find("name")->str(), "explain-me");
+  const std::vector<JsonValue>& pipes = doc.Find("pipelines")->items();
+  ASSERT_EQ(pipes.size(), 2u);
+  EXPECT_EQ(pipes[0].Find("source")->Find("table")->str(), "orders");
+  EXPECT_EQ(pipes[1].Find("ops")->items()[0].Find("build_pipeline")->number(),
+            0.0);
+  const engine::TerminalSpec& build = plan.node(0).terminal;
+  const JsonValue& sink = *pipes[0].Find("sink");
+  EXPECT_EQ(sink.Find("kind")->str(), "hash_build");
+  EXPECT_EQ(sink.Find("heavy")->bool_value(), build.heavy);
+  EXPECT_EQ(sink.Find("ht_buckets")->number(),
+            static_cast<double>(build.ht_buckets));
+  EXPECT_EQ(pipes[1].Find("sink")->Find("kind")->str(), "hash_agg");
+  for (size_t i = 0; i < pipes.size(); ++i) {
+    const engine::PlanNode& n = plan.node(static_cast<int>(i));
+    const JsonValue& est = *pipes[i].Find("estimated");
+    EXPECT_GT(n.est_out_rows, 0u) << n.name;
+    EXPECT_EQ(est.Find("out_rows")->number(),
+              static_cast<double>(n.est_out_rows));
+    EXPECT_EQ(est.Find("nominal_out_rows")->number(),
+              static_cast<double>(n.est_nominal_out_rows));
+    EXPECT_EQ(est.Find("cost_seconds")->number(), n.est_cost_seconds);
+  }
 }
 
 }  // namespace

@@ -186,12 +186,10 @@ QueryResult RunPermutedJoins(TpchContext* ctx, EngineConfig config,
   engine::ExecutionPolicy policy =
       engine::ExecutionPolicy::ForConfig(*ctx->topo, config);
   engine::Engine eng(ctx->topo);
-  auto opt = eng.Optimize(&plan, policy);
-  if (!opt.ok()) {
+  if (auto opt = eng.Optimize(&plan, policy); !opt.ok()) {
     r.status = opt.status();
     return r;
   }
-  r.optimize = std::move(opt.value());
   auto run = eng.Run(&plan, policy);
   if (!run.ok()) {
     r.status = run.status();
